@@ -61,7 +61,7 @@ def _run_stages(corpus, plan, recorder=None):
         static = {
             key: engine.map_dataset(
                 "static", key, range(len(corpus.dataset(*key)))
-            )
+            ).items
             for key in keys
         }
         static_s = time.perf_counter() - started
@@ -69,7 +69,7 @@ def _run_stages(corpus, plan, recorder=None):
         dynamic = {
             key: engine.map_dataset(
                 "dynamic", key, range(len(corpus.dataset(*key))), 0.0
-            )
+            ).items
             for key in keys
         }
         dynamic_s = time.perf_counter() - started

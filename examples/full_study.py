@@ -8,18 +8,17 @@ few minutes; use ``--scale`` to shrink.
 
 Run:
     python examples/full_study.py [--scale 1.0] [--workers auto] \
-        [--resume study.ckpt] [--max-retries 2] [--out results.txt] \
-        [--store results.store] \
+        [--max-retries 2] [--out results.txt] [--store results.store] \
         [--trace-out study.trace.json] [--metrics-out study.metrics.json]
 
-An interrupted run resumes from ``--resume``'s journal; per-app failures
-never abort the study — they are retried, quarantined, and reported in
-the "error ledger" section of the output.  ``--trace-out`` /
-``--metrics-out`` instrument the run (spans, counters, cache hit rates)
-without changing its results; the trace loads in Perfetto.  ``--store``
-makes repeated runs incremental: per-app results are published to a
-content-addressed store and a re-run with the same configuration
-recomputes only what is missing, with identical output.
+Per-app failures never abort the study — they are retried, quarantined,
+and reported in the "error ledger" section of the output.
+``--trace-out`` / ``--metrics-out`` instrument the run (spans, counters,
+cache hit rates) without changing its results; the trace loads in
+Perfetto.  ``--store`` makes repeated runs incremental: per-app results
+are published to a content-addressed store as they complete, and a
+re-run with the same configuration recomputes only what is missing, with
+identical output — which is also how an interrupted run resumes.
 """
 
 import argparse
@@ -59,13 +58,6 @@ def main() -> None:
         type=int,
         default=1,
         help="retries per failed work unit before quarantine + ledger",
-    )
-    parser.add_argument(
-        "--resume",
-        type=str,
-        default="",
-        help="checkpoint journal path; completed units are recorded and "
-        "replayed across runs with the same seed/scale",
     )
     parser.add_argument(
         "--fault-rate",
@@ -148,9 +140,7 @@ def main() -> None:
             read=not args.no_store_read,
             write=not args.no_store_write,
         )
-    results = study.run(
-        resume=args.resume or None, recorder=recorder, store=store
-    )
+    results = study.run(recorder=recorder, store=store)
     emit(f"study: complete ({stopwatch.elapsed():.0f}s)")
     if store is not None:
         print(f"result store: {store.stats.describe()}", file=sys.stderr)

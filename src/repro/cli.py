@@ -166,7 +166,6 @@ def _cmd_study(args) -> int:
         )
     audit_enabled = args.audit or args.audit_out is not None
     results = study.run(
-        resume=args.resume,
         recorder=recorder,
         store=store,
         audit=args.audit_level if audit_enabled else False,
@@ -289,7 +288,6 @@ def _cmd_sweep(args) -> int:
     engine = SweepEngine(
         spec,
         store_dir=args.store,
-        resume_dir=args.resume_dir,
         audit=args.audit_level if args.audit else False,
         fault_seed=args.fault_seed,
         metrics_dir=args.metrics_dir,
@@ -546,19 +544,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub.add_parser("corpus", help="generate a corpus and print composition")
     study = sub.add_parser("study", help="run everything, print all tables")
     study.add_argument(
-        "--resume",
-        metavar="JOURNAL",
-        default=None,
-        help="checkpoint journal: completed work units are recorded here "
-        "and replayed on a later run with the same seed/scale",
-    )
-    study.add_argument(
         "--store",
         metavar="DIR",
         default=None,
         help="content-addressed result store: per-app results are "
-        "published here and re-used by later runs with the same "
-        "configuration, which then recompute only what changed",
+        "published here as units complete and re-used by later runs with "
+        "the same configuration, which then recompute only what changed "
+        "(re-running an interrupted study against it resumes the study)",
     )
     study.add_argument(
         "--no-store-read",
@@ -633,13 +625,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="shared content-addressed result store: sweep points that "
         "differ only in analysis-side knobs or worker counts reuse their "
         "siblings' cached pipeline units",
-    )
-    sweep.add_argument(
-        "--resume-dir",
-        metavar="DIR",
-        default=None,
-        help="directory of per-point checkpoint journals; an interrupted "
-        "sweep re-run picks each point up where it stopped",
     )
     sweep.add_argument(
         "--audit",

@@ -30,7 +30,6 @@ from repro.core.exec import (
     ExecutionEngine,
     ExecutionPlan,
     ResultStore,
-    StudyCheckpoint,
     UnitFailure,
 )
 from repro.core.pii.compare import PIIComparison
@@ -483,7 +482,6 @@ class Study:
 
     def run(
         self,
-        resume: Optional[str] = None,
         recorder: Optional["obs_mod.Recorder"] = None,
         store=None,
         store_read: bool = True,
@@ -499,12 +497,6 @@ class Study:
         are bit-for-bit what an untroubled run would have produced.
 
         Args:
-            resume: optional checkpoint-journal path.  Completed work
-                units are journaled there as the run progresses, and
-                units already journaled (by this run's configuration —
-                same seed and capture window) are replayed instead of
-                recomputed, so an interrupted or partially failed run
-                picks up where it left off.
             recorder: optional :class:`repro.core.obs.Recorder`.  When
                 given, the run is instrumented — spans, counters and
                 cache statistics accumulate in the recorder (worker
@@ -515,10 +507,12 @@ class Study:
                 :class:`~repro.core.exec.resultstore.ResultStore`).
                 Work units whose per-app results are already stored are
                 composed from the store instead of recomputed; completed
-                units are published back.  A warm re-run with the same
-                configuration recomputes nothing and still produces
-                bit-for-bit identical results; any configuration change
-                (seed, scale, capture window, code version) changes the
+                units are published back as they complete, so the store
+                is also how an interrupted or partially failed run
+                resumes.  A warm re-run with the same configuration
+                recomputes nothing and still produces bit-for-bit
+                identical results; any configuration change (seed,
+                scale, capture window, code version) changes the
                 fingerprints and invalidates cleanly.
             store_read: consult the store before computing (ignored
                 without ``store``; ``False`` forces a repopulating run).
@@ -531,7 +525,6 @@ class Study:
                 check.  Auditing reads the results; it never changes
                 them.
         """
-        checkpoint: Optional[StudyCheckpoint] = None
         if recorder is not None:
             # Must happen before the engine spins up its pool so workers
             # are initialized with telemetry on.
@@ -546,12 +539,8 @@ class Study:
                 write=store_write,
             )
         self.engine.store = store
-        if resume is not None:
-            checkpoint = StudyCheckpoint(
-                resume, self.corpus.seed, self.sleep_s
-            ).open()
         try:
-            results = self._run(checkpoint)
+            results = self._run()
             results.telemetry = recorder
             if audit:
                 from repro.core.verify import audit_study
@@ -561,15 +550,13 @@ class Study:
                     results.audit = audit_study(results, level=level)
             return results
         finally:
-            if checkpoint is not None:
-                checkpoint.close()
             self.engine.close()
             self.engine.store = None
             if recorder is not None:
                 recorder.uninstall()
                 self.engine.recorder = None
 
-    def _run(self, checkpoint: Optional[StudyCheckpoint] = None) -> StudyResults:
+    def _run(self) -> StudyResults:
         corpus = self.corpus
         engine = self.engine
         ledger: List[UnitFailure] = []
@@ -585,7 +572,7 @@ class Study:
                     units.append(unit)
                     owners.append((kind, key))
         with obs_mod.span("phase.static_dynamic", cat="study"):
-            outcome = engine.execute_resilient(units, checkpoint)
+            outcome = engine.execute(units)
         ledger.extend(outcome.failures)
         merged: Dict[Tuple[str, DatasetKey], list] = {}
         for owner, unit_result in zip(owners, outcome.unit_results):
@@ -610,8 +597,8 @@ class Study:
             if packaged.app.app_id in rerun_ids
         ]
         with obs_mod.span("phase.ios_rerun", cat="study"):
-            rerun_outcome = engine.map_dataset_resilient(
-                "dynamic", ("ios", "common"), rerun_indices, 120.0, checkpoint
+            rerun_outcome = engine.map_dataset(
+                "dynamic", ("ios", "common"), rerun_indices, 120.0
             )
         ledger.extend(rerun_outcome.failures)
         # Replace by app id, not position: with partial phase-1 results
@@ -650,12 +637,8 @@ class Study:
                     pinned_sets.append(
                         tuple(sorted(result.pinned_destinations))
                     )
-                circ_outcome = engine.map_dataset_resilient(
-                    "circumvent",
-                    (platform, dataset),
-                    indices,
-                    pinned_sets,
-                    checkpoint,
+                circ_outcome = engine.map_dataset(
+                    "circumvent", (platform, dataset), indices, pinned_sets
                 )
                 ledger.extend(circ_outcome.failures)
                 circumvention[platform].extend(

@@ -12,16 +12,14 @@ shipping results back as slim payload encodings
 when the cost model (:mod:`repro.core.exec.costmodel`) says the pool
 cannot win — degrading per-app failures into a
 :class:`~repro.core.exec.faults.UnitFailure` ledger;
-:class:`~repro.core.exec.checkpoint.StudyCheckpoint` journals completed
-units to disk so an interrupted run can resume;
-:class:`~repro.core.exec.resultstore.ResultStore` is the cross-run memo —
-a content-addressed, on-disk store of per-app results that makes
-repeated runs warm-start, recomputing only fingerprint misses.
+:class:`~repro.core.exec.resultstore.ResultStore` is the one persistence
+layer — a content-addressed, on-disk store of per-app results that makes
+repeated runs warm-start, recomputing only fingerprint misses, and lets
+an interrupted run resume from the units it already published.
 :mod:`repro.core.exec.faults` provides deterministic fault injection for
 testing all of it without real flakiness.
 """
 
-from repro.core.exec.checkpoint import StudyCheckpoint
 from repro.core.exec.engine import (
     ExecutionEngine,
     ExecutionOutcome,
@@ -48,7 +46,6 @@ __all__ = [
     "ResultStore",
     "SeededFaults",
     "StoreStats",
-    "StudyCheckpoint",
     "TransientFaults",
     "UnitFailure",
     "WarmPool",

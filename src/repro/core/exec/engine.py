@@ -45,23 +45,23 @@ Three mechanisms keep the boundary cheaper than the work it distributes
 Fault tolerance
 ---------------
 
-:meth:`ExecutionEngine.execute_resilient` extends the contract to failing
-units: a failed unit is retried up to ``plan.max_retries`` times (with
-bounded exponential backoff and an optional per-unit deadline), then
-**quarantined** — its apps are re-run solo, each with its own retry
-budget, so one poisoned app cannot take a whole chunk's results down.
-Apps that still fail become :class:`~repro.core.exec.faults.UnitFailure`
-records in the returned :class:`ExecutionOutcome` instead of exceptions.
-The ladder is reserved for *retryable* faults: deterministic programming
-errors (:data:`~repro.core.exec.faults.NON_RETRYABLE_ERRORS`, e.g. an
-``AttributeError`` inside a detector) propagate immediately instead of
-being retried or quarantined into the ledger.
-Because unit purity makes retries and solo re-runs reproduce exactly what
-an untroubled run would have computed, the surviving results remain
+:meth:`ExecutionEngine.execute` is the one execution path, and it
+tolerates failing units: a failed unit is retried up to
+``plan.max_retries`` times (with bounded exponential backoff and an
+optional per-unit deadline), then **quarantined** — its apps are re-run
+solo, each with its own retry budget, so one poisoned app cannot take a
+whole chunk's results down.  Apps that still fail become
+:class:`~repro.core.exec.faults.UnitFailure` records in the returned
+:class:`ExecutionOutcome` instead of exceptions.  The ladder is reserved
+for *retryable* faults: deterministic programming errors
+(:data:`~repro.core.exec.faults.NON_RETRYABLE_ERRORS`, e.g. an
+``AttributeError`` inside a detector or a ``TypeError`` for an unknown
+work-unit kind) propagate immediately instead of being retried or
+quarantined into the ledger, after the pool is released.  Because unit
+purity makes retries and solo re-runs reproduce exactly what an
+untroubled run would have computed, the surviving results remain
 bit-for-bit identical to a fault-free run — the ledger is the only
-difference.  An optional
-:class:`~repro.core.exec.checkpoint.StudyCheckpoint` journals completed
-units so a killed run can resume where it left off.
+difference.
 
 Incremental execution
 ---------------------
@@ -74,8 +74,9 @@ fingerprint exactly the inputs a result is a function of — corpus
 configuration, capture window, stage, app id, per-app stage config, and
 a code-version salt — a warm run recomputes only fingerprint misses and
 still merges to bit-for-bit the same study as a cold run, at any worker
-count.  The checkpoint journal remains the intra-run safety net (scoped
-to one run configuration); the store is the cross-run memo.
+count.  The store is also how a killed run resumes: units are published
+as they complete (temp file + ``os.replace``), so a re-run against the
+same store recomputes only what the killed run had not finished.
 
 Stage-granular recomputation (DESIGN.md §15): a unit that misses at the
 app level may still have warm *stage* artifacts on disk (a config flip
@@ -96,7 +97,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import obs
 from repro.core.exec import costmodel
-from repro.core.exec.checkpoint import StudyCheckpoint, split_unit
 from repro.core.exec.faults import (
     FaultPredicate,
     InjectedFault,
@@ -268,7 +268,9 @@ def _run_unit(state: dict, unit: WorkUnit, cache=None) -> list:
             )
             for i, pins in zip(indices, extra)
         ]
-    raise ValueError(f"unknown work-unit kind: {kind!r}")
+    # TypeError, not ValueError: a malformed unit is a programming error,
+    # which must fail the run rather than ride the retry ladder.
+    raise TypeError(f"unknown work-unit kind: {kind!r}")
 
 
 def _run_unit_timed(state: dict, unit: WorkUnit, cache=None) -> list:
@@ -287,6 +289,22 @@ def _run_unit_timed(state: dict, unit: WorkUnit, cache=None) -> list:
         apps=len(indices),
     ):
         return _run_unit(state, unit, cache=cache)
+
+
+def split_unit(unit: WorkUnit) -> List[WorkUnit]:
+    """Split a unit into per-app solo units (quarantine).
+
+    Circumvention units carry per-index pinned sets in ``extra``; those
+    are sliced along with the indices, like
+    :meth:`ExecutionEngine.units_for` does.
+    """
+    kind, platform, dataset, indices, extra = unit
+    if kind == "circumvent":
+        return [
+            (kind, platform, dataset, (index,), (pins,))
+            for index, pins in zip(indices, extra)
+        ]
+    return [(kind, platform, dataset, (index,), extra) for index in indices]
 
 
 # -- worker bootstrap --------------------------------------------------------
@@ -520,11 +538,11 @@ class WarmPool:
             )
         )
 
-    def shutdown(self, cancel_futures: bool = False) -> None:
+    def shutdown(self) -> None:
         """Shut the pool down (idempotent); owner-only."""
         global _PARENT_CORPUS
         if self._executor is not None:
-            self._executor.shutdown(cancel_futures=cancel_futures)
+            self._executor.shutdown()
             self._executor = None
         if _PARENT_CORPUS is self.corpus:
             _PARENT_CORPUS = None
@@ -558,13 +576,13 @@ class ExecutionEngine:
         recorder: optional telemetry recorder (see :mod:`repro.core.obs`).
             When set, every unit runs under a span, workers stream
             per-unit telemetry snapshots back with their results, and the
-            engine counts retries, quarantines, failures, journal replays
+            engine counts retries, quarantines, failures, store skips
             and pool-boundary traffic (``exec.ipc.*``).  Must be set
             before the worker pool is first used (pool initialisation
             bakes the telemetry flag in).  Results are bit-for-bit
             identical with and without a recorder.
         store: optional :class:`~repro.core.exec.resultstore.ResultStore`.
-            When set, resilient execution consults it before dispatching
+            When set, execution consults it before dispatching
             each unit (a full per-app hit skips the unit entirely) and
             publishes completed units back.  Results are bit-for-bit
             identical with and without a store, warm or cold.
@@ -617,20 +635,19 @@ class ExecutionEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def close(self, cancel_futures: bool = False) -> None:
+    def close(self) -> None:
         """Release the worker pool (no-op for serial plans).
 
-        An engine-owned pool is shut down; ``cancel_futures`` drops
-        queued-but-unpicked work instead of draining it — the error-path
-        contract: a failed strict run must neither leak worker processes
-        nor burn time finishing work whose results will never be
-        consumed.  A *shared* :class:`WarmPool` is merely detached: its
-        owner decides when the warm state dies.
+        An engine-owned pool is shut down; a *shared* :class:`WarmPool`
+        is merely detached: its owner decides when the warm state dies.
+        On the error path, :meth:`_dispatch_windowed` has already
+        cancelled the queued remainder, so shutdown does not drain work
+        whose results will never be consumed.
         """
         global _PARENT_CORPUS
         if self._pool is not None:
             if not self._pool_is_shared:
-                self._pool.shutdown(cancel_futures=cancel_futures)
+                self._pool.shutdown()
             self._pool = None
             self._pool_is_shared = False
         # Keep the corpus published while a live shared pool still wants
@@ -857,68 +874,20 @@ class ExecutionEngine:
             units.append((kind, key[0], key[1], block, unit_extra))
         return units
 
-    # -- strict execution --------------------------------------------------
+    # -- execution ---------------------------------------------------------
 
-    def execute(self, units: Sequence[WorkUnit]) -> List[list]:
-        """Run units strictly: any worker exception propagates.
-
-        Returns per-unit results in submission order.  The serial path
-        (by plan, or by adaptive fallback) runs them in-process;
-        otherwise units flow through the bounded dispatch window and are
-        merged by submission position, so completion order cannot leak
-        into the output.  On error the pool is shut down with
-        ``cancel_futures=True`` before the exception propagates — a
-        failed strict run must neither leak worker processes nor drain
-        the queued remainder of the batch first.
-        """
-        units = list(units)
-        try:
-            if not self._use_pool(units):
-                results = []
-                for unit in units:
-                    results.append(self._run_local(unit))
-                    self._count("exec.units.completed")
-                return results
-            pool = self._ensure_pool()
-            results: List[Optional[list]] = [None] * len(units)
-
-            def on_done(position: int, unit: WorkUnit, future) -> None:
-                results[position] = self._collect(future)
-                self._count("exec.units.completed")
-
-            self._dispatch_windowed(pool, enumerate(units), on_done)
-            return list(results)
-        except BaseException:
-            self.close(cancel_futures=True)
-            raise
-
-    def map_dataset(
-        self,
-        kind: str,
-        key: Tuple[str, str],
-        indices: Sequence[int],
-        extra: object = None,
-    ) -> list:
-        """Shard, execute (strictly) and concatenate one dataset's units."""
-        results = self.execute(self.units_for(kind, key, indices, extra))
-        return [item for unit_result in results for item in unit_result]
-
-    # -- fault-tolerant execution ------------------------------------------
-
-    def execute_resilient(
-        self,
-        units: Sequence[WorkUnit],
-        checkpoint: Optional[StudyCheckpoint] = None,
-    ) -> ExecutionOutcome:
+    def execute(self, units: Sequence[WorkUnit]) -> ExecutionOutcome:
         """Run units with retry, quarantine, and an error ledger.
 
-        Journaled units (when ``checkpoint`` is given) are replayed
-        without executing; completed units are journaled as they finish.
-        With a result store attached, units whose every app is already
-        stored are composed from the store instead of dispatched, and
-        completed units are published back for later runs.  Never raises
-        for *retryable* per-unit failures — they land in the outcome's
-        ledger.  Non-retryable failures
+        Returns per-unit results in submission order.  The serial path
+        (by plan, or by adaptive fallback) runs units in-process;
+        otherwise they flow through the bounded dispatch window and are
+        merged by submission position, so completion order cannot leak
+        into the output.  With a result store attached, units whose every
+        app is already stored are composed from the store instead of
+        dispatched, and completed units are published back as they
+        finish.  Never raises for *retryable* per-unit failures — they
+        land in the outcome's ledger.  Non-retryable failures
         (:data:`~repro.core.exec.faults.NON_RETRYABLE_ERRORS` —
         programming errors a retry cannot cure) propagate immediately,
         as do unexpected scheduler-level errors and interrupts, after
@@ -938,21 +907,12 @@ class ExecutionEngine:
         failures: List[UnitFailure] = []
         pending: List[Tuple[int, WorkUnit]] = []
         for position, unit in enumerate(units):
-            cached = checkpoint.lookup(unit) if checkpoint is not None else None
-            if cached is not None:
-                unit_results[position] = cached
-                self._count("journal.units.skipped")
-                continue
             stored = (
                 self.store.lookup_unit(unit)
                 if self.store is not None
                 else None
             )
             if stored is not None:
-                # A store hit also enters the journal so an interrupted
-                # warm run resumes without re-consulting the store.
-                if checkpoint is not None:
-                    checkpoint.record(unit, stored)
                 unit_results[position] = stored
                 self._count("store.units.skipped")
             else:
@@ -982,12 +942,12 @@ class ExecutionEngine:
         try:
             for position, unit in partial:
                 unit_results[position] = self._run_with_recovery(
-                    unit, failures, checkpoint, use_pool=False
+                    unit, failures, use_pool=False
                 )
             if not use_pool:
                 for position, unit in pending:
                     unit_results[position] = self._run_with_recovery(
-                        unit, failures, checkpoint, use_pool=False
+                        unit, failures, use_pool=False
                     )
             else:
                 pool = self._ensure_pool()
@@ -1004,15 +964,9 @@ class ExecutionEngine:
                             self._count("exec.faults.nonretryable")
                             raise
                         unit_results[position] = self._run_with_recovery(
-                            unit,
-                            failures,
-                            checkpoint,
-                            first_error=exc,
-                            use_pool=True,
+                            unit, failures, first_error=exc, use_pool=True
                         )
                     else:
-                        if checkpoint is not None:
-                            checkpoint.record(unit, result)
                         self._publish(unit, result)
                         unit_results[position] = result
                         self._count("exec.units.completed")
@@ -1027,18 +981,15 @@ class ExecutionEngine:
             failures,
         )
 
-    def map_dataset_resilient(
+    def map_dataset(
         self,
         kind: str,
         key: Tuple[str, str],
         indices: Sequence[int],
         extra: object = None,
-        checkpoint: Optional[StudyCheckpoint] = None,
     ) -> ExecutionOutcome:
-        """Shard and execute one dataset's units fault-tolerantly."""
-        return self.execute_resilient(
-            self.units_for(kind, key, indices, extra), checkpoint
-        )
+        """Shard and execute one dataset's units."""
+        return self.execute(self.units_for(kind, key, indices, extra))
 
     # -- recovery internals ------------------------------------------------
 
@@ -1101,7 +1052,6 @@ class ExecutionEngine:
         self,
         unit: WorkUnit,
         failures: List[UnitFailure],
-        checkpoint: Optional[StudyCheckpoint],
         first_error: Optional[Exception] = None,
         in_quarantine: bool = False,
         use_pool: bool = False,
@@ -1111,7 +1061,7 @@ class ExecutionEngine:
         The escalation ladder: attempt, retry up to ``plan.max_retries``
         times, then (for multi-app units) quarantine — re-run each app as
         its own solo unit through this same ladder, so only the genuinely
-        bad apps are lost.  Survivors are journaled; casualties become
+        bad apps are lost.  Survivors are published; casualties become
         :class:`UnitFailure` records.  Only *retryable* errors ride the
         ladder: a non-retryable (programming) error raises out of here
         immediately.
@@ -1129,8 +1079,6 @@ class ExecutionEngine:
                 first_error = exc
                 self._count_error(exc)
             else:
-                if checkpoint is not None:
-                    checkpoint.record(unit, result)
                 self._publish(unit, result)
                 self._count("exec.units.completed")
                 return result
@@ -1139,8 +1087,6 @@ class ExecutionEngine:
 
         result, attempts, error = self._retry(unit, first_error, use_pool)
         if result is not None:
-            if checkpoint is not None:
-                checkpoint.record(unit, result)
             self._publish(unit, result)
             self._count("exec.units.completed")
             self._count("exec.units.recovered_by_retry")
@@ -1155,7 +1101,6 @@ class ExecutionEngine:
                     self._run_with_recovery(
                         solo,
                         failures,
-                        checkpoint,
                         in_quarantine=True,
                         use_pool=use_pool,
                     )

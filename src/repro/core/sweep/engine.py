@@ -86,9 +86,6 @@ class SweepEngine:
         store_dir: optional shared result-store directory.  Cold points
             populate it; warm siblings reuse it (see the module
             docstring for the fault-injection exception).
-        resume_dir: optional directory of per-point checkpoint journals
-            (``<slug>.journal``); an interrupted sweep re-run picks up
-            each point where it stopped.
         audit: ``False``, ``"standard"`` or ``"deep"`` — passed through
             to :meth:`Study.run` for every point.
         fault_seed: seed for the fault-injection predicate of points
@@ -112,7 +109,6 @@ class SweepEngine:
         spec: SweepSpec,
         sleep_s: float = 30.0,
         store_dir: Optional[str] = None,
-        resume_dir: Optional[str] = None,
         audit: Union[bool, str] = False,
         fault_seed: int = 0,
         metrics_dir: Optional[str] = None,
@@ -123,7 +119,6 @@ class SweepEngine:
         self.spec = spec
         self.sleep_s = sleep_s
         self.store_dir = store_dir
-        self.resume_dir = resume_dir
         self.audit = audit
         self.fault_seed = fault_seed
         self.metrics_dir = metrics_dir
@@ -156,10 +151,6 @@ class SweepEngine:
         store = None
         if self.store_dir is not None and faults is None:
             store = ResultStore(self.store_dir, corpus, sleep_s=self.sleep_s)
-        resume = None
-        if self.resume_dir is not None:
-            os.makedirs(self.resume_dir, exist_ok=True)
-            resume = os.path.join(self.resume_dir, f"{point.slug()}.journal")
 
         study = Study(
             corpus,
@@ -169,7 +160,7 @@ class SweepEngine:
             pool=self.pool,
         )
         stopwatch = obs.Stopwatch()
-        results = study.run(resume=resume, recorder=recorder, store=store, audit=self.audit)
+        results = study.run(recorder=recorder, store=store, audit=self.audit)
         # Study.run uninstalled the recorder; re-install it so the
         # analysis-side ablation and finding extraction are observed too.
         recorder.install()

@@ -54,7 +54,7 @@ class SweepPoint:
         )
 
     def slug(self) -> str:
-        """Filesystem-safe identifier (per-point journals, metrics files)."""
+        """Filesystem-safe identifier for per-point file names."""
         return (
             f"seed{self.seed}-scale{self.scale:g}-fault{self.fault_rate:g}"
             f"-{self.detector}-w{self.workers}"

@@ -12,8 +12,8 @@ Job lifecycle::
 
 A queued job cancels immediately (it never starts).  A running job
 cancels *cooperatively*: ``cancel_requested`` is set, the study runs to
-completion (mid-run preemption would orphan pool workers and corrupt
-checkpoint journals), and the runner discards its output and marks it
+completion (mid-run preemption would orphan pool workers), and the
+runner discards its output and marks it
 ``CANCELLED``.  Every transition into a terminal state sets the job's
 ``done`` event, releasing ``result``-waiters.
 """

@@ -3,8 +3,9 @@
 The paper uses a chi-square test of independence (p < 0.05) to compare PII
 prevalence across pinned vs non-pinned traffic (Section 5.5) and Jaccard
 indices to compare pinned-domain sets across platforms (Section 5.1).
-scipy is used when available; a pure-Python fallback keeps the library
-importable without it.
+The 2x2 chi-square test is computed in pure Python (Yates' correction and
+the 1-dof survival function via ``math.erfc``); it matches
+``scipy.stats.chi2_contingency``, which the tests use as a cross-check.
 """
 
 from __future__ import annotations
@@ -84,10 +85,8 @@ def chi_square_independence(
     if len(table) != 2 or any(len(row) != 2 for row in table):
         raise ValueError("chi_square_independence expects a 2x2 table")
 
-    # Validate margins before dispatching: a zero margin must raise the
-    # same ValueError whether scipy handles the table or the fallback
-    # does (scipy's own zero-margin error has a different message, and
-    # callers match on this one).
+    # A zero margin makes an expected count zero; callers match on this
+    # message.
     a, b = table[0]
     c, d = table[1]
     row_totals = (a + b, c + d)
@@ -95,14 +94,6 @@ def chi_square_independence(
     grand = a + b + c + d
     if grand <= 0 or 0 in row_totals or 0 in col_totals:
         raise ValueError("contingency table has a zero margin")
-
-    try:
-        from scipy.stats import chi2_contingency
-
-        stat, p_value, dof, _ = chi2_contingency(table, correction=correction)
-        return ChiSquareResult(float(stat), float(p_value), int(dof))
-    except ImportError:  # pragma: no cover - exercised only without scipy
-        pass
 
     stat = 0.0
     observed = ((a, b), (c, d))

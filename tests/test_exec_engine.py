@@ -72,7 +72,7 @@ class TestSharding:
         from repro.core.exec.engine import _build_state, _run_unit
 
         state = _build_state(tiny_corpus, 30.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             _run_unit(state, ("mystery", "android", "common", (0,), None))
 
 

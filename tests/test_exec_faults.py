@@ -1,9 +1,9 @@
 """Tests for the engine's fault-tolerance layer.
 
-Covers the escalation ladder (retry → quarantine → error ledger), the
-checkpoint journal (resume replays journaled units bit-for-bit), pool
-hygiene on strict-path errors, and graceful degradation of a full
-``Study.run()`` under injected faults.
+Covers the escalation ladder (retry → quarantine → error ledger), pool
+hygiene when a run fails, and graceful degradation of a full
+``Study.run()`` under injected faults — including the faulted-then-clean
+convergence through a shared result store.
 """
 
 from dataclasses import dataclass
@@ -17,11 +17,10 @@ from repro.core.exec import (
     ExecutionPlan,
     InjectedFault,
     SeededFaults,
-    StudyCheckpoint,
     TransientFaults,
 )
-from repro.core.exec.checkpoint import split_unit
 from repro.corpus import CorpusConfig, CorpusGenerator
+from repro.reporting.render import render_study_stdout
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ class TestQuarantine:
         )
         units = engine.units_for("static", KEY, range(len(ids)))
         assert len(units) == 1  # one chunk holds every app
-        outcome = engine.execute_resilient(units)
+        outcome = engine.execute(units)
 
         surviving = [r.app_id for r in outcome.items]
         assert bad not in surviving
@@ -91,7 +90,7 @@ class TestQuarantine:
             ExecutionPlan(max_retries=0, chunk_size=len(ids), quarantine=False),
             fault_predicate=FailApps((bad,), phases=("static",)),
         )
-        outcome = engine.execute_resilient(
+        outcome = engine.execute(
             engine.units_for("static", KEY, range(len(ids)))
         )
         assert outcome.items == []
@@ -104,14 +103,14 @@ class TestQuarantine:
         clean = ExecutionEngine(tiny_corpus, ExecutionPlan())
         reference = {
             r.app_id: r.pinned_destinations
-            for r in clean.map_dataset("dynamic", KEY, range(len(ids)), 0.0)
+            for r in clean.map_dataset("dynamic", KEY, range(len(ids)), 0.0).items
         }
         engine = ExecutionEngine(
             tiny_corpus,
             ExecutionPlan(chunk_size=len(ids)),
             fault_predicate=FailApps((bad,), phases=("dynamic",)),
         )
-        outcome = engine.map_dataset_resilient(
+        outcome = engine.map_dataset(
             "dynamic", KEY, range(len(ids)), 0.0
         )
         for result in outcome.items:
@@ -128,7 +127,7 @@ class TestRetries:
             ExecutionPlan(max_retries=2, chunk_size=1),
             fault_predicate=faults,
         )
-        outcome = engine.execute_resilient(
+        outcome = engine.execute(
             engine.units_for("static", KEY, range(len(ids)))
         )
         # Initial attempt + exactly plan.max_retries retries.
@@ -148,7 +147,7 @@ class TestRetries:
             ExecutionPlan(max_retries=1, chunk_size=1),
             fault_predicate=faults,
         )
-        outcome = engine.execute_resilient(
+        outcome = engine.execute(
             engine.units_for("static", KEY, range(len(ids)))
         )
         assert outcome.failures == []
@@ -162,7 +161,7 @@ class TestRetries:
             ExecutionPlan(max_retries=0, chunk_size=1),
             fault_predicate=faults,
         )
-        outcome = engine.execute_resilient(
+        outcome = engine.execute(
             engine.units_for("static", KEY, range(2))
         )
         assert faults.calls[("static", ids[0])] == 1
@@ -185,16 +184,16 @@ class TestRetries:
 
 
 class TestPoolHygiene:
-    def test_strict_execute_shuts_pool_down_on_error(self, tiny_corpus):
+    def test_failed_execute_shuts_pool_down_on_error(self, tiny_corpus):
+        # An unknown unit kind is a programming error: it must fail the
+        # run (not be retried into the ledger) and release the pool.
         engine = ExecutionEngine(
-            tiny_corpus,
-            ExecutionPlan(workers=2, chunk_size=2),
-            fault_predicate=FailApps(
-                tuple(_app_ids(tiny_corpus, KEY)[:1]), phases=("static",)
-            ),
+            tiny_corpus, ExecutionPlan(workers=2, chunk_size=2)
         )
-        units = engine.units_for("static", KEY, range(4))
-        with pytest.raises(InjectedFault):
+        units = engine.units_for("static", KEY, range(4)) + [
+            ("explodes", "android", "common", (0, 1), None)
+        ]
+        with pytest.raises(TypeError, match="unknown work-unit kind"):
             engine.execute(units)
         assert engine._pool is None
 
@@ -207,7 +206,7 @@ class TestPoolHygiene:
             fault_predicate=FailApps((bad,), phases=("static",)),
         )
         try:
-            outcome = engine.execute_resilient(
+            outcome = engine.execute(
                 engine.units_for("static", KEY, range(len(ids)))
             )
             assert [r.app_id for r in outcome.items] == [
@@ -219,106 +218,29 @@ class TestPoolHygiene:
             engine.close()
 
 
-class TestCheckpoint:
-    def test_resume_replays_journaled_units_bit_for_bit(
-        self, tiny_corpus, tmp_path
-    ):
-        path = tmp_path / "study.ckpt"
-        ids = _app_ids(tiny_corpus, KEY)
-        engine = ExecutionEngine(tiny_corpus, ExecutionPlan())
-        units = engine.units_for("dynamic", KEY, range(len(ids)), 0.0)
-        with StudyCheckpoint(path, tiny_corpus.seed, 30.0) as checkpoint:
-            first = engine.execute_resilient(units, checkpoint)
-            assert checkpoint.completed_units == len(units)
-
-        counter = CountingFaults()
-        replay_engine = ExecutionEngine(
-            tiny_corpus, ExecutionPlan(), fault_predicate=counter
-        )
-        with StudyCheckpoint(path, tiny_corpus.seed, 30.0) as checkpoint:
-            replayed = replay_engine.execute_resilient(units, checkpoint)
-        assert counter.calls == {}  # nothing recomputed
-        assert [
-            (r.app_id, sorted(r.pinned_destinations))
-            for r in replayed.items
-        ] == [
-            (r.app_id, sorted(r.pinned_destinations)) for r in first.items
-        ]
-        assert [
-            [(f.sni, f.started_at, f.handshake_completed) for f in r.direct_capture]
-            for r in replayed.items
-        ] == [
-            [(f.sni, f.started_at, f.handshake_completed) for f in r.direct_capture]
-            for r in first.items
-        ]
-
-    def test_lookup_composes_quarantined_solo_units(
-        self, tiny_corpus, tmp_path
-    ):
-        path = tmp_path / "solo.ckpt"
-        engine = ExecutionEngine(tiny_corpus, ExecutionPlan())
-        unit = engine.units_for("static", KEY, range(3))[0]
-        solos = split_unit(unit)
-        with StudyCheckpoint(path, tiny_corpus.seed, 30.0) as checkpoint:
-            for solo in solos:
-                checkpoint.record(solo, engine.execute([solo])[0])
-            composed = checkpoint.lookup(unit)
-        assert composed is not None
-        assert [r.app_id for r in composed] == _app_ids(tiny_corpus, KEY)[:3]
-
-    def test_seed_mismatch_is_rejected(self, tiny_corpus, tmp_path):
-        path = tmp_path / "seeded.ckpt"
-        with StudyCheckpoint(path, 1, 30.0):
-            pass
-        with pytest.raises(ValueError, match="seed"):
-            StudyCheckpoint(path, 2, 30.0).open()
-
-    def test_truncated_tail_is_discarded(self, tiny_corpus, tmp_path):
-        path = tmp_path / "trunc.ckpt"
-        engine = ExecutionEngine(tiny_corpus, ExecutionPlan())
-        units = engine.units_for("static", KEY, range(2))
-        with StudyCheckpoint(path, tiny_corpus.seed, 30.0) as checkpoint:
-            checkpoint.record(units[0], engine.execute(units)[0])
-        with open(path, "ab") as fh:
-            fh.write(b"\x80\x04garbage")  # killed mid-write
-        reopened = StudyCheckpoint(path, tiny_corpus.seed, 30.0).open()
-        assert reopened.completed_units == 1
-        reopened.close()
-
-    def test_key_binds_sleep_and_unit_identity(self, tiny_corpus, tmp_path):
-        path = tmp_path / "keys.ckpt"
-        engine = ExecutionEngine(tiny_corpus, ExecutionPlan())
-        unit = engine.units_for("static", KEY, range(2))[0]
-        with StudyCheckpoint(path, tiny_corpus.seed, 30.0) as checkpoint:
-            checkpoint.record(unit, engine.execute([unit])[0])
-        other_window = StudyCheckpoint(path, tiny_corpus.seed, 60.0).open()
-        assert other_window.lookup(unit) is None
-        other_window.close()
-
-
 class TestStudyDegradation:
     def test_faulted_study_completes_and_resume_converges(
         self, tiny_corpus, tmp_path
     ):
-        path = tmp_path / "study.ckpt"
+        store = tmp_path / "store"
         baseline = Study(tiny_corpus).run()
         assert baseline.failures == []
 
         faulted = Study(
             tiny_corpus, fault_predicate=SeededFaults(0.1, seed=7)
-        ).run(resume=path)
+        ).run(store=store)
         assert faulted.failures  # something failed...
         assert faulted.table3().render()  # ...yet the study delivered
-        failed_ids = {f.app_id for f in faulted.failures}
         for platform in ("android", "ios"):
             assert set(faulted.dynamic_by_app(platform)) <= set(
                 baseline.dynamic_by_app(platform)
             )
 
-        resumed = Study(tiny_corpus).run(resume=path)
+        # The faulted run published its survivors (the store key is
+        # fault-agnostic); the clean re-run recomputes only the losses.
+        resumed = Study(tiny_corpus).run(store=store)
         assert resumed.failures == []
-        assert resumed.table3().render() == baseline.table3().render()
-        assert resumed.figure2().render() == baseline.figure2().render()
+        assert render_study_stdout(resumed) == render_study_stdout(baseline)
         for platform in ("android", "ios"):
             ref = baseline.dynamic_by_app(platform)
             got = resumed.dynamic_by_app(platform)
@@ -328,7 +250,6 @@ class TestStudyDegradation:
                     got[app_id].pinned_destinations
                     == result.pinned_destinations
                 )
-        assert failed_ids  # the faulted run really did lose apps
 
     def test_dynamic_failure_excludes_app_downstream(self, tiny_corpus):
         ids = _app_ids(tiny_corpus, ("android", "popular"))
@@ -400,7 +321,7 @@ class TestNonRetryableErrors:
         )
         units = engine.units_for("static", KEY, range(len(ids)))
         with pytest.raises(AttributeError):
-            engine.execute_resilient(units)
+            engine.execute(units)
         # One consultation: the retry/quarantine ladder never engaged.
         assert predicate.calls == 1
         assert recorder.counter_value("exec.faults.nonretryable") == 1
@@ -414,7 +335,7 @@ class TestNonRetryableErrors:
         )
         try:
             with pytest.raises(AttributeError):
-                engine.execute_resilient(
+                engine.execute(
                     engine.units_for("static", KEY, range(len(ids)))
                 )
         finally:
@@ -429,7 +350,7 @@ class TestNonRetryableErrors:
             ExecutionPlan(max_retries=1, chunk_size=len(ids)),
             fault_predicate=FailApps((ids[1],), phases=("static",)),
         )
-        outcome = engine.execute_resilient(
+        outcome = engine.execute(
             engine.units_for("static", KEY, range(len(ids)))
         )
         assert [f.app_id for f in outcome.failures] == [ids[1]]

@@ -1,5 +1,6 @@
 """Tests for the cost-aware scheduler: chunk sizing, the parallel-vs-
-serial decision, the bounded dispatch window, and strict-path cleanup.
+serial decision, the bounded dispatch window, and cleanup after a failed
+run.
 
 The cost model's thresholds are part of the engine's documented
 behaviour (DESIGN.md §11), so they are asserted at explicit values with
@@ -207,7 +208,7 @@ class TestAdaptiveFallback:
         ) as engine:
             results = engine.execute(
                 [("static", "android", "common", (0, 1), None)]
-            )
+            ).unit_results
             assert engine._pool is None
         assert len(results) == 1 and len(results[0]) == 2
         assert recorder.counter_value("exec.sched.serial_fallbacks") == 1
@@ -231,23 +232,22 @@ class TestAdaptiveFallback:
         )
 
 
-class TestStrictCleanup:
-    def test_failed_strict_run_cancels_queued_work(self, tiny_corpus):
-        """The strict error path shuts the pool down with
-        ``cancel_futures=True`` — queued units are dropped, not drained."""
-        calls = []
-        engine = ExecutionEngine(tiny_corpus, ExecutionPlan(workers=2))
-        original = engine.close
-
-        def spying_close(cancel_futures=False):
-            calls.append(cancel_futures)
-            original(cancel_futures=cancel_futures)
-
-        engine.close = spying_close
+class TestErrorCleanup:
+    def test_non_retryable_unit_fails_fast_and_releases_pool(
+        self, tiny_corpus
+    ):
+        """A non-retryable unit fails the run on its first attempt (no
+        retry, no quarantine) and the engine-owned pool is shut down."""
+        recorder = obs.Recorder()
+        engine = ExecutionEngine(
+            tiny_corpus, ExecutionPlan(workers=2), recorder=recorder
+        )
         units = _units("static", 3, 2) + [
             ("explodes", "android", "common", (0,), None)
         ]
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="unknown work-unit kind"):
             engine.execute(units)
-        assert calls == [True]
         assert engine._pool is None
+        assert recorder.counter_value("exec.faults.nonretryable") == 1
+        assert recorder.counter_value("exec.retry.attempts") == 0
+        assert recorder.counter_value("exec.units.quarantined") == 0

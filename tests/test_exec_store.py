@@ -15,6 +15,7 @@ from repro.core import obs
 from repro.core.analysis import Study
 from repro.core.exec import ExecutionPlan, ResultStore, SeededFaults
 from repro.corpus import CorpusConfig, CorpusGenerator
+from repro.reporting.render import render_study_stdout
 
 SEED = 1337
 SCALE = 0.015
@@ -143,19 +144,41 @@ class TestCorruptionFallback:
         assert healed.stats.unit_misses == 0
 
 
-class TestCheckpointInterplay:
-    def test_store_hits_enter_the_journal(
-        self, corpus, store_dir, cold, tmp_path
-    ):
+class AbortAfter:
+    """Fault predicate simulating a kill: once it has been consulted
+    ``limit`` times it raises a non-retryable error, aborting the run."""
+
+    def __init__(self, limit: float = float("inf")):
+        self.limit = limit
+        self.calls = 0
+
+    def __call__(self, phase: str, app_id: str) -> bool:
+        self.calls += 1
+        if self.calls > self.limit:
+            raise TypeError("simulated kill")
+        return False
+
+
+class TestResumeByStore:
+    def test_killed_run_resumes_from_the_store(self, corpus, cold, tmp_path):
         cold_results, _ = cold
-        journal = tmp_path / "warm.ckpt"
+        counter = AbortAfter()
+        Study(corpus, fault_predicate=counter).run()
+        store_dir = tmp_path / "killed"
+        with pytest.raises(TypeError, match="simulated kill"):
+            Study(corpus, fault_predicate=AbortAfter(counter.calls // 2)).run(
+                store=store_dir
+            )
+
         store = ResultStore(store_dir, corpus)
-        warm = Study(corpus).run(resume=str(journal), store=store)
-        assert_same_results(cold_results, warm)
-        assert journal.exists() and journal.stat().st_size > 0
-        # A resume-only re-run replays the journal without the store.
-        resumed = Study(corpus).run(resume=str(journal))
+        resumed = Study(corpus).run(store=store)
+        assert render_study_stdout(resumed) == render_study_stdout(
+            cold_results
+        )
         assert_same_results(cold_results, resumed)
+        # Units the killed run completed are served; the rest recompute.
+        assert store.stats.unit_hits > 0
+        assert store.stats.unit_misses > 0
 
 
 class TestFaultedRuns:

@@ -3,7 +3,7 @@
 The contract under test: ``Study.run(recorder=...)`` produces bit-for-bit
 the same results as an uninstrumented run, for any worker count, while
 the recorder's counters agree with independently observable quantities
-(the error ledger, known cache workloads, journal replays).
+(the error ledger, known cache workloads).
 """
 
 import pytest
@@ -122,17 +122,6 @@ class TestCounterAccuracy:
         assert recorder.counter_value("exec.retry.attempts") > 0
         # Persistent faults in multi-app chunks must trigger quarantine.
         assert recorder.counter_value("exec.units.quarantined") > 0
-
-    def test_journal_counters_on_resume(self, tiny_corpus, tmp_path):
-        journal = tmp_path / "study.ckpt"
-        first = Study(tiny_corpus).run(resume=str(journal))
-        recorder = obs.Recorder()
-        second = Study(tiny_corpus).run(resume=str(journal), recorder=recorder)
-        assert _fingerprint(second) == _fingerprint(first)
-        # Everything was journaled, so the resumed run replays all units.
-        assert recorder.counter_value("journal.units.skipped") > 0
-        assert recorder.counter_value("exec.units.completed") == 0
-        assert recorder.counter_value("journal.records.recovered") > 0
 
     def test_ctlog_search_cache_counters(self):
         from repro.pki.authority import PKIHierarchy

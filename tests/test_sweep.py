@@ -132,7 +132,6 @@ def sweep(tmp_path_factory):
     engine = SweepEngine(
         spec,
         store_dir=str(root / "store"),
-        resume_dir=str(root / "journals"),
         metrics_dir=str(root / "metrics"),
     )
     return root, engine.run()
@@ -183,11 +182,6 @@ class TestEngine:
                 assert by_key[(seed, "naive")][name] >= by_key[
                     (seed, "full")
                 ][name]
-
-    def test_per_point_journals_created(self, sweep):
-        root, results = sweep
-        journals = sorted((root / "journals").glob("*.journal"))
-        assert len(journals) == len(results.points)
 
     def test_per_point_metrics_written(self, sweep):
         root, results = sweep

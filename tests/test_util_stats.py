@@ -47,6 +47,7 @@ class TestChiSquare:
             stats.chi_square_independence([[1, 2, 3], [4, 5, 6]])
 
     def test_matches_scipy(self):
+        # scipy is a test-only reference for the pure-Python statistic.
         scipy_stats = pytest.importorskip("scipy.stats")
         table = [[37, 163], [21, 400]]
         ours = stats.chi_square_independence(table)
@@ -56,7 +57,8 @@ class TestChiSquare:
         assert ours.degrees_of_freedom == dof
 
     def test_pure_python_fallback_agrees(self):
-        # Exercise the fallback path directly by recomputing by hand.
+        # A clearly dependent table is significant under the pure-Python
+        # test.
         table = [[30, 70], [60, 40]]
         result = stats.chi_square_independence(table)
         assert result.significant()
@@ -66,10 +68,8 @@ class TestChiSquare:
             stats.chi_square_independence([[0, 0], [1, 2]])
 
     def test_zero_margin_message_is_ours_on_every_path(self):
-        # The margins are validated *before* dispatching to scipy, so the
-        # scipy path and the pure-Python fallback raise the same
-        # ValueError (scipy's own zero-margin error reads differently and
-        # callers match on this message).
+        # Every zero-margin shape raises the same ValueError; callers
+        # match on this message.
         for table in ([[0, 0], [1, 2]], [[1, 2], [0, 0]],
                       [[0, 1], [0, 2]], [[1, 0], [2, 0]],
                       [[0, 0], [0, 0]]):
