@@ -11,7 +11,7 @@ PII they carry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.netsim.flow import Payload
 
@@ -50,12 +50,21 @@ class DestinationUsage:
     weak_ciphers: bool = False
     requires_interaction: bool = False
 
+    def payload(self, substitute: Optional[Callable[[str], str]] = None) -> Payload:
+        """The request every used connection sends.
+
+        Args:
+            substitute: applied to every field value, e.g. the device's
+                placeholder substitution; None keeps the template as is.
+        """
+        fields = self.payload_fields
+        if substitute is not None:
+            fields = tuple((k, substitute(v)) for k, v in fields)
+        return Payload(method="POST", path="/v1/events", fields=fields)
+
     def payloads(self) -> List[Payload]:
         """One payload per used connection."""
-        return [
-            Payload(method="POST", path="/v1/events", fields=self.payload_fields)
-            for _ in range(self.used_connections)
-        ]
+        return [self.payload()] * self.used_connections
 
     def starts_within(self, window_s: float) -> bool:
         return self.start_offset_s <= window_s

@@ -7,6 +7,7 @@ chi-square test of independence per PII type and highlights p < 0.05.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -48,6 +49,14 @@ class PIIComparison:
         raise KeyError(pii_type)
 
 
+def _type_counts(detector: PIIDetector, flows: Sequence[FlowRecord]) -> Counter:
+    """Number of flows containing each PII type."""
+    counts: Counter = Counter()
+    for flow in flows:
+        counts.update(detector.flow_pii_types(flow))
+    return counts
+
+
 def compare_pii_prevalence(
     platform: str,
     detector: PIIDetector,
@@ -62,15 +71,15 @@ def compare_pii_prevalence(
     """
     pinned = [f for f in pinned_flows if f.plaintext_visible]
     non_pinned = [f for f in non_pinned_flows if f.plaintext_visible]
+    # One scan per flow; each PII type's row then counts the flows whose
+    # type set contains it.
+    pinned_counts = _type_counts(detector, pinned)
+    non_pinned_counts = _type_counts(detector, non_pinned)
 
     comparison = PIIComparison(platform=platform)
     for pii_type in PII_TYPES:
-        pinned_hits = sum(
-            1 for f in pinned if pii_type in detector.flow_pii_types(f)
-        )
-        non_pinned_hits = sum(
-            1 for f in non_pinned if pii_type in detector.flow_pii_types(f)
-        )
+        pinned_hits = pinned_counts[pii_type]
+        non_pinned_hits = non_pinned_counts[pii_type]
         row = PIITypeComparison(
             pii_type=pii_type,
             pinned_rate=pinned_hits / len(pinned) if pinned else 0.0,

@@ -30,8 +30,8 @@ class PIIDetector:
 
     def __init__(self, identifiers: DeviceIdentifiers):
         self.identifiers = identifiers
-        # lat/lon are matched as a pair under two types; everything else
-        # by exact value.
+        # Every type, latitude and longitude included, is matched on its
+        # own: a field hits a type when it contains that type's known value.
         self._values: Dict[str, str] = identifiers.as_dict()
 
     def scan_flow(self, flow: FlowRecord) -> List[PIIHit]:

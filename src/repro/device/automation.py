@@ -22,7 +22,7 @@ from repro.errors import DeviceError
 from repro.netsim.capture import TrafficCapture
 from repro.netsim.flow import Payload
 from repro.netsim.proxy import MITMProxy
-from repro.netsim.simulate import simulate_flow
+from repro.netsim.simulate import Destination, simulate_flow
 from repro.servers.registry import EndpointRegistry
 from repro.tls.handshake import ClientProfile
 from repro.tls.policy import CompositePolicy, SystemValidationPolicy
@@ -99,17 +99,6 @@ class AutomationHarness:
         offset_s = derive_seed(self._rng.seed, "install-window", app_id) % window_s
         return self._epoch.plus_seconds(offset_s)
 
-    def _substituted_payloads(self, usage: DestinationUsage) -> list:
-        """Payload templates with device PII substituted in."""
-        out = []
-        for payload in usage.payloads():
-            fields = tuple(
-                (k, self.device.identifiers.substitute(v))
-                for k, v in payload.fields
-            )
-            out.append(Payload(method=payload.method, path=payload.path, fields=fields))
-        return out
-
     def _emit_usage_flows(
         self,
         capture: TrafficCapture,
@@ -121,65 +110,60 @@ class AutomationHarness:
         rng: DeterministicRng,
     ) -> None:
         app = packaged_app.app
-        if not self.registry.knows(usage.hostname):
+        hostname = usage.hostname
+        if not self.registry.knows(hostname):
             raise DeviceError(
-                f"{app.app_id}: behaviour references unknown host {usage.hostname!r}"
+                f"{app.app_id}: behaviour references unknown host {hostname!r}"
             )
-        endpoint = self.registry.resolve(usage.hostname)
-        client = ClientProfile(
-            sni=usage.hostname,
-            policy=policy,
-            offered_versions=app.offered_versions(),
-            offered_suites=app.suites_for_destination(usage.hostname),
+        destination = Destination(
+            ClientProfile(
+                sni=hostname,
+                policy=policy,
+                offered_versions=app.offered_versions(),
+                offered_suites=app.suites_for_destination(hostname),
+            ),
+            self.registry.resolve(hostname),
+            proxy=self.proxy if config.mitm else None,
+            gt_pinned=app.pins_domain(hostname),
         )
-        payloads = self._substituted_payloads(usage)
+        meta = dict(
+            app_id=app.app_id,
+            platform=app.platform,
+            transient_failure_prob=config.transient_failure_prob,
+        )
         when = launch_time.plus_seconds(usage.start_offset_s)
+        # Every used connection sends the template, device PII substituted.
+        payloads = [usage.payload(self.device.identifiers.substitute)]
         for index in range(usage.used_connections):
             flow = simulate_flow(
-                client,
-                endpoint,
+                destination,
                 when,
-                rng.child("used", usage.hostname, index),
-                payloads=[payloads[index]] if index < len(payloads) else [],
-                proxy=self.proxy if config.mitm else None,
-                app_id=app.app_id,
-                platform=app.platform,
-                transient_failure_prob=config.transient_failure_prob,
-                gt_pinned=app.pins_domain(usage.hostname),
+                rng.child("used", hostname, index),
+                payloads=payloads,
+                **meta,
             )
             capture.add(flow)
             # HTTP stacks retry a request whose connection died before the
             # response; the paper observed exactly these retries in its
             # MITM experiments.  A transient failure is usually recovered
             # by the retry; a pinning rejection fails again.
-            if not flow.trace.client_app_data_records() and not flow.handshake_completed:
+            if not flow.handshake_completed and not flow.trace.client_app_data_records():
                 capture.add(
                     simulate_flow(
-                        client,
-                        endpoint,
+                        destination,
                         when.plus_seconds(1),
-                        rng.child("retry", usage.hostname, index),
-                        payloads=[payloads[index]] if index < len(payloads) else [],
-                        proxy=self.proxy if config.mitm else None,
-                        app_id=app.app_id,
-                        platform=app.platform,
-                        transient_failure_prob=config.transient_failure_prob,
-                        gt_pinned=app.pins_domain(usage.hostname),
+                        rng.child("retry", hostname, index),
+                        payloads=payloads,
+                        **meta,
                     )
                 )
         for index in range(usage.redundant_connections):
             capture.add(
                 simulate_flow(
-                    client,
-                    endpoint,
+                    destination,
                     when,
-                    rng.child("idle", usage.hostname, index),
-                    payloads=[],
-                    proxy=self.proxy if config.mitm else None,
-                    app_id=app.app_id,
-                    platform=app.platform,
-                    transient_failure_prob=config.transient_failure_prob,
-                    gt_pinned=app.pins_domain(usage.hostname),
+                    rng.child("idle", hostname, index),
+                    **meta,
                 )
             )
 
@@ -200,20 +184,22 @@ class AutomationHarness:
                 device.os_services_store, library="securetransport"
             )
         )
+        proxy = self.proxy if config.mitm else None
 
         # Continuous Apple-domain chatter during the whole window.
         for host in APPLE_BACKGROUND_HOSTS:
             if not self.registry.knows(host):
                 continue
-            client = ClientProfile(sni=host, policy=os_policy)
             capture.add(
                 simulate_flow(
-                    client,
-                    self.registry.resolve(host),
+                    Destination(
+                        ClientProfile(sni=host, policy=os_policy),
+                        self.registry.resolve(host),
+                        proxy=proxy,
+                    ),
                     install_time.plus_seconds(rng.uniform(0, config.sleep_s)),
                     rng.child("apple-bg", host),
                     payloads=[Payload(method="GET", path="/keepalive")],
-                    proxy=self.proxy if config.mitm else None,
                     app_id=app.app_id,
                     platform="ios",
                     os_initiated=True,
@@ -229,11 +215,13 @@ class AutomationHarness:
             host = domain if self.registry.knows(domain) else f"www.{domain}"
             if not self.registry.knows(host):
                 continue
-            client = ClientProfile(sni=host, policy=os_policy)
             capture.add(
                 simulate_flow(
-                    client,
-                    self.registry.resolve(host),
+                    Destination(
+                        ClientProfile(sni=host, policy=os_policy),
+                        self.registry.resolve(host),
+                        proxy=proxy,
+                    ),
                     install_time.plus_seconds(rng.uniform(0, 20)),
                     rng.child("assoc", host),
                     payloads=[
@@ -242,7 +230,6 @@ class AutomationHarness:
                             path="/.well-known/apple-app-site-association",
                         )
                     ],
-                    proxy=self.proxy if config.mitm else None,
                     app_id=app.app_id,
                     platform="ios",
                     os_initiated=True,

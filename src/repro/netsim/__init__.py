@@ -10,6 +10,13 @@ them — exposes decrypted payloads.
 from repro.netsim.capture import TrafficCapture
 from repro.netsim.flow import FlowRecord, Payload
 from repro.netsim.proxy import MITMProxy
-from repro.netsim.simulate import simulate_flow
+from repro.netsim.simulate import Destination, simulate_flow
 
-__all__ = ["FlowRecord", "MITMProxy", "Payload", "TrafficCapture", "simulate_flow"]
+__all__ = [
+    "Destination",
+    "FlowRecord",
+    "MITMProxy",
+    "Payload",
+    "TrafficCapture",
+    "simulate_flow",
+]

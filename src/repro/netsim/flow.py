@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.errors import AnalysisError
-from repro.tls.ciphers import CipherSuite
+from repro.tls.ciphers import CipherSuite, advertises_weak
 from repro.tls.connection import ConnectionTrace
 from repro.tls.records import TLSVersion
 from repro.util.simtime import Timestamp
@@ -82,9 +82,7 @@ class FlowRecord:
 
     def advertised_weak_cipher(self) -> bool:
         """Table 8's per-connection test on the ClientHello."""
-        from repro.tls.ciphers import is_weak_suite
-
-        return any(is_weak_suite(s) for s in self.offered_suites)
+        return advertises_weak(self.offered_suites)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "mitm" if self.mitm_attempted else "direct"

@@ -8,8 +8,6 @@ root stores) and also mints *custom* PKIs for apps that pin their own roots
 
 from __future__ import annotations
 
-import dataclasses
-
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -87,22 +85,17 @@ class CertificateAuthority:
         name = DistinguishedName(
             common_name=common_name, organization=organization or common_name
         )
-        unsigned = Certificate(
+        certificate = Certificate.signed_by(
+            key,
             subject=name,
             issuer=name,
             serial="00000001-root",
             not_before=not_before,
             not_after=not_before.plus_years(lifetime_years),
             key=key,
-            san=(),
             is_ca=True,
-            signature=b"",
-            issuer_key_id=key.key_id,
         )
-        signed = dataclasses.replace(
-            unsigned, signature=key.sign(unsigned.tbs_bytes())
-        )
-        return cls(signed, key, rng.child("root-ca", common_name))
+        return cls(certificate, key, rng.child("root-ca", common_name))
 
     def issue(
         self,
@@ -146,7 +139,8 @@ class CertificateAuthority:
             )
         key_rng = rng if rng is not None else self._rng
         subject_key = key or KeyPair.generate(key_rng.child("issued-key", common_name))
-        unsigned = Certificate(
+        certificate = Certificate.signed_by(
+            self.key,
             subject=DistinguishedName(
                 common_name=common_name, organization=organization
             ),
@@ -157,13 +151,8 @@ class CertificateAuthority:
             key=subject_key,
             san=tuple(san),
             is_ca=is_ca,
-            signature=b"",
-            issuer_key_id=self.key.key_id,
         )
-        signed = dataclasses.replace(
-            unsigned, signature=self.key.sign(unsigned.tbs_bytes())
-        )
-        return signed, subject_key
+        return certificate, subject_key
 
     def issue_intermediate(
         self, common_name: str, lifetime_years: float = 10.0

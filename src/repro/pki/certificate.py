@@ -50,6 +50,30 @@ class DistinguishedName:
         return self.render()
 
 
+def _tbs_encoding(
+    subject: DistinguishedName,
+    issuer: DistinguishedName,
+    serial: str,
+    not_before: Timestamp,
+    not_after: Timestamp,
+    san: Tuple[str, ...],
+    is_ca: bool,
+    key: KeyPair,
+) -> bytes:
+    """The canonical to-be-signed encoding of a certificate's fields."""
+    fields = [
+        subject.render(),
+        issuer.render(),
+        serial,
+        str(not_before.unix),
+        str(not_after.unix),
+        ",".join(san),
+        "CA" if is_ca else "EE",
+        key.public_bytes.hex(),
+    ]
+    return "\x1e".join(fields).encode("utf-8")
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A simulated X.509 certificate.
@@ -99,6 +123,41 @@ class Certificate:
             self.tbs_bytes(), self.signature
         )
 
+    @classmethod
+    def signed_by(
+        cls,
+        signer: KeyPair,
+        *,
+        subject: DistinguishedName,
+        issuer: DistinguishedName,
+        serial: str,
+        not_before: Timestamp,
+        not_after: Timestamp,
+        key: KeyPair,
+        san: Tuple[str, ...] = (),
+        is_ca: bool = False,
+    ) -> "Certificate":
+        """Issue a certificate signed by ``signer`` in one construction.
+
+        The to-be-signed encoding is computed once, signed, and kept as the
+        certificate's memoized :meth:`tbs_bytes`.
+        """
+        tbs = _tbs_encoding(subject, issuer, serial, not_before, not_after, san, is_ca, key)
+        cert = cls(
+            subject=subject,
+            issuer=issuer,
+            serial=serial,
+            not_before=not_before,
+            not_after=not_after,
+            key=key,
+            san=san,
+            is_ca=is_ca,
+            signature=signer.sign(tbs),
+            issuer_key_id=signer.key_id,
+        )
+        object.__setattr__(cert, "_tbs", tbs)
+        return cert
+
     def tbs_bytes(self) -> bytes:
         """The canonical to-be-signed encoding (memoized per instance).
 
@@ -108,17 +167,16 @@ class Certificate:
         """
         cached = self.__dict__.get("_tbs")
         if cached is None:
-            fields = [
-                self.subject.render(),
-                self.issuer.render(),
+            cached = _tbs_encoding(
+                self.subject,
+                self.issuer,
                 self.serial,
-                str(self.not_before.unix),
-                str(self.not_after.unix),
-                ",".join(self.san),
-                "CA" if self.is_ca else "EE",
-                self.key.public_bytes.hex(),
-            ]
-            cached = "\x1e".join(fields).encode("utf-8")
+                self.not_before,
+                self.not_after,
+                self.san,
+                self.is_ca,
+                self.key,
+            )
             object.__setattr__(self, "_tbs", cached)
         return cached
 

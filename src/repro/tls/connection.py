@@ -14,7 +14,8 @@ The traces reproduce the confounders the paper had to handle:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from functools import lru_cache
+from typing import Callable, List
 
 from repro.tls.handshake import HandshakeOutcome
 from repro.tls.records import (
@@ -33,6 +34,76 @@ TEARDOWN_FIN = "fin"
 TEARDOWN_OPEN = "open"  # still open when the capture stopped
 
 _TLS12_VISIBLE_ALERT_LEN = 31
+
+# TLSRecord is frozen, so traces share record instances instead of each
+# building its own: one per fixed-shape record, one per length otherwise.
+_SERVER_ALERT = TLSRecord(
+    ContentType.ALERT, Direction.SERVER_TO_CLIENT, 7, ContentType.ALERT
+)
+#: A client alert — a certificate rejection or an idle connection's
+#: close_notify look alike on the wire.  TLS 1.3 disguises it as data.
+_TLS13_CLIENT_ALERT = TLSRecord(
+    ContentType.APPLICATION_DATA,
+    Direction.CLIENT_TO_SERVER,
+    TLS13_ENCRYPTED_ALERT_LEN,
+    ContentType.ALERT,
+)
+_TLS12_CLIENT_ALERT = TLSRecord(
+    ContentType.ALERT,
+    Direction.CLIENT_TO_SERVER,
+    _TLS12_VISIBLE_ALERT_LEN,
+    ContentType.ALERT,
+)
+#: TLS 1.3's client Finished, disguised as application data.
+_TLS13_CLIENT_FINISHED = TLSRecord(
+    ContentType.APPLICATION_DATA,
+    Direction.CLIENT_TO_SERVER,
+    TLS13_CLIENT_FINISHED_LEN,
+    ContentType.HANDSHAKE,
+)
+_TLS12_CHANGE_CIPHER_SPEC = TLSRecord(
+    ContentType.CHANGE_CIPHER_SPEC,
+    Direction.CLIENT_TO_SERVER,
+    6,
+    ContentType.CHANGE_CIPHER_SPEC,
+)
+_TLS12_CLIENT_FINISHED = TLSRecord(
+    ContentType.HANDSHAKE, Direction.CLIENT_TO_SERVER, 45, ContentType.HANDSHAKE
+)
+
+
+def _interned(
+    content_type: ContentType, direction: Direction, inner_type: ContentType
+) -> Callable[[int], TLSRecord]:
+    """A length -> record factory sharing one instance per length.
+
+    Hellos and application data vary in length, but only over a few
+    thousand values across a whole study.
+    """
+
+    @lru_cache(maxsize=None)
+    def record(length: int) -> TLSRecord:
+        return TLSRecord(content_type, direction, length, inner_type)
+
+    return record
+
+
+_client_hello = _interned(
+    ContentType.HANDSHAKE, Direction.CLIENT_TO_SERVER, ContentType.HANDSHAKE
+)
+_server_hello = _interned(
+    ContentType.HANDSHAKE, Direction.SERVER_TO_CLIENT, ContentType.HANDSHAKE
+)
+_client_data = _interned(
+    ContentType.APPLICATION_DATA,
+    Direction.CLIENT_TO_SERVER,
+    ContentType.APPLICATION_DATA,
+)
+_server_data = _interned(
+    ContentType.APPLICATION_DATA,
+    Direction.SERVER_TO_CLIENT,
+    ContentType.APPLICATION_DATA,
+)
 
 
 @dataclass
@@ -86,126 +157,49 @@ def synthesize_trace(
 
     # ClientHello / ServerHello+Certificate are always wire-visible
     # handshake records.
-    records.append(
-        TLSRecord(ContentType.HANDSHAKE, Direction.CLIENT_TO_SERVER, 512 + rng.randint(0, 64), ContentType.HANDSHAKE)
-    )
+    records.append(_client_hello(512 + rng.randint(0, 64)))
     if outcome.failure_reason == "no_common_version":
-        records.append(
-            TLSRecord(ContentType.ALERT, Direction.SERVER_TO_CLIENT, 7, ContentType.ALERT)
-        )
+        records.append(_SERVER_ALERT)
         trace.teardown = TEARDOWN_FIN
         return trace
 
-    records.append(
-        TLSRecord(
-            ContentType.HANDSHAKE,
-            Direction.SERVER_TO_CLIENT,
-            2800 + rng.randint(0, 1200),
-            ContentType.HANDSHAKE,
-        )
-    )
+    records.append(_server_hello(2800 + rng.randint(0, 1200)))
 
     if outcome.failure_reason == "no_common_cipher":
-        records.append(
-            TLSRecord(ContentType.ALERT, Direction.SERVER_TO_CLIENT, 7, ContentType.ALERT)
-        )
+        records.append(_SERVER_ALERT)
         trace.teardown = TEARDOWN_FIN
         return trace
 
-    version = outcome.version or TLSVersion.TLS12
-    is13 = version.is_tls13
+    is13 = outcome.version is TLSVersion.TLS13
+    client_alert = _TLS13_CLIENT_ALERT if is13 else _TLS12_CLIENT_ALERT
 
     if outcome.client_alert is not None:
         # Certificate rejected: the client signals failure via a TLS alert
         # or a bare TCP reset — both happen in the wild (Section 4.2.2).
         if rng.chance(0.75):
-            if is13:
-                records.append(
-                    TLSRecord(
-                        ContentType.APPLICATION_DATA,
-                        Direction.CLIENT_TO_SERVER,
-                        TLS13_ENCRYPTED_ALERT_LEN,
-                        ContentType.ALERT,
-                    )
-                )
-            else:
-                records.append(
-                    TLSRecord(
-                        ContentType.ALERT,
-                        Direction.CLIENT_TO_SERVER,
-                        _TLS12_VISIBLE_ALERT_LEN,
-                        ContentType.ALERT,
-                    )
-                )
+            records.append(client_alert)
         trace.teardown = TEARDOWN_RST if rng.chance(0.5) else TEARDOWN_FIN
         return trace
 
     # Handshake completed.
     if is13:
-        # Client Finished is disguised as application data.
-        records.append(
-            TLSRecord(
-                ContentType.APPLICATION_DATA,
-                Direction.CLIENT_TO_SERVER,
-                TLS13_CLIENT_FINISHED_LEN,
-                ContentType.HANDSHAKE,
-            )
-        )
+        records.append(_TLS13_CLIENT_FINISHED)
     else:
-        records.append(
-            TLSRecord(
-                ContentType.CHANGE_CIPHER_SPEC, Direction.CLIENT_TO_SERVER, 6, ContentType.CHANGE_CIPHER_SPEC
-            )
-        )
-        records.append(
-            TLSRecord(
-                ContentType.HANDSHAKE, Direction.CLIENT_TO_SERVER, 45, ContentType.HANDSHAKE
-            )
-        )
+        records.append(_TLS12_CHANGE_CIPHER_SPEC)
+        records.append(_TLS12_CLIENT_FINISHED)
 
     if client_payload_records <= 0:
         # Redundant connection: established, never used.
         if closes_cleanly:
-            if is13:
-                records.append(
-                    TLSRecord(
-                        ContentType.APPLICATION_DATA,
-                        Direction.CLIENT_TO_SERVER,
-                        TLS13_ENCRYPTED_ALERT_LEN,
-                        ContentType.ALERT,  # close_notify
-                    )
-                )
-            else:
-                records.append(
-                    TLSRecord(
-                        ContentType.ALERT,
-                        Direction.CLIENT_TO_SERVER,
-                        _TLS12_VISIBLE_ALERT_LEN,
-                        ContentType.ALERT,
-                    )
-                )
+            records.append(client_alert)  # close_notify
             trace.teardown = TEARDOWN_FIN
         else:
             trace.teardown = TEARDOWN_OPEN
         return trace
 
     for _ in range(client_payload_records):
-        records.append(
-            TLSRecord(
-                ContentType.APPLICATION_DATA,
-                Direction.CLIENT_TO_SERVER,
-                _app_data_length(rng),
-                ContentType.APPLICATION_DATA,
-            )
-        )
+        records.append(_client_data(_app_data_length(rng)))
     for _ in range(server_payload_records):
-        records.append(
-            TLSRecord(
-                ContentType.APPLICATION_DATA,
-                Direction.SERVER_TO_CLIENT,
-                _app_data_length(rng),
-                ContentType.APPLICATION_DATA,
-            )
-        )
+        records.append(_server_data(_app_data_length(rng)))
     trace.teardown = TEARDOWN_OPEN
     return trace

@@ -19,12 +19,8 @@ from repro.tls.records import TLSVersion
 
 
 @lru_cache(maxsize=None)
-def _ja3_cached(
-    versions: Tuple[TLSVersion, ...], suites: Tuple[CipherSuite, ...]
-) -> str:
-    material = ",".join(v.value for v in versions) + "|" + ",".join(
-        s.name for s in suites
-    )
+def _ja3_cached(versions: Tuple[str, ...], suites: Tuple[str, ...]) -> str:
+    material = ",".join(versions) + "|" + ",".join(suites)
     return hashlib.md5(material.encode("ascii")).hexdigest()
 
 
@@ -38,6 +34,9 @@ def ja3_fingerprint(
 
     Same offered versions + suites (in order) ⇒ same fingerprint, as with
     real JA3.  The distinct (stack, configuration) population is tiny, so
-    results are memoized process-wide.
+    results are memoized process-wide, keyed by version and suite names
+    (strings hash faster than the suite dataclasses).
     """
-    return _ja3_cached(tuple(versions), tuple(suites))
+    return _ja3_cached(
+        tuple(v.value for v in versions), tuple(s.name for s in suites)
+    )

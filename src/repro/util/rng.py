@@ -18,6 +18,8 @@ from typing import Iterable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
+_HEX = "0123456789abcdef"
+
 
 def derive_seed(parent_seed: int, *labels: object) -> int:
     """Derive a child seed from ``parent_seed`` and a sequence of labels.
@@ -34,8 +36,13 @@ def derive_seed(parent_seed: int, *labels: object) -> int:
     Returns:
         A 63-bit non-negative integer seed.
     """
-    material = repr(parent_seed) + "\x1f" + "\x1f".join(str(l) for l in labels)
-    digest = hashlib.sha256(material.encode("utf-8")).digest()
+    # ``repr(parent_seed)`` and each ``str(label)``, 0x1f-separated; with
+    # no labels the material still ends in a separator.
+    if labels:
+        material = "\x1f".join([repr(parent_seed), *map(str, labels)])
+    else:
+        material = f"{parent_seed!r}\x1f"
+    digest = hashlib.sha256(material.encode()).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
 
 
@@ -45,11 +52,24 @@ class DeterministicRng:
     Thin wrapper around :class:`random.Random` that adds child derivation and
     a few domain-specific helpers (weighted choice without replacement,
     hex/identifier strings).
+
+    The Mersenne Twister is seeded on the first draw, not at construction:
+    seeding costs more than most draws, and generators that only derive
+    children never need one.  Every stream is the one ``random.Random(seed)``
+    would produce, and a generator pickled before its first draw resumes
+    from the top of its stream.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._random = random.Random(self.seed)
+
+    def __getattr__(self, name: str):
+        # Reached only while ``_random`` is unset; once set, attribute
+        # lookup finds it directly.
+        if name != "_random":
+            raise AttributeError(name)
+        generator = self._random = random.Random(self.seed)
+        return generator
 
     def child(self, *labels: object) -> "DeterministicRng":
         """Return an independent generator derived from this one's seed."""
@@ -63,6 +83,16 @@ class DeterministicRng:
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high], inclusive."""
+        if type(low) is int and type(high) is int and high >= low:
+            # ``random.randint``'s own draw (see :meth:`_below`), minus its
+            # argument handling.
+            n = high - low + 1
+            getrandbits = self._random.getrandbits
+            bits = n.bit_length()
+            value = getrandbits(bits)
+            while value >= n:
+                value = getrandbits(bits)
+            return low + value
         return self._random.randint(low, high)
 
     def uniform(self, low: float, high: float) -> float:
@@ -116,11 +146,11 @@ class DeterministicRng:
         out: List[T] = []
         k = min(k, len(pool))
         for _ in range(k):
-            pick = self.weighted_choice(pool, pool_weights)
-            idx = pool.index(pick)
-            pool.pop(idx)
+            # Draw the position, not the item: equal items must not be
+            # confused with each other (or their weights).
+            idx = self._random.choices(range(len(pool)), weights=pool_weights)[0]
+            out.append(pool.pop(idx))
             pool_weights.pop(idx)
-            out.append(pick)
         return out
 
     def poisson(self, lam: float) -> int:
@@ -153,18 +183,34 @@ class DeterministicRng:
 
     # -- string draws ------------------------------------------------------
 
+    def _below(self, n: int, count: int) -> List[int]:
+        """``count`` uniform draws from ``range(n)``.
+
+        Consumes the stream exactly as ``count`` calls of ``randrange(n)``
+        or ``choice`` over ``n`` items do on CPython 3.9-3.12: ``k =
+        n.bit_length()`` bits per attempt, rejecting values ``>= n``.
+        """
+        getrandbits = self._random.getrandbits
+        bits = n.bit_length()
+        out = []
+        for _ in range(count):
+            value = getrandbits(bits)
+            while value >= n:
+                value = getrandbits(bits)
+            out.append(value)
+        return out
+
     def hex_string(self, length: int) -> str:
         """Random lowercase hex string of the given length."""
-        alphabet = "0123456789abcdef"
-        return "".join(self._random.choice(alphabet) for _ in range(length))
+        return "".join([_HEX[i] for i in self._below(16, length)])
 
     def token(self, length: int, alphabet: Optional[str] = None) -> str:
         """Random identifier-ish token."""
         alphabet = alphabet or "abcdefghijklmnopqrstuvwxyz0123456789"
-        return "".join(self._random.choice(alphabet) for _ in range(length))
+        return "".join([alphabet[i] for i in self._below(len(alphabet), length)])
 
     def random_bytes(self, length: int) -> bytes:
-        return bytes(self._random.randrange(256) for _ in range(length))
+        return bytes(self._below(256, length))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DeterministicRng(seed={self.seed})"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import AnalysisError, CorpusError
 from repro.netsim import (
+    Destination,
     FlowRecord,
     MITMProxy,
     Payload,
@@ -15,9 +16,14 @@ from repro.pki.store import StoreCatalog
 from repro.pki.validation import ValidationContext, chain_is_valid
 from repro.servers.registry import EndpointRegistry
 from repro.tls.handshake import ClientProfile
-from repro.tls.policy import SpkiPinPolicy, SystemValidationPolicy
+from repro.tls.policy import (
+    NSCDomainRule,
+    NSCPinPolicy,
+    SpkiPinPolicy,
+    SystemValidationPolicy,
+)
 from repro.util.rng import DeterministicRng
-from repro.util.simtime import STUDY_START
+from repro.util.simtime import STUDY_START, Timestamp
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +85,7 @@ class TestSimulateFlow:
     def test_direct_used_flow(self, world):
         _, _, endpoint, _, device_store = world
         flow = simulate_flow(
-            self._client(device_store),
-            endpoint,
+            Destination(self._client(device_store), endpoint),
             STUDY_START,
             DeterministicRng(1),
             payloads=[Payload()],
@@ -93,12 +98,10 @@ class TestSimulateFlow:
     def test_mitm_decrypts_unpinned(self, world):
         _, _, endpoint, proxy, device_store = world
         flow = simulate_flow(
-            self._client(device_store),
-            endpoint,
+            Destination(self._client(device_store), endpoint, proxy=proxy),
             STUDY_START,
             DeterministicRng(2),
             payloads=[Payload(fields=(("a", "b"),))],
-            proxy=proxy,
         )
         assert flow.plaintext_visible
         assert flow.decrypted_payloads()[0].fields == (("a", "b"),)
@@ -106,13 +109,15 @@ class TestSimulateFlow:
     def test_mitm_blocked_by_pin(self, world):
         _, _, endpoint, proxy, device_store = world
         flow = simulate_flow(
-            self._client(device_store, pin_chain=endpoint.chain),
-            endpoint,
+            Destination(
+                self._client(device_store, pin_chain=endpoint.chain),
+                endpoint,
+                proxy=proxy,
+                gt_pinned=True,
+            ),
             STUDY_START,
             DeterministicRng(3),
             payloads=[Payload()],
-            proxy=proxy,
-            gt_pinned=True,
         )
         assert not flow.handshake_completed
         assert not flow.plaintext_visible
@@ -122,8 +127,7 @@ class TestSimulateFlow:
     def test_pinned_direct_succeeds(self, world):
         _, _, endpoint, _, device_store = world
         flow = simulate_flow(
-            self._client(device_store, pin_chain=endpoint.chain),
-            endpoint,
+            Destination(self._client(device_store, pin_chain=endpoint.chain), endpoint),
             STUDY_START,
             DeterministicRng(4),
             payloads=[Payload()],
@@ -133,8 +137,7 @@ class TestSimulateFlow:
     def test_transient_failure(self, world):
         _, _, endpoint, _, device_store = world
         flow = simulate_flow(
-            self._client(device_store),
-            endpoint,
+            Destination(self._client(device_store), endpoint),
             STUDY_START,
             DeterministicRng(5),
             payloads=[Payload()],
@@ -147,8 +150,7 @@ class TestSimulateFlow:
     def test_redundant_connection(self, world):
         _, _, endpoint, _, device_store = world
         flow = simulate_flow(
-            self._client(device_store),
-            endpoint,
+            Destination(self._client(device_store), endpoint),
             STUDY_START,
             DeterministicRng(6),
             payloads=[],
@@ -159,12 +161,48 @@ class TestSimulateFlow:
     def test_fingerprint_set(self, world):
         _, _, endpoint, _, device_store = world
         flow = simulate_flow(
-            self._client(device_store),
-            endpoint,
+            Destination(self._client(device_store), endpoint),
             STUDY_START,
             DeterministicRng(7),
         )
         assert flow.client_fingerprint
+
+
+class TestDestinationHandshakes:
+    """The handshake is computed once per destination and exact time."""
+
+    def _destination(self, policy, endpoint, proxy=None):
+        client = ClientProfile(sni="flow.example.com", policy=policy)
+        return Destination(client, endpoint, proxy=proxy)
+
+    def test_same_time_reuses_the_outcome(self, world):
+        _, _, endpoint, _, device_store = world
+        destination = self._destination(SystemValidationPolicy(device_store), endpoint)
+        assert destination.handshake(STUDY_START) is destination.handshake(STUDY_START)
+
+    def test_chain_expiring_between_connections(self, world):
+        _, _, endpoint, _, device_store = world
+        expiry = Timestamp(min(cert.not_after.unix for cert in endpoint.chain))
+        destination = self._destination(SystemValidationPolicy(device_store), endpoint)
+        assert destination.handshake(expiry).success
+        late = destination.handshake(expiry.plus_seconds(1))
+        assert not late.success
+        assert late.failure_reason == "expired"
+
+    def test_nsc_pin_set_expiring_between_connections(self, world):
+        _, _, endpoint, proxy, device_store = world
+        rule = NSCDomainRule(
+            domain="flow.example.com",
+            pins=frozenset({endpoint.chain.leaf.spki_pin()}),
+            pin_set_expiration=STUDY_START,
+        )
+        policy = NSCPinPolicy([rule], base=SystemValidationPolicy(device_store))
+        destination = self._destination(policy, endpoint, proxy=proxy)
+        # The pin-set still rejects the forgery at its expiry second...
+        assert destination.handshake(STUDY_START).failure_reason == "pin_mismatch"
+        # ...and has lapsed to default validation, which trusts the proxy
+        # CA on this device, one second later.
+        assert destination.handshake(STUDY_START.plus_seconds(1)).success
 
 
 class TestTrafficCapture:

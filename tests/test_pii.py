@@ -119,3 +119,49 @@ class TestComparison:
             "ios", detector, [encrypted], [encrypted]
         )
         assert comparison.row("ad_id").pinned_total == 0
+
+
+class TestSinglePassCounts:
+    def test_study_counts_equal_a_per_type_rescan(self):
+        """Table 9 scans each flow once; a rescan per PII type agrees."""
+        from repro.core.analysis import Study
+        from repro.core.analysis.pii_analysis import (
+            collect_non_pinned_flows,
+            collect_pinned_flows,
+        )
+        from repro.corpus import CorpusConfig, CorpusGenerator
+        from repro.device.identifiers import PII_TYPES
+
+        corpus = CorpusGenerator(CorpusConfig(seed=2022).scaled(0.02)).generate()
+        study = Study(corpus)
+        results = study.run()
+        devices = {
+            "android": study.dynamic_pipeline.android_device,
+            "ios": study.dynamic_pipeline.ios_device,
+        }
+        found = 0
+        for platform, comparison in results.pii.items():
+            detector = PIIDetector(devices[platform].identifiers)
+            dynamic = [
+                result
+                for (plat, _), per_dataset in sorted(results.dynamic_results.items())
+                if plat == platform
+                for result in per_dataset
+            ]
+            sides = {
+                "pinned": collect_pinned_flows(results.circumvention[platform]),
+                "non_pinned": collect_non_pinned_flows(dynamic),
+            }
+            for pii_type in PII_TYPES:
+                row = comparison.row(pii_type)
+                for side, flows in sides.items():
+                    visible = [f for f in flows if f.plaintext_visible]
+                    rescan = sum(
+                        1
+                        for f in visible
+                        if any(hit.pii_type == pii_type for hit in detector.scan_flow(f))
+                    )
+                    assert getattr(row, f"{side}_count") == rescan, (platform, pii_type)
+                    assert getattr(row, f"{side}_total") == len(visible)
+                    found += rescan
+        assert found > 0

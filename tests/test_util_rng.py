@@ -1,5 +1,8 @@
 """Tests for repro.util.rng."""
 
+import pickle
+import random
+
 import pytest
 
 from repro.util.rng import DeterministicRng, derive_seed
@@ -121,3 +124,114 @@ class TestDeterministicRng:
 
     def test_random_bytes_length(self):
         assert len(DeterministicRng(1).random_bytes(16)) == 16
+
+
+class TestWeightedSampleDuplicates:
+    def test_removes_the_drawn_item_not_its_first_equal(self):
+        # The second "a" carries all the weight; drawing it must remove it
+        # (and its weight), leaving the zero-weight "a" and "b".
+        for seed in range(20):
+            rng = DeterministicRng(seed)
+            assert rng.weighted_sample(["a", "a", "b"], [0.0, 1.0, 1e-9], 2) == [
+                "a",
+                "b",
+            ]
+
+
+SEEDS = (0, 1, 7, 2022, 2**62 + 3)
+TOKEN_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
+
+
+def _zipf_reference(r: random.Random, n: int, exponent: float) -> int:
+    weights = [1.0 / (rank**exponent) for rank in range(1, n + 1)]
+    target = r.random() * sum(weights)
+    acc = 0.0
+    for rank, weight in enumerate(weights, start=1):
+        acc += weight
+        if target <= acc:
+            return rank
+    return n
+
+
+def _weighted_sample_reference(r: random.Random, items, weights, k):
+    pool, pool_weights, out = list(items), list(weights), []
+    for _ in range(min(k, len(pool))):
+        idx = r.choices(range(len(pool)), weights=pool_weights, k=1)[0]
+        out.append(pool.pop(idx))
+        pool_weights.pop(idx)
+    return out
+
+
+class TestStreamIdentity:
+    """Every draw consumes exactly the stream plain ``random.Random`` calls do.
+
+    Stored results, golden fixtures and published digests all depend on
+    these streams, so a faster draw must be a bit-identical one.
+    """
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draws_match_stdlib_reference(self, seed):
+        rng, ref = DeterministicRng(seed), random.Random(seed)
+        for length in (0, 1, 2, 8, 16, 33):
+            assert rng.hex_string(length) == "".join(
+                ref.choice("0123456789abcdef") for _ in range(length)
+            )
+            assert rng.token(length) == "".join(
+                ref.choice(TOKEN_ALPHABET) for _ in range(length)
+            )
+            assert rng.token(length, "xyz") == "".join(
+                ref.choice("xyz") for _ in range(length)
+            )
+            assert rng.random_bytes(length * 2) == bytes(
+                ref.randrange(256) for _ in range(length * 2)
+            )
+        for low, high in ((0, 0), (0, 9), (10, 250), (-5, 5), (0, 2**40)):
+            assert rng.randint(low, high) == ref.randint(low, high)
+        for probability in (0.0, 0.015, 0.5, 0.6, 0.75, 1.0):
+            expected = (
+                probability >= 1.0
+                or (probability > 0.0 and ref.random() < probability)
+            )
+            assert rng.chance(probability) is expected
+        for n, exponent in ((1, 1.0), (12, 1.2), (40, 1.0)):
+            assert rng.zipf_rank(n, exponent) == _zipf_reference(ref, n, exponent)
+        items, weights = list("abcdefg"), [5.0, 1.0, 0.5, 3.0, 2.0, 0.1, 1.0]
+        for k in (1, 3, 7):
+            assert rng.weighted_sample(items, weights, k) == (
+                _weighted_sample_reference(ref, items, weights, k)
+            )
+        # Same amount of stream consumed.
+        assert rng.random() == ref.random()
+
+    def test_derive_seed_vectors(self):
+        assert derive_seed(2022, "app", 17, "behavior") == 7966017678270539828
+        assert derive_seed(0) == 800850835439364674
+        assert (
+            derive_seed(7, "run", "com.example.app", True, 30.0)
+            == 7768411847729895366
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_spawn_only_parent_gives_same_grandchildren(self, seed):
+        parent = DeterministicRng(seed)
+        grandchild = parent.child("a", 1).child("b")
+        expected = random.Random(derive_seed(derive_seed(seed, "a", 1), "b"))
+        assert [grandchild.random() for _ in range(5)] == [
+            expected.random() for _ in range(5)
+        ]
+        # A parent that only spawned still starts its own stream from the top.
+        assert parent.random() == random.Random(seed).random()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pickle_before_first_draw_continues_stream(self, seed):
+        restored = pickle.loads(pickle.dumps(DeterministicRng(seed)))
+        ref = random.Random(seed)
+        assert restored.seed == seed
+        assert [restored.random() for _ in range(5)] == [
+            ref.random() for _ in range(5)
+        ]
+        # And mid-stream: the pickled generator resumes where it stopped.
+        resumed = pickle.loads(pickle.dumps(restored))
+        assert resumed.hex_string(12) == "".join(
+            ref.choice("0123456789abcdef") for _ in range(12)
+        )
