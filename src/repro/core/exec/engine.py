@@ -68,15 +68,16 @@ Incremental execution
 
 An optional :class:`~repro.core.exec.resultstore.ResultStore` makes
 repeated runs incremental: before dispatching a unit the engine asks the
-store for it (every app's entry must hit), and every completed unit is
-published back, one content-addressed entry per app.  Because store keys
+store for it (every app's entry must hit), and completed work is
+published back into one slot file per app.  Because store keys
 fingerprint exactly the inputs a result is a function of — corpus
 configuration, capture window, stage, app id, per-app stage config, and
 a code-version salt — a warm run recomputes only fingerprint misses and
 still merges to bit-for-bit the same study as a cold run, at any worker
-count.  The store is also how a killed run resumes: units are published
-as they complete (temp file + ``os.replace``), so a re-run against the
-same store recomputes only what the killed run had not finished.
+count.  The store is also how a killed run resumes: a unit run in the
+parent publishes each app as it completes, a pool unit as it returns
+(temp file + ``os.replace``), so a re-run against the same store
+recomputes only what the killed run had not finished.
 
 Stage-granular recomputation (DESIGN.md §15): a unit that misses at the
 app level may still have warm *stage* artifacts on disk (a config flip
@@ -236,11 +237,24 @@ def _circumvention_pipeline(state: dict):
 def _run_unit(state: dict, unit: WorkUnit, cache=None) -> list:
     """Execute one unit against process-local state.
 
-    ``cache`` is an optional stage-granular result store; with one, the
-    pipelines' stage graphs serve warm stages from it and publish
-    computed ones back (parent-process runs only — workers never hold a
-    store handle).
+    ``cache`` is an optional result store (parent-process runs only —
+    workers never hold a store handle).  With one, the pipelines' stage
+    graphs serve warm stages from it, and each app is published as it
+    completes: its computed stages and its result in one slot write.
     """
+    if cache is None:
+        return _compute_unit(state, unit)
+    results: list = []
+    with cache.holding():
+        for solo in split_unit(unit):
+            result = _compute_unit(state, solo, cache)
+            cache.publish_unit(solo, result)
+            results.extend(result)
+    return results
+
+
+def _compute_unit(state: dict, unit: WorkUnit, cache=None) -> list:
+    """The unit's per-app results, through the stage cache if given."""
     kind, platform, dataset, indices, extra = unit
     apps = state["corpus"].dataset(platform, dataset)
     if kind == "static":
@@ -996,13 +1010,19 @@ class ExecutionEngine:
     def _attempt(self, unit: WorkUnit, use_pool: bool) -> list:
         """One attempt at one unit, on the scheduler the batch chose.
 
+        A successful attempt has published its results to the store, if
+        one is attached.
+
         An adaptive serial fallback sticks for the whole recovery ladder:
         a batch the cost model kept in-process must not spin up a pool
         just to retry one unit.
         """
         if not use_pool:
+            # Publishes each app as it completes (see _run_unit).
             return self._run_local(unit, cache=self.store)
-        return self._collect(self._submit(self._ensure_pool(), unit))
+        result = self._collect(self._submit(self._ensure_pool(), unit))
+        self._publish(unit, result)
+        return result
 
     def _retry(
         self, unit: WorkUnit, first_error: Exception, use_pool: bool
@@ -1079,7 +1099,6 @@ class ExecutionEngine:
                 first_error = exc
                 self._count_error(exc)
             else:
-                self._publish(unit, result)
                 self._count("exec.units.completed")
                 return result
         else:
@@ -1087,7 +1106,6 @@ class ExecutionEngine:
 
         result, attempts, error = self._retry(unit, first_error, use_pool)
         if result is not None:
-            self._publish(unit, result)
             self._count("exec.units.completed")
             self._count("exec.units.recovered_by_retry")
             return result

@@ -4,7 +4,7 @@ The warm-start contract: a repeated ``Study.run(store=...)`` recomputes
 (far) fewer than 5 % of its work units — zero, when nothing changed —
 and still merges to bit-for-bit the same results as a cold run, at any
 worker count; any configuration change invalidates cleanly; a corrupt
-entry is recomputed with a ``RuntimeWarning``, never served.
+slot is recomputed with a ``RuntimeWarning``, never served.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class TestWarmRuns:
         _, stats = cold
         assert stats.unit_hits == 0
         assert stats.published > 0
-        assert any((store_dir / "objects").rglob("*.pkl"))
+        assert any((store_dir / "slots").rglob("*.pkl"))
 
     def test_warm_run_identical_and_fully_cached(self, corpus, store_dir, cold):
         cold_results, _ = cold
@@ -128,9 +128,7 @@ class TestCorruptionFallback:
         cold_results, _ = cold
         store = ResultStore(store_dir, corpus)
         app_id = corpus.dataset("android", "popular")[0].app.app_id
-        victim = store.entry_path(
-            store.fingerprint_for("static", "android", "popular", app_id, None)
-        )
+        victim = store.slot_path("static", "android", "popular", app_id)
         blob = victim.read_bytes()
         victim.write_bytes(blob[: len(blob) // 2])
         with pytest.warns(RuntimeWarning, match="corrupt"):
@@ -194,17 +192,20 @@ class TestFaultedRuns:
         failed_dynamic = {
             f.app_id for f in results.failures if f.phase == "dynamic"
         }
+        reader = ResultStore(store.root, corpus)
         for failure in results.failures:
             if failure.phase != "dynamic":
                 continue
-            fp = store.fingerprint_for(
-                "dynamic",
-                failure.platform,
-                failure.dataset,
-                failure.app_id,
-                0.0,
+            assert (
+                reader.lookup_app(
+                    "dynamic",
+                    failure.platform,
+                    failure.dataset,
+                    failure.app_id,
+                    0.0,
+                )
+                is None
             )
-            assert not store.entry_path(fp).exists()
         # Surviving apps did publish.
         assert store.stats.published > 0
         assert failed_dynamic or results.failures

@@ -1,12 +1,13 @@
-"""The content-addressed result store: fingerprints, entries, corruption.
+"""The content-addressed result store: fingerprints, slots, corruption.
 
 The store's contract (DESIGN.md §10): a result is served only under the
-exact fingerprint of everything it is a function of; a damaged entry is
+exact fingerprint of everything it is a function of; a damaged slot is
 invalidated with a ``RuntimeWarning`` and recomputed, never trusted.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
@@ -204,10 +205,9 @@ class TestUnits:
         apps = corpus.dataset("android", "popular")
         results = [FakeResult(apps[i].app.app_id) for i in unit[3]]
         store.publish_unit(unit, results)
-        # Remove one app's entry: the composed unit must miss whole.
+        # Remove one app's slot: the composed unit must miss whole.
         app_id = apps[1].app.app_id
-        fp = store.fingerprint_for("static", "android", "popular", app_id, None)
-        store.entry_path(fp).unlink()
+        store.slot_path("static", "android", "popular", app_id).unlink()
         assert store.lookup_unit(unit) is None
         assert store.stats.unit_misses == 1
 
@@ -230,34 +230,35 @@ class TestUnits:
 
 
 class TestCorruption:
-    """Truncated/tampered entries fall back to recompute with a warning."""
+    """Truncated/tampered slots fall back to recompute with a warning."""
 
-    def _entry_path(self, store, corpus):
+    def _slot_path(self, store, corpus):
         app_id = corpus.dataset("ios", "common")[0].app.app_id
         store.publish_app(
             "static", "ios", "common", app_id, None, FakeResult(app_id)
         )
-        fp = store.fingerprint_for("static", "ios", "common", app_id, None)
-        return app_id, store.entry_path(fp)
+        return app_id, store.slot_path("static", "ios", "common", app_id)
 
     def _assert_invalidated(self, store, corpus, app_id, path):
+        # A fresh handle: the publishing one holds the slot decoded.
+        reader = ResultStore(store.root, corpus)
         with pytest.warns(RuntimeWarning, match="corrupt"):
             assert (
-                store.lookup_app("static", "ios", "common", app_id, None)
+                reader.lookup_app("static", "ios", "common", app_id, None)
                 is None
             )
-        assert store.stats.invalidated == 1
-        assert not path.exists(), "a bad entry must be deleted"
+        assert reader.stats.invalidated == 1
+        assert not path.exists(), "a bad slot must be deleted"
 
     def test_truncated_entry(self, corpus, tmp_path):
         store = ResultStore(tmp_path / "s", corpus)
-        app_id, path = self._entry_path(store, corpus)
+        app_id, path = self._slot_path(store, corpus)
         path.write_bytes(path.read_bytes()[:20])
         self._assert_invalidated(store, corpus, app_id, path)
 
     def test_tampered_payload(self, corpus, tmp_path):
         store = ResultStore(tmp_path / "s", corpus)
-        app_id, path = self._entry_path(store, corpus)
+        app_id, path = self._slot_path(store, corpus)
         blob = bytearray(path.read_bytes())
         blob[-10] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -265,17 +266,17 @@ class TestCorruption:
 
     def test_wrong_magic(self, corpus, tmp_path):
         store = ResultStore(tmp_path / "s", corpus)
-        app_id, path = self._entry_path(store, corpus)
+        app_id, path = self._slot_path(store, corpus)
         path.write_bytes(pickle.dumps(("not-an-entry", 1, "x", {}, "d", b"")))
         self._assert_invalidated(store, corpus, app_id, path)
 
     def test_entry_under_wrong_fingerprint(self, corpus, tmp_path):
-        """A valid envelope filed under another key must not be served."""
+        """A valid envelope filed under another app's slot must not be
+        served."""
         store = ResultStore(tmp_path / "s", corpus)
-        app_id, path = self._entry_path(store, corpus)
+        app_id, path = self._slot_path(store, corpus)
         other = corpus.dataset("ios", "common")[1].app.app_id
-        other_fp = store.fingerprint_for("static", "ios", "common", other, None)
-        wrong = store.entry_path(other_fp)
+        wrong = store.slot_path("static", "ios", "common", other)
         wrong.parent.mkdir(parents=True, exist_ok=True)
         wrong.write_bytes(path.read_bytes())
         with pytest.warns(RuntimeWarning, match="corrupt"):
@@ -285,9 +286,11 @@ class TestCorruption:
             )
 
     def test_recompute_republishes_after_invalidation(self, corpus, tmp_path):
-        store = ResultStore(tmp_path / "s", corpus)
-        app_id, path = self._entry_path(store, corpus)
+        app_id, path = self._slot_path(
+            ResultStore(tmp_path / "s", corpus), corpus
+        )
         path.write_bytes(b"garbage")
+        store = ResultStore(tmp_path / "s", corpus)
         with pytest.warns(RuntimeWarning):
             store.lookup_app("static", "ios", "common", app_id, None)
         # The caller recomputes and publishes; the entry is whole again.
@@ -298,6 +301,41 @@ class TestCorruption:
             store.lookup_app("static", "ios", "common", app_id, None)
             is not None
         )
+
+
+class TestConcurrentWriters:
+    def test_second_writer_of_same_key_finishes_first(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        """Two writers of one key in one process (two service jobs over
+        one store) must not share a temp file: with a per-process temp
+        name, the second writer's ``os.replace`` consumed the first
+        writer's temp file and the first ``os.replace`` raised
+        ``FileNotFoundError``."""
+        app_id = corpus.dataset("ios", "common")[0].app.app_id
+        first = ResultStore(tmp_path / "s", corpus)
+        second = ResultStore(tmp_path / "s", corpus)
+        real_replace = os.replace
+        interleaved = []
+
+        def replace(src, dst):
+            if not interleaved:
+                interleaved.append(src)
+                second.publish_app(
+                    "static", "ios", "common", app_id, None, FakeResult(app_id)
+                )
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        first.publish_app(
+            "static", "ios", "common", app_id, None, FakeResult(app_id)
+        )
+        assert interleaved
+        reader = ResultStore(tmp_path / "s", corpus)
+        assert reader.lookup_app(
+            "static", "ios", "common", app_id, None
+        ) == FakeResult(app_id)
+        assert not list((tmp_path / "s").rglob("*.tmp"))
 
 
 class TestTelemetry:
@@ -333,11 +371,11 @@ class TestProgrammingErrorsPropagate:
         store.publish_app(
             "static", "ios", "common", app_id, None, FakeResult(app_id)
         )
-        fp = store.fingerprint_for("static", "ios", "common", app_id, None)
         module = sys.modules[FakeResult.__module__]
         monkeypatch.delattr(module, "FakeResult")
+        reader = ResultStore(tmp_path / "s", corpus)
         with pytest.raises(AttributeError):
-            store.lookup_app("static", "ios", "common", app_id, None)
-        # Not misfiled as corruption: nothing invalidated, entry intact.
-        assert store.stats.invalidated == 0
-        assert store.entry_path(fp).exists()
+            reader.lookup_app("static", "ios", "common", app_id, None)
+        # Not misfiled as corruption: nothing invalidated, slot intact.
+        assert reader.stats.invalidated == 0
+        assert store.slot_path("static", "ios", "common", app_id).exists()

@@ -104,8 +104,7 @@ class TestDiffRuns:
         app_ids = populate(a, corpus)
         populate(b, corpus)
         dropped = app_ids[2]
-        fp = a.fingerprint_for("dynamic", "android", "popular", dropped, 0.0)
-        b.entry_path(fp).unlink()
+        b.slot_path("dynamic", "android", "popular", dropped).unlink()
         assert diff_runs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
         out = capsys.readouterr().out
         assert dropped in out and "only in A" in out

@@ -24,9 +24,10 @@ across interpreter processes under hash randomisation, so equivalent
 runs do not produce byte-identical payloads unless ``PYTHONHASHSEED``
 is pinned.
 
-Stdlib-only by design: entries are self-describing envelopes whose
-metadata and summaries are plain data, so this tool never imports the
-``repro`` package or unpickles result payloads.
+Stdlib-only by design: each app's slot is a self-describing envelope
+whose metadata lists every stored key with plain-data context and
+summaries, so this tool never imports the ``repro`` package or
+unpickles result payloads.
 
 Exit status: 0 when the stores are identical, 1 when they differ, 2 on
 usage or store-format errors.
@@ -40,55 +41,50 @@ import pickle
 import sys
 from pathlib import Path
 
-_ENTRY_MAGIC = "repro-result-entry"
+_SLOT_MAGIC = "repro-result-slot"
 
 
 def load_store(root):
-    """Map of ``semantic key -> entry`` for every readable entry.
+    """Map of ``semantic key -> entry`` for every app result in a store.
 
     The semantic key — ``(stage, platform, dataset, app_id, extra)`` —
     identifies *what was measured*; the fingerprint additionally bakes in
     corpus/code versions, so keying semantically lets two stores written
     by different checkouts still be compared app by app.  Unreadable
-    entries are reported on stderr and skipped (the store itself treats
+    slots are reported on stderr and skipped (the store itself treats
     them as misses).
     """
     root = Path(root)
-    objects = root / "objects"
-    if not objects.is_dir():
-        raise SystemExit(f"error: {root} is not a result store (no objects/)")
+    slots = root / "slots"
+    if not slots.is_dir():
+        raise SystemExit(f"error: {root} is not a result store (no slots/)")
     entries = {}
-    for path in sorted(objects.glob("*/*.pkl")):
+    for path in sorted(slots.glob("*/*.pkl")):
         try:
             envelope = pickle.loads(path.read_bytes())
-            magic, _version, fingerprint, meta, digest, _payload = envelope
-            if magic != _ENTRY_MAGIC:
-                raise ValueError("bad entry magic")
-            if meta.get("entry_kind") == "stage":
-                # Stage-granular cache entries are an implementation
-                # detail of partial recomputation; two semantically
-                # identical runs may legitimately differ in which stage
-                # artifacts they materialized.  Only app-level results
-                # are compared.
-                continue
+            magic, _version, _name, meta, _digest, _payload = envelope
+            if magic != _SLOT_MAGIC:
+                raise ValueError("bad slot magic")
+            identity = (meta["platform"], meta["dataset"], meta["app_id"])
+            stored = meta["entries"].items()
         except Exception as exc:
             print(
-                f"warning: skipping corrupt entry {path}: {exc}",
+                f"warning: skipping corrupt slot {path}: {exc}",
                 file=sys.stderr,
             )
             continue
-        key = (
-            meta["stage"],
-            meta["platform"],
-            meta["dataset"],
-            meta["app_id"],
-            meta["extra"],
-        )
-        entries[key] = {
-            "fingerprint": fingerprint,
-            "digest": digest,
-            "summary": meta.get("summary", {}),
-        }
+        for fingerprint, entry in stored:
+            if entry.get("entry_kind") == "stage":
+                # Stage artifacts are an implementation detail of
+                # partial recomputation; two semantically identical runs
+                # may legitimately differ in which ones they
+                # materialized.  Only app-level results are compared.
+                continue
+            key = (entry["stage"], *identity, entry["extra"])
+            entries[key] = {
+                "fingerprint": fingerprint,
+                "summary": entry.get("summary", {}),
+            }
     return entries
 
 
