@@ -35,7 +35,11 @@ from repro.core.exec.faults import (
     is_retryable,
 )
 from repro.core.exec.plan import ExecutionPlan
-from repro.core.exec.resultstore import ResultStore, StoreStats
+from repro.core.exec.resultstore import (
+    ResultStore,
+    StoreStats,
+    StoreWriteError,
+)
 
 __all__ = [
     "ExecutionEngine",
@@ -46,6 +50,7 @@ __all__ = [
     "ResultStore",
     "SeededFaults",
     "StoreStats",
+    "StoreWriteError",
     "TransientFaults",
     "UnitFailure",
     "WarmPool",

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.core.exec.resultstore import StoreWriteError
 from repro.util.rng import derive_seed
 
 #: Pipeline phases a fault predicate may be consulted for.
@@ -40,13 +41,16 @@ FaultPredicate = Callable[[str, str], bool]
 #: engine therefore propagates them immediately, so the run (or, under
 #: the service, the job) fails loudly instead.  Deliberately narrow:
 #: ``ValueError`` / ``KeyError`` / ``OSError`` can be data- or
-#: environment-dependent and stay retryable.
+#: environment-dependent and stay retryable.  One environment error is
+#: listed: a failed result-store write (:class:`StoreWriteError`), which
+#: recomputing the app cannot cure and must not cost its result.
 NON_RETRYABLE_ERRORS = (
     AttributeError,
     TypeError,
     NameError,
     AssertionError,
     ImportError,
+    StoreWriteError,
 )
 
 
