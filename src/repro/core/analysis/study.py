@@ -8,6 +8,7 @@ method per paper table/figure.
 
 from __future__ import annotations
 
+import gc
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
@@ -524,6 +525,12 @@ class Study:
                 pass, or ``"deep"`` to add the serial-re-run determinism
                 check.  Auditing reads the results; it never changes
                 them.
+
+        Each unit's results are frozen out of the cyclic garbage
+        collector as they land (:func:`gc.freeze`) and unfrozen when the
+        run ends, even when it raises.  A caller that has frozen objects
+        itself (``gc.get_freeze_count() > 0``) keeps its freeze: the run
+        then neither freezes nor unfreezes.
         """
         if recorder is not None:
             # Must happen before the engine spins up its pool so workers
@@ -539,6 +546,7 @@ class Study:
                 write=store_write,
             )
         self.engine.store = store
+        self.engine.freeze_results = gc.get_freeze_count() == 0
         try:
             results = self._run()
             results.telemetry = recorder
@@ -552,6 +560,9 @@ class Study:
         finally:
             self.engine.close()
             self.engine.store = None
+            if self.engine.freeze_results:
+                self.engine.freeze_results = False
+                gc.unfreeze()
             if recorder is not None:
                 recorder.uninstall()
                 self.engine.recorder = None

@@ -74,6 +74,11 @@ published with them (:meth:`ResultStore.holding`).  A write that fails
 raises :class:`StoreWriteError`, which fails the run instead of riding
 the engine's retry ladder.
 
+A payload is unpickled with the cyclic garbage collector paused
+(:func:`_loads_paused`): decoding a slot allocates tens of thousands of
+long-lived, acyclic objects, and every collection the allocation would
+trigger scans the whole growing heap to free nothing.
+
 Concurrent writers
 ------------------
 
@@ -103,6 +108,7 @@ warm-looking run.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -144,6 +150,21 @@ _CORRUPTION_ERRORS = (
     KeyError,
     IndexError,
 )
+
+
+def _loads_paused(data: bytes):
+    """``pickle.loads`` with cyclic collection paused for its duration.
+
+    The previous :func:`gc.isenabled` state is restored afterwards, so a
+    caller that disabled the collector keeps it disabled.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.loads(data)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def corpus_fingerprint(corpus) -> str:
@@ -490,7 +511,8 @@ class ResultStore:
             return {}, None, None
 
     def _values(self, slot: _Slot) -> dict:
-        """The slot's artifacts, unpickled from its payload on first use.
+        """The slot's artifacts, unpickled from its payload on first use
+        (with collection paused).
 
         Only errors damaged bytes can produce invalidate the slot.
         Anything else — an ``AttributeError`` because a result class was
@@ -505,7 +527,7 @@ class ResultStore:
             values: dict = {}
             if slot.payload is not None:
                 try:
-                    values = dict(pickle.loads(slot.payload))
+                    values = dict(_loads_paused(slot.payload))
                 except _CORRUPTION_ERRORS as exc:
                     self._invalidate(slot.path, exc)
                     slot.entries, slot.digest = {}, None

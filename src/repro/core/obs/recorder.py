@@ -26,10 +26,20 @@ claimed for metrics and for study results, never for timings.
 :func:`register_cache`; the recorder turns ``cache_info()`` deltas into
 ``cache.<name>.hit`` / ``cache.<name>.miss`` counters at drain/finalize
 time, so cache instrumentation costs nothing per call.
+
+While a recorder is installed, a :data:`gc.callbacks` hook times every
+cyclic garbage collection: ``gc.collections.gen0/1/2`` counters and a
+``gc.pause_s`` histogram.  The hook never takes the recorder's lock (a
+collection can start while the lock is held); it queues each
+collection's ``(generation, pause)`` and the queue is folded into the
+metrics at drain/uninstall time, like the cache deltas.  With no
+recorder installed there is no hook.
 """
 
 from __future__ import annotations
 
+import collections
+import gc
 import json
 import threading
 from dataclasses import dataclass, field
@@ -81,6 +91,9 @@ class Recorder:
         self._spans: List[Span] = []
         self._tls = threading.local()
         self._lru_baseline: Dict[str, Tuple[int, int]] = {}
+        #: ``(generation, pause_s)`` per collection, appended by
+        #: :func:`_on_gc` without the lock (``deque.append`` is atomic).
+        self._gc_pending: collections.deque = collections.deque()
         self.epoch = clock.now()
 
     # -- span stack (called by SpanTimer) ----------------------------------
@@ -145,16 +158,21 @@ class Recorder:
             info = function.cache_info()
             self._lru_baseline[name] = (info.hits, info.misses)
         set_recorder(self)
+        if _on_gc not in gc.callbacks:
+            gc.callbacks.append(_on_gc)
         return self
 
     def uninstall(self) -> None:
-        """Collect final cache deltas and deactivate."""
-        self.collect_caches()
+        """Collect final cache and GC deltas and deactivate."""
         if get_recorder() is self:
             set_recorder(None)
+            if _on_gc in gc.callbacks:
+                gc.callbacks.remove(_on_gc)
+        self.collect_caches()
 
     def collect_caches(self) -> None:
-        """Fold ``lru_cache`` hit/miss deltas into counters."""
+        """Fold ``lru_cache`` hit/miss deltas and queued GC collections
+        into metrics."""
         for name, function in _LRU_CACHES.items():
             info = function.cache_info()
             base_hits, base_misses = self._lru_baseline.get(name, (0, 0))
@@ -165,6 +183,15 @@ class Recorder:
                 self.count(f"cache.{name}.hit", hits)
             if misses:
                 self.count(f"cache.{name}.miss", misses)
+        self._collect_gc()
+
+    def _collect_gc(self) -> None:
+        """Fold the collections the GC hook queued into metrics."""
+        pending = self._gc_pending
+        while pending:
+            generation, pause_s = pending.popleft()
+            self.count(f"gc.collections.gen{generation}")
+            self.observe("gc.pause_s", pause_s)
 
     # -- worker snapshots --------------------------------------------------
 
@@ -360,6 +387,27 @@ def get_recorder() -> Optional[Recorder]:
 def set_recorder(recorder: Optional[Recorder]) -> None:
     global _ACTIVE
     _ACTIVE = recorder
+
+
+#: Start time of the collection in progress (one at a time per process).
+_GC_STARTED = 0.0
+
+
+def _on_gc(phase: str, info: dict) -> None:
+    """``gc.callbacks`` hook: queue one collection on the active recorder.
+
+    Registered while a recorder is installed.  A recorder detached with
+    ``set_recorder(None)`` (the deep audit's re-run) records nothing.
+    """
+    global _GC_STARTED
+    if phase == "start":
+        _GC_STARTED = clock.now()
+        return
+    recorder = _ACTIVE
+    if recorder is not None:
+        recorder._gc_pending.append(
+            (info["generation"], clock.now() - _GC_STARTED)
+        )
 
 
 def span(name: str, cat: str = "", **args):

@@ -6,34 +6,11 @@ this module turns those blobs into :class:`ParsedCertificate` views.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import List, Tuple
+from typing import List
 
-from repro.core import obs
 from repro.errors import CertificateError
 from repro.pki.certificate import ParsedCertificate, parse_der
 from repro.util.encoding import pem_unwrap
-
-
-@lru_cache(maxsize=4096)
-def _load_pem_certificates_cached(text: str) -> Tuple[ParsedCertificate, ...]:
-    """Cached parse of one PEM blob.
-
-    Apps ship the same bundled chains (shared SDKs, the same custom roots)
-    and the static pipeline re-parses each asset on every scan, so the
-    distinct-blob population is small and hot.  ``ParsedCertificate`` is
-    frozen, so sharing instances across callers is safe.
-    """
-    certificates: List[ParsedCertificate] = []
-    for der in pem_unwrap(text, label="CERTIFICATE"):
-        try:
-            certificates.append(parse_der(der))
-        except CertificateError:
-            continue
-    return tuple(certificates)
-
-
-obs.register_cache("pem_parse", _load_pem_certificates_cached)
 
 
 def load_pem_certificates(text: str) -> List[ParsedCertificate]:
@@ -46,4 +23,10 @@ def load_pem_certificates(text: str) -> List[ParsedCertificate]:
     Raises:
         EncodingError: on malformed PEM armor.
     """
-    return list(_load_pem_certificates_cached(text))
+    certificates: List[ParsedCertificate] = []
+    for der in pem_unwrap(text, label="CERTIFICATE"):
+        try:
+            certificates.append(parse_der(der))
+        except CertificateError:
+            continue
+    return certificates

@@ -1,0 +1,155 @@
+"""The study's garbage-collector contract (DESIGN.md §7).
+
+A run freezes each unit's results out of the cyclic collector as they
+land and decodes store slots with collection paused.  Neither may leak
+past the run: after ``Study.run`` returns or raises, ``gc.isenabled()``
+and ``gc.get_freeze_count()`` read as they did before, and a caller's
+own freeze is left in place.  Freezing is only safe because finished
+results hold no reference cycles, which is checked here on every slot of
+a filled store.  A serial run also never imports ``multiprocessing``.
+"""
+
+from __future__ import annotations
+
+import errno
+import gc
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from repro.core.analysis import Study
+from repro.core.exec import ExecutionPlan, StoreWriteError
+from repro.corpus import CorpusConfig, CorpusGenerator
+from repro.reporting.render import render_study_stdout
+
+SEED = 2022
+SCALE = 0.02
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return CorpusGenerator(CorpusConfig(seed=SEED).scaled(SCALE)).generate()
+
+
+@pytest.fixture(scope="module")
+def cold(corpus):
+    return render_study_stdout(Study(corpus).run())
+
+
+@pytest.fixture()
+def filled(corpus, tmp_path):
+    root = tmp_path / "store"
+    Study(corpus).run(store=root)
+    return root
+
+
+@pytest.fixture()
+def freezes(monkeypatch):
+    """Counts the ``gc.freeze`` calls made while the test runs."""
+    calls = []
+    freeze = gc.freeze
+
+    def counting():
+        calls.append(1)
+        freeze()
+
+    monkeypatch.setattr(gc, "freeze", counting)
+    return calls
+
+
+def gc_state():
+    return gc.isenabled(), gc.get_freeze_count()
+
+
+class TestRunRestoresGCState:
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_state_after_run(self, corpus, cold, filled, freezes, warm):
+        assert gc_state() == (True, 0)
+        store = filled if warm else None
+        assert render_study_stdout(Study(corpus).run(store=store)) == cold
+        assert freezes, "the run froze no unit's results"
+        assert gc_state() == (True, 0)
+
+    def test_disabled_collector_stays_disabled(self, corpus, cold, filled):
+        gc.disable()
+        try:
+            assert render_study_stdout(Study(corpus).run(store=filled)) == cold
+            assert gc_state() == (False, 0)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_state_after_failed_run(
+        self, corpus, tmp_path, monkeypatch, freezes, workers
+    ):
+        def no_disk_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "mkstemp", no_disk_space)
+        study = Study(corpus, plan=ExecutionPlan(workers=workers))
+        with pytest.raises(StoreWriteError):
+            study.run(store=tmp_path / "store")
+        assert gc_state() == (True, 0)
+
+    def test_callers_freeze_is_kept(self, corpus, cold, filled, freezes):
+        gc.freeze()
+        freezes.clear()
+        try:
+            before = gc.get_freeze_count()
+            assert render_study_stdout(Study(corpus).run(store=filled)) == cold
+            after = gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+        # Not unfrozen (the count would read 0), and nothing of the
+        # run's was frozen on top; frozen objects freed by refcount
+        # leave the count, so it may shrink.
+        assert 0 < after <= before
+        assert not freezes
+
+
+def test_stored_artifacts_are_acyclic(filled):
+    """Decoded slots leave no cyclic garbage, so freezing them strands
+    nothing the collector could have freed."""
+    slots = sorted((filled / "slots").rglob("*.pkl"))
+    assert slots
+    gc.collect()
+    gc.disable()
+    try:
+        decoded = 0
+        for path in slots:
+            envelope = pickle.loads(path.read_bytes())
+            values = pickle.loads(envelope[-1])
+            decoded += len(values)
+            del envelope, values
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert decoded > len(slots)
+    assert unreachable == 0
+
+
+def test_serial_run_never_imports_multiprocessing(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro"]
+        + ["--scale", str(SCALE), "study"],
+        cwd=tmp_path,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        check=True,
+    )
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "repro.core.exec.engine" in imported
+    assert not [m for m in imported if m.split(".")[0] == "multiprocessing"]

@@ -5,6 +5,7 @@ snapshots is order-independent, so instrumented parallel runs report the
 same metrics no matter which worker finishes first.
 """
 
+import gc
 import importlib.util
 import json
 from functools import lru_cache
@@ -192,6 +193,60 @@ class TestCountersAndCaches:
         assert obs.get_recorder() is recorder
         recorder.uninstall()
         assert obs.get_recorder() is None
+
+
+class TestGCTelemetry:
+    """A ``gc.callbacks`` hook exists only while a recorder is installed
+    and books each collection on the active recorder."""
+
+    def test_hook_only_while_installed(self):
+        hooks = list(gc.callbacks)
+        recorder = obs.Recorder().install()
+        try:
+            recorder.install()
+            assert len(gc.callbacks) == len(hooks) + 1
+        finally:
+            recorder.uninstall()
+        assert gc.callbacks == hooks
+
+    def test_collections_are_counted_and_timed(self):
+        gc.disable()
+        try:
+            recorder = obs.Recorder().install()
+            try:
+                gc.collect(0)
+                gc.collect(2)
+                gc.collect(2)
+            finally:
+                recorder.uninstall()
+        finally:
+            gc.enable()
+        counters = recorder.counters()
+        assert counters["gc.collections.gen0"] == 1
+        assert counters["gc.collections.gen2"] == 2
+        pauses = recorder.metrics()["histograms"]["gc.pause_s"]
+        assert pauses["count"] == 3
+        assert 0 <= pauses["min"] <= pauses["max"]
+
+    def test_detached_recorder_records_nothing(self):
+        gc.disable()
+        try:
+            recorder = obs.Recorder().install()
+            try:
+                obs.set_recorder(None)
+                gc.collect()
+                obs.set_recorder(recorder)
+            finally:
+                recorder.uninstall()
+        finally:
+            gc.enable()
+        assert not [name for name in recorder.counters() if "gc." in name]
+
+    def test_drain_ships_collections(self, recorder):
+        gc.collect()
+        snapshot = recorder.drain()
+        assert snapshot.counters["gc.collections.gen2"] >= 1
+        assert snapshot.histograms["gc.pause_s"][0] >= 1
 
 
 class TestSnapshotMerge:

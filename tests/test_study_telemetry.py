@@ -6,11 +6,13 @@ the recorder's counters agree with independently observable quantities
 (the error ledger, known cache workloads).
 """
 
+import gc
+
 import pytest
 
 from repro.core import obs
 from repro.core.analysis import Study
-from repro.core.exec import ExecutionPlan, SeededFaults
+from repro.core.exec import ExecutionPlan, SeededFaults, engine
 from repro.corpus import CorpusConfig, CorpusGenerator
 
 TELEMETRY_SCALE = 0.03
@@ -197,3 +199,27 @@ class TestSurface:
 
     def test_telemetry_table_none_when_uninstrumented(self, plain_results):
         assert plain_results.telemetry_table() is None
+
+    def test_gc_collections_in_telemetry_table(self, tiny_corpus):
+        recorder = obs.Recorder()
+        results = Study(tiny_corpus).run(recorder=recorder)
+        assert recorder.counter_value("gc.collections.gen0") > 0
+        assert "hist.gc.pause_s" in results.telemetry_table().render()
+
+
+def test_plain_worker_drops_an_inherited_recorder(tiny_corpus, monkeypatch):
+    """A telemetry-off worker forked while another run's recorder is
+    active must not keep recording (spans, GC pauses) into a copy that is
+    never drained."""
+    monkeypatch.setattr(engine, "_WORKER_STATE", None)
+    monkeypatch.setattr(engine, "_PARENT_CORPUS", tiny_corpus)
+    hooks = list(gc.callbacks)
+    inherited = obs.Recorder().install()
+    try:
+        engine._init_worker(
+            engine.WorkerBootstrap.for_corpus(tiny_corpus), 30.0, None
+        )
+        assert obs.get_recorder() is None
+        assert gc.callbacks == hooks
+    finally:
+        inherited.uninstall()
