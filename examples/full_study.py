@@ -27,7 +27,7 @@ import sys
 
 from repro.core import obs
 from repro.core.analysis import Study
-from repro.core.exec import ExecutionPlan, ResultStore, SeededFaults
+from repro.core.exec import CorpusStore, ExecutionPlan, ResultStore, SeededFaults
 from repro.core.analysis.certificates import (
     analyze_pin_positions,
     check_validation_subversion,
@@ -114,7 +114,12 @@ def main() -> None:
     config = CorpusConfig(seed=args.seed)
     if args.scale != 1.0:
         config = config.scaled(args.scale)
-    corpus = CorpusGenerator(config).generate()
+    corpus_store = None
+    if args.store:
+        corpus_store = CorpusStore(
+            args.store, read=not args.no_store_read, write=not args.no_store_write
+        )
+    corpus = CorpusGenerator(config).generate(corpus_store)
     emit(
         f"corpus: {corpus.total_unique_apps()} unique apps "
         f"({stopwatch.elapsed():.0f}s)"

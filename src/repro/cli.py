@@ -32,7 +32,7 @@ from typing import List, Optional
 
 from repro.core import obs
 from repro.core.analysis import Study
-from repro.core.exec import ExecutionPlan, ResultStore, SeededFaults
+from repro.core.exec import CorpusStore, ExecutionPlan, ResultStore, SeededFaults
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.reporting.render import (
     TABLE_CHOICES,
@@ -46,11 +46,11 @@ from repro.reporting.render import (
 DEFAULT_SOCKET = "repro.sock"
 
 
-def _build_corpus(args):
+def _build_corpus(args, store: Optional[CorpusStore] = None):
     config = CorpusConfig(seed=args.seed)
     if args.scale != 1.0:
         config = config.scaled(args.scale)
-    return CorpusGenerator(config).generate()
+    return CorpusGenerator(config).generate(store)
 
 
 def _plan(args) -> ExecutionPlan:
@@ -140,7 +140,14 @@ def _cmd_study(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-    corpus = _build_corpus(args)
+    corpus_store = None
+    if args.store:
+        corpus_store = CorpusStore(
+            args.store,
+            read=not args.no_store_read,
+            write=not args.no_store_write,
+        )
+    corpus = _build_corpus(args, corpus_store)
     recorder = None
     if args.trace_out or args.metrics_out:
         recorder = obs.Recorder()
@@ -172,7 +179,11 @@ def _cmd_study(args) -> int:
     )
     print(f"# study completed in {stopwatch.elapsed():.0f}s", file=sys.stderr)
     if store is not None:
-        print(f"# result store: {store.stats.describe()}", file=sys.stderr)
+        print(
+            f"# result store: {store.stats.describe()}; "
+            f"{corpus_store.describe()}",
+            file=sys.stderr,
+        )
     if recorder is not None:
         if args.trace_out:
             recorder.write_trace(args.trace_out)

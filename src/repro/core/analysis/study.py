@@ -527,7 +527,8 @@ class Study:
                 them.
 
         Each unit's results are frozen out of the cyclic garbage
-        collector as they land (:func:`gc.freeze`) and unfrozen when the
+        collector as they land (:func:`gc.freeze`), each slot the store
+        decodes as soon as it is decoded, and all are unfrozen when the
         run ends, even when it raises.  A caller that has frozen objects
         itself (``gc.get_freeze_count() > 0``) keeps its freeze: the run
         then neither freezes nor unfreezes.
@@ -547,6 +548,8 @@ class Study:
             )
         self.engine.store = store
         self.engine.freeze_results = gc.get_freeze_count() == 0
+        if store is not None:
+            store.freeze_decoded = self.engine.freeze_results
         try:
             results = self._run()
             results.telemetry = recorder
@@ -560,6 +563,8 @@ class Study:
         finally:
             self.engine.close()
             self.engine.store = None
+            if store is not None:
+                store.freeze_decoded = False
             if self.engine.freeze_results:
                 self.engine.freeze_results = False
                 gc.unfreeze()

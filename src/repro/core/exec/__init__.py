@@ -36,12 +36,14 @@ from repro.core.exec.faults import (
 )
 from repro.core.exec.plan import ExecutionPlan
 from repro.core.exec.resultstore import (
+    CorpusStore,
     ResultStore,
     StoreStats,
     StoreWriteError,
 )
 
 __all__ = [
+    "CorpusStore",
     "ExecutionEngine",
     "ExecutionOutcome",
     "ExecutionPlan",

@@ -40,7 +40,7 @@ from repro.core.static.search import CertificateFinding, PinFinding, ScanResult
 from repro.netsim.capture import TrafficCapture
 from repro.netsim.flow import FlowRecord, Payload
 from repro.pki.certificate import ParsedCertificate
-from repro.tls.ciphers import ALL_SUITES, CipherSuite
+from repro.tls.ciphers import SUITES_BY_NAME, CipherSuite
 from repro.tls.connection import ConnectionTrace
 from repro.tls.records import ContentType, Direction, TLSRecord, TLSVersion
 from repro.util.simtime import Timestamp
@@ -56,7 +56,6 @@ _DIRECTIONS: Tuple[Direction, ...] = tuple(Direction)
 _VERSION_INDEX = {member: i for i, member in enumerate(_TLS_VERSIONS)}
 _CONTENT_INDEX = {member: i for i, member in enumerate(_CONTENT_TYPES)}
 _DIRECTION_INDEX = {member: i for i, member in enumerate(_DIRECTIONS)}
-_SUITE_BY_NAME = {suite.name: suite for suite in ALL_SUITES}
 
 # DestinationVerdict booleans, packed into one int.
 _USED_DIRECT = 1
@@ -90,14 +89,14 @@ class _Interner:
 
 def _encode_suite(suite: CipherSuite):
     """A catalog suite by name; off-catalog suites by value."""
-    if _SUITE_BY_NAME.get(suite.name) == suite:
+    if SUITES_BY_NAME.get(suite.name) == suite:
         return suite.name
     return (suite.name, suite.min_version, suite.weak)
 
 
 def _decode_suite(encoded) -> CipherSuite:
     if isinstance(encoded, str):
-        return _SUITE_BY_NAME[encoded]
+        return SUITES_BY_NAME[encoded]
     name, min_version, weak = encoded
     return CipherSuite(name, min_version, weak)
 

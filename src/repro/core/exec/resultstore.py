@@ -43,6 +43,7 @@ Store layout
       store.json             # informational manifest (version, salt)
       slots/<ff>/<slot>.pkl  # one file per (corpus, kind, platform,
                              # dataset, app id)
+      corpus/<name>.pkl      # one generated corpus per corpus config
 
 An app's **slot** holds every stored artifact of that app, for every
 config: its final results (the Common-iOS re-run's beside the initial
@@ -77,7 +78,16 @@ the engine's retry ladder.
 A payload is unpickled with the cyclic garbage collector paused
 (:func:`_loads_paused`): decoding a slot allocates tens of thousands of
 long-lived, acyclic objects, and every collection the allocation would
-trigger scans the whole growing heap to free nothing.
+trigger scans the whole growing heap to free nothing.  In a run that
+owns the freeze (:attr:`ResultStore.freeze_decoded`) each decoded
+payload is frozen at once, so later young collections skip it too.
+
+The generated corpus a warm run needs is kept beside the slots
+(:class:`CorpusStore`), in the same envelope and under the same
+corruption contract, so a warm run reads it back instead of
+regenerating it.  Its name covers every corpus config field plus the
+version and :data:`CODE_SALT`: a change to what the generator builds
+must bump the salt, as results are keyed on seed and sizes only.
 
 Concurrent writers
 ------------------
@@ -93,10 +103,10 @@ itself is not thread-safe: concurrent jobs each use their own.
 Corruption contract
 -------------------
 
-A truncated or tampered slot must fall back to recompute with a
-``RuntimeWarning`` — never a wrong result.  Every read re-hashes the
-payload against the stored digest and cross-checks the envelope's slot
-name against the file name; any mismatch (or any error damaged bytes
+A truncated or tampered slot (or corpus file) must fall back to
+recompute with a ``RuntimeWarning`` — never a wrong result.  Every read
+re-hashes the payload against the stored digest and cross-checks the
+envelope's slot name against the file name; any mismatch (or any error damaged bytes
 can produce, :data:`_CORRUPTION_ERRORS`) invalidates the slot: it is
 counted, warned about, deleted, and read as empty, so every entry of
 that app misses and is recomputed and republished.  A programming error
@@ -116,7 +126,7 @@ import pickle
 import tempfile
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -124,6 +134,7 @@ from repro.core import obs
 
 _MAGIC = "repro-result-store"
 _SLOT_MAGIC = "repro-result-slot"
+_CORPUS_MAGIC = "repro-result-corpus"
 #: v2: one slot file per app instead of one file per entry.
 _VERSION = 2
 
@@ -165,6 +176,102 @@ def _loads_paused(data: bytes):
     finally:
         if enabled:
             gc.enable()
+
+
+def _promote_to_oldest() -> None:
+    """Move every object the cyclic collector tracks into its oldest
+    generation (:func:`gc.freeze` then :func:`gc.unfreeze`, both O(1)).
+
+    A decoded corpus arrives all at once with collection paused, and the
+    next young collection would scan every object of it although it lives
+    as long as the run.  Skipped while a caller holds a freeze, which the
+    unfreeze would release.
+    """
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
+        gc.unfreeze()
+
+
+def _read_envelope(path: Path, magic: str, name: str):
+    """``(meta, digest, payload)`` of a verified envelope file, or None
+    when the file is absent.
+
+    An envelope is ``(magic, version, name, meta, payload_sha256,
+    payload)``.  A wrong magic or version, a name that does not match the
+    file's, or a payload that does not hash to its digest raises
+    ``ValueError``; damaged bytes raise one of :data:`_CORRUPTION_ERRORS`.
+    The payload is returned still pickled.
+    """
+    try:
+        blob = path.read_bytes()
+    except OSError:
+        return None
+    file_magic, version, file_name, meta, digest, payload = pickle.loads(blob)
+    if file_magic != magic or version != _VERSION:
+        raise ValueError(f"not a {magic} file")
+    if file_name != name:
+        raise ValueError("envelope name does not match its path")
+    if hashlib.sha256(payload).hexdigest() != digest:
+        raise ValueError("payload digest mismatch")
+    return meta, digest, payload
+
+
+def _write_envelope(
+    root: Path, path: Path, magic: str, name: str, meta: dict, value
+) -> str:
+    """Atomically replace ``path`` with an envelope of ``value``.
+
+    Returns the payload digest.  The temp file comes from
+    :func:`tempfile.mkstemp` beside ``path`` and is moved over it with
+    ``os.replace``, so a killed writer never leaves a half-written file
+    under a valid name.  Any failure raises :class:`StoreWriteError`.
+    """
+    try:
+        payload = pickle.dumps(value)
+        digest = hashlib.sha256(payload).hexdigest()
+        envelope = (magic, _VERSION, name, meta, digest, payload)
+        _ensure_manifest(root)
+        try:
+            fd, tmp = _mkstemp(path)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = _mkstemp(path)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(envelope, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except Exception as exc:
+        raise StoreWriteError(f"cannot write result store file {path}: {exc}") from exc
+    return digest
+
+
+def _mkstemp(path: Path):
+    """A temp file of this write's own, beside ``path``."""
+    return tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+
+
+def _ensure_manifest(root: Path) -> None:
+    if not (root / "store.json").exists():
+        root.mkdir(parents=True, exist_ok=True)
+        manifest = {"magic": _MAGIC, "version": _VERSION, "salt": CODE_SALT}
+        with open(root / "store.json", "w") as fh:
+            json.dump(manifest, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+
+
+def _discard(path: Path, message: str) -> None:
+    """Warn about a corrupt store file and delete it."""
+    warnings.warn(message, RuntimeWarning, stacklevel=6)
+    try:
+        path.unlink()
+    except OSError:
+        pass
 
 
 def corpus_fingerprint(corpus) -> str:
@@ -345,6 +452,12 @@ class ResultStore:
             turns this off to force a repopulating run).
         write: publish computed results (``--no-store-write`` turns this
             off for a read-only consumer).
+
+    Attributes:
+        freeze_decoded: when true, :func:`gc.freeze` follows each slot
+            payload's decode, so collections until the run ends never
+            scan it.  Set only by a run that owns the freeze and
+            unfreezes when it ends (``Study.run``).
     """
 
     def __init__(
@@ -370,6 +483,7 @@ class ResultStore:
         self._knobs: dict = {}
         self._slot: Optional[_Slot] = None
         self._held = False
+        self.freeze_decoded = False
 
     # -- layout ------------------------------------------------------------
 
@@ -383,18 +497,6 @@ class ResultStore:
 
     def _slot_file(self, name: str) -> Path:
         return self.root / "slots" / name[:2] / f"{name}.pkl"
-
-    def _ensure_layout(self) -> None:
-        if not (self.root / "store.json").exists():
-            self.root.mkdir(parents=True, exist_ok=True)
-            manifest = {
-                "magic": _MAGIC,
-                "version": _VERSION,
-                "salt": CODE_SALT,
-            }
-            with open(self.root / "store.json", "w") as fh:
-                json.dump(manifest, fh, indent=1, sort_keys=True)
-                fh.write("\n")
 
     # -- stage graphs ------------------------------------------------------
 
@@ -494,21 +596,14 @@ class ResultStore:
         but unpickled only on demand (:meth:`_values`).
         """
         try:
-            blob = slot.path.read_bytes()
-        except OSError:
-            return {}, None, None
-        try:
-            magic, version, name, meta, digest, payload = pickle.loads(blob)
-            if magic != _SLOT_MAGIC or version != _VERSION:
-                raise ValueError("not a result-store slot")
-            if name != slot.name:
-                raise ValueError("slot name does not match its path")
-            if hashlib.sha256(payload).hexdigest() != digest:
-                raise ValueError("payload digest mismatch")
-            return dict(meta["entries"]), digest, payload
+            envelope = _read_envelope(slot.path, _SLOT_MAGIC, slot.name)
         except _CORRUPTION_ERRORS as exc:
             self._invalidate(slot.path, exc)
             return {}, None, None
+        if envelope is None:
+            return {}, None, None
+        meta, digest, payload = envelope
+        return dict(meta["entries"]), digest, payload
 
     def _values(self, slot: _Slot) -> dict:
         """The slot's artifacts, unpickled from its payload on first use
@@ -531,22 +626,19 @@ class ResultStore:
                 except _CORRUPTION_ERRORS as exc:
                     self._invalidate(slot.path, exc)
                     slot.entries, slot.digest = {}, None
+                if self.freeze_decoded:
+                    gc.freeze()
             slot.values, slot.payload = values, None
         return slot.values
 
     def _invalidate(self, path: Path, reason: Exception) -> None:
         self.stats.invalidated += 1
         obs.count("store.entries.invalidated")
-        warnings.warn(
+        _discard(
+            path,
             f"result store slot {path} is corrupt ({reason}); the slot "
             "was discarded and its app's entries will be recomputed",
-            RuntimeWarning,
-            stacklevel=5,
         )
-        try:
-            path.unlink()
-        except OSError:
-            pass
 
     def _write(self, slot: _Slot) -> None:
         """Merge the slot's pending additions into its file.
@@ -570,12 +662,15 @@ class ResultStore:
         values = self._values(slot)
         for key in added:
             slot.entries[key], values[key] = pending[key]
-        try:
-            slot.digest = self._replace(slot, values)
-        except Exception as exc:
-            raise StoreWriteError(
-                f"cannot write result store slot {slot.path}: {exc}"
-            ) from exc
+        meta = dict(
+            zip(("kind", "platform", "dataset", "app_id"), slot.app),
+            corpus=self.corpus_fp,
+            salt=CODE_SALT,
+            entries=slot.entries,
+        )
+        slot.digest = _write_envelope(
+            self.root, slot.path, _SLOT_MAGIC, slot.name, meta, values
+        )
         for key in added:
             if slot.entries[key]["entry_kind"] == "app":
                 self.stats.published += 1
@@ -583,42 +678,6 @@ class ResultStore:
             else:
                 self.stats.stage_published += 1
                 obs.count("store.stages.published")
-
-    def _replace(self, slot: _Slot, values: dict) -> str:
-        """Atomically replace the slot's file; returns the new digest."""
-        payload = pickle.dumps(values)
-        digest = hashlib.sha256(payload).hexdigest()
-        meta = dict(
-            zip(("kind", "platform", "dataset", "app_id"), slot.app),
-            corpus=self.corpus_fp,
-            salt=CODE_SALT,
-            entries=slot.entries,
-        )
-        envelope = (_SLOT_MAGIC, _VERSION, slot.name, meta, digest, payload)
-        self._ensure_layout()
-        try:
-            fd, tmp = self._mkstemp(slot.path)
-        except FileNotFoundError:
-            slot.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = self._mkstemp(slot.path)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(envelope, fh)
-            os.replace(tmp, slot.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return digest
-
-    @staticmethod
-    def _mkstemp(path: Path):
-        """A temp file of this write's own, beside ``path``."""
-        return tempfile.mkstemp(
-            prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
-        )
 
     def _flush(self) -> None:
         """Write the current slot's pending additions, if any."""
@@ -883,3 +942,83 @@ class ResultStore:
             self.publish_app(
                 kind, platform, dataset, app_id, app_extra, result
             )
+
+
+def _settings(config) -> tuple:
+    """``(name, value)`` of every field of a corpus config."""
+    return tuple((item.name, getattr(config, item.name)) for item in fields(config))
+
+
+def corpus_file_name(config) -> str:
+    """The name of the file keeping the corpus generated from ``config``.
+
+    Every field of the :class:`~repro.corpus.generator.CorpusConfig`
+    enters it, with the store version and :data:`CODE_SALT`.
+    """
+    identity = repr((_VERSION, CODE_SALT, "corpus", _settings(config)))
+    return hashlib.sha256(identity.encode("utf-8")).hexdigest()
+
+
+class CorpusStore:
+    """The generated corpora kept in a result-store directory.
+
+    A warm re-run needs the same corpus its stored results were computed
+    over, and reading it back costs a fraction of generating it.
+    :meth:`~repro.corpus.generator.CorpusGenerator.generate` asks
+    :meth:`load` first and hands a corpus it built to :meth:`save`,
+    before any study runs on it.  A corpus file is an envelope like a
+    slot's and follows the same corruption contract: a damaged file is
+    warned about, deleted and regenerated; ``AttributeError`` and
+    ``ImportError`` propagate.
+
+    Args:
+        root: store directory (created on first save).
+        read: read kept corpora (``--no-store-read`` regenerates).
+        write: keep generated corpora (``--no-store-write`` does not).
+
+    Attributes:
+        loaded: whether the last corpus asked for came from the store.
+    """
+
+    def __init__(self, root: Union[str, Path], read: bool = True, write: bool = True):
+        self.root = Path(root)
+        self.read = bool(read)
+        self.write = bool(write)
+        self.loaded = False
+
+    def path(self, config) -> Path:
+        return self.root / "corpus" / f"{corpus_file_name(config)}.pkl"
+
+    def load(self, config):
+        """The kept corpus of ``config``, or None to generate it."""
+        self.loaded = False
+        if not self.read:
+            return None
+        path = self.path(config)
+        try:
+            envelope = _read_envelope(path, _CORPUS_MAGIC, path.stem)
+            if envelope is None:
+                return None
+            corpus = _loads_paused(envelope[2])
+            _promote_to_oldest()
+        except _CORRUPTION_ERRORS as exc:
+            _discard(
+                path,
+                f"stored corpus {path} is corrupt ({exc}); it was "
+                "discarded and the corpus will be regenerated",
+            )
+            return None
+        self.loaded = True
+        return corpus
+
+    def save(self, config, corpus) -> None:
+        """Keep a freshly generated corpus of ``config``."""
+        if self.write:
+            path = self.path(config)
+            meta = dict(_settings(config))
+            _write_envelope(self.root, path, _CORPUS_MAGIC, path.stem, meta, corpus)
+
+    def describe(self) -> str:
+        if self.loaded:
+            return "corpus loaded from store"
+        return "corpus generated and stored" if self.write else "corpus generated"

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core import obs
 from repro.core.analysis import Study
-from repro.core.exec import ExecutionPlan, ResultStore, SeededFaults
+from repro.core.exec import CorpusStore, ExecutionPlan, ResultStore, SeededFaults
 from repro.core.sweep.ablation import apply_detector_ablation
 from repro.core.sweep.spec import SweepPoint, SweepSpec
 from repro.corpus import CorpusConfig, CorpusGenerator
@@ -85,7 +85,9 @@ class SweepEngine:
             store fingerprints, so sweeping it would defeat sharing).
         store_dir: optional shared result-store directory.  Cold points
             populate it; warm siblings reuse it (see the module
-            docstring for the fault-injection exception).
+            docstring for the fault-injection exception).  Each
+            ``(seed, scale)`` corpus is read from it too, or generated
+            and kept there.
         audit: ``False``, ``"standard"`` or ``"deep"`` — passed through
             to :meth:`Study.run` for every point.
         fault_seed: seed for the fault-injection predicate of points
@@ -132,8 +134,9 @@ class SweepEngine:
             config = CorpusConfig(seed=seed)
             if scale != 1.0:
                 config = config.scaled(scale)
+            store = CorpusStore(self.store_dir) if self.store_dir is not None else None
             with obs.span("sweep.corpus", cat="sweep", seed=seed, scale=scale):
-                self._corpora[key] = CorpusGenerator(config).generate()
+                self._corpora[key] = CorpusGenerator(config).generate(store)
         else:
             obs.count("sweep.corpus.reused")
         return self._corpora[key]

@@ -326,8 +326,24 @@ class CorpusGenerator:
 
     # -- main entry -------------------------------------------------------------
 
-    def generate(self) -> AppCorpus:
-        """Build the world and all six datasets."""
+    def generate(self, store=None) -> AppCorpus:
+        """Build the world and all six datasets.
+
+        With a :class:`~repro.core.exec.resultstore.CorpusStore`, a
+        corpus an earlier run kept for this config is read back instead,
+        and a corpus built here is kept for the next run before anyone
+        uses it.
+        """
+        if store is not None:
+            corpus = store.load(self.config)
+            if corpus is not None:
+                return corpus
+        corpus = self._build()
+        if store is not None:
+            store.save(self.config, corpus)
+        return corpus
+
+    def _build(self) -> AppCorpus:
         cfg = self.config
         rng = DeterministicRng(cfg.seed)
         hierarchy = PKIHierarchy(rng.child("pki"))

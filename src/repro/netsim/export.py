@@ -14,17 +14,14 @@ leaks nothing an on-path observer would not have had.
 from __future__ import annotations
 
 import json
-from typing import Dict
 
 from repro.errors import EncodingError
 from repro.netsim.capture import TrafficCapture
 from repro.netsim.flow import FlowRecord, Payload
-from repro.tls.ciphers import ALL_SUITES, CipherSuite
+from repro.tls.ciphers import SUITES_BY_NAME
 from repro.tls.connection import ConnectionTrace
 from repro.tls.records import ContentType, Direction, TLSRecord, TLSVersion
 from repro.util.simtime import Timestamp
-
-_SUITES_BY_NAME: Dict[str, CipherSuite] = {s.name: s for s in ALL_SUITES}
 
 FORMAT_VERSION = 1
 
@@ -91,7 +88,7 @@ def flow_from_dict(data: dict) -> FlowRecord:
         )
         version = TLSVersion(data["version"]) if data.get("version") else None
         cipher = (
-            _SUITES_BY_NAME.get(data["cipher"]) if data.get("cipher") else None
+            SUITES_BY_NAME.get(data["cipher"]) if data.get("cipher") else None
         )
         return FlowRecord(
             sni=data["sni"],
@@ -102,9 +99,9 @@ def flow_from_dict(data: dict) -> FlowRecord:
             version=version,
             cipher=cipher,
             offered_suites=tuple(
-                _SUITES_BY_NAME[name]
+                SUITES_BY_NAME[name]
                 for name in data.get("offered_suites", [])
-                if name in _SUITES_BY_NAME
+                if name in SUITES_BY_NAME
             ),
             trace=ConnectionTrace(
                 records=records, teardown=data.get("teardown", "open")

@@ -24,17 +24,14 @@ from repro.tls.connection import (
 )
 from repro.tls.fingerprint import ja3_fingerprint
 from repro.tls.handshake import ClientProfile, HandshakeOutcome, perform_handshake
-from repro.tls.records import ContentType, Direction, TLSRecord
+from repro.tls.records import ContentType, Direction, interned
 from repro.util.rng import DeterministicRng
 from repro.util.simtime import Timestamp
 
 #: The ClientHello a server reset cut short.
-_RESET_CLIENT_HELLO = TLSRecord(
-    ContentType.HANDSHAKE,
-    Direction.CLIENT_TO_SERVER,
-    512,
-    ContentType.HANDSHAKE,
-)
+_RESET_CLIENT_HELLO = interned(
+    ContentType.HANDSHAKE, Direction.CLIENT_TO_SERVER, ContentType.HANDSHAKE
+)(512)
 #: A server-side failure unrelated to TLS: no handshake took place.
 _TRANSIENT_FAILURE = HandshakeOutcome(success=False, failure_reason="transient")
 

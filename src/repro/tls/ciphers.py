@@ -31,6 +31,10 @@ class CipherSuite:
     def __str__(self) -> str:  # pragma: no cover - display only
         return self.name
 
+    def __reduce__(self):
+        # Unpickle into the registry constant of the same value.
+        return _registry_suite, (self.name, self.min_version, self.weak)
+
 
 # TLS 1.3 suites.
 TLS13_SUITES: Tuple[CipherSuite, ...] = (
@@ -65,6 +69,18 @@ MODERN_SUITES: Tuple[CipherSuite, ...] = TLS13_SUITES + TLS12_STRONG_SUITES
 ALL_SUITES: Tuple[CipherSuite, ...] = MODERN_SUITES + WEAK_SUITES
 
 _WEAK_MARKERS = ("_DES_", "3DES", "RC4", "EXPORT")
+
+#: The registry by IANA name.
+SUITES_BY_NAME = {suite.name: suite for suite in ALL_SUITES}
+
+
+def _registry_suite(name: str, min_version: str, weak: bool) -> CipherSuite:
+    """Unpickle a suite as its registry constant; a suite that matches
+    none is constructed."""
+    suite = SUITES_BY_NAME.get(name)
+    if suite is not None and suite.min_version == min_version and suite.weak == weak:
+        return suite
+    return CipherSuite(name, min_version, weak)
 
 
 def is_weak_suite(suite) -> bool:

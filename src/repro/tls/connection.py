@@ -14,8 +14,7 @@ The traces reproduce the confounders the paper had to handle:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, List
+from typing import List
 
 from repro.tls.handshake import HandshakeOutcome
 from repro.tls.records import (
@@ -25,6 +24,7 @@ from repro.tls.records import (
     TLSVersion,
     TLS13_CLIENT_FINISHED_LEN,
     TLS13_ENCRYPTED_ALERT_LEN,
+    interned,
 )
 from repro.util.rng import DeterministicRng
 
@@ -35,71 +35,46 @@ TEARDOWN_OPEN = "open"  # still open when the capture stopped
 
 _TLS12_VISIBLE_ALERT_LEN = 31
 
-# TLSRecord is frozen, so traces share record instances instead of each
-# building its own: one per fixed-shape record, one per length otherwise.
-_SERVER_ALERT = TLSRecord(
-    ContentType.ALERT, Direction.SERVER_TO_CLIENT, 7, ContentType.ALERT
-)
+# One shared record per fixed-shape record, one per length otherwise
+# (see ``interned``).
+_SERVER_ALERT = interned(
+    ContentType.ALERT, Direction.SERVER_TO_CLIENT, ContentType.ALERT
+)(7)
 #: A client alert — a certificate rejection or an idle connection's
 #: close_notify look alike on the wire.  TLS 1.3 disguises it as data.
-_TLS13_CLIENT_ALERT = TLSRecord(
-    ContentType.APPLICATION_DATA,
-    Direction.CLIENT_TO_SERVER,
-    TLS13_ENCRYPTED_ALERT_LEN,
-    ContentType.ALERT,
-)
-_TLS12_CLIENT_ALERT = TLSRecord(
-    ContentType.ALERT,
-    Direction.CLIENT_TO_SERVER,
-    _TLS12_VISIBLE_ALERT_LEN,
-    ContentType.ALERT,
-)
+_TLS13_CLIENT_ALERT = interned(
+    ContentType.APPLICATION_DATA, Direction.CLIENT_TO_SERVER, ContentType.ALERT
+)(TLS13_ENCRYPTED_ALERT_LEN)
+_TLS12_CLIENT_ALERT = interned(
+    ContentType.ALERT, Direction.CLIENT_TO_SERVER, ContentType.ALERT
+)(_TLS12_VISIBLE_ALERT_LEN)
 #: TLS 1.3's client Finished, disguised as application data.
-_TLS13_CLIENT_FINISHED = TLSRecord(
+_TLS13_CLIENT_FINISHED = interned(
     ContentType.APPLICATION_DATA,
     Direction.CLIENT_TO_SERVER,
-    TLS13_CLIENT_FINISHED_LEN,
     ContentType.HANDSHAKE,
-)
-_TLS12_CHANGE_CIPHER_SPEC = TLSRecord(
+)(TLS13_CLIENT_FINISHED_LEN)
+_TLS12_CHANGE_CIPHER_SPEC = interned(
     ContentType.CHANGE_CIPHER_SPEC,
     Direction.CLIENT_TO_SERVER,
-    6,
     ContentType.CHANGE_CIPHER_SPEC,
-)
-_TLS12_CLIENT_FINISHED = TLSRecord(
-    ContentType.HANDSHAKE, Direction.CLIENT_TO_SERVER, 45, ContentType.HANDSHAKE
-)
+)(6)
+_TLS12_CLIENT_FINISHED = interned(
+    ContentType.HANDSHAKE, Direction.CLIENT_TO_SERVER, ContentType.HANDSHAKE
+)(45)
 
-
-def _interned(
-    content_type: ContentType, direction: Direction, inner_type: ContentType
-) -> Callable[[int], TLSRecord]:
-    """A length -> record factory sharing one instance per length.
-
-    Hellos and application data vary in length, but only over a few
-    thousand values across a whole study.
-    """
-
-    @lru_cache(maxsize=None)
-    def record(length: int) -> TLSRecord:
-        return TLSRecord(content_type, direction, length, inner_type)
-
-    return record
-
-
-_client_hello = _interned(
+_client_hello = interned(
     ContentType.HANDSHAKE, Direction.CLIENT_TO_SERVER, ContentType.HANDSHAKE
 )
-_server_hello = _interned(
+_server_hello = interned(
     ContentType.HANDSHAKE, Direction.SERVER_TO_CLIENT, ContentType.HANDSHAKE
 )
-_client_data = _interned(
+_client_data = interned(
     ContentType.APPLICATION_DATA,
     Direction.CLIENT_TO_SERVER,
     ContentType.APPLICATION_DATA,
 )
-_server_data = _interned(
+_server_data = interned(
     ContentType.APPLICATION_DATA,
     Direction.SERVER_TO_CLIENT,
     ContentType.APPLICATION_DATA,
@@ -123,6 +98,10 @@ class ConnectionTrace:
 
     def aborted(self) -> bool:
         return self.teardown in (TEARDOWN_RST, TEARDOWN_FIN)
+
+    def __reduce__(self):
+        # Unpickle through __init__, which keeps no separate __dict__.
+        return ConnectionTrace, (self.records, self.teardown)
 
 
 def _app_data_length(rng: DeterministicRng) -> int:

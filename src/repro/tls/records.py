@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Sequence
+from functools import lru_cache
+from typing import Callable, Dict, List, Sequence, Tuple
 
 
 class TLSVersion(enum.Enum):
@@ -84,6 +85,56 @@ class TLSRecord:
     @property
     def wire_visible_application_data(self) -> bool:
         return self.content_type is ContentType.APPLICATION_DATA
+
+    def __reduce__(self):
+        # Unpickle into the shared instance of this value (see interned).
+        # ``_value_`` is a plain attribute; ``value`` is a slower property.
+        return _shared_record, (
+            self.content_type._value_,
+            self.direction._value_,
+            self.length,
+            self.inner_type._value_,
+        )
+
+
+#: Record factories by (content type, direction, inner type) value.
+_FACTORIES: Dict[Tuple[int, str, int], Callable[[int], TLSRecord]] = {}
+
+
+def interned(
+    content_type: ContentType, direction: Direction, inner_type: ContentType
+) -> Callable[[int], TLSRecord]:
+    """The length -> record factory of one record shape, one instance per
+    length.
+
+    Records are frozen, so traces share them: hellos and application data
+    vary in length, but only over a few thousand values across a whole
+    study.  Every caller asking for a shape gets the same factory, and an
+    unpickled record comes from it too, so a record decoded from the
+    result store is the very instance a computing run would hold.
+    """
+    key = (content_type.value, direction.value, inner_type.value)
+    factory = _FACTORIES.get(key)
+    if factory is None:
+
+        @lru_cache(maxsize=None)
+        def factory(length: int) -> TLSRecord:
+            return TLSRecord(content_type, direction, length, inner_type)
+
+        _FACTORIES[key] = factory
+    return factory
+
+
+def _shared_record(
+    content_type: int, direction: str, length: int, inner_type: int
+) -> TLSRecord:
+    """Unpickle a record as the shared instance of its value."""
+    factory = _FACTORIES.get((content_type, direction, inner_type))
+    if factory is None:
+        factory = interned(
+            ContentType(content_type), Direction(direction), ContentType(inner_type)
+        )
+    return factory(length)
 
 
 def client_records(records: Sequence[TLSRecord]) -> List[TLSRecord]:

@@ -9,6 +9,7 @@ clock anchored at the study epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 SECONDS_PER_DAY = 86_400
@@ -45,6 +46,20 @@ class Timestamp:
 
     def __str__(self) -> str:  # pragma: no cover - display only
         return self.isoformat()
+
+    def __reduce__(self):
+        return _shared_timestamp, (self.unix,)
+
+
+@lru_cache(maxsize=1 << 15)
+def _shared_timestamp(unix: int) -> Timestamp:
+    """Unpickle a timestamp as one shared instance per value.
+
+    Captures decoded from the result store repeat a few thousand start
+    times many times over.  The cache is bounded so a long-lived process
+    does not keep every timestamp it ever decoded.
+    """
+    return Timestamp(unix)
 
 
 STUDY_START = Timestamp(STUDY_EPOCH)
