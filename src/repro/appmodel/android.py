@@ -13,21 +13,21 @@ directly (see :mod:`repro.core.static.decompile`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.appmodel.app import MobileApp
 from repro.appmodel.filetree import FileTree
-from repro.appmodel.manifest import AndroidManifest
-from repro.appmodel.nsc import NSCConfig, NSCDomainConfig, NSCPin
-from repro.appmodel.package import (
-    PackagingContext,
-    ca_bundle_pem,
-    pin_declaration_lines,
-)
 from repro.appmodel.pinning import PinForm, PinMechanism
 from repro.appmodel.sdk import sdk_by_name
 from repro.errors import AppModelError
 from repro.util.encoding import b64encode
+
+# The manifest, NSC and packaging modules serve package building only, so
+# the functions that build import them: a run that reads its corpus back
+# from the result store never loads them.
+if TYPE_CHECKING:
+    from repro.appmodel.nsc import NSCConfig
+    from repro.appmodel.package import PackagingContext
 
 _SMALI_HEADER = """.class public L{path};
 .super Ljava/lang/Object;
@@ -64,6 +64,8 @@ def _nsc_config_for(app: MobileApp) -> Optional[NSCConfig]:
     ]
     if not nsc_specs and not app.uses_nsc:
         return None
+    from repro.appmodel.nsc import NSCConfig, NSCDomainConfig, NSCPin
+
     config = NSCConfig(base_cleartext_permitted=False)
     for spec in nsc_specs:
         for domain in spec.domains:
@@ -114,6 +116,8 @@ def _emit_code_files(app: MobileApp, tree: FileTree, ctx: PackagingContext) -> N
         ]
         tree.add(_smali_path(path, "NetworkClient"), "\n".join(body) + "\n" + _SMALI_FOOTER)
         if sdk.embeds_certificates and not sdk.pins:
+            from repro.appmodel.package import ca_bundle_pem
+
             bundle = ca_bundle_pem(ctx, count=rng.randint(2, 4))
             if bundle:
                 tree.add(f"{path}/res/cacert.pem".replace("smali/", ""), bundle)
@@ -153,6 +157,8 @@ def _emit_pin_material(app: MobileApp, tree: FileTree) -> None:
                         + _SMALI_FOOTER,
                     )
         else:
+            from repro.appmodel.package import pin_declaration_lines
+
             lines = pin_declaration_lines(spec, style="smali")
             if spec.mechanism is PinMechanism.CUSTOM_TLS:
                 # Custom stacks keep pins in native code: only the
@@ -183,6 +189,7 @@ def build_android_package(app: MobileApp, ctx: PackagingContext) -> AndroidApp:
     """
     if app.platform != "android":
         raise AppModelError(f"{app.app_id!r} is not an Android app")
+    from repro.appmodel.manifest import AndroidManifest
 
     tree = FileTree()
     nsc = _nsc_config_for(app)

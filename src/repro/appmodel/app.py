@@ -11,7 +11,7 @@ construction that dynamic analysis exercises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 from repro.appmodel.behavior import NetworkBehavior
 from repro.appmodel.pinning import PinForm, PinMechanism, PinningSpec
@@ -24,8 +24,10 @@ from repro.tls.ciphers import (
     TLS13_SUITES,
     WEAK_SUITES,
 )
-from repro.tls.policy import CompositePolicy, NSCPinPolicy, PinnedCertificatePolicy, SpkiPinPolicy, SystemValidationPolicy, ValidationPolicy
 from repro.tls.records import TLSVersion
+
+if TYPE_CHECKING:
+    from repro.tls.policy import CompositePolicy, ValidationPolicy
 
 #: Client suite orders per platform.  The iOS 13-era system stack still
 #: advertised 3DES CBC suites in its ClientHello, which is why Table 8 sees
@@ -174,6 +176,17 @@ class MobileApp:
         spec contributes per-domain overrides; NSC specs are merged into a
         single NSC policy (one config file governs the process).
         """
+        # Only a computed app run asks for its policy; a run served from
+        # the result store never loads the policy module.
+        from repro.tls.policy import (
+            CompositePolicy,
+            NSCDomainRule,
+            NSCPinPolicy,
+            PinnedCertificatePolicy,
+            SpkiPinPolicy,
+            SystemValidationPolicy,
+        )
+
         library = "conscrypt" if self.platform == "android" else "securetransport"
         base = SystemValidationPolicy(device_store, library=library)
         # The Stone et al. misbehaviour: chain validation runs but the
@@ -194,8 +207,6 @@ class MobileApp:
                             f"spec for {domain!r} was never resolved"
                         )
                     pins = frozenset(resolved.pin_strings)
-                    from repro.tls.policy import NSCDomainRule
-
                     nsc_rules.append(
                         NSCDomainRule(domain=domain, pins=pins)
                     )

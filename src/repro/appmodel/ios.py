@@ -9,20 +9,20 @@ the payload file tree is only reachable after :meth:`IPA.decrypt`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from repro.appmodel.app import MobileApp
 from repro.appmodel.filetree import FileTree
-from repro.appmodel.package import (
-    PackagingContext,
-    ca_bundle_pem,
-    pin_declaration_lines,
-)
 from repro.appmodel.pinning import PinForm, PinMechanism
-from repro.appmodel.plist import ATSPinnedDomain, Entitlements, InfoPlist
 from repro.appmodel.sdk import sdk_by_name
 from repro.errors import AppModelError, PackageEncryptedError
 from repro.util.encoding import b64encode
+
+# The plist and packaging modules serve package building only, so the
+# functions that build import them: a run that reads its corpus back from
+# the result store never loads them.
+if TYPE_CHECKING:
+    from repro.appmodel.package import PackagingContext
 
 
 @dataclass
@@ -81,6 +81,9 @@ def _app_dir(app: MobileApp) -> str:
 
 
 def _emit_frameworks(app: MobileApp, tree: FileTree, ctx: PackagingContext) -> None:
+    from repro.appmodel.package import ca_bundle_pem
+    from repro.appmodel.plist import InfoPlist
+
     base = _app_dir(app)
     rng = ctx.rng.child("ios-code", app.app_id)
     for sdk_name in app.sdk_names:
@@ -136,6 +139,8 @@ def _emit_pin_material(app: MobileApp, tree: FileTree) -> None:
                         b64encode(resolved.pem.encode("utf-8")),
                     )
         else:
+            from repro.appmodel.package import pin_declaration_lines
+
             lines = pin_declaration_lines(spec, style="objc")
             if code_path:
                 binary_name = code_path.rsplit("/", 1)[-1].replace(".framework", "")
@@ -160,6 +165,7 @@ def build_ios_package(app: MobileApp, ctx: PackagingContext) -> IOSApp:
     """
     if app.platform != "ios":
         raise AppModelError(f"{app.app_id!r} is not an iOS app")
+    from repro.appmodel.plist import ATSPinnedDomain, Entitlements, InfoPlist
 
     tree = FileTree()
     base = _app_dir(app)

@@ -507,53 +507,7 @@ def _add_sweep_axis_flags(parser) -> None:
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
-    parser.add_argument("--seed", type=int, default=2022)
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=0.1,
-        help="corpus scale relative to the paper's (1.0 = 5,150 apps)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=_workers_arg,
-        default=1,
-        help="worker processes for study execution (results are "
-        "identical for any value; 1 = serial; 'auto' sizes the pool to "
-        "the machine and falls back to serial when the pool cannot win)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=_non_negative_int,
-        default=0,
-        help="apps per work unit (0 = automatic)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=_non_negative_int,
-        default=1,
-        help="retries per failed work unit before it is quarantined and "
-        "recorded in the error ledger",
-    )
-    parser.add_argument(
-        "--fault-rate",
-        type=_rate,
-        default=0.0,
-        help="fault-injection testing hook: deterministically fail this "
-        "fraction of per-app work (0 = disabled)",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="seed for --fault-rate (decides which apps fail)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("corpus", help="generate a corpus and print composition")
-    study = sub.add_parser("study", help="run everything, print all tables")
+def _study_arguments(study) -> None:
     study.add_argument(
         "--store",
         metavar="DIR",
@@ -615,11 +569,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write the audit report as JSON here (implies --audit; "
         "validates against schemas/audit_report.schema.json)",
     )
-    sweep = sub.add_parser(
-        "sweep",
-        help="run a grid of study configurations through a shared result "
-        "store and print cross-seed stability tables",
-    )
+
+
+def _sweep_arguments(sweep) -> None:
     sweep.add_argument(
         "--spec",
         metavar="FILE",
@@ -663,12 +615,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write per-point metrics JSON (point-<index>.json) here, "
         "before each point's telemetry merges into the sweep aggregate",
     )
-    serve = sub.add_parser(
-        "serve",
-        help="run the long-lived study service: warm worker pool, shared "
-        "result store, cached corpora; jobs arrive over a unix socket "
-        "(pool size comes from the global --workers)",
-    )
+
+
+def _serve_arguments(serve) -> None:
     serve.add_argument(
         "--socket",
         metavar="PATH",
@@ -701,11 +650,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="write the merged service-level metrics JSON here on exit",
     )
-    submit = sub.add_parser(
-        "submit",
-        help="submit a study or sweep job to a running service and print "
-        "its output (byte-identical to the direct command)",
-    )
+
+
+def _submit_arguments(submit) -> None:
     submit.add_argument("kind", choices=["study", "sweep"])
     submit.add_argument(
         "--socket",
@@ -738,10 +685,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="sweep jobs: write the sweep report JSON here",
     )
     _add_sweep_axis_flags(submit)
-    jobs = sub.add_parser(
-        "jobs",
-        help="inspect or control a running service",
-    )
+
+
+def _jobs_arguments(jobs) -> None:
     jobs.add_argument("action", choices=["status", "cancel", "stats", "shutdown"])
     jobs.add_argument("id", nargs="?", default=None, help="job id")
     jobs.add_argument(
@@ -750,15 +696,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=DEFAULT_SOCKET,
         help="the service's unix socket",
     )
-    table = sub.add_parser("table", help="print one table/figure")
+
+
+def _table_arguments(table) -> None:
     table.add_argument("name", choices=TABLE_CHOICES + ["figure4"])
     table.add_argument("--csv", action="store_true")
-    sub.add_parser("score", help="detector precision/recall vs ground truth")
-    verify = sub.add_parser(
-        "verify",
-        help="run the study and audit it: detector scores vs ground "
-        "truth, invariant catalogue, optional determinism check",
-    )
+
+
+def _verify_arguments(verify) -> None:
     verify.add_argument(
         "--level",
         choices=["standard", "deep"],
@@ -773,19 +718,113 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write the audit report as JSON here",
     )
 
+
+#: Subcommand -> (help line, handler, adds its arguments), in help order.
+_COMMANDS = {
+    "corpus": ("generate a corpus and print composition", _cmd_corpus, None),
+    "study": ("run everything, print all tables", _cmd_study, _study_arguments),
+    "sweep": (
+        "run a grid of study configurations through a shared result "
+        "store and print cross-seed stability tables",
+        _cmd_sweep,
+        _sweep_arguments,
+    ),
+    "serve": (
+        "run the long-lived study service: warm worker pool, shared "
+        "result store, cached corpora; jobs arrive over a unix socket "
+        "(pool size comes from the global --workers)",
+        _cmd_serve,
+        _serve_arguments,
+    ),
+    "submit": (
+        "submit a study or sweep job to a running service and print "
+        "its output (byte-identical to the direct command)",
+        _cmd_submit,
+        _submit_arguments,
+    ),
+    "jobs": ("inspect or control a running service", _cmd_jobs, _jobs_arguments),
+    "table": ("print one table/figure", _cmd_table, _table_arguments),
+    "score": ("detector precision/recall vs ground truth", _cmd_score, None),
+    "verify": (
+        "run the study and audit it: detector scores vs ground "
+        "truth, invariant catalogue, optional determinism check",
+        _cmd_verify,
+        _verify_arguments,
+    ),
+}
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments when it first parses.
+
+    Only the dispatched command parses, so a run builds one command's
+    arguments, not all of them.  Its ``--help`` and its argument errors are
+    printed from inside parsing, after the arguments exist, so they read
+    as if every command had been built up front.
+    """
+
+    def __init__(self, *args, add_arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add, self._add_arguments = self._add_arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
+    parser.add_argument("--seed", type=int, default=2022)
+    parser.add_argument(
+        "--scale",
+        type=float,
+        default=0.1,
+        help="corpus scale relative to the paper's (1.0 = 5,150 apps)",
+    )
+    parser.add_argument(
+        "--workers",
+        type=_workers_arg,
+        default=1,
+        help="worker processes for study execution (results are "
+        "identical for any value; 1 = serial; 'auto' sizes the pool to "
+        "the machine and falls back to serial when the pool cannot win)",
+    )
+    parser.add_argument(
+        "--chunk-size",
+        type=_non_negative_int,
+        default=0,
+        help="apps per work unit (0 = automatic)",
+    )
+    parser.add_argument(
+        "--max-retries",
+        type=_non_negative_int,
+        default=1,
+        help="retries per failed work unit before it is quarantined and "
+        "recorded in the error ledger",
+    )
+    parser.add_argument(
+        "--fault-rate",
+        type=_rate,
+        default=0.0,
+        help="fault-injection testing hook: deterministically fail this "
+        "fraction of per-app work (0 = disabled)",
+    )
+    parser.add_argument(
+        "--fault-seed",
+        type=int,
+        default=0,
+        help="seed for --fault-rate (decides which apps fail)",
+    )
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Subcommand
+    )
+    for name, (help_text, _, add_arguments) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
+
     args = parser.parse_args(argv)
-    handlers = {
-        "corpus": _cmd_corpus,
-        "study": _cmd_study,
-        "table": _cmd_table,
-        "score": _cmd_score,
-        "sweep": _cmd_sweep,
-        "serve": _cmd_serve,
-        "submit": _cmd_submit,
-        "jobs": _cmd_jobs,
-        "verify": _cmd_verify,
-    }
-    return handlers[args.command](args)
+    return _COMMANDS[args.command][1](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,11 +5,18 @@ checks; apps using custom TLS stacks resist.  In the paper this unlocked
 ~51.5 % of pinned destinations on Android and ~66.2 % on iOS.
 """
 
-from repro.core.circumvent.frida import FridaSession, InstrumentationOutcome
-from repro.core.circumvent.hooks import HOOK_CATALOG, is_hookable
-from repro.core.circumvent.pipeline import (
-    CircumventionPipeline,
-    CircumventionResult,
+from repro.util.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "FridaSession": "frida",
+        "InstrumentationOutcome": "frida",
+        "HOOK_CATALOG": "hooks",
+        "is_hookable": "hooks",
+        "CircumventionPipeline": "pipeline",
+        "CircumventionResult": "pipeline",
+    },
 )
 
 __all__ = [

@@ -19,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, List, Optional, Set
 
-from repro.core.circumvent.frida import FridaSession
 from repro.core.dynamic.pipeline import DynamicAppResult, DynamicPipeline
 from repro.core.pipeline import Artifact, Stage, StageGraph
-from repro.device.automation import RunConfig
 from repro.netsim.capture import TrafficCapture
 
 
@@ -55,6 +53,8 @@ class CircumventionResult:
 
 
 def _hook_inject(ctx, a):
+    from repro.core.circumvent.frida import FridaSession
+
     device = ctx._device_for(a["platform"])
     session = FridaSession(device, hook_set=ctx.hook_set)
     return session.instrument(
@@ -63,6 +63,8 @@ def _hook_inject(ctx, a):
 
 
 def _hooked_run(ctx, a):
+    from repro.device.automation import RunConfig
+
     harness = ctx.dynamic._harnesses[a["platform"]]
     return harness.run_app(
         a["packaged"],

@@ -7,14 +7,21 @@ wire-visible record patterns only (including the TLS 1.3 heuristics);
 ground-truth flow fields are never consulted.
 """
 
-from repro.core.dynamic.classify import connection_failed, connection_used
-from repro.core.dynamic.detector import (
-    DestinationVerdict,
-    detect_pinned_destinations,
-    naive_detect_pinned_destinations,
+from repro.util.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "ios_excluded_destinations": "background",
+        "connection_failed": "classify",
+        "connection_used": "classify",
+        "DestinationVerdict": "detector",
+        "detect_pinned_destinations": "detector",
+        "naive_detect_pinned_destinations": "detector",
+        "DynamicAppResult": "pipeline",
+        "DynamicPipeline": "pipeline",
+    },
 )
-from repro.core.dynamic.pipeline import DynamicAppResult, DynamicPipeline
-from repro.core.dynamic.background import ios_excluded_destinations
 
 __all__ = [
     "DestinationVerdict",

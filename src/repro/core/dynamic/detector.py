@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Set
 
-from repro.core.dynamic.classify import connection_failed, connection_used
 from repro.netsim.capture import TrafficCapture
 from repro.servers.parties import registrable_domain
 
@@ -95,6 +94,8 @@ def detect_pinned_destinations(
     Returns:
         destination → verdict, including excluded destinations (marked).
     """
+    from repro.core.dynamic.classify import connection_failed, connection_used
+
     destinations = direct.destinations() | intercepted.destinations()
     excluded = _apply_exclusions(destinations, excluded_domains)
 
@@ -185,6 +186,8 @@ def naive_detect_pinned_destinations(
     threaded into the failure classification so the TLS 1.3 ablation
     composes with this one.
     """
+    from repro.core.dynamic.classify import connection_failed
+
     destinations = intercepted.destinations()
     excluded = _apply_exclusions(destinations, excluded_domains)
     flagged: Set[str] = set()

@@ -22,10 +22,10 @@ enters the capture.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Set
 
 from repro.appmodel.ios import IOSApp
-from repro.core.dynamic.background import ios_excluded_destinations
 from repro.core.dynamic.detector import (
     DETECTOR_VARIANTS,
     DestinationVerdict,
@@ -34,11 +34,16 @@ from repro.core.dynamic.detector import (
 from repro.core.pipeline import Artifact, Stage, StageGraph
 from repro.corpus.datasets import AppCorpus
 from repro.device.android import AndroidDevice
-from repro.device.automation import AutomationHarness, RunConfig
 from repro.device.ios import IOSDevice
 from repro.netsim.capture import TrafficCapture
 from repro.netsim.proxy import MITMProxy
 from repro.util.rng import DeterministicRng
+
+# The automation harness pulls in the flow simulator and the TLS
+# handshake; only an app run needs them, so the harnesses are built on
+# the first run (a study served from the result store never runs one).
+if TYPE_CHECKING:
+    from repro.device.automation import AutomationHarness, RunConfig
 
 
 @dataclass
@@ -85,6 +90,8 @@ class DynamicAppResult:
 
 
 def _run_config(ctx, a, mitm: bool) -> RunConfig:
+    from repro.device.automation import RunConfig
+
     return RunConfig(
         mitm=mitm,
         sleep_s=ctx.sleep_s,
@@ -237,7 +244,7 @@ class DynamicPipeline:
         self.transient_failure_prob = transient_failure_prob
         self.fault_predicate = fault_predicate
         self.detector = detector
-        rng = DeterministicRng(corpus.seed).child("dynamic")
+        rng = self._rng = DeterministicRng(corpus.seed).child("dynamic")
         self.proxy = MITMProxy(rng.child("proxy"))
         self.android_device = AndroidDevice(
             corpus.stores.android_aosp,
@@ -249,18 +256,24 @@ class DynamicPipeline:
             rng.child("iphonex"),
             proxy_ca=self.proxy.ca_certificate,
         )
-        self._harnesses = {
+
+    @cached_property
+    def _harnesses(self) -> Dict[str, AutomationHarness]:
+        """The per-platform automation harnesses, built on first use."""
+        from repro.device.automation import AutomationHarness
+
+        return {
             "android": AutomationHarness(
                 self.android_device,
-                corpus.registry,
+                self.corpus.registry,
                 self.proxy,
-                rng.child("harness", "android"),
+                self._rng.child("harness", "android"),
             ),
             "ios": AutomationHarness(
                 self.ios_device,
-                corpus.registry,
+                self.corpus.registry,
                 self.proxy,
-                rng.child("harness", "ios"),
+                self._rng.child("harness", "ios"),
             ),
         }
 
@@ -277,6 +290,8 @@ class DynamicPipeline:
 
                     return set(APPLE_BACKGROUND_DOMAINS)
                 packaged.ipa.decrypt()
+            from repro.core.dynamic.background import ios_excluded_destinations
+
             return ios_excluded_destinations(packaged)
         return set()
 

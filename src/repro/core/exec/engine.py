@@ -98,7 +98,8 @@ them leaves nothing collectable behind; whoever sets the flag must call
 :func:`gc.unfreeze` when the run ends (``Study.run`` does).
 
 ``concurrent.futures`` is imported only when a pool is first used: it
-pulls in ``multiprocessing``, which a serial run never needs.
+pulls in ``multiprocessing``, which a serial run never needs.  The cost
+model is imported where a pool plan consults it, for the same reason.
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ from typing import (
 )
 
 from repro.core import obs
-from repro.core.exec import costmodel
 from repro.core.exec.faults import (
     FaultPredicate,
     InjectedFault,
@@ -850,6 +850,8 @@ class ExecutionEngine:
             return False
         if not self.plan.adaptive:
             return True
+        from repro.core.exec import costmodel
+
         if costmodel.should_parallelize(
             units,
             self.plan.worker_count,
@@ -876,6 +878,8 @@ class ExecutionEngine:
         position, so merge order remains submission order regardless.
         """
         from concurrent.futures import FIRST_COMPLETED, wait
+
+        from repro.core.exec import costmodel
 
         window = costmodel.inflight_window(self.plan.worker_count)
         outstanding: dict = {}
@@ -980,7 +984,9 @@ class ExecutionEngine:
             else:
                 pending.append((position, unit))
 
-        use_pool = self._use_pool([unit for _, unit in pending])
+        # A batch the store served whole needs no pool: building one
+        # would import ``multiprocessing`` for nothing.
+        use_pool = bool(pending) and self._use_pool([unit for _, unit in pending])
         partial: List[Tuple[int, WorkUnit]] = []
         if use_pool and self.store is not None:
             # Units with warm stage artifacts recompute partially in the

@@ -14,8 +14,6 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.core.exec import costmodel
-
 #: Upper bound on any single backoff sleep, however many retries doubled it.
 RETRY_BACKOFF_CAP_S = 30.0
 
@@ -128,6 +126,8 @@ class ExecutionPlan:
             return self.chunk_size
         if self.serial:
             return max(1, n_items)
+        from repro.core.exec import costmodel
+
         return costmodel.chunk_size(kind, n_items, self.worker_count)
 
     def backoff_for(self, retry_index: int) -> float:

@@ -15,11 +15,19 @@ Stages, mirroring Figure 1 steps 2–3:
    third-party frameworks (Table 7).
 """
 
-from repro.core.static.decompile import decompile_android, decrypt_ios
-from repro.core.static.nsc_analysis import analyze_nsc
-from repro.core.static.pipeline import StaticPipeline
-from repro.core.static.report import StaticAppReport
-from repro.core.static.search import scan_tree
+from repro.util.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "decompile_android": "decompile",
+        "decrypt_ios": "decompile",
+        "analyze_nsc": "nsc_analysis",
+        "StaticPipeline": "pipeline",
+        "StaticAppReport": "report",
+        "scan_tree": "search",
+    },
+)
 
 __all__ = [
     "StaticAppReport",

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.appmodel.filetree import FileTree
-from repro.appmodel.manifest import AndroidManifest
-from repro.appmodel.nsc import NSCConfig
 from repro.errors import AppModelError
 
 
@@ -51,6 +49,11 @@ def analyze_nsc(tree: FileTree) -> NSCAnalysis:
     manifest_node = tree.get("AndroidManifest.xml")
     if manifest_node is None:
         return NSCAnalysis()
+    # Parsing modules, loaded by the first analysis rather than by a run
+    # that reads its static reports back from the result store.
+    from repro.appmodel.manifest import AndroidManifest
+    from repro.appmodel.nsc import NSCConfig
+
     try:
         manifest = AndroidManifest.from_xml(manifest_node.content)
     except AppModelError:

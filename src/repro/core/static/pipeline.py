@@ -22,7 +22,6 @@ from repro.appmodel.ios import IOSApp
 from repro.core.pipeline import Artifact, Stage, StageGraph
 from repro.core.static.attribution import AttributionResult, attribute_findings
 from repro.core.static.ctlookup import resolve_pins
-from repro.core.static.decompile import decompile_android, decrypt_ios
 from repro.core.static.nsc_analysis import NSCAnalysis, analyze_nsc
 from repro.core.static.report import StaticAppReport
 from repro.core.static.search import scan_tree
@@ -49,6 +48,8 @@ class DecompiledApp:
 
 
 def _decompile(ctx, a):
+    from repro.core.static.decompile import decompile_android, decrypt_ios
+
     packaged = a["packaged"]
     if isinstance(packaged, AndroidApp):
         tree = decompile_android(packaged)

@@ -24,7 +24,6 @@ from repro.appmodel.filetree import FileNode, FileTree
 from repro.core import obs
 from repro.errors import CertificateError, EncodingError
 from repro.pki.certificate import ParsedCertificate, parse_der
-from repro.pki.pem import load_pem_certificates
 from repro.util.encoding import b64decode
 
 CERT_EXTENSIONS: Tuple[str, ...] = (".der", ".pem", ".crt", ".cert", ".cer")
@@ -103,6 +102,8 @@ def _parse_certificate_content(content: str) -> Tuple[ParsedCertificate, ...]:
     Cached on the content string: bundled certificate assets repeat across
     apps (shared SDKs) and across the repeated scans of a study.
     """
+    from repro.pki.pem import load_pem_certificates
+
     if "-----BEGIN CERTIFICATE-----" in content:
         try:
             return tuple(load_pem_certificates(content))
@@ -143,6 +144,9 @@ def scan_tree(tree: FileTree, include_native: bool = True) -> ScanResult:
         include_native: also run the radare2-style strings pass over
             binary files (ablations turn this off).
     """
+    # Loaded by the first scan, not by a run served from the result store.
+    from repro.pki.pem import load_pem_certificates
+
     result = ScanResult()
     # Dedup on (path, subject, serial) as a tuple — concatenating subject
     # and serial would make ("A", "BC") collide with ("AB", "C") and drop

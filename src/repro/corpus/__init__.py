@@ -12,10 +12,21 @@ Entry point::
     android_popular = corpus.dataset("android", "popular")
 """
 
-from repro.corpus.crawler import CollectionCampaign, CollectionReport
-from repro.corpus.datasets import AppCorpus, DatasetKey
-from repro.corpus.generator import CorpusConfig, CorpusGenerator
-from repro.corpus.spec import CorpusSpec, content_fingerprint
+from repro.util.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "CollectionCampaign": "crawler",
+        "CollectionReport": "crawler",
+        "AppCorpus": "datasets",
+        "DatasetKey": "datasets",
+        "CorpusConfig": "generator",
+        "CorpusGenerator": "generator",
+        "CorpusSpec": "spec",
+        "content_fingerprint": "spec",
+    },
+)
 
 __all__ = [
     "AppCorpus",

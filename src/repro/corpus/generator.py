@@ -10,23 +10,22 @@ for small test corpora.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.appmodel.android import build_android_package
-from repro.appmodel.ios import build_ios_package
-from repro.appmodel.package import PackagingContext
 from repro.appmodel.sdk import SDK_CATALOG, ThirdPartySDK, sdks_for_platform
-from repro.corpus.categories import draw_category, pinning_multiplier
-from repro.corpus.common import CommonPairPlanner
 from repro.corpus.datasets import AppCorpus, DatasetKey
-from repro.corpus.factory import AppFactory, AppPlan
-from repro.corpus.naming import GENERIC_THIRD_PARTY_HOSTS, app_identity
-from repro.corpus.profiles import DATASET_PROFILES, PINNING_STYLES
 from repro.device.ios import APPLE_BACKGROUND_HOSTS
 from repro.pki.authority import PKIHierarchy
 from repro.pki.store import StoreCatalog
 from repro.servers.registry import EndpointRegistry
 from repro.util.rng import DeterministicRng
+
+# The builders (profiles, planners, the app factory, packaging) are
+# imported by the methods that build: a corpus read back from a store
+# never loads them.
+if TYPE_CHECKING:
+    from repro.corpus.factory import AppPlan
+    from repro.corpus.profiles import PinningStyleProfile
 
 
 @dataclass(frozen=True)
@@ -67,6 +66,8 @@ class CorpusGenerator:
 
     def _register_shared_endpoints(self, registry: EndpointRegistry) -> None:
         """Endpoints every app (or the OS) may contact."""
+        from repro.corpus.naming import GENERIC_THIRD_PARTY_HOSTS
+
         for sdk in SDK_CATALOG:
             for host in sdk.domains:
                 if not registry.knows(host):
@@ -120,8 +121,7 @@ class CorpusGenerator:
                 picked.append(sdk.name)
         return picked
 
-    def _style_draw(self, platform: str, rng: DeterministicRng) -> dict:
-        style = PINNING_STYLES[platform]
+    def _style_draw(self, style: PinningStyleProfile, rng: DeterministicRng) -> dict:
         mechs = list(style.mechanism_weights)
         scopes = list(style.scope_weights)
         forms = list(style.form_weights)
@@ -142,6 +142,11 @@ class CorpusGenerator:
         self, platform: str, dataset: str, n: int, rng: DeterministicRng
     ) -> List[AppPlan]:
         """Plan a Popular or Random dataset for one platform."""
+        from repro.corpus.categories import draw_category, pinning_multiplier
+        from repro.corpus.factory import AppPlan
+        from repro.corpus.naming import app_identity
+        from repro.corpus.profiles import DATASET_PROFILES, PINNING_STYLES
+
         profile = DATASET_PROFILES[(platform, dataset)]
         style = PINNING_STYLES[platform]
 
@@ -179,7 +184,7 @@ class CorpusGenerator:
             p_rng = rng.child("pin", plan.index)
             plan.is_pinner = True
             plan.pinned_weak = p_rng.chance(profile.pinned_weak_cipher_rate)
-            fields = self._style_draw(platform, p_rng.child("style"))
+            fields = self._style_draw(style, p_rng.child("style"))
             plan.mechanism = fields["mechanism"]
             plan.scope = fields["scope"]
             plan.form = fields["form"]
@@ -243,6 +248,8 @@ class CorpusGenerator:
     ) -> None:
         """Static-analysis-facing designations shared by all datasets:
         NSC mechanism/file usage, embedded-material apps, regular SDKs."""
+        from repro.corpus.profiles import DATASET_PROFILES, PINNING_STYLES
+
         profile = DATASET_PROFILES[(platform, dataset)]
         style = PINNING_STYLES[platform]
         n = len(plans)
@@ -344,6 +351,12 @@ class CorpusGenerator:
         return corpus
 
     def _build(self) -> AppCorpus:
+        from repro.appmodel.android import build_android_package
+        from repro.appmodel.ios import build_ios_package
+        from repro.appmodel.package import PackagingContext
+        from repro.corpus.common import CommonPairPlanner
+        from repro.corpus.factory import AppFactory
+
         cfg = self.config
         rng = DeterministicRng(cfg.seed)
         hierarchy = PKIHierarchy(rng.child("pki"))

@@ -8,11 +8,21 @@ dynamic-pipeline loop: install → capture for a sleep window → uninstall,
 including iOS background traffic and associated-domains verification.
 """
 
-from repro.device.android import AndroidDevice
-from repro.device.automation import AutomationHarness, RunConfig
-from repro.device.base import Device
-from repro.device.identifiers import PII_PLACEHOLDER_PREFIX, DeviceIdentifiers
-from repro.device.ios import APPLE_BACKGROUND_DOMAINS, IOSDevice
+from repro.util.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "AndroidDevice": "android",
+        "AutomationHarness": "automation",
+        "RunConfig": "automation",
+        "Device": "base",
+        "DeviceIdentifiers": "identifiers",
+        "PII_PLACEHOLDER_PREFIX": "identifiers",
+        "APPLE_BACKGROUND_DOMAINS": "ios",
+        "IOSDevice": "ios",
+    },
+)
 
 __all__ = [
     "APPLE_BACKGROUND_DOMAINS",

@@ -7,10 +7,19 @@ is recorded as a :class:`FlowRecord`; when interception is enabled, the
 them — exposes decrypted payloads.
 """
 
-from repro.netsim.capture import TrafficCapture
-from repro.netsim.flow import FlowRecord, Payload
-from repro.netsim.proxy import MITMProxy
-from repro.netsim.simulate import Destination, simulate_flow
+from repro.util.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "TrafficCapture": "capture",
+        "FlowRecord": "flow",
+        "Payload": "flow",
+        "MITMProxy": "proxy",
+        "Destination": "simulate",
+        "simulate_flow": "simulate",
+    },
+)
 
 __all__ = [
     "Destination",

@@ -14,15 +14,17 @@ This module implements the client-side checks the paper's TLS layer needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core import obs
 from repro.errors import ChainValidationError
 from repro.pki.certificate import Certificate
 from repro.pki.chain import CertificateChain
-from repro.pki.revocation import RevocationList
 from repro.pki.store import RootStore
 from repro.util.simtime import Timestamp
+
+if TYPE_CHECKING:
+    from repro.pki.revocation import RevocationList
 
 
 def hostname_matches(pattern: str, hostname: str) -> bool:

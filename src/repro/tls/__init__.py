@@ -12,28 +12,32 @@ Client-side certificate checking is pluggable via
 pinning.
 """
 
-from repro.tls.alerts import Alert, AlertDescription
-from repro.tls.ciphers import (
-    CipherSuite,
-    MODERN_SUITES,
-    WEAK_SUITES,
-    is_weak_suite,
-)
-from repro.tls.handshake import ClientProfile, HandshakeOutcome, perform_handshake
-from repro.tls.policy import (
-    CompositePolicy,
-    NSCPinPolicy,
-    PinnedCertificatePolicy,
-    SpkiPinPolicy,
-    SystemValidationPolicy,
-    TrustAllPolicy,
-    ValidationPolicy,
-)
-from repro.tls.records import (
-    ContentType,
-    Direction,
-    TLSRecord,
-    TLSVersion,
+from repro.util.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "Alert": "alerts",
+        "AlertDescription": "alerts",
+        "CipherSuite": "ciphers",
+        "MODERN_SUITES": "ciphers",
+        "WEAK_SUITES": "ciphers",
+        "is_weak_suite": "ciphers",
+        "ClientProfile": "handshake",
+        "HandshakeOutcome": "handshake",
+        "perform_handshake": "handshake",
+        "CompositePolicy": "policy",
+        "NSCPinPolicy": "policy",
+        "PinnedCertificatePolicy": "policy",
+        "SpkiPinPolicy": "policy",
+        "SystemValidationPolicy": "policy",
+        "TrustAllPolicy": "policy",
+        "ValidationPolicy": "policy",
+        "ContentType": "records",
+        "Direction": "records",
+        "TLSRecord": "records",
+        "TLSVersion": "records",
+    },
 )
 
 __all__ = [

@@ -14,9 +14,8 @@ The traces reproduce the confounders the paper had to handle:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from repro.tls.handshake import HandshakeOutcome
 from repro.tls.records import (
     ContentType,
     Direction,
@@ -27,6 +26,9 @@ from repro.tls.records import (
     interned,
 )
 from repro.util.rng import DeterministicRng
+
+if TYPE_CHECKING:
+    from repro.tls.handshake import HandshakeOutcome
 
 #: How the TCP connection ended, as visible in the capture.
 TEARDOWN_RST = "rst"

@@ -7,7 +7,8 @@ past the run: after ``Study.run`` returns or raises, ``gc.isenabled()``
 and ``gc.get_freeze_count()`` read as they did before, and a caller's
 own freeze is left in place.  Freezing is only safe because finished
 results hold no reference cycles, which is checked here on every slot of
-a filled store.  A serial run also never imports ``multiprocessing``.
+a filled store.  A serial run also never imports ``multiprocessing``, and
+``repro.cli.main`` leaves nothing frozen.
 """
 
 from __future__ import annotations
@@ -195,3 +196,14 @@ def test_serial_run_never_imports_multiprocessing(tmp_path):
     ]
     assert "repro.core.exec.engine" in imported
     assert not [m for m in imported if m.split(".")[0] == "multiprocessing"]
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # Only ``python -m repro`` freezes the heap, after ``main`` returns;
+    # in-process callers (tests, the service) keep their collector.
+    from repro.cli import main
+
+    assert gc.get_freeze_count() == 0
+    assert main(["--scale", str(SCALE), "study"]) == 0
+    assert gc.get_freeze_count() == 0
+    assert "Table 3" in capsys.readouterr().out
