@@ -12,7 +12,7 @@ layer three angles with generous slack instead of one brittle timing:
 * an on-vs-off ratio for a fully instrumented serial run.
 
 ``REPRO_BENCH_PARALLEL_SCALE`` (default 0.05) sizes the corpus, matching
-``test_study_parallel.py``.
+the scale ``BENCH_study.json`` was recorded at.
 """
 
 import json

@@ -50,8 +50,7 @@ def main() -> None:
         type=lambda v: v if v == "auto" else int(v),
         default=1,
         help="worker processes (results identical for any value; 'auto' "
-        "sizes the pool to the machine and falls back to serial when "
-        "the pool cannot win)",
+        "= one per CPU)",
     )
     parser.add_argument(
         "--max-retries",

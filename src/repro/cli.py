@@ -15,8 +15,8 @@ Commands:
   fault rates × detector ablations × worker counts) through a shared
   result store and print cross-configuration stability tables.
 * ``serve``    — run the long-lived study service: a daemon that keeps a
-  warm worker pool, a shared result store, and cached corpora resident
-  across submitted jobs (DESIGN.md §14).
+  shared result store and cached corpora resident across submitted jobs
+  (DESIGN.md §14).
 * ``submit``   — submit a study or sweep job to a running service and
   print its output (byte-identical to the direct command).
 * ``jobs``     — inspect or control a running service (status / cancel /
@@ -328,12 +328,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.service import StudyService
 
-    # "auto" resolves the same way an execution plan would size a pool.
-    workers = ExecutionPlan(workers=args.workers).worker_count
     service = StudyService(
         socket_path=args.socket,
         store_dir=args.store,
-        workers=workers,
         queue_size=args.queue_size,
         max_concurrent=args.max_concurrent,
         log=lambda line: print(f"# {line}", file=sys.stderr),
@@ -730,9 +727,8 @@ _COMMANDS = {
         _sweep_arguments,
     ),
     "serve": (
-        "run the long-lived study service: warm worker pool, shared "
-        "result store, cached corpora; jobs arrive over a unix socket "
-        "(pool size comes from the global --workers)",
+        "run the long-lived study service: shared result store, cached "
+        "corpora; jobs arrive over a unix socket",
         _cmd_serve,
         _serve_arguments,
     ),
@@ -788,14 +784,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=_workers_arg,
         default=1,
         help="worker processes for study execution (results are "
-        "identical for any value; 1 = serial; 'auto' sizes the pool to "
-        "the machine and falls back to serial when the pool cannot win)",
+        "identical for any value; 1 = serial; 'auto' = one per CPU)",
     )
     parser.add_argument(
         "--chunk-size",
         type=_non_negative_int,
         default=0,
-        help="apps per work unit (0 = automatic)",
+        help="apps per work unit (0 = one unit per worker per dataset)",
     )
     parser.add_argument(
         "--max-retries",

@@ -404,15 +404,9 @@ class Study:
             plan (see :mod:`repro.core.exec`).
         workers: shorthand for ``plan=ExecutionPlan(workers=...)`` — an
             integer pool size, or ``"auto"`` to size the pool to the
-            machine and let the cost-aware scheduler fall back to serial
-            when the pool cannot win.  Ignored when ``plan`` is given.
+            machine.  Ignored when ``plan`` is given.
         fault_predicate: injectable per-app failure hook for
             fault-tolerance testing (see :mod:`repro.core.exec.faults`).
-        pool: optional shared :class:`~repro.core.exec.WarmPool` whose
-            lifetime the caller owns (the study service keeps one warm
-            across jobs).  Used when compatible with this study's
-            configuration, ignored otherwise; never shut down by this
-            study.  Results are identical with or without it.
         detector: the dynamic pipeline's detector variant
             (``full`` / ``no-tls13`` / ``naive``) — the ``detect``
             stage's config knob, so under a result store a flip
@@ -427,7 +421,6 @@ class Study:
         plan: Optional[ExecutionPlan] = None,
         fault_predicate=None,
         workers: Optional[Union[int, str]] = None,
-        pool=None,
         detector: str = "full",
     ):
         self.corpus = corpus
@@ -457,7 +450,6 @@ class Study:
                 self.circumvention_pipeline,
             ),
             fault_predicate=fault_predicate,
-            pool=pool,
         )
 
     def _rerun_ids(

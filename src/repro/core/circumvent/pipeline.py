@@ -105,14 +105,12 @@ CIRCUMVENT_GRAPH = StageGraph(
             name="hook_inject",
             fn=_hook_inject,
             config=("hook_set",),
-            cost_share=0.10,
         ),
         Stage(
             name="hooked_run",
             fn=_hooked_run,
             inputs=("hook_inject",),
             config=("sleep_s", "transient_failure_prob"),
-            cost_share=0.80,
             persist=True,
             derive=lambda r: r.hooked_capture,
         ),
@@ -121,7 +119,6 @@ CIRCUMVENT_GRAPH = StageGraph(
             fn=_verdict,
             inputs=("hooked_run",),
             config=("@pinned",),
-            cost_share=0.10,
             span=False,
         ),
     ),

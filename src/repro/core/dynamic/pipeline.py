@@ -157,7 +157,6 @@ DYNAMIC_GRAPH = StageGraph(
                 "@wait",
                 "@interact",
             ),
-            cost_share=0.45,
             persist=True,
             derive=lambda r: r.direct_capture,
         ),
@@ -170,7 +169,6 @@ DYNAMIC_GRAPH = StageGraph(
                 "@wait",
                 "@interact",
             ),
-            cost_share=0.45,
             persist=True,
             derive=lambda r: r.mitm_capture,
         ),
@@ -178,7 +176,6 @@ DYNAMIC_GRAPH = StageGraph(
             name="exclusions",
             fn=_exclusions,
             config=("@wait",),
-            cost_share=0.01,
             persist=True,
             derive=lambda r: r.excluded_destinations,
             span=False,
@@ -188,7 +185,6 @@ DYNAMIC_GRAPH = StageGraph(
             fn=_detect,
             inputs=("run_direct", "run_mitm", "exclusions"),
             config=("detector",),
-            cost_share=0.09,
             persist=True,
             derive=lambda r: r.verdicts,
         ),

@@ -1,16 +1,13 @@
 """Parallel, fault-tolerant study execution.
 
 Public API: :class:`~repro.core.exec.plan.ExecutionPlan` configures worker
-count (``"auto"`` sizes the pool to the machine), chunking, scheduling
-policy, and the fault-tolerance envelope (retries, backoff, deadline,
-quarantine); :class:`~repro.core.exec.engine.ExecutionEngine` runs study
-work units under a plan with results identical to a serial run —
-bootstrapping workers from a compact
-:class:`~repro.corpus.spec.CorpusSpec` instead of a pickled corpus,
-shipping results back as slim payload encodings
-(:mod:`repro.core.exec.payload`), and falling back to the serial path
-when the cost model (:mod:`repro.core.exec.costmodel`) says the pool
-cannot win — degrading per-app failures into a
+count (``"auto"`` sizes the pool to the machine), chunking, and the
+fault-tolerance envelope (retries, backoff, deadline, quarantine);
+:class:`~repro.core.exec.engine.ExecutionEngine` runs study work units
+under a plan, serially or on one
+:class:`~concurrent.futures.ProcessPoolExecutor` whose workers receive
+the corpus as they start and return their results pickled, with results
+identical to a serial run — degrading per-app failures into a
 :class:`~repro.core.exec.faults.UnitFailure` ledger;
 :class:`~repro.core.exec.resultstore.ResultStore` is the one persistence
 layer — a content-addressed, on-disk store of per-app results that makes
@@ -20,12 +17,7 @@ an interrupted run resume from the units it already published.
 testing all of it without real flakiness.
 """
 
-from repro.core.exec.engine import (
-    ExecutionEngine,
-    ExecutionOutcome,
-    WarmPool,
-    WorkerBootstrap,
-)
+from repro.core.exec.engine import ExecutionEngine, ExecutionOutcome
 from repro.core.exec.faults import (
     NON_RETRYABLE_ERRORS,
     InjectedFault,
@@ -55,7 +47,5 @@ __all__ = [
     "StoreWriteError",
     "TransientFaults",
     "UnitFailure",
-    "WarmPool",
-    "WorkerBootstrap",
     "is_retryable",
 ]

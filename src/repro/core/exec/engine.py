@@ -9,38 +9,28 @@ Determinism contract
 
 Every work unit is a pure function of ``(corpus, sleep_s, unit)``:
 
-* each worker obtains a corpus identical to the parent's through a
-  :class:`WorkerBootstrap` — inherited copy-on-write under ``fork``,
-  rebuilt locally from a :class:`~repro.corpus.spec.CorpusSpec`
-  otherwise — and every non-inherited corpus is fingerprint-verified
-  against the parent's before any unit runs;
+* each worker receives the parent's corpus, capture window, fault
+  predicate and pipeline configuration as pool ``initargs`` — inherited
+  as they are under ``fork``, pickled under ``spawn`` — and builds its
+  pipelines from them;
 * per-app randomness derives from the study seed and the app id alone
   (harness run streams, install-time anchors, proxy forgeries), never
   from how many apps ran before on the same worker;
-* unit results are merged back in submission order, so scheduling and
-  completion order cannot leak into the output.
+* unit results come back pickled as they are and are merged in
+  submission order, so scheduling and completion order cannot leak into
+  the output.
 
 The serial path (``plan.serial``) executes the very same unit functions
 in the parent process, against lazily built (or caller provided) local
 pipelines — one code path, two schedulers.
 
-Pool-boundary economics
------------------------
+The pool
+--------
 
-Three mechanisms keep the boundary cheaper than the work it distributes
-(DESIGN.md §11):
-
-* **Spec bootstrap** — pool ``initargs`` carry a few-dozen-byte corpus
-  spec instead of the multi-megabyte corpus pickle; workers rebuild (or
-  inherit) the world locally.
-* **Compact payloads** — unit results travel as slim-tuple encodings
-  (:mod:`repro.core.exec.payload`) and are rehydrated parent-side,
-  memoized against the parent corpus.
-* **Cost-aware scheduling** — units are sized per kind from
-  :mod:`repro.core.exec.costmodel`, dispatched through a bounded
-  in-flight window (fast units backfill stragglers without unbounded
-  queueing), and an ``adaptive`` plan falls back to the serial path
-  when the modeled dispatch overhead exceeds the modeled parallel win.
+One engine-owned pool per run (DESIGN.md §11).  Every pending unit is
+submitted at once and results are collected as they complete, each into
+its submission position.  On an error the outstanding futures are
+cancelled and the pool is shut down.
 
 Fault tolerance
 ---------------
@@ -98,8 +88,7 @@ them leaves nothing collectable behind; whoever sets the flag must call
 :func:`gc.unfreeze` when the run ends (``Study.run`` does).
 
 ``concurrent.futures`` is imported only when a pool is first used: it
-pulls in ``multiprocessing``, which a serial run never needs.  The cost
-model is imported where a pool plan consults it, for the same reason.
+pulls in ``multiprocessing``, which a serial run never needs.
 """
 
 from __future__ import annotations
@@ -126,8 +115,7 @@ from repro.core.exec.faults import (
     is_retryable,
 )
 from repro.core.exec.plan import ExecutionPlan
-from repro.core.exec.resultstore import ResultStore, corpus_fingerprint
-from repro.corpus.spec import CorpusSpec
+from repro.core.exec.resultstore import ResultStore
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -158,20 +146,10 @@ class ExecutionOutcome:
         return [item for unit in self.unit_results for item in unit]
 
 
-#: The pipeline constructor knobs worker processes rebuild with when the
-#: parent ships no overrides — one entry per stage-graph config knob that
-#: is not already threaded separately (``sleep_s``, fault predicate).
-DEFAULT_PIPELINE_CONFIG = {
-    "static": {"jailbroken_device_available": True, "include_native": True},
-    "dynamic": {"transient_failure_prob": 0.015, "detector": "full"},
-    "circumvent": {"hook_set": None},
-}
-
-
 def _pipeline_config(pipelines: Optional[tuple]) -> dict:
     """The per-kind constructor kwargs mirroring the parent pipelines.
 
-    Shipped to pool workers so their rebuilt pipelines carry the same
+    Passed to pool workers so the pipelines they build carry the same
     config knobs (detector variant, native-scan ablation, hook set) as
     the parent's — worker results must be a function of the *study's*
     configuration, not the constructor defaults.
@@ -193,14 +171,6 @@ def _pipeline_config(pipelines: Optional[tuple]) -> dict:
     if circumvent is not None:
         config["circumvent"] = {"hook_set": circumvent.hook_set}
     return config
-
-
-def _config_is_default(config: dict) -> bool:
-    """Whether a pipeline config matches the worker-rebuild defaults."""
-    return all(
-        config.get(kind, defaults) == defaults
-        for kind, defaults in DEFAULT_PIPELINE_CONFIG.items()
-    )
 
 
 def _build_state(
@@ -345,98 +315,23 @@ def split_unit(unit: WorkUnit) -> List[WorkUnit]:
     return [(kind, platform, dataset, (index,), extra) for index in indices]
 
 
-# -- worker bootstrap --------------------------------------------------------
-
-#: The corpus of the engine that most recently opened a pool, published
-#: for copy-on-write inheritance: under the ``fork`` start method a
-#: worker process sees this module global already set and (after a
-#: fingerprint check) adopts it without any serialization or rebuild.
-_PARENT_CORPUS = None
-
-
-@dataclass
-class WorkerBootstrap:
-    """Everything a worker needs to obtain its corpus.
-
-    Three sources, in order of preference at :meth:`resolve` time:
-
-    * ``inherited`` — the forked copy of :data:`_PARENT_CORPUS`, when its
-      fingerprint matches (zero-copy; Linux/macOS-fork pools);
-    * ``unpickled`` — the corpus shipped by value, when present (the
-      ``bootstrap="pickle"`` escape hatch for hand-mutated corpora);
-    * ``rebuilt`` — regenerated from the spec and verified against the
-      parent's fingerprint (spawn platforms; the production parity gate:
-      a divergent rebuild raises instead of computing wrong results).
-    """
-
-    fingerprint: str
-    spec: Optional[CorpusSpec] = None
-    corpus: Optional[object] = None
-
-    @classmethod
-    def for_corpus(cls, corpus, mode: str = "auto") -> "WorkerBootstrap":
-        """The bootstrap an engine ships for ``corpus`` under ``mode``."""
-        fingerprint = corpus_fingerprint(corpus)
-        if mode != "pickle":
-            spec = CorpusSpec.from_corpus(corpus)
-            if spec is not None and spec.fingerprint() == fingerprint:
-                return cls(fingerprint=fingerprint, spec=spec)
-            if mode == "spec":
-                raise ValueError(
-                    "corpus is not spec-representable (mutated datasets "
-                    "or non-generator shape); use bootstrap='pickle'"
-                )
-        return cls(fingerprint=fingerprint, corpus=corpus)
-
-    def payload_bytes(self) -> int:
-        """Bytes this bootstrap pickles to — what one worker's initargs
-        cost on start methods that serialize them (``spawn``)."""
-        return len(pickle.dumps(self))
-
-    def resolve(self) -> Tuple[object, str]:
-        """The worker-local corpus and how it was obtained."""
-        parent = _PARENT_CORPUS
-        if parent is not None and corpus_fingerprint(parent) == self.fingerprint:
-            return parent, "inherited"
-        if self.corpus is not None:
-            return self.corpus, "unpickled"
-        assert self.spec is not None
-        rebuilt = self.spec.build()
-        if corpus_fingerprint(rebuilt) != self.fingerprint:
-            raise RuntimeError(
-                "worker corpus rebuild diverged from the parent corpus "
-                f"(spec {self.spec!r}); the generator is not deterministic "
-                "on this platform"
-            )
-        return rebuilt, "rebuilt"
-
-
 # -- worker-process entry points ---------------------------------------------
 
 _WORKER_STATE: Optional[dict] = None
 _WORKER_RECORDER: Optional[obs.Recorder] = None
 
 
-def _payload():
-    """The payload codec, imported lazily: it pulls in the pipelines'
-    result models, which transitively import this package."""
-    from repro.core.exec import payload
-
-    return payload
-
-
 def _init_worker(
-    bootstrap: WorkerBootstrap,
+    corpus,
     sleep_s: float,
     fault_predicate: Optional[FaultPredicate],
     telemetry: bool = False,
     config: Optional[dict] = None,
 ) -> None:
-    """Pool initializer: resolve the corpus once per worker process.
+    """Pool initializer: adopt the parent's corpus and configuration.
 
-    With telemetry on, the init cost and bootstrap mode are recorded in
-    the worker recorder and ride back with the first unit's snapshot
-    (``exec.worker.init_s`` / ``exec.bootstrap.*``).
+    Under ``fork`` the arguments are the parent's own objects, inherited
+    copy-on-write; under ``spawn`` they arrive pickled.
     """
     global _WORKER_STATE, _WORKER_RECORDER
     if telemetry:
@@ -445,16 +340,12 @@ def _init_worker(
         # A forked worker inherits the parent's active recorder (another
         # job's, under the service); nothing would ever drain this copy.
         obs.get_recorder().uninstall()
-    watch = obs.Stopwatch()
-    corpus, how = bootstrap.resolve()
     _WORKER_STATE = _build_state(corpus, sleep_s, fault_predicate, config)
-    obs.observe("exec.worker.init_s", watch.elapsed())
-    obs.count(f"exec.bootstrap.{how}")
 
 
-def _run_unit_in_worker(unit: WorkUnit) -> tuple:
+def _run_unit_in_worker(unit: WorkUnit) -> list:
     assert _WORKER_STATE is not None, "worker used before initialization"
-    return _payload().encode_unit(unit[0], _run_unit(_WORKER_STATE, unit))
+    return _run_unit(_WORKER_STATE, unit)
 
 
 def _stamp_done(future) -> None:
@@ -468,7 +359,7 @@ def _stamp_done(future) -> None:
 
 
 def _run_unit_in_worker_telemetry(unit: WorkUnit) -> tuple:
-    """Telemetry variant: returns ``(encoded_result, TelemetrySnapshot)``.
+    """Telemetry variant: returns ``(result, TelemetrySnapshot)``.
 
     The snapshot is the worker recorder's delta since its last drain, so
     spans and cache counters of a failed earlier attempt ride along with
@@ -478,134 +369,14 @@ def _run_unit_in_worker_telemetry(unit: WorkUnit) -> tuple:
     assert _WORKER_STATE is not None, "worker used before initialization"
     assert _WORKER_RECORDER is not None
     result = _run_unit_timed(_WORKER_STATE, unit)
-    return _payload().encode_unit(unit[0], result), _WORKER_RECORDER.drain()
-
-
-class WarmPool:
-    """A worker pool whose lifetime outlives any single engine or run.
-
-    One-shot invocations pay the pool tax — process spawn, corpus
-    bootstrap, pipeline construction in every worker — once per run and
-    then throw the warm state away.  A :class:`WarmPool` inverts that
-    ownership: the pool (and the bootstrap it was initialized with) is
-    created once, handed to any number of consecutive
-    :class:`ExecutionEngine` instances via their ``pool=`` argument, and
-    shut down by whoever created it.  ``ExecutionEngine.close`` never
-    shuts a shared pool down.
-
-    Reuse is gated by :meth:`compatible_with`: worker state is baked in
-    at pool initialization (corpus, capture window, fault predicate,
-    telemetry mode), so an engine whose configuration differs gets its
-    own transient pool instead — correctness never depends on a
-    compatibility hit.  Because unit results are pure functions of
-    ``(corpus, sleep_s, unit)``, results computed on a reused pool are
-    bit-for-bit identical to a fresh pool's (the engine's determinism
-    contract; warm worker pipelines are the same reuse the engine
-    already performs *within* one run, stretched across runs).
-
-    Only fault-free configurations are shareable: a fault predicate is
-    baked into worker pipelines at init, so pools for fault-injected
-    runs stay private to their engine.
-    """
-
-    def __init__(
-        self,
-        corpus,
-        workers: int,
-        sleep_s: float = 30.0,
-        telemetry: bool = False,
-        bootstrap: str = "auto",
-    ):
-        global _PARENT_CORPUS
-        self.corpus = corpus
-        self.fingerprint = corpus_fingerprint(corpus)
-        self.workers = int(workers)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers!r}")
-        self.sleep_s = float(sleep_s)
-        self.telemetry = bool(telemetry)
-        self.bootstrap = WorkerBootstrap.for_corpus(corpus, bootstrap)
-        # Publish for copy-on-write inheritance exactly like an
-        # engine-owned pool would; workers fork lazily on first submit.
-        # An engine-owned pool for a different corpus may republish this
-        # global later — workers forked after that fall back to the
-        # fingerprint-verified spec rebuild, so reuse degrades to a
-        # rebuild, never to wrong results.
-        _PARENT_CORPUS = corpus
-        from concurrent.futures import ProcessPoolExecutor
-
-        self._executor: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_worker,
-            initargs=(self.bootstrap, self.sleep_s, None, self.telemetry),
-        )
-
-    @property
-    def executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            raise RuntimeError("warm pool has been shut down")
-        return self._executor
-
-    @property
-    def closed(self) -> bool:
-        return self._executor is None
-
-    def compatible_with(
-        self,
-        corpus,
-        sleep_s: float,
-        fault_predicate: Optional[FaultPredicate],
-        telemetry: bool,
-        config: Optional[dict] = None,
-    ) -> bool:
-        """Whether an engine with this configuration may run on the pool.
-
-        Everything baked into worker state at init must match: the
-        corpus (by fingerprint — same fingerprint, same object graph),
-        the capture window, telemetry mode (it selects the worker entry
-        point and result envelope), the absence of a fault predicate,
-        and default pipeline config knobs (warm-pool workers are built
-        with :data:`DEFAULT_PIPELINE_CONFIG`; an engine carrying a
-        non-default detector, hook set or scan ablation gets its own
-        pool).
-        """
-        if self._executor is None:
-            return False
-        return (
-            fault_predicate is None
-            and float(sleep_s) == self.sleep_s
-            and bool(telemetry) == self.telemetry
-            and _config_is_default(config or {})
-            and (
-                corpus is self.corpus
-                or corpus_fingerprint(corpus) == self.fingerprint
-            )
-        )
-
-    def shutdown(self) -> None:
-        """Shut the pool down (idempotent); owner-only."""
-        global _PARENT_CORPUS
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-        if _PARENT_CORPUS is self.corpus:
-            _PARENT_CORPUS = None
-
-    def __enter__(self) -> "WarmPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
+    return result, _WORKER_RECORDER.drain()
 
 
 class ExecutionEngine:
     """Schedules study work units under an :class:`ExecutionPlan`.
 
     Args:
-        corpus: the app corpus.  Workers receive its
-            :class:`WorkerBootstrap` (spec or pickle, per
-            ``plan.bootstrap``), never the corpus itself unless the
-            pickle escape hatch is in force.
+        corpus: the app corpus, passed to every worker at pool start.
         plan: sharding + scheduling + fault-tolerance configuration;
             defaults to serial.
         sleep_s: dynamic-run capture window, forwarded to worker pipelines.
@@ -630,14 +401,6 @@ class ExecutionEngine:
             each unit (a full per-app hit skips the unit entirely) and
             publishes completed units back.  Results are bit-for-bit
             identical with and without a store, warm or cold.
-        pool: optional externally owned :class:`WarmPool`.  When
-            compatible (same corpus fingerprint, capture window,
-            telemetry mode, no fault predicate) the engine runs its
-            units on it instead of spinning up its own pool, and
-            :meth:`close` leaves it running for the next consumer.  An
-            incompatible pool is simply ignored (counted as
-            ``exec.pool.incompatible``); results are identical either
-            way.
 
     Attributes:
         freeze_results: when true, :meth:`execute` calls
@@ -656,7 +419,6 @@ class ExecutionEngine:
         fault_predicate: Optional[FaultPredicate] = None,
         recorder: Optional[obs.Recorder] = None,
         store: Optional[ResultStore] = None,
-        pool: Optional[WarmPool] = None,
     ):
         self.corpus = corpus
         self.plan = plan or ExecutionPlan()
@@ -674,9 +436,6 @@ class ExecutionEngine:
             self._state["dynamic"] = dynamic
             self._state["circumvent"] = circumvent
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._shared_pool = pool
-        self._pool_is_shared = False
-        self._rehydrator = None
         self.freeze_results = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -688,79 +447,31 @@ class ExecutionEngine:
         self.close()
 
     def close(self) -> None:
-        """Release the worker pool (no-op for serial plans).
+        """Shut the worker pool down (no-op for serial plans).
 
-        An engine-owned pool is shut down; a *shared* :class:`WarmPool`
-        is merely detached: its owner decides when the warm state dies.
-        On the error path, :meth:`_dispatch_windowed` has already
-        cancelled the queued remainder, so shutdown does not drain work
-        whose results will never be consumed.
+        On the error path, :meth:`_dispatch` has already cancelled the
+        outstanding futures, so shutdown does not drain work whose
+        results will never be consumed.
         """
-        global _PARENT_CORPUS
         if self._pool is not None:
-            if not self._pool_is_shared:
-                self._pool.shutdown()
+            self._pool.shutdown()
             self._pool = None
-            self._pool_is_shared = False
-        # Keep the corpus published while a live shared pool still wants
-        # it: its not-yet-forked workers inherit through this global.
-        keep_published = (
-            self._shared_pool is not None
-            and not self._shared_pool.closed
-            and self._shared_pool.corpus is self.corpus
-        )
-        if not keep_published and _PARENT_CORPUS is self.corpus:
-            _PARENT_CORPUS = None
-
-    def _shared_pool_usable(self) -> bool:
-        """Whether the attached shared pool can serve this engine."""
-        return self._shared_pool is not None and (
-            self._shared_pool.compatible_with(
-                self.corpus,
-                self.sleep_s,
-                self.fault_predicate,
-                self.recorder is not None,
-                config=self._config,
-            )
-        )
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            if self._shared_pool_usable():
-                self._pool = self._shared_pool.executor
-                self._pool_is_shared = True
-                self._count("exec.pool.reused")
-                return self._pool
-            if self._shared_pool is not None:
-                self._count("exec.pool.incompatible")
-            global _PARENT_CORPUS
-            bootstrap = WorkerBootstrap.for_corpus(
-                self.corpus, self.plan.bootstrap
-            )
-            # Publish the corpus for copy-on-write inheritance before the
-            # executor exists: workers are forked lazily on first submit,
-            # always after this point.
-            _PARENT_CORPUS = self.corpus
-            workers = self.plan.worker_count
-            if self.recorder is not None:
-                self.recorder.count(
-                    "exec.ipc.corpus_bytes",
-                    bootstrap.payload_bytes() * workers,
-                )
             from concurrent.futures import ProcessPoolExecutor
 
             self._pool = ProcessPoolExecutor(
-                max_workers=workers,
+                max_workers=self.plan.worker_count,
                 initializer=_init_worker,
                 initargs=(
-                    bootstrap,
+                    self.corpus,
                     self.sleep_s,
                     self.fault_predicate,
                     self.recorder is not None,
                     self._config,
                 ),
             )
-            self._pool_is_shared = False
         return self._pool
 
     # -- telemetry plumbing ------------------------------------------------
@@ -794,27 +505,19 @@ class ExecutionEngine:
             self.recorder.count("exec.ipc.bytes_out", len(pickle.dumps(unit)))
         return future
 
-    def _rehydrate(self, encoded: tuple) -> list:
-        if self._rehydrator is None:
-            self._rehydrator = _payload().Rehydrator(self.corpus)
-        return self._rehydrator.decode_unit(encoded)
-
     def _collect(self, future) -> list:
         """Resolve a future to its unit result, folding telemetry in.
 
-        The worker returns the unit's compact payload encoding; it is
-        rehydrated here against the parent corpus.  With a recorder, the
-        worker payload is ``(encoded, snapshot)``: the snapshot's
-        counters merge order-independently, its spans are rebased from
-        the worker's ``perf_counter`` origin onto the parent timeline
-        (anchored so the unit's compute region ends at its completion
-        time), and queue-wait (submit-to-done wall time minus in-worker
-        compute) plus boundary bytes are recorded per unit.
+        With a recorder, the worker returns ``(result, snapshot)``: the
+        snapshot's counters merge order-independently, its spans are
+        rebased from the worker's ``perf_counter`` origin onto the parent
+        timeline (anchored so the unit's compute region ends at its
+        completion time), and queue-wait (submit-to-done wall time minus
+        in-worker compute) plus boundary bytes are recorded per unit.
         """
-        payload = future.result()
         if self.recorder is None:
-            return self._rehydrate(payload)
-        encoded, snapshot = payload
+            return future.result()
+        result, snapshot = future.result()
         compute_s = snapshot.compute_seconds()
         done_t = getattr(future, "done_t", obs.now())
         wall_s = done_t - getattr(future, "submit_t", done_t)
@@ -824,8 +527,8 @@ class ExecutionEngine:
         self.recorder.observe(
             "exec.unit_queue_wait_s", max(0.0, wall_s - compute_s)
         )
-        self.recorder.count("exec.ipc.bytes_in", len(pickle.dumps(encoded)))
-        return self._rehydrate(encoded)
+        self.recorder.count("exec.ipc.bytes_in", len(pickle.dumps(result)))
+        return result
 
     def _run_local(self, unit: WorkUnit, cache=None) -> list:
         """Run one unit in-process (the serial scheduler), instrumented."""
@@ -838,74 +541,28 @@ class ExecutionEngine:
 
     # -- scheduling --------------------------------------------------------
 
-    def _use_pool(self, units: Sequence[WorkUnit]) -> bool:
-        """Pool or serial path for one batch of units.
-
-        Non-adaptive plans follow their worker count verbatim.  Adaptive
-        plans consult the cost model per batch: a batch whose modeled
-        dispatch overhead exceeds its modeled parallel win runs in the
-        parent process instead (counted as a serial fallback).
-        """
-        if self.plan.serial:
-            return False
-        if not self.plan.adaptive:
-            return True
-        from repro.core.exec import costmodel
-
-        if costmodel.should_parallelize(
-            units,
-            self.plan.worker_count,
-            pool_started=self._pool is not None or self._shared_pool_usable(),
-        ):
-            self._count("exec.sched.parallel_batches")
-            return True
-        self._count("exec.sched.serial_fallbacks")
-        return False
-
-    def _dispatch_windowed(
+    def _dispatch(
         self,
         pool: ProcessPoolExecutor,
         pending: Iterable[Tuple[int, WorkUnit]],
         collect: Callable[[int, WorkUnit, object], None],
     ) -> None:
-        """Run ``(position, unit)`` pairs through a bounded in-flight window.
+        """Submit every ``(position, unit)`` pair, then collect each one.
 
-        At most :func:`costmodel.inflight_window` futures are outstanding:
-        enough to keep every worker fed and let fast units backfill behind
-        stragglers, without queueing the whole batch into the pool (where
-        an interrupt could only cancel, not unsubmit, it).  ``collect`` is
-        called in *completion* order; callers index results by submission
-        position, so merge order remains submission order regardless.
+        ``collect`` is called in *completion* order; callers index results
+        by submission position, so merge order remains submission order
+        regardless.  If collecting raises, the futures not yet started
+        are cancelled before the error propagates.
         """
-        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures import as_completed
 
-        from repro.core.exec import costmodel
-
-        window = costmodel.inflight_window(self.plan.worker_count)
-        outstanding: dict = {}
-        queue = iter(pending)
-        exhausted = False
+        submitted = {self._submit(pool, unit): (position, unit) for position, unit in pending}
         try:
-            while True:
-                while not exhausted and len(outstanding) < window:
-                    try:
-                        position, unit = next(queue)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    outstanding[self._submit(pool, unit)] = (position, unit)
-                if not outstanding:
-                    break
-                done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
-                for future in done:
-                    position, unit = outstanding.pop(future)
-                    collect(position, unit, future)
+            for future in as_completed(submitted):
+                position, unit = submitted[future]
+                collect(position, unit, future)
         except BaseException:
-            # Cancel what has not been picked up yet.  Matters most on a
-            # shared pool, which the error path must not shut down: the
-            # queued remainder would otherwise burn warm workers on
-            # results nobody will consume.
-            for future in outstanding:
+            for future in submitted:
                 future.cancel()
             raise
 
@@ -926,7 +583,7 @@ class ExecutionEngine:
         pre-launch wait, replicated into every unit.
         """
         indices = list(indices)
-        chunk = self.plan.chunk_for(len(indices), kind)
+        chunk = self.plan.chunk_for(len(indices))
         units: List[WorkUnit] = []
         for start in range(0, len(indices), chunk):
             block = tuple(indices[start : start + chunk])
@@ -944,11 +601,10 @@ class ExecutionEngine:
     def execute(self, units: Sequence[WorkUnit]) -> ExecutionOutcome:
         """Run units with retry, quarantine, and an error ledger.
 
-        Returns per-unit results in submission order.  The serial path
-        (by plan, or by adaptive fallback) runs units in-process;
-        otherwise they flow through the bounded dispatch window and are
-        merged by submission position, so completion order cannot leak
-        into the output.  With a result store attached, units whose every
+        Returns per-unit results in submission order.  A serial plan runs
+        units in-process; otherwise they are all submitted to the pool
+        and merged by submission position, so completion order cannot
+        leak into the output.  With a result store attached, units whose every
         app is already stored are composed from the store instead of
         dispatched, and completed units are published back as they
         finish.  Never raises for *retryable* per-unit failures — they
@@ -986,7 +642,7 @@ class ExecutionEngine:
 
         # A batch the store served whole needs no pool: building one
         # would import ``multiprocessing`` for nothing.
-        use_pool = bool(pending) and self._use_pool([unit for _, unit in pending])
+        use_pool = bool(pending) and not self.plan.serial
         partial: List[Tuple[int, WorkUnit]] = []
         if use_pool and self.store is not None:
             # Units with warm stage artifacts recompute partially in the
@@ -1042,7 +698,7 @@ class ExecutionEngine:
                         self._count("exec.units.completed")
                     self._landed()
 
-                self._dispatch_windowed(pool, pending, on_done)
+                self._dispatch(pool, pending, on_done)
         except BaseException:
             self.close()
             raise
@@ -1068,11 +724,8 @@ class ExecutionEngine:
         """One attempt at one unit, on the scheduler the batch chose.
 
         A successful attempt has published its results to the store, if
-        one is attached.
-
-        An adaptive serial fallback sticks for the whole recovery ladder:
-        a batch the cost model kept in-process must not spin up a pool
-        just to retry one unit.
+        one is attached.  A unit routed to the parent (a partial unit)
+        stays there for the whole recovery ladder.
         """
         if not use_pool:
             # Publishes each app as it completes (see _run_unit).

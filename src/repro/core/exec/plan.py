@@ -1,28 +1,25 @@
 """Execution plans: how a study run is sharded and how it fails.
 
 An :class:`ExecutionPlan` is pure configuration — worker count, chunk
-size, scheduling policy, and the fault-tolerance envelope (retries,
-backoff, deadline, quarantine) — with no influence on *what* is
-computed.  The engine guarantees bit-for-bit identical study results for
-every plan; the plan only decides how the per-app work units are
-distributed and how hard the engine fights before recording a failure.
+size, and the fault-tolerance envelope (retries, backoff, deadline,
+quarantine) — with no influence on *what* is computed.  The engine
+guarantees bit-for-bit identical study results for every plan; the plan
+only decides how the per-app work units are distributed and how hard
+the engine fights before recording a failure.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 #: Upper bound on any single backoff sleep, however many retries doubled it.
 RETRY_BACKOFF_CAP_S = 30.0
 
-#: The sentinel worker count: size the pool to the machine and let the
-#: cost model fall back to serial when the pool cannot win.
+#: The sentinel worker count: size the pool to the machine.
 AUTO_WORKERS = "auto"
-
-#: Valid ``bootstrap`` policies (how workers obtain their corpus).
-BOOTSTRAP_MODES = ("auto", "spec", "pickle")
 
 
 @dataclass(frozen=True)
@@ -33,24 +30,9 @@ class ExecutionPlan:
         workers: worker processes; ``1`` (the default) runs everything
             serially in the parent process, through the same code path
             the workers use.  ``"auto"`` sizes the pool to
-            ``os.cpu_count()`` and implies ``adaptive=True``.
-        chunk_size: apps per work unit.  ``0`` sizes units from the
-            per-kind cost model (:mod:`repro.core.exec.costmodel`), so
-            cheap static scans travel in much larger units than
-            expensive dynamic runs.
-        adaptive: let the engine fall back to the serial path per batch
-            when the cost model says dispatch overhead would exceed the
-            parallel win (tiny batches, single-CPU machines).  Off by
-            default for integer worker counts — an explicit ``workers=N``
-            is an instruction, not a hint — and forced on for
-            ``workers="auto"``.
-        bootstrap: how workers obtain their corpus.  ``"auto"`` (default)
-            ships a :class:`~repro.corpus.spec.CorpusSpec` and rebuilds
-            in the worker when the corpus is spec-representable, falling
-            back to pickling it; ``"spec"`` requires the spec path (raises
-            if the corpus cannot be described by one); ``"pickle"`` always
-            ships the full corpus by value (escape hatch for
-            hand-mutated corpora).
+            ``os.cpu_count()``.  A ``bool`` is rejected, not read as 0 or 1.
+        chunk_size: apps per work unit.  ``0`` splits each dataset into
+            one unit per worker (``ceil(n / workers)`` apps each).
         max_retries: additional attempts for a failed work unit (and for
             each quarantined solo re-run) before it is recorded in the
             error ledger.
@@ -67,26 +49,17 @@ class ExecutionPlan:
 
     workers: Union[int, str] = 1
     chunk_size: int = 0
-    adaptive: bool = False
-    bootstrap: str = "auto"
     max_retries: int = 1
     retry_backoff_s: float = 0.0
     retry_deadline_s: float = 0.0
     quarantine: bool = True
 
     def __post_init__(self):
-        if self.workers == AUTO_WORKERS:
-            # "auto" is meaningless without the cost-model fallback: on a
-            # box where the pool cannot win, auto must not force one.
-            object.__setattr__(self, "adaptive", True)
-        elif not isinstance(self.workers, int) or self.workers < 1:
+        if self.workers != AUTO_WORKERS and (
+            isinstance(self.workers, bool) or not isinstance(self.workers, int) or self.workers < 1
+        ):
             raise ValueError(
                 f"workers must be >= 1 or 'auto', got {self.workers!r}"
-            )
-        if self.bootstrap not in BOOTSTRAP_MODES:
-            raise ValueError(
-                f"bootstrap must be one of {BOOTSTRAP_MODES}, "
-                f"got {self.bootstrap!r}"
             )
         if self.chunk_size < 0:
             raise ValueError(f"chunk_size must be >= 0, got {self.chunk_size}")
@@ -115,20 +88,11 @@ class ExecutionPlan:
         """True when the plan runs in-process without a worker pool."""
         return self.worker_count <= 1
 
-    def chunk_for(self, n_items: int, kind: Optional[str] = None) -> int:
-        """Apps per unit when sharding ``n_items`` apps under this plan.
-
-        ``kind`` feeds the cost model so cheap unit kinds get larger
-        chunks; without one, dynamic-like costs are assumed (the
-        conservative choice — smaller chunks).
-        """
+    def chunk_for(self, n_items: int) -> int:
+        """Apps per unit when sharding ``n_items`` apps under this plan."""
         if self.chunk_size:
             return self.chunk_size
-        if self.serial:
-            return max(1, n_items)
-        from repro.core.exec import costmodel
-
-        return costmodel.chunk_size(kind, n_items, self.worker_count)
+        return max(1, math.ceil(n_items / self.worker_count))
 
     def backoff_for(self, retry_index: int) -> float:
         """Seconds to sleep before retry ``retry_index`` (0-based)."""
@@ -138,5 +102,5 @@ class ExecutionPlan:
 
     @classmethod
     def for_workers(cls, workers: Union[int, str]) -> "ExecutionPlan":
-        """Plan with cost-model chunking for a given worker count."""
+        """Plan with default chunking for a given worker count."""
         return cls(workers=workers)

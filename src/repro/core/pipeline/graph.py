@@ -24,8 +24,6 @@ hand-place:
   the declaring stage and everything downstream of it; the final stage's
   key doubles as the app-level result fingerprint used by
   :class:`~repro.core.exec.resultstore.ResultStore`.
-* **Cost modeling** — ``cost_share`` splits the kind's modeled per-app
-  cost (:mod:`repro.core.exec.costmodel`) across stages.
 
 Determinism: a stage function must be a pure function of its declared
 inputs, the seed artifacts, the per-app parameters, and the declared
@@ -85,8 +83,6 @@ class Stage:
             (``@wait``).  Knobs enter the stage's fingerprint, so
             flipping one invalidates this stage and everything
             downstream — and nothing upstream.
-        cost_share: this stage's share of the kind's modeled per-app
-            compute cost; shares across a graph sum to 1.
         persist: whether a stage-granular result cache stores this
             artifact.  The final stage must not persist — its value *is*
             the app result, which the engine stores under the same key.
@@ -104,7 +100,6 @@ class Stage:
     fn: Callable[[object, dict], object]
     inputs: Tuple[str, ...] = ()
     config: Tuple[str, ...] = ()
-    cost_share: float = 0.0
     persist: bool = False
     derive: Optional[Callable[[object], object]] = None
     span: bool = True
@@ -180,20 +175,11 @@ class StageGraph:
                         f"{self.kind}.{stage.name}: config knob {knob!r} "
                         "has no declared default"
                     )
-            if not 0.0 <= stage.cost_share <= 1.0:
-                raise ValueError(
-                    f"{self.kind}.{stage.name}: cost_share out of [0, 1]"
-                )
             seen.add(stage.name)
         if self.stages[-1].persist:
             raise ValueError(
                 f"{self.kind}: the final stage must not persist — its value "
                 "is the app result the engine stores under the same key"
-            )
-        total = sum(stage.cost_share for stage in self.stages)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(
-                f"{self.kind}: stage cost shares sum to {total}, expected 1"
             )
 
     # -- fingerprints ------------------------------------------------------

@@ -95,7 +95,6 @@ STATIC_GRAPH = StageGraph(
             name="decompile",
             fn=_decompile,
             config=("jailbroken_device_available",),
-            cost_share=0.45,
             persist=True,
         ),
         Stage(
@@ -103,7 +102,6 @@ STATIC_GRAPH = StageGraph(
             fn=_scan,
             inputs=("decompile",),
             config=("include_native",),
-            cost_share=0.45,
             persist=True,
             derive=lambda r: r.scan,
         ),
@@ -111,7 +109,6 @@ STATIC_GRAPH = StageGraph(
             name="ct_lookup",
             fn=_ct_lookup,
             inputs=("scan",),
-            cost_share=0.10,
             persist=True,
             derive=lambda r: r.ct,
         ),

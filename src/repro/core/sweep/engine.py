@@ -96,10 +96,6 @@ class SweepEngine:
             (``point-<index>.json``), written before the point's
             telemetry is merged into the sweep aggregate.
         progress: optional callable for per-point progress lines.
-        pool: optional shared :class:`~repro.core.exec.WarmPool` owned
-            by the caller (the study service).  Points whose
-            configuration is compatible run on it; others fall back to
-            their own pools.  Never shut down by the sweep.
         corpora: optional externally owned ``(seed, scale) -> corpus``
             cache to share corpus construction with the caller (the
             service keeps one across jobs); the engine reads and
@@ -115,7 +111,6 @@ class SweepEngine:
         fault_seed: int = 0,
         metrics_dir: Optional[str] = None,
         progress: Optional[Callable[[str], None]] = None,
-        pool=None,
         corpora: Optional[Dict[Tuple[int, float], object]] = None,
     ):
         self.spec = spec
@@ -125,7 +120,6 @@ class SweepEngine:
         self.fault_seed = fault_seed
         self.metrics_dir = metrics_dir
         self.progress = progress or (lambda line: None)
-        self.pool = pool
         self._corpora: Dict[Tuple[int, float], object] = corpora if corpora is not None else {}
 
     def _corpus(self, seed: int, scale: float):
@@ -160,7 +154,6 @@ class SweepEngine:
             sleep_s=self.sleep_s,
             plan=ExecutionPlan(workers=point.workers),
             fault_predicate=faults,
-            pool=self.pool,
         )
         stopwatch = obs.Stopwatch()
         results = study.run(recorder=recorder, store=store, audit=self.audit)

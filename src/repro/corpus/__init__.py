@@ -23,7 +23,6 @@ __getattr__ = lazy_exports(
         "DatasetKey": "datasets",
         "CorpusConfig": "generator",
         "CorpusGenerator": "generator",
-        "CorpusSpec": "spec",
         "content_fingerprint": "spec",
     },
 )
@@ -34,7 +33,6 @@ __all__ = [
     "CollectionReport",
     "CorpusConfig",
     "CorpusGenerator",
-    "CorpusSpec",
     "DatasetKey",
     "content_fingerprint",
 ]

@@ -1,38 +1,19 @@
-"""Corpus specifications: ship the recipe, not the world.
+"""Corpus identity digests.
 
-The engine's determinism contract says an :class:`~repro.corpus.datasets.AppCorpus`
-is a pure function of its :class:`~repro.corpus.generator.CorpusConfig` —
-seed plus per-dataset sizes decide everything the generator builds (PKI,
-root stores, endpoint registry, apps).  A :class:`CorpusSpec` captures
-exactly those inputs in a few dozen bytes, so a worker process can
-rebuild a fingerprint-identical corpus locally instead of receiving a
-multi-megabyte pickle of the parent's object graph through the pool
-initializer.
-
-The spec only covers generator-produced corpora.  A corpus whose
-datasets were mutated after generation maps onto the same spec but would
-rebuild differently; such corpora must travel by value (the engine's
-``bootstrap="pickle"`` escape hatch) and are detected here by
-:meth:`CorpusSpec.from_corpus` returning ``None`` whenever the dataset
-shape is not one the generator could have produced.
-
-:func:`shape_fingerprint` is the canonical corpus-identity digest — the
-same value :func:`repro.core.exec.resultstore.corpus_fingerprint`
-computes from a built corpus — so a spec can address result-store
-entries and verify a rebuild without the parent corpus in hand.
-:func:`content_fingerprint` is the deep variant: a digest over every
-app's ground-truth fields, used by the parity gates to prove a rebuilt
-world is not merely the same shape but the same world.
+:func:`dataset_shape` is the per-dataset size half of the corpus
+identity that :func:`repro.core.exec.resultstore.corpus_fingerprint`
+keys the result store on.  :func:`content_fingerprint` is the deep
+variant: a digest over every app's ground-truth fields, used by the
+parity tests to prove two corpora (a regenerated one, one read back
+from the store) are not merely the same shape but the same world.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-from repro.corpus.datasets import AppCorpus, DATASET_NAMES, PLATFORMS
-from repro.corpus.generator import CorpusConfig, CorpusGenerator
+from repro.corpus.datasets import AppCorpus
 
 #: ``((platform, dataset), size)`` pairs, sorted by key — the shape half
 #: of the corpus identity.
@@ -44,18 +25,6 @@ def dataset_shape(corpus: AppCorpus) -> DatasetShape:
     return tuple(
         (key, len(apps)) for key, apps in sorted(corpus.datasets.items())
     )
-
-
-def shape_fingerprint(seed: int, shape: DatasetShape) -> str:
-    """SHA-256 of the corpus identity ``(seed, dataset shape)``.
-
-    Must stay byte-compatible with
-    :func:`repro.core.exec.resultstore.corpus_fingerprint`, which derives
-    the same digest from a built corpus — result-store entries addressed
-    by one must be reachable through the other.
-    """
-    identity = repr((int(seed), tuple(shape)))
-    return hashlib.sha256(identity.encode("utf-8")).hexdigest()
 
 
 def _spec_tuple(spec) -> tuple:
@@ -135,86 +104,3 @@ def content_fingerprint(corpus: AppCorpus) -> str:
     hostnames = sorted(e.hostname for e in corpus.registry)
     digest.update(repr((hostnames, corpus.registry.ctlog.size)).encode())
     return digest.hexdigest()
-
-
-@dataclass(frozen=True)
-class CorpusSpec:
-    """The few-dozen-byte identity of a generator-produced corpus.
-
-    Semantically a :class:`CorpusConfig` plus the fingerprint machinery
-    the execution engine needs: build, verify, and address a corpus
-    without ever shipping one.
-    """
-
-    seed: int
-    common: int
-    popular: int
-    random: int
-
-    @classmethod
-    def from_config(cls, config: CorpusConfig) -> "CorpusSpec":
-        return cls(
-            seed=config.seed,
-            common=config.common,
-            popular=config.popular,
-            random=config.random,
-        )
-
-    @classmethod
-    def from_corpus(cls, corpus: AppCorpus) -> Optional["CorpusSpec"]:
-        """Derive the spec a corpus was generated from, or ``None``.
-
-        ``None`` means the dataset shape is not one the generator
-        produces (missing datasets, platform-asymmetric sizes, extra
-        keys) — the caller must fall back to shipping the corpus by
-        value.
-        """
-        if len(corpus.datasets) != len(DATASET_NAMES) * len(PLATFORMS):
-            return None
-        sizes = {}
-        for name in DATASET_NAMES:
-            per_platform = set()
-            for platform in PLATFORMS:
-                apps = corpus.datasets.get((platform, name))
-                if apps is None:
-                    return None
-                per_platform.add(len(apps))
-            if len(per_platform) != 1:
-                return None
-            sizes[name] = per_platform.pop()
-        return cls(
-            seed=int(corpus.seed),
-            common=sizes["common"],
-            popular=sizes["popular"],
-            random=sizes["random"],
-        )
-
-    def config(self) -> CorpusConfig:
-        return CorpusConfig(
-            seed=self.seed,
-            common=self.common,
-            popular=self.popular,
-            random=self.random,
-        )
-
-    def expected_shape(self) -> DatasetShape:
-        """The dataset shape :meth:`build` will produce."""
-        sizes = {
-            "common": self.common,
-            "popular": self.popular,
-            "random": self.random,
-        }
-        return tuple(
-            ((platform, name), sizes[name])
-            for platform in sorted(PLATFORMS)
-            for name in sorted(DATASET_NAMES)
-        )
-
-    def fingerprint(self) -> str:
-        """The corpus fingerprint of the corpus this spec builds —
-        computed without building it."""
-        return shape_fingerprint(self.seed, self.expected_shape())
-
-    def build(self) -> AppCorpus:
-        """Regenerate the corpus this spec describes."""
-        return CorpusGenerator(self.config()).generate()

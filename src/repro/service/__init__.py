@@ -1,13 +1,12 @@
 """The long-lived study service (DESIGN.md §14).
 
 Running a study from a cold CLI pays the same fixed costs every time:
-fork-and-bootstrap a worker pool, regenerate the corpus, open the result
-store.  The service keeps all three **warm across requests**:
+import the package, regenerate the corpus, open the result store.  The
+service keeps them **warm across requests**:
 
 * :mod:`repro.service.daemon` — :class:`StudyService`, the daemon behind
-  ``repro serve``.  It owns one shared
-  :class:`~repro.core.exec.WarmPool`, one content-addressed result-store
-  directory, and a per-``(seed, scale)`` corpus cache, and executes jobs
+  ``repro serve``.  It owns one content-addressed result-store
+  directory and a per-``(seed, scale)`` corpus cache, and executes jobs
   through the ordinary :class:`~repro.core.analysis.Study` /
   :class:`~repro.core.sweep.SweepEngine` machinery so output stays
   byte-identical to a direct CLI run.

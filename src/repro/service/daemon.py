@@ -2,13 +2,6 @@
 
 What stays warm across jobs (the whole point of the service):
 
-* **One worker pool.**  A :class:`~repro.core.exec.WarmPool` built for
-  the first pooled job and handed to every subsequent compatible
-  :class:`~repro.core.analysis.Study` / `SweepEngine`; forked workers
-  survive job boundaries.  The pool is recycled (shut down and rebuilt)
-  only when a job needs a different corpus.  Fault-injected jobs never
-  share it — they run on their own transient pools, exactly as the
-  engine's compatibility rules dictate.
 * **One result store.**  Every non-faulted job runs against the same
   content-addressed store directory, so a second submission of an
   overlapping configuration warm-starts from the first one's entries.
@@ -18,19 +11,21 @@ What stays warm across jobs (the whole point of the service):
   each corpus is built once and cached; sweeps share the same cache
   dict in place.
 
+A job with ``workers`` above 1 runs on a pool of its own, started and
+shut down by its study like a direct CLI run's.
+
 Jobs execute through the ordinary ``Study`` / ``SweepEngine`` machinery
 and render through :mod:`repro.reporting.render`, so their output is
 byte-identical to a direct CLI run.  Each job runs under its own
 :class:`~repro.core.obs.Recorder`; after optional per-job metrics
 export, the job recorder merges into the service-level recorder, which
 accumulates ``service.jobs.{submitted,completed,failed,cancelled}``, the
-``service.job.queue_wait_s`` histogram, and the
-``service.pool.{created,reused,recycled}`` counters alongside every
-engine/store metric the jobs produced.
+``service.job.queue_wait_s`` histogram and the corpus reuse counters
+alongside every engine/store metric the jobs produced.
 
 Shutdown is a graceful drain: on SIGTERM (or the ``shutdown`` op) the
-queue rejects new submits, accepted jobs run to completion, the pool and
-socket are torn down, and the process exits 0.
+queue rejects new submits, accepted jobs run to completion, the socket
+is torn down, and the process exits 0.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core import obs
 from repro.core.analysis import Study
-from repro.core.exec import ExecutionPlan, ResultStore, SeededFaults, WarmPool
+from repro.core.exec import ExecutionPlan, ResultStore, SeededFaults
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.reporting.render import render_study_stdout, render_sweep_stdout
 from repro.service import protocol
@@ -58,14 +53,12 @@ from repro.service.jobs import (
 
 
 class StudyService:
-    """The daemon: socket server + job runner + warm execution state.
+    """The daemon: socket server + job runner + warm corpora and store.
 
     Args:
         socket_path: unix-domain socket to listen on.
         store_dir: shared result-store directory; ``None`` disables the
             cross-job store (every job runs cold).
-        workers: size of the shared warm pool; ``1`` keeps the service
-            serial (no pool is ever created).
         sleep_s: dynamic capture window, fixed service-wide — it enters
             corpus/store fingerprints, so one service serves one value.
         queue_size: bounded FIFO capacity; submits beyond it fail fast.
@@ -80,7 +73,6 @@ class StudyService:
         self,
         socket_path: str = protocol.DEFAULT_SOCKET,
         store_dir: Optional[str] = None,
-        workers: int = 1,
         sleep_s: float = 30.0,
         queue_size: int = 16,
         max_concurrent: int = 1,
@@ -88,7 +80,6 @@ class StudyService:
     ):
         self.socket_path = str(socket_path)
         self.store_dir = store_dir
-        self.workers = int(workers)
         self.sleep_s = sleep_s
         self.recorder = obs.Recorder()
         self.queue = JobQueue(maxsize=queue_size)
@@ -100,8 +91,6 @@ class StudyService:
         )
         self._log = log or (lambda line: None)
         self._corpora: Dict[Tuple[int, float], Any] = {}
-        self._pool: Optional[WarmPool] = None
-        self._pool_lock = threading.Lock()
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -122,26 +111,6 @@ class StudyService:
         self._corpora[key] = corpus
         self.recorder.count("service.corpus.built")
         return corpus
-
-    def _pool_for(self, corpus) -> Optional[WarmPool]:
-        """The shared warm pool for ``corpus``, recycling on mismatch.
-
-        Returns ``None`` for a serial service (``workers == 1``) — the
-        studies then run serial plans and never touch a pool.
-        """
-        if self.workers <= 1:
-            return None
-        with self._pool_lock:
-            if self._pool is not None and not self._pool.closed:
-                if self._pool.compatible_with(corpus, self.sleep_s, None, True):
-                    self.recorder.count("service.pool.reused")
-                    return self._pool
-                self._pool.shutdown()
-                self._pool = None
-                self.recorder.count("service.pool.recycled")
-            self._pool = WarmPool(corpus, self.workers, sleep_s=self.sleep_s, telemetry=True)
-            self.recorder.count("service.pool.created")
-            return self._pool
 
     def _store_for(self, corpus) -> Optional[ResultStore]:
         if self.store_dir is None:
@@ -170,18 +139,15 @@ class StudyService:
         faults = None
         if fault_rate > 0:
             faults = SeededFaults(fault_rate, seed=cfg.get("fault_seed", 0))
-        # Faulted jobs: store-less (a hit would bypass the injection
-        # site) and pool-less (the predicate is baked into worker init,
-        # so the fault-free shared pool is incompatible by rule).
+        # Faulted jobs run store-less: a hit would bypass the injection
+        # site.
         store = self._store_for(corpus) if faults is None else None
-        pool = self._pool_for(corpus) if faults is None else None
         recorder = obs.Recorder()
         study = Study(
             corpus,
             sleep_s=self.sleep_s,
             plan=plan,
             fault_predicate=faults,
-            pool=pool,
         )
         results = study.run(recorder=recorder, store=store)
         output = render_study_stdout(results)
@@ -205,18 +171,12 @@ class StudyService:
             detectors=tuple(cfg.get("detectors") or ["full"]),
             workers=tuple(cfg.get("workers") or [1]),
         )
-        pool = None
-        if any(w != 1 for w in spec.workers):
-            # Warm the pool on the grid's first corpus; compatible
-            # points share it, others build their own.
-            pool = self._pool_for(self._corpus(spec.seeds[0], spec.scales[0]))
         engine = SweepEngine(
             spec,
             sleep_s=self.sleep_s,
             store_dir=self.store_dir,
             fault_seed=cfg.get("fault_seed", 0),
             progress=lambda line: self._log(f"{job.id}: {line}"),
-            pool=pool,
             corpora=self._corpora,
         )
         results = engine.run()
@@ -269,7 +229,7 @@ class StudyService:
         self._started = True
         self._log(
             f"listening on {self.socket_path} "
-            f"(workers={self.workers}, store={self.store_dir or 'off'})"
+            f"(store={self.store_dir or 'off'})"
         )
 
     def _claim_socket(self) -> None:
@@ -411,16 +371,12 @@ class StudyService:
         return self.queue.wait_idle(timeout)
 
     def stop(self) -> None:
-        """Tear everything down: runner, pool, listener, socket file."""
+        """Tear everything down: runner, listener, socket file."""
         self._stop.set()
         if self._started:
             self.runner.stop(wait=True)
             if self._accept_thread is not None:
                 self._accept_thread.join(timeout=2.0)
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown()
-                self._pool = None
         if self._listener is not None:
             self._listener.close()
             self._listener = None

@@ -1,28 +1,22 @@
-"""Tests for repro.corpus.spec: spec-based worker bootstrap parity.
+"""Tests for repro.corpus.spec: a regenerated corpus is the same world.
 
-The engine ships workers a :class:`CorpusSpec` instead of a pickled
-corpus, so everything rests on one claim: a spec-rebuilt corpus is
-indistinguishable from its parent.  These tests pin that down at three
+Every warm run rests on one claim: generating a corpus twice from the
+same config yields indistinguishable worlds, so results stored by one
+process are valid in another.  These tests pin that down at three
 levels — fingerprints (the result store's corpus key), content (a deep
 digest over every generated app), and behaviour (byte-identical per-app
 results for all three unit kinds, and result-store hits across the
-parent/rebuilt boundary).
+regeneration boundary).
 """
 
 import pickle
 
 import pytest
 
-import repro.core.exec.engine as engine_mod
-from repro.core.exec import ResultStore, WorkerBootstrap
+from repro.core.exec import ResultStore
 from repro.core.exec.engine import _build_state, _run_unit
 from repro.core.exec.resultstore import corpus_fingerprint
-from repro.corpus import (
-    CorpusConfig,
-    CorpusGenerator,
-    CorpusSpec,
-    content_fingerprint,
-)
+from repro.corpus import CorpusConfig, CorpusGenerator, content_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -36,42 +30,8 @@ def corpus(config):
 
 
 @pytest.fixture(scope="module")
-def spec(corpus):
-    derived = CorpusSpec.from_corpus(corpus)
-    assert derived is not None
-    return derived
-
-
-@pytest.fixture(scope="module")
-def rebuilt(spec):
-    return spec.build()
-
-
-def _mutated_corpus():
-    """A corpus whose shape no generator config produces."""
-    corpus = CorpusGenerator(CorpusConfig(seed=7).scaled(0.01)).generate()
-    corpus.datasets[("android", "common")].pop()
-    return corpus
-
-
-class TestCorpusSpec:
-    def test_from_corpus_round_trips_config(self, config, corpus, spec):
-        assert spec == CorpusSpec.from_config(config)
-        assert spec.config() == config
-        assert spec.seed == corpus.seed
-
-    def test_fingerprint_matches_result_store_key(self, corpus, spec):
-        # The spec's fingerprint IS the result-store corpus fingerprint:
-        # a worker can verify its rebuild without ever seeing the parent.
-        assert spec.fingerprint() == corpus_fingerprint(corpus)
-
-    def test_mutated_corpus_is_not_spec_representable(self):
-        assert CorpusSpec.from_corpus(_mutated_corpus()) is None
-
-    def test_missing_dataset_is_not_spec_representable(self):
-        corpus = CorpusGenerator(CorpusConfig(seed=7).scaled(0.01)).generate()
-        del corpus.datasets[("ios", "random")]
-        assert CorpusSpec.from_corpus(corpus) is None
+def rebuilt(config):
+    return CorpusGenerator(config).generate()
 
 
 class TestRebuildParity:
@@ -133,49 +93,3 @@ class TestRebuildParity:
         ResultStore(tmp_path, corpus).publish_unit(unit, results)
         warm = ResultStore(tmp_path, rebuilt).lookup_unit(unit)
         assert warm == results
-
-
-class TestWorkerBootstrap:
-    def test_auto_mode_ships_spec_not_corpus(self, corpus):
-        bootstrap = WorkerBootstrap.for_corpus(corpus)
-        assert bootstrap.spec is not None
-        assert bootstrap.corpus is None
-
-    def test_spec_bootstrap_is_at_least_10x_smaller(self, corpus):
-        bootstrap = WorkerBootstrap.for_corpus(corpus)
-        full = len(pickle.dumps(corpus))
-        assert bootstrap.payload_bytes() * 10 <= full
-
-    def test_pickle_mode_ships_corpus(self, corpus):
-        bootstrap = WorkerBootstrap.for_corpus(corpus, mode="pickle")
-        assert bootstrap.corpus is corpus
-        assert bootstrap.payload_bytes() >= len(pickle.dumps(corpus))
-
-    def test_spec_mode_rejects_unrepresentable_corpus(self):
-        with pytest.raises(ValueError):
-            WorkerBootstrap.for_corpus(_mutated_corpus(), mode="spec")
-
-    def test_auto_mode_falls_back_to_pickle(self):
-        corpus = _mutated_corpus()
-        bootstrap = WorkerBootstrap.for_corpus(corpus)
-        assert bootstrap.spec is None
-        assert bootstrap.corpus is corpus
-
-    def test_resolve_rebuilds_and_verifies(self, corpus, monkeypatch):
-        monkeypatch.setattr(engine_mod, "_PARENT_CORPUS", None)
-        resolved, how = WorkerBootstrap.for_corpus(corpus).resolve()
-        assert how == "rebuilt"
-        assert corpus_fingerprint(resolved) == corpus_fingerprint(corpus)
-
-    def test_resolve_prefers_forked_parent(self, corpus, monkeypatch):
-        monkeypatch.setattr(engine_mod, "_PARENT_CORPUS", corpus)
-        resolved, how = WorkerBootstrap.for_corpus(corpus).resolve()
-        assert how == "inherited"
-        assert resolved is corpus
-
-    def test_resolve_rejects_divergent_rebuild(self, corpus, monkeypatch):
-        monkeypatch.setattr(engine_mod, "_PARENT_CORPUS", None)
-        spec = CorpusSpec.from_corpus(corpus)
-        bad = WorkerBootstrap(fingerprint="not-the-fingerprint", spec=spec)
-        with pytest.raises(RuntimeError):
-            bad.resolve()

@@ -12,6 +12,7 @@ from repro.core.analysis import Study
 from repro.core.dynamic.pipeline import DynamicPipeline
 from repro.core.exec import ExecutionEngine, ExecutionPlan
 from repro.corpus import CorpusConfig, CorpusGenerator
+from repro.reporting.render import render_study_stdout
 from repro.util.rng import DeterministicRng, derive_seed
 
 
@@ -31,6 +32,12 @@ class TestExecutionPlan:
         with pytest.raises(ValueError):
             ExecutionPlan(workers=0)
 
+    def test_rejects_bool_workers(self):
+        # ``True == 1``: without the check a JSON ``"workers": true``
+        # would pass as a serial plan.
+        with pytest.raises(ValueError, match="workers"):
+            ExecutionPlan(workers=True)
+
     def test_rejects_negative_chunk(self):
         with pytest.raises(ValueError):
             ExecutionPlan(chunk_size=-1)
@@ -40,8 +47,8 @@ class TestExecutionPlan:
 
     def test_auto_chunk_spreads_over_workers(self):
         chunk = ExecutionPlan(workers=4).chunk_for(100)
-        # ~4 chunks per worker.
-        assert 1 <= chunk <= 100 // 4
+        # One chunk per worker.
+        assert chunk == 100 // 4
         assert ExecutionPlan(workers=4).chunk_for(1) == 1
 
     def test_serial_auto_chunk_is_whole_dataset(self):
@@ -107,6 +114,20 @@ class TestStudyParity:
                         parallel[app_id].pinned_destinations
                         == result.pinned_destinations
                     )
+
+    def test_hand_mutated_corpus_identical_serial_and_pooled(self):
+        """Workers run against the parent's corpus object, not one
+        regenerated from its config: with the first app removed, every
+        later index names a different app than a fresh corpus would."""
+        corpus = CorpusGenerator(CorpusConfig(seed=7).scaled(0.01)).generate()
+        corpus.datasets[("android", "popular")].pop(0)
+        serial = render_study_stdout(
+            Study(corpus, plan=ExecutionPlan(workers=1)).run()
+        )
+        pooled = render_study_stdout(
+            Study(corpus, plan=ExecutionPlan(workers=2)).run()
+        )
+        assert pooled == serial
 
     def test_circumvention_identical(self, runs):
         for platform in ("android", "ios"):

@@ -215,7 +215,6 @@ class TestStudyServiceEndToEnd:
         service = StudyService(
             socket_path=socket_path,
             store_dir=str(tmp_path / "store"),
-            workers=2,
         )
         service.start()
         try:
@@ -249,9 +248,6 @@ class TestStudyServiceEndToEnd:
             assert counters["service.jobs.completed"] == ledger[COMPLETED] == 2
             assert counters.get("service.jobs.failed", 0) == ledger[FAILED] == 0
             assert counters.get("service.jobs.cancelled", 0) == ledger[CANCELLED]
-            # The warm pool outlived the first job.
-            assert counters["service.pool.created"] == 1
-            assert counters["service.pool.reused"] >= 1
             assert counters["service.corpus.built"] == 1
             # Engine/store metrics merged up into the service recorder.
             assert counters["store.units.hit"] == warm["store_hits"]
@@ -274,7 +270,7 @@ class TestStudyServiceEndToEnd:
 
     def test_failed_job_surfaces_error(self, tmp_path):
         socket_path = str(tmp_path / "svc.sock")
-        service = StudyService(socket_path=socket_path, workers=1)
+        service = StudyService(socket_path=socket_path)
         service.start()
         try:
             client = ServiceClient(socket_path)
@@ -287,9 +283,25 @@ class TestStudyServiceEndToEnd:
             service.drain(timeout=30)
             service.stop()
 
+    def test_bool_workers_job_fails(self, tmp_path):
+        # JSON ``true`` must not pass for one worker.
+        socket_path = str(tmp_path / "svc.sock")
+        service = StudyService(socket_path=socket_path)
+        service.start()
+        try:
+            client = ServiceClient(socket_path)
+            job = client.submit_and_wait(
+                "study", {"scale": self.SCALE, "workers": True}
+            )
+            assert job["state"] == FAILED
+            assert "workers must be >= 1" in job["error"]
+        finally:
+            service.drain(timeout=30)
+            service.stop()
+
     def test_bad_requests_are_rejected(self, tmp_path):
         socket_path = str(tmp_path / "svc.sock")
-        service = StudyService(socket_path=socket_path, workers=1)
+        service = StudyService(socket_path=socket_path)
         service.start()
         try:
             client = ServiceClient(socket_path)

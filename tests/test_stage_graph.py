@@ -3,8 +3,8 @@
 Covers the DESIGN.md §15 contract: declaration validation, the
 derivation-style chain keys (a knob flip re-keys exactly the declaring
 stage and its downstream), graph-derived telemetry and fault points,
-cost-model derivation, and re-derivation of a finished result with only
-the dirty stages recomputed.
+and re-derivation of a finished result with only the dirty stages
+recomputed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.core import obs
 from repro.core.circumvent.pipeline import CIRCUMVENT_GRAPH, CircumventionPipeline
 from repro.core.dynamic.pipeline import DYNAMIC_GRAPH, DynamicPipeline
 from repro.core.exec import InjectedFault, SeededFaults
-from repro.core.exec.costmodel import app_cost_s, stage_cost_s, stage_costs
 from repro.core.pipeline import Stage, StageGraph, graph_for, graph_kinds
 from repro.core.pipeline.graph import _REGISTRY
 from repro.core.static.pipeline import STATIC_GRAPH, StaticPipeline
@@ -50,21 +49,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="duplicate or reserved"):
             StageGraph(
                 "t-dup",
-                (_stage("a", cost_share=0.5), _stage("a", cost_share=0.5)),
+                (_stage("a"), _stage("a")),
                 {},
             )
 
     def test_seed_names_are_reserved(self):
         with pytest.raises(ValueError, match="duplicate or reserved"):
-            StageGraph("t-res", (_stage("packaged", cost_share=1.0),), {})
+            StageGraph("t-res", (_stage("packaged"),), {})
 
     def test_inputs_must_be_earlier_stages(self):
         with pytest.raises(ValueError, match="not an earlier stage"):
             StageGraph(
                 "t-order",
                 (
-                    _stage("a", inputs=("b",), cost_share=0.5),
-                    _stage("b", cost_share=0.5),
+                    _stage("a", inputs=("b",)),
+                    _stage("b"),
                 ),
                 {},
             )
@@ -73,30 +72,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="not an earlier stage"):
             StageGraph(
                 "t-seedin",
-                (_stage("a", inputs=("packaged",), cost_share=1.0),),
+                (_stage("a", inputs=("packaged",)),),
                 {},
             )
 
     def test_ctx_knobs_need_a_default(self):
         with pytest.raises(ValueError, match="no declared default"):
             StageGraph(
-                "t-knob", (_stage("a", config=("mystery",), cost_share=1.0),), {}
+                "t-knob", (_stage("a", config=("mystery",)),), {}
             )
 
     def test_param_knobs_need_no_default(self, registry_guard):
         graph = StageGraph(
-            "t-param", (_stage("a", config=("@wait",), cost_share=1.0),), {}
+            "t-param", (_stage("a", config=("@wait",)),), {}
         )
         assert graph.final == "a"
-
-    def test_cost_shares_sum_to_one(self):
-        with pytest.raises(ValueError, match="cost shares sum"):
-            StageGraph("t-cost", (_stage("a", cost_share=0.5),), {})
 
     def test_final_stage_must_not_persist(self):
         with pytest.raises(ValueError, match="must not persist"):
             StageGraph(
-                "t-final", (_stage("a", cost_share=1.0, persist=True),), {}
+                "t-final", (_stage("a", persist=True),), {}
             )
 
     def test_builtin_graphs_registered(self):
@@ -191,24 +186,6 @@ class TestStageKeys:
             graph = graph_for(kind)
             for knob, default in graph.defaults.items():
                 assert getattr(pipeline, knob) == default, f"{kind}.{knob}"
-
-
-class TestCostModel:
-    def test_stage_costs_partition_the_kind_cost(self):
-        for kind in ("static", "dynamic", "circumvent"):
-            costs = stage_costs(kind)
-            graph = graph_for(kind)
-            assert set(costs) == {s.name for s in graph.stages}
-            assert sum(costs.values()) == pytest.approx(app_cost_s(kind))
-
-    def test_single_stage_cost(self):
-        assert stage_cost_s("static", "scan") == pytest.approx(
-            0.45 * app_cost_s("static")
-        )
-
-    def test_unknown_kind_is_empty(self):
-        assert stage_costs("no-such-kind") == {}
-        assert stage_cost_s("no-such-kind", "scan") == 0.0
 
 
 class TestGraphExecution:

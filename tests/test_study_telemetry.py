@@ -212,13 +212,10 @@ def test_plain_worker_drops_an_inherited_recorder(tiny_corpus, monkeypatch):
     active must not keep recording (spans, GC pauses) into a copy that is
     never drained."""
     monkeypatch.setattr(engine, "_WORKER_STATE", None)
-    monkeypatch.setattr(engine, "_PARENT_CORPUS", tiny_corpus)
     hooks = list(gc.callbacks)
     inherited = obs.Recorder().install()
     try:
-        engine._init_worker(
-            engine.WorkerBootstrap.for_corpus(tiny_corpus), 30.0, None
-        )
+        engine._init_worker(tiny_corpus, 30.0, None)
         assert obs.get_recorder() is None
         assert gc.callbacks == hooks
     finally:

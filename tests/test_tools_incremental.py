@@ -274,83 +274,6 @@ class TestCheckBenchRegression:
         )
 
 
-def write_overhead(path, **overrides):
-    doc = {
-        "corpus_bootstrap_bytes": 250,
-        "full_corpus_pickle_bytes": 2_250_000,
-        "corpus_bytes_reduction": 9000.0,
-        "ipc_bytes_out": 2200,
-        "ipc_bytes_in": 1_500_000,
-        "worker_init_s_mean": 0.0003,
-        "payload_static_plain_bytes": 4200,
-        "payload_static_encoded_bytes": 2400,
-        "payload_dynamic_plain_bytes": 98_000,
-        "payload_dynamic_encoded_bytes": 46_000,
-    }
-    doc.update(overrides)
-    doc = {k: v for k, v in doc.items() if v is not None}
-    path.write_text(json.dumps(doc))
-    return path
-
-
-class TestCheckBenchOverhead:
-    BASELINE = Path(__file__).resolve().parents[1] / "BENCH_study.json"
-
-    def _run(self, tmp_path, overhead_path):
-        baseline = json.loads(self.BASELINE.read_text())
-        write_bench(
-            tmp_path / "b.json",
-            1.0 / baseline["serial"]["static_apps_per_s"],
-            1.0 / baseline["serial"]["dynamic_apps_per_s"],
-        )
-        return check_bench_regression.main(
-            [
-                str(tmp_path / "b.json"),
-                str(self.BASELINE),
-                "--overhead",
-                str(overhead_path),
-            ]
-        )
-
-    def test_healthy_overhead_passes(self, tmp_path):
-        path = write_overhead(tmp_path / "o.json")
-        assert self._run(tmp_path, path) == 0
-
-    def test_checked_in_baseline_overhead_section_passes(self, tmp_path):
-        # BENCH_study.json itself carries an overhead section the gate
-        # must accept — the benchmark that regenerates it asserts the
-        # same bounds.
-        assert self._run(tmp_path, self.BASELINE) == 0
-
-    def test_low_corpus_reduction_fails(self, tmp_path):
-        path = write_overhead(
-            tmp_path / "o.json", corpus_bytes_reduction=4.0
-        )
-        assert self._run(tmp_path, path) == 1
-
-    def test_grown_payload_fails(self, tmp_path):
-        path = write_overhead(
-            tmp_path / "o.json",
-            payload_dynamic_encoded_bytes=99_000,
-        )
-        assert self._run(tmp_path, path) == 1
-
-    def test_zero_ipc_counter_fails(self, tmp_path):
-        path = write_overhead(tmp_path / "o.json", ipc_bytes_in=0)
-        assert self._run(tmp_path, path) == 1
-
-    def test_missing_bootstrap_fields_fail(self, tmp_path):
-        path = write_overhead(
-            tmp_path / "o.json",
-            corpus_bootstrap_bytes=None,
-            corpus_bytes_reduction=None,
-        )
-        assert self._run(tmp_path, path) == 1
-
-    def test_unreadable_overhead_is_input_error(self, tmp_path):
-        assert self._run(tmp_path, tmp_path / "missing.json") == 2
-
-
 class TestDiffSweepReports:
     """The service smoke job's sweep comparison: findings must match,
     run-volatile fields (elapsed seconds, store tallies) must not."""

@@ -30,7 +30,6 @@ NOT_WARM = (
     "repro.core.circumvent.frida",
     "repro.core.dynamic.background",
     "repro.core.dynamic.classify",
-    "repro.core.exec.costmodel",
     "repro.core.static.decompile",
     "repro.corpus.categories",
     "repro.corpus.common",

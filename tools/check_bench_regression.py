@@ -21,19 +21,6 @@ tolerance is deliberately generous: the baseline was recorded on one
 machine and CI runners differ — the gate exists to catch order-of-30 %
 algorithmic regressions, not single-digit noise.
 
-``--overhead OVERHEAD_JSON`` additionally gates the pool-boundary
-figures (the artifact written by ``benchmarks/test_pool_boundary.py``,
-or a ``BENCH_study.json`` whose ``overhead`` section is then used):
-
-* the corpus bootstrap fields must be present, and the bytes shipped
-  per worker must be at least ``--min-corpus-reduction`` (default 10×)
-  smaller than a full corpus pickle;
-* wherever a ``payload_<kind>_encoded_bytes`` /
-  ``payload_<kind>_plain_bytes`` pair is present, encoded must not
-  exceed plain;
-* IPC byte counters and worker-init timings, when present, must be
-  positive — a zero means the telemetry plumbing silently broke.
-
 Stdlib-only.  Exit status: 0 when within tolerance, 1 on regression,
 2 on malformed input.
 """
@@ -50,24 +37,6 @@ BASELINE_KEYS = {
     "test_dynamic_run_per_app": ("serial", "dynamic_apps_per_s"),
 }
 
-#: Pool-boundary fields that must exist in an --overhead document.
-OVERHEAD_REQUIRED = (
-    "corpus_bootstrap_bytes",
-    "full_corpus_pickle_bytes",
-    "corpus_bytes_reduction",
-)
-
-#: Fields that, when present, must be strictly positive (a zero means
-#: the counter or timer was never recorded — broken plumbing, not a
-#: fast machine).
-OVERHEAD_POSITIVE = (
-    "ipc_bytes_out",
-    "ipc_bytes_in",
-    "worker_init_s_mean",
-    "corpus_bootstrap_bytes",
-    "full_corpus_pickle_bytes",
-)
-
 
 def measured_ops(bench_doc):
     """``benchmark name -> ops/s`` from a pytest-benchmark export."""
@@ -79,39 +48,6 @@ def measured_ops(bench_doc):
     return ops
 
 
-def check_overhead(doc, min_reduction):
-    """Gate the pool-boundary figures; returns a list of failures."""
-    if "overhead" in doc and isinstance(doc["overhead"], dict):
-        doc = doc["overhead"]
-    failures = []
-    for field in OVERHEAD_REQUIRED:
-        if field not in doc:
-            failures.append(f"missing overhead field: {field}")
-    for field in OVERHEAD_POSITIVE:
-        value = doc.get(field)
-        if value is not None and not value > 0:
-            failures.append(f"overhead field not positive: {field}={value}")
-    reduction = doc.get("corpus_bytes_reduction")
-    if reduction is not None and reduction < min_reduction:
-        failures.append(
-            f"corpus bootstrap reduction {reduction}x is below the "
-            f"required {min_reduction}x"
-        )
-    for kind in ("static", "dynamic"):
-        plain = doc.get(f"payload_{kind}_plain_bytes")
-        encoded = doc.get(f"payload_{kind}_encoded_bytes")
-        if plain is not None and encoded is not None and encoded > plain:
-            failures.append(
-                f"{kind} payload encoding grew: {encoded} B encoded "
-                f"vs {plain} B plain"
-            )
-    for line in failures:
-        print(f"REGRESSION: {line}")
-    if not failures:
-        print(f"ok: pool-boundary overhead within bounds ({len(doc)} fields)")
-    return failures
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("bench", help="pytest-benchmark JSON export")
@@ -121,20 +57,6 @@ def main(argv=None):
         type=float,
         default=0.30,
         help="maximum allowed fractional regression (default 0.30)",
-    )
-    parser.add_argument(
-        "--overhead",
-        default=None,
-        metavar="OVERHEAD_JSON",
-        help="pool-boundary overhead artifact (or a BENCH_study.json "
-        "with an 'overhead' section) to gate as well",
-    )
-    parser.add_argument(
-        "--min-corpus-reduction",
-        type=float,
-        default=10.0,
-        help="required ratio of full-corpus pickle bytes to spec "
-        "bootstrap bytes (default 10)",
     )
     args = parser.parse_args(argv)
 
@@ -148,15 +70,6 @@ def main(argv=None):
         return 2
 
     failed = False
-    if args.overhead:
-        try:
-            with open(args.overhead) as fh:
-                overhead_doc = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: unreadable overhead input: {exc}", file=sys.stderr)
-            return 2
-        if check_overhead(overhead_doc, args.min_corpus_reduction):
-            failed = True
     checked = 0
     for name, (section, field) in sorted(BASELINE_KEYS.items()):
         expected = baseline.get(section, {}).get(field)
