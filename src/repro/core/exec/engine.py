@@ -59,15 +59,15 @@ Incremental execution
 An optional :class:`~repro.core.exec.resultstore.ResultStore` makes
 repeated runs incremental: before dispatching a unit the engine asks the
 store for it (every app's entry must hit), and completed work is
-published back into one slot file per app.  Because store keys
+published back into one pack file per dataset.  Because store keys
 fingerprint exactly the inputs a result is a function of — corpus
 configuration, capture window, stage, app id, per-app stage config, and
 a code-version salt — a warm run recomputes only fingerprint misses and
 still merges to bit-for-bit the same study as a cold run, at any worker
-count.  The store is also how a killed run resumes: a unit run in the
-parent publishes each app as it completes, a pool unit as it returns
-(temp file + ``os.replace``), so a re-run against the same store
-recomputes only what the killed run had not finished.
+count.  The store is also how a killed run resumes: every unit is
+published as it completes (temp file + ``os.replace``), so a re-run
+against the same store recomputes only the units the killed run had not
+finished.
 
 Stage-granular recomputation (DESIGN.md §15): a unit that misses at the
 app level may still have warm *stage* artifacts on disk (a config flip
@@ -233,17 +233,15 @@ def _run_unit(state: dict, unit: WorkUnit, cache=None) -> list:
 
     ``cache`` is an optional result store (parent-process runs only —
     workers never hold a store handle).  With one, the pipelines' stage
-    graphs serve warm stages from it, and each app is published as it
-    completes: its computed stages and its result in one slot write.
+    graphs serve warm stages from it, and the stages they compute are
+    held until the whole unit is published: its results and stages in
+    one write of its dataset's pack.
     """
     if cache is None:
         return _compute_unit(state, unit)
-    results: list = []
     with cache.holding():
-        for solo in split_unit(unit):
-            result = _compute_unit(state, solo, cache)
-            cache.publish_unit(solo, result)
-            results.extend(result)
+        results = _compute_unit(state, unit, cache)
+        cache.publish_unit(unit, results)
     return results
 
 
@@ -728,7 +726,7 @@ class ExecutionEngine:
         stays there for the whole recovery ladder.
         """
         if not use_pool:
-            # Publishes each app as it completes (see _run_unit).
+            # Publishes the unit once it completes (see _run_unit).
             return self._run_local(unit, cache=self.store)
         result = self._collect(self._submit(self._ensure_pool(), unit))
         self._publish(unit, result)

@@ -1,125 +1,53 @@
 """Content-addressed result store: warm-start re-runs of the study.
 
-The measurement pipeline is re-run constantly — per dataset, per
-ablation, per platform — and every run used to recompute all ~5,000 apps
-from scratch even when nothing about an app or its configuration had
-changed.  The :class:`ResultStore` fixes that: an on-disk store of
-per-app pipeline results, each filed under a deterministic
-**fingerprint** of everything the result is a function of.  A repeated
-run looks every work unit up before dispatching it and only recomputes
-fingerprint misses, while the merged study stays bit-for-bit identical
-to a cold run at any worker count.
+A :class:`ResultStore` keeps per-app pipeline results on disk, each
+filed under a **fingerprint** of everything it is a function of: the key
+schema version and :data:`CODE_SALT`, the corpus fingerprint (seed plus
+dataset sizes), the capture window, the stage, the app's platform,
+dataset and id, and its per-app stage config (for graph kinds, the final
+stage's chain key).  Chunking, worker count, retries and telemetry are
+absent, so a warm run hits however the cold run was scheduled; it
+recomputes only fingerprint misses and stays bit-for-bit identical to a
+cold run.  DESIGN.md §10 has the full contract.
 
-Fingerprint composition
------------------------
-
-A result is valid for reuse exactly when all of its inputs are
-unchanged, so the fingerprint is a SHA-256 over:
-
-* the **store schema version** and **code salt** (:data:`CODE_SALT`) —
-  bumped whenever pipeline semantics or result schemas change, so stale
-  entries from an older checkout can never hit;
-* the **corpus fingerprint** — seed plus per-dataset sizes.  Per-app
-  results are *not* reusable across corpus configurations: the CT log,
-  endpoint registry and root stores are built from the whole corpus, so
-  a ``--scale`` bump invalidates everything by design;
-* the **capture window** (``sleep_s``) every dynamic result depends on;
-* the **pipeline stage** (``static`` / ``dynamic`` / ``circumvent``),
-  the app's platform, dataset, and **app id**;
-* the **per-app stage config** — the pre-launch wait for dynamic runs
-  (the Common-iOS re-run stores separately from the initial pass), the
-  sorted pinned-destination set for circumvention sweeps.
-
-Chunking, worker count, retries and telemetry are deliberately absent:
-they cannot influence a result (the engine's determinism contract), so
-a warm run hits regardless of how the cold run was scheduled.
-
-Store layout
-------------
-
-::
+Layout::
 
     store/
-      store.json             # informational manifest (version, salt)
-      slots/<ff>/<slot>.pkl  # one file per (corpus, kind, platform,
-                             # dataset, app id)
-      corpus/<name>.pkl      # one generated corpus per corpus config
+      store.json          # informational manifest (version, salt)
+      packs/<pack>.pkl    # one file per (corpus, kind, platform, dataset)
+      corpus/<name>.pkl   # one generated corpus per corpus config
 
-An app's **slot** holds every stored artifact of that app, for every
-config: its final results (the Common-iOS re-run's beside the initial
-pass, a flipped detector's beside the default) and its persisted stage
-artifacts, each under its own fingerprint.  Each slot is a
-self-describing pickled envelope
-``(magic, version, slot name, meta, payload_sha256, payload)``.
-``payload`` is one pickle of the ``fingerprint -> artifact`` map, so the
-captures a dynamic result shares with its ``run_direct``/``run_mitm``
-stages are written once.  ``meta`` is plain data: the app's identity
-plus, per fingerprint, what it is (an app result with its config and a
-small summary — pinned verdict and destinations — or a stage artifact),
-which lets ``tools/diff_runs.py`` diff two stores without importing this
-package or unpickling a payload.
+A **pack** holds every stored artifact of one dataset's apps for one
+kind, for every config.  Its file is a pickled header ``(magic, version,
+pack name, meta, payload_sha256, payload_size)`` followed by the
+payload: one segment per app, two pickles written by one
+:class:`pickle.Pickler` (the app's results, then its stage artifacts,
+so shared captures are written once).  ``meta`` is plain data — segment
+offsets and, per fingerprint, the app and what the entry is — so
+``tools/diff_runs.py`` never unpickles a payload.
 
-A handle keeps at most one slot in memory, the current app's.  Its
-metadata answers key tests; the payload is unpickled only when a value
-is served or the slot is rewritten, so a miss or a stage probe never
-decodes artifacts.  Computed artifacts join the slot as *pending*
-additions; a write re-reads the slot file, merges the pending additions
-into it and replaces the file (temp file from :func:`tempfile.mkstemp`
-plus ``os.replace``), so a second config, the iOS re-run,
-``--no-store-read`` or a second handle never drop an existing key, and
-a killed run never leaves a half-written slot under a valid name.  The
-payload is decoded again for the merge only if the file changed since
-the handle read it.  A unit that computes an app writes its slot once:
-the engine holds the app's computed stages until its result is
-published with them (:meth:`ResultStore.holding`).  A write that fails
-raises :class:`StoreWriteError`, which fails the run instead of riding
-the engine's retry ladder.
+A handle keeps one pack current and reads its header once per visit; a
+miss decodes nothing, an app lookup decodes only the app's results, a
+stage lookup also its stage artifacts.  Writes merge pending additions
+into a fresh read of the file and replace it atomically (``mkstemp``
+plus ``os.replace``); under :meth:`ResultStore.holding` a unit's stages
+wait for :meth:`ResultStore.publish_unit`, which writes the pack once.
+Concurrent writers can lose an update, which reads as a miss, never as
+a wrong value.  A failed write raises :class:`StoreWriteError`.
 
-A payload is unpickled with the cyclic garbage collector paused
-(:func:`_loads_paused`): decoding a slot allocates tens of thousands of
-long-lived, acyclic objects, and every collection the allocation would
-trigger scans the whole growing heap to free nothing.  In a run that
-owns the freeze (:attr:`ResultStore.freeze_decoded`) each decoded
-payload is frozen at once, so later young collections skip it too.
-
-The generated corpus a warm run needs is kept beside the slots
-(:class:`CorpusStore`), in the same envelope and under the same
-corruption contract, so a warm run reads it back instead of
-regenerating it.  Its name covers every corpus config field plus the
-version and :data:`CODE_SALT`: a change to what the generator builds
-must bump the salt, as results are keyed on seed and sizes only.
-
-Concurrent writers
-------------------
-
-Two processes (or two handles) writing one slot at the same moment can
-lose an update: both re-read the old file, and the later ``os.replace``
-wins without the other's additions.  The lost fingerprints then read as
-misses and are recomputed; they are never served wrong, because every
-value sits under the content address of its inputs.  Temp files are
-unique per write, so concurrent writers never collide on one.  A handle
-itself is not thread-safe: concurrent jobs each use their own.
-
-Corruption contract
--------------------
-
-A truncated or tampered slot (or corpus file) must fall back to
-recompute with a ``RuntimeWarning`` — never a wrong result.  Every read
-re-hashes the payload against the stored digest and cross-checks the
-envelope's slot name against the file name; any mismatch (or any error damaged bytes
-can produce, :data:`_CORRUPTION_ERRORS`) invalidates the slot: it is
-counted, warned about, deleted, and read as empty, so every entry of
-that app misses and is recomputed and republished.  A programming error
-during unpickling — e.g. an ``AttributeError`` from a renamed result
-class — propagates instead: it is not corruption, and silently
-recomputing would hide the missing :data:`CODE_SALT` bump behind a
-warm-looking run.
+A truncated, tampered or misnamed pack (or corpus file) is warned about,
+counted, deleted and recomputed.  Programming errors while unpickling
+(``AttributeError``, ``ImportError``: a missed :data:`CODE_SALT` bump)
+propagate instead.  Payloads are unpickled with the cyclic collector
+paused (:func:`_paused`) and, in a run that owns the freeze
+(:attr:`ResultStore.freeze_decoded`), frozen as soon as decoded.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -133,10 +61,16 @@ from typing import List, Optional, Union
 from repro.core import obs
 
 _MAGIC = "repro-result-store"
-_SLOT_MAGIC = "repro-result-slot"
+_PACK_MAGIC = "repro-result-pack"
 _CORPUS_MAGIC = "repro-result-corpus"
-#: v2: one slot file per app instead of one file per entry.
-_VERSION = 2
+#: Bytes hashed at a time when a pack's payload is verified unread.
+_CHUNK = 1 << 16
+#: On-disk format version.  v2: one slot file per app; v3: one pack file
+#: per dataset.  A file of another version is never read.
+_VERSION = 3
+#: The schema version every fingerprint hashes.  Independent of the file
+#: format: repacking stored entries does not change what they are.
+_KEY_VERSION = 2
 
 #: Code/schema version salt.  Bump on any change to pipeline semantics or
 #: result dataclass schemas: old entries stop hitting instead of feeding
@@ -145,7 +79,7 @@ _VERSION = 2
 #: knob (not just sleep/wait/pins) enters the address.
 CODE_SALT = "pin-study-results-v2"
 
-#: What unpickling/validating a *damaged* slot can raise.  Truncated or
+#: What unpickling/validating a *damaged* pack can raise.  Truncated or
 #: bit-rotted pickle streams surface as :class:`pickle.UnpicklingError`,
 #: ``EOFError`` or one of the container errors below; the explicit
 #: envelope checks raise ``ValueError``.  Deliberately absent:
@@ -163,8 +97,8 @@ _CORRUPTION_ERRORS = (
 )
 
 
-def _loads_paused(data: bytes):
-    """``pickle.loads`` with cyclic collection paused for its duration.
+def _paused(load, *args):
+    """``load(*args)`` with cyclic collection paused for its duration.
 
     The previous :func:`gc.isenabled` state is restored afterwards, so a
     caller that disabled the collector keeps it disabled.
@@ -172,10 +106,15 @@ def _loads_paused(data: bytes):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return pickle.loads(data)
+        return load(*args)
     finally:
         if enabled:
             gc.enable()
+
+
+def _loads_paused(data: bytes):
+    """``pickle.loads`` with cyclic collection paused (:func:`_paused`)."""
+    return _paused(pickle.loads, data)
 
 
 def _promote_to_oldest() -> None:
@@ -192,45 +131,78 @@ def _promote_to_oldest() -> None:
         gc.unfreeze()
 
 
-def _read_envelope(path: Path, magic: str, name: str):
-    """``(meta, digest, payload)`` of a verified envelope file, or None
-    when the file is absent.
+@dataclass
+class _Envelope:
+    """A verified envelope file: its header, where its payload starts,
+    its :func:`_identity`, and its payload if the reader kept it."""
 
-    An envelope is ``(magic, version, name, meta, payload_sha256,
-    payload)``.  A wrong magic or version, a name that does not match the
-    file's, or a payload that does not hash to its digest raises
-    ``ValueError``; damaged bytes raise one of :data:`_CORRUPTION_ERRORS`.
-    The payload is returned still pickled.
+    meta: dict
+    digest: str
+    offset: int
+    identity: tuple
+    payload: Optional[bytes]
+
+
+def _identity(fh) -> tuple:
+    """What changes when a file is replaced or rewritten in place."""
+    stat = os.fstat(fh.fileno())
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+def _read_envelope(path: Path, magic: str, name: str, keep_payload: bool = True):
+    """The verified envelope file at ``path``, or None when it is absent.
+
+    The file is a pickled header ``(magic, version, name, meta,
+    payload_sha256, payload_size)`` followed by the payload.  A bad
+    magic, version, name or digest raises ``ValueError``, a short payload
+    ``EOFError``; damaged header bytes raise one of
+    :data:`_CORRUPTION_ERRORS`.  Without ``keep_payload`` the payload is
+    hashed in chunks and dropped.
     """
     try:
-        blob = path.read_bytes()
+        fh = open(path, "rb")
     except OSError:
         return None
-    file_magic, version, file_name, meta, digest, payload = pickle.loads(blob)
-    if file_magic != magic or version != _VERSION:
-        raise ValueError(f"not a {magic} file")
-    if file_name != name:
-        raise ValueError("envelope name does not match its path")
-    if hashlib.sha256(payload).hexdigest() != digest:
-        raise ValueError("payload digest mismatch")
-    return meta, digest, payload
+    with fh:
+        file_magic, version, file_name, meta, digest, size = pickle.load(fh)
+        if file_magic != magic or version != _VERSION:
+            raise ValueError(f"not a {magic} file")
+        if file_name != name:
+            raise ValueError("envelope name does not match its path")
+        offset = fh.tell()
+        hasher = hashlib.sha256()
+        payload = fh.read(size) if keep_payload else None
+        if payload is not None:
+            hasher.update(payload)
+            received = len(payload)
+        else:
+            received = 0
+            while received < size:
+                chunk = fh.read(min(_CHUNK, size - received))
+                if not chunk:
+                    break
+                hasher.update(chunk)
+                received += len(chunk)
+        if received != size:
+            raise EOFError("payload is truncated")
+        if hasher.hexdigest() != digest:
+            raise ValueError("payload digest mismatch")
+        return _Envelope(meta, digest, offset, _identity(fh), payload)
 
 
-def _write_envelope(
-    root: Path, path: Path, magic: str, name: str, meta: dict, value
-) -> str:
-    """Atomically replace ``path`` with an envelope of ``value``.
+def _write_envelope(path: Path, magic: str, name: str, meta: dict, encode) -> _Envelope:
+    """Atomically replace ``path`` with an envelope of ``encode()``, the
+    payload bytes (it runs first, so ``meta`` may describe them).
 
-    Returns the payload digest.  The temp file comes from
-    :func:`tempfile.mkstemp` beside ``path`` and is moved over it with
-    ``os.replace``, so a killed writer never leaves a half-written file
-    under a valid name.  Any failure raises :class:`StoreWriteError`.
+    The temp file from :func:`tempfile.mkstemp` is moved over ``path``
+    with ``os.replace``, so a killed writer never leaves a half-written
+    file under a valid name.  Any failure, pickling included, raises
+    :class:`StoreWriteError`.  Returns the envelope as written.
     """
     try:
-        payload = pickle.dumps(value)
+        payload = encode()
         digest = hashlib.sha256(payload).hexdigest()
-        envelope = (magic, _VERSION, name, meta, digest, payload)
-        _ensure_manifest(root)
+        header = (magic, _VERSION, name, meta, digest, len(payload))
         try:
             fd, tmp = _mkstemp(path)
         except FileNotFoundError:
@@ -238,7 +210,11 @@ def _write_envelope(
             fd, tmp = _mkstemp(path)
         try:
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump(envelope, fh)
+                pickle.dump(header, fh)
+                offset = fh.tell()
+                fh.write(payload)
+                fh.flush()
+                identity = _identity(fh)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -248,7 +224,7 @@ def _write_envelope(
             raise
     except Exception as exc:
         raise StoreWriteError(f"cannot write result store file {path}: {exc}") from exc
-    return digest
+    return _Envelope(meta, digest, offset, identity, payload)
 
 
 def _mkstemp(path: Path):
@@ -257,12 +233,17 @@ def _mkstemp(path: Path):
 
 
 def _ensure_manifest(root: Path) -> None:
-    if not (root / "store.json").exists():
-        root.mkdir(parents=True, exist_ok=True)
-        manifest = {"magic": _MAGIC, "version": _VERSION, "salt": CODE_SALT}
-        with open(root / "store.json", "w") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    """Write ``store.json`` unless it exists.  Failures raise
+    :class:`StoreWriteError`."""
+    try:
+        if not (root / "store.json").exists():
+            root.mkdir(parents=True, exist_ok=True)
+            manifest = {"magic": _MAGIC, "version": _VERSION, "salt": CODE_SALT}
+            with open(root / "store.json", "w") as fh:
+                json.dump(manifest, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+    except OSError as exc:
+        raise StoreWriteError(f"cannot write result store manifest in {root}: {exc}") from exc
 
 
 def _discard(path: Path, message: str) -> None:
@@ -313,7 +294,7 @@ def app_fingerprint(
     """The content address of one app's result for one stage config."""
     identity = repr(
         (
-            _VERSION,
+            _KEY_VERSION,
             CODE_SALT,
             corpus_fp,
             float(sleep_s),
@@ -327,13 +308,10 @@ def app_fingerprint(
     return hashlib.sha256(identity.encode("utf-8")).hexdigest()
 
 
-def slot_name(
-    corpus_fp: str, kind: str, platform: str, dataset: str, app_id: str
-) -> str:
-    """The name of the slot holding every stored artifact of one app."""
-    identity = repr(
-        (_VERSION, CODE_SALT, "slot", corpus_fp, kind, platform, dataset, app_id)
-    )
+def pack_name(corpus_fp: str, kind: str, platform: str, dataset: str) -> str:
+    """The name of the pack holding every stored artifact of one
+    dataset's apps for one kind."""
+    identity = repr((_VERSION, CODE_SALT, "pack", corpus_fp, kind, platform, dataset))
     return hashlib.sha256(identity.encode("utf-8")).hexdigest()
 
 
@@ -405,7 +383,7 @@ class StoreStats:
 
 
 class StoreWriteError(RuntimeError):
-    """Writing a slot failed: a full disk, a read-only store directory, a
+    """Writing a pack failed: a full disk, a read-only store directory, a
     result that does not pickle.
 
     The engine never retries or quarantines it
@@ -417,26 +395,57 @@ class StoreWriteError(RuntimeError):
 
 
 @dataclass
-class _Slot:
-    """One app's slot as a handle knows it.
+class _Pack:
+    """One dataset's pack of one kind, as a handle knows it.
 
-    ``app`` is ``(kind, platform, dataset, app_id)``.  ``entries``
-    (fingerprint -> plain-data metadata) and ``digest`` mirror the file
-    as last read or written.  The artifacts are decoded lazily: a key
-    test needs only ``entries``, so ``payload`` (the verified pickle)
-    is unpickled into ``values`` on the first value lookup or write.
-    ``pending`` maps fingerprints to ``(metadata, artifact)`` additions
-    not yet written.
+    ``entries`` (fingerprint -> metadata), ``segments`` (app id ->
+    ``(start, end)`` of its two pickles in the payload),
+    ``digest``, ``offset`` (of the payload in the file) and ``identity``
+    mirror the file as last read or written; the payload stays on disk.
+    ``decoded`` holds the last app decoded: its results, then its stage
+    artifacts.  ``pending`` and ``written`` map fingerprints to
+    ``(metadata, artifact)``: additions not yet written, and the results
+    this handle wrote.
     """
 
-    app: tuple
+    key: tuple
     name: str
     path: Path
     entries: dict = field(default_factory=dict)
+    segments: dict = field(default_factory=dict)
     digest: Optional[str] = None
-    payload: Optional[bytes] = None
-    values: Optional[dict] = None
+    offset: int = 0
+    identity: Optional[tuple] = None
+    decoded: dict = field(default_factory=dict)
     pending: dict = field(default_factory=dict)
+    written: dict = field(default_factory=dict)
+
+    def adopt(self, envelope: Optional[_Envelope]) -> None:
+        """Mirror ``envelope`` (None: no file), dropping what was decoded."""
+        self.decoded = {}
+        if envelope is None:
+            self.entries, self.segments = {}, {}
+            self.digest, self.offset, self.identity = None, 0, None
+        else:
+            self.entries = dict(envelope.meta["entries"])
+            self.segments = dict(envelope.meta["segments"])
+            self.digest, self.offset = envelope.digest, envelope.offset
+            self.identity = envelope.identity
+
+
+#: The two pickles of an app's segment: its results, then its stage
+#: artifacts.
+_RESULTS, _STAGES = 0, 1
+
+
+def _memo_key(graph, platform: str, dataset: str, app_id: str, params: dict) -> tuple:
+    """The key of one app's stage keys in a handle's memo."""
+    return graph.kind, platform, dataset, app_id, tuple(sorted(params.items()))
+
+
+def _part_of(meta: dict) -> int:
+    """The pickle of its app's segment an entry's value is stored in."""
+    return _RESULTS if meta["entry_kind"] == "app" else _STAGES
 
 
 class ResultStore:
@@ -454,10 +463,10 @@ class ResultStore:
             off for a read-only consumer).
 
     Attributes:
-        freeze_decoded: when true, :func:`gc.freeze` follows each slot
-            payload's decode, so collections until the run ends never
-            scan it.  Set only by a run that owns the freeze and
-            unfreezes when it ends (``Study.run``).
+        freeze_decoded: when true, :func:`gc.freeze` follows each
+            segment's decode, so collections until the run ends never
+            scan it.  Set only by a run that owns the freeze and unfreezes
+            when it ends (``Study.run``).
     """
 
     def __init__(
@@ -481,22 +490,24 @@ class ResultStore:
         # handle's sleep window overriding the dynamic default), which
         # matches a default-configured study.
         self._knobs: dict = {}
-        self._slot: Optional[_Slot] = None
+        # (kind, platform, dataset, app id, params) -> stage keys under
+        # the bound knobs, for the apps whose result is neither served
+        # nor filed yet; emptied when a binding changes.
+        self._keys_memo: dict = {}
+        self._pack: Optional[_Pack] = None
         self._held = False
+        self._manifest_written = False
         self.freeze_decoded = False
 
     # -- layout ------------------------------------------------------------
 
-    def slot_path(
-        self, kind: str, platform: str, dataset: str, app_id: str
-    ) -> Path:
-        """The file holding every stored artifact of one app."""
-        return self._slot_file(
-            slot_name(self.corpus_fp, kind, platform, dataset, app_id)
-        )
+    def pack_path(self, kind: str, platform: str, dataset: str) -> Path:
+        """The file holding every stored artifact of one dataset's apps
+        for one kind."""
+        return self._pack_file(pack_name(self.corpus_fp, kind, platform, dataset))
 
-    def _slot_file(self, name: str) -> Path:
-        return self.root / "slots" / name[:2] / f"{name}.pkl"
+    def _pack_file(self, name: str) -> Path:
+        return self.root / "packs" / f"{name}.pkl"
 
     # -- stage graphs ------------------------------------------------------
 
@@ -514,8 +525,9 @@ class ResultStore:
             ("dynamic", dynamic),
             ("circumvent", circumvent),
         ):
-            if pipeline is not None:
+            if pipeline is not None and self._knobs.get(kind) is not pipeline:
                 self._knobs[kind] = pipeline
+                self._keys_memo.clear()
 
     @staticmethod
     def _graph(kind: str):
@@ -523,20 +535,57 @@ class ResultStore:
 
         return graph_for(kind)
 
+    def stage_keys(
+        self, graph, platform: str, dataset: str, app_id: str, params, knobs
+    ) -> dict:
+        """The stage keys of one app and config, knobs read from ``knobs``.
+
+        Under the bound pipeline they are computed once and shared by the
+        stage lookups, the derive backfill and the result's own address
+        until the result is served or filed.
+        """
+        if knobs is not self._knobs.get(graph.kind):
+            return graph.stage_keys(
+                self.corpus_fp, platform, dataset, app_id, params=params, knobs=knobs
+            )
+        return self._stage_keys(graph, platform, dataset, app_id, params)
+
     def _stage_keys(
+        self, graph, platform: str, dataset: str, app_id: str, params: dict
+    ) -> dict:
+        """Stage keys under the bound knobs, memoised."""
+        memo = _memo_key(graph, platform, dataset, app_id, params)
+        keys = self._keys_memo.get(memo)
+        if keys is None:
+            knobs = self._knobs.get(graph.kind)
+            overrides = None if knobs is not None else {"sleep_s": self.sleep_s}
+            keys = graph.stage_keys(
+                self.corpus_fp,
+                platform,
+                dataset,
+                app_id,
+                params=params,
+                knobs=knobs,
+                overrides=overrides,
+            )
+            self._keys_memo[memo] = keys
+        return keys
+
+    def _extra_keys(
         self, graph, platform: str, dataset: str, app_id: str, extra
     ) -> dict:
-        knobs = self._knobs.get(graph.kind)
-        overrides = None if knobs is not None else {"sleep_s": self.sleep_s}
-        return graph.stage_keys(
-            self.corpus_fp,
-            platform,
-            dataset,
-            app_id,
-            params=graph.params_from_extra(extra),
-            knobs=knobs,
-            overrides=overrides,
+        """Stage keys of one app under a work unit's per-app ``extra``."""
+        return self._stage_keys(
+            graph, platform, dataset, app_id, graph.params_from_extra(extra)
         )
+
+    def _forget(self, stage: str, platform: str, dataset: str, app_id: str, extra) -> None:
+        """Drop one app's memoised stage keys: its result was served or
+        filed, so nothing of this handle asks for them again."""
+        graph = self._graph(stage)
+        if graph is not None:
+            params = graph.params_from_extra(extra)
+            self._keys_memo.pop(_memo_key(graph, platform, dataset, app_id, params), None)
 
     def fingerprint_for(
         self, stage: str, platform: str, dataset: str, app_id: str, extra
@@ -558,141 +607,200 @@ class ResultStore:
                 app_id,
                 extra,
             )
-        return self._stage_keys(graph, platform, dataset, app_id, extra)[
-            graph.final
-        ]
+        return self._extra_keys(graph, platform, dataset, app_id, extra)[graph.final]
 
-    # -- slots -------------------------------------------------------------
+    # -- packs -------------------------------------------------------------
 
-    def _open(
-        self, kind: str, platform: str, dataset: str, app_id: str
-    ) -> _Slot:
-        """Make one app's slot current, reading its file once per visit.
+    def _open(self, kind: str, platform: str, dataset: str) -> _Pack:
+        """Make one dataset's pack current, reading its file once per
+        visit (not with reads disabled; writes still merge with it).
 
-        Only the current slot is held in memory: moving to another app
-        first writes the previous one's pending additions.  With reads
-        disabled the file is not consulted; writes still merge with it.
+        Moving to another pack first writes this one's pending additions.
         """
-        app = (kind, platform, dataset, app_id)
-        current = self._slot
-        if current is not None and current.app == app:
+        key = (kind, platform, dataset)
+        current = self._pack
+        if current is not None and current.key == key:
             return current
         if current is not None and current.pending:
             self._write(current)
-        name = slot_name(self.corpus_fp, *app)
-        slot = _Slot(app, name, self._slot_file(name))
+        name = pack_name(self.corpus_fp, *key)
+        pack = _Pack(key, name, self._pack_file(name))
         if self.read:
-            slot.entries, slot.digest, slot.payload = self._read(slot)
-        self._slot = slot
-        return slot
+            self._read(pack)
+        self._pack = pack
+        return pack
 
-    def _read(self, slot: _Slot):
-        """``(entries, digest, payload)`` of the slot's verified file.
+    def _read(self, pack: _Pack, keep_payload: bool = False) -> Optional[bytes]:
+        """Load the pack's verified file into ``pack``; return its
+        payload with ``keep_payload``.
 
-        Empty ``({}, None, None)`` when the file is absent.  Only errors
-        that damaged bytes can produce count as corruption
-        (:data:`_CORRUPTION_ERRORS`); a corrupt slot is invalidated and
-        reads as empty.  The payload is checked against its digest here
-        but unpickled only on demand (:meth:`_values`).
+        An absent file reads as an empty pack, and so does a corrupt one
+        (:data:`_CORRUPTION_ERRORS`), after it is invalidated.
         """
         try:
-            envelope = _read_envelope(slot.path, _SLOT_MAGIC, slot.name)
+            envelope = _read_envelope(pack.path, _PACK_MAGIC, pack.name, keep_payload)
+            pack.adopt(envelope)
         except _CORRUPTION_ERRORS as exc:
-            self._invalidate(slot.path, exc)
-            return {}, None, None
-        if envelope is None:
-            return {}, None, None
-        meta, digest, payload = envelope
-        return dict(meta["entries"]), digest, payload
+            self._invalidate(pack.path, exc)
+            envelope = None
+            pack.adopt(None)
+        return envelope.payload if envelope is not None else None
 
-    def _values(self, slot: _Slot) -> dict:
-        """The slot's artifacts, unpickled from its payload on first use
-        (with collection paused).
+    @staticmethod
+    def _segment(pack: _Pack, app_id: str, payload: Optional[bytes]) -> Optional[bytes]:
+        """One app's segment: sliced from ``payload`` if given, else read
+        from the file, or None if the file is not the one ``pack``
+        mirrors."""
+        start, end = pack.segments[app_id]
+        if payload is not None:
+            return payload[start:end]
+        try:
+            with open(pack.path, "rb") as fh:
+                if _identity(fh) != pack.identity:
+                    return None
+                fh.seek(pack.offset + start)
+                return fh.read(end - start)
+        except OSError:
+            return None
 
-        Only errors damaged bytes can produce invalidate the slot.
-        Anything else — an ``AttributeError`` because a result class was
-        renamed, an ``ImportError`` because its module moved — is a
-        programming error that every slot would trip over;
-        misreporting it as corruption would silently recompute the whole
-        store while discarding it slot by slot.  Those propagate so the
-        bug (usually a missing :data:`CODE_SALT` bump) gets fixed
-        instead of papered over.
+    def _decode(
+        self, pack: _Pack, app_id: str, part: int, payload: Optional[bytes] = None
+    ) -> dict:
+        """Pickle ``part`` (:data:`_RESULTS` or :data:`_STAGES`) of one
+        app's segment, unpickled on first use with collection paused.
+
+        The stage pickle refers into the results pickle's memo, so stages
+        asked for after the results decode the segment again from its
+        start.  A pack file replaced since the handle read it is read
+        again first.  Only errors damaged bytes can produce invalidate
+        the pack; anything else (an ``AttributeError`` from a renamed
+        result class, an ``ImportError`` from a moved module) is a
+        programming error, usually a missing :data:`CODE_SALT` bump, and
+        propagates instead of silently recomputing the store.
         """
-        if slot.values is None:
-            values: dict = {}
-            if slot.payload is not None:
-                try:
-                    values = dict(_loads_paused(slot.payload))
-                except _CORRUPTION_ERRORS as exc:
-                    self._invalidate(slot.path, exc)
-                    slot.entries, slot.digest = {}, None
-                if self.freeze_decoded:
-                    gc.freeze()
-            slot.values, slot.payload = values, None
-        return slot.values
+        parts = pack.decoded.get(app_id, ())
+        if len(parts) > part:
+            return parts[part]
+        data = None
+        if app_id in pack.segments:
+            data = self._segment(pack, app_id, payload)
+            if data is None:
+                self._read(pack)
+                if app_id in pack.segments:
+                    data = self._segment(pack, app_id, None)
+        if data is None:
+            return {}
+        unpickler = pickle.Unpickler(io.BytesIO(data))
+        try:
+            parts = [_paused(unpickler.load) for _ in range(part + 1)]
+        except _CORRUPTION_ERRORS as exc:
+            self._invalidate(pack.path, exc)
+            pack.adopt(None)
+            return {}
+        if self.freeze_decoded:
+            gc.freeze()
+        pack.decoded = {app_id: parts}
+        return parts[part]
 
     def _invalidate(self, path: Path, reason: Exception) -> None:
         self.stats.invalidated += 1
         obs.count("store.entries.invalidated")
         _discard(
             path,
-            f"result store slot {path} is corrupt ({reason}); the slot "
-            "was discarded and its app's entries will be recomputed",
+            f"result store pack {path} is corrupt ({reason}); the pack "
+            "was discarded and its dataset's entries will be recomputed",
         )
 
-    def _write(self, slot: _Slot) -> None:
-        """Merge the slot's pending additions into its file.
+    def _write(self, pack: _Pack) -> None:
+        """Merge the pack's pending additions into a fresh read of its
+        file, and replace the file.
 
-        The file is re-read just before the write, so keys another
-        handle or an earlier run stored are kept; its payload is decoded
-        again only if the file changed since this handle read it.
-        Pending fingerprints already on disk are dropped (their values
-        are equal: same content address), and a slot with nothing new is
-        not rewritten.  Any failure to write raises
+        Keys another handle stored are kept, and so are the results this
+        handle wrote before where a concurrent writer's replace dropped
+        them.  Pending keys already on disk are dropped (same content
+        address, same value); a pack with nothing new is not rewritten.
+        Only the apps with additions are decoded and pickled again; the
+        other segments are copied as they are.  Failures raise
         :class:`StoreWriteError`.
         """
-        pending, slot.pending = slot.pending, {}
-        entries, digest, payload = self._read(slot)
-        if digest is None or digest != slot.digest:
-            slot.entries, slot.digest = entries, digest
-            slot.payload, slot.values = payload, None
-        added = [key for key in pending if key not in slot.entries]
+        pending, pack.pending = pack.pending, {}
+        published = set(pending)
+        for key, addition in pack.written.items():
+            pending.setdefault(key, addition)
+        digest, decoded = pack.digest, pack.decoded
+        payload = self._read(pack, keep_payload=True)
+        if pack.digest == digest:
+            pack.decoded = decoded
+        # app id -> [(fingerprint, metadata, artifact)] not on disk yet.
+        added: dict = {}
+        for key, (meta, value) in pending.items():
+            if key not in pack.entries:
+                added.setdefault(meta["app_id"], []).append((key, meta, value))
         if not added:
             return
-        values = self._values(slot)
-        for key in added:
-            slot.entries[key], values[key] = pending[key]
+        merged: dict = {}
+        for app_id, additions in added.items():
+            stages = self._decode(pack, app_id, _STAGES, payload)  # decodes both
+            parts = [dict(self._decode(pack, app_id, _RESULTS, payload)), dict(stages)]
+            for key, meta, value in additions:
+                pack.entries[key] = meta
+                parts[_part_of(meta)][key] = value
+                if meta["entry_kind"] == "app":
+                    pack.written[key] = (meta, value)
+            merged[app_id] = parts
+        segments: dict = {}
+
+        def encode() -> bytes:
+            buffer = io.BytesIO()
+            # The apps already in the file, in its order, then new ones.
+            for app_id in {**pack.segments, **added}:
+                start = buffer.tell()
+                if app_id in merged:
+                    pickler = pickle.Pickler(buffer)
+                    for part in merged[app_id]:
+                        pickler.dump(part)
+                else:
+                    was_start, was_end = pack.segments[app_id]
+                    buffer.write(memoryview(payload)[was_start:was_end])
+                segments[app_id] = (start, buffer.tell())
+            return buffer.getvalue()
+
         meta = dict(
-            zip(("kind", "platform", "dataset", "app_id"), slot.app),
+            zip(("kind", "platform", "dataset"), pack.key),
             corpus=self.corpus_fp,
             salt=CODE_SALT,
-            entries=slot.entries,
+            entries=pack.entries,
+            segments=segments,
         )
-        slot.digest = _write_envelope(
-            self.root, slot.path, _SLOT_MAGIC, slot.name, meta, values
-        )
-        for key in added:
-            if slot.entries[key]["entry_kind"] == "app":
-                self.stats.published += 1
-                obs.count("store.apps.published")
-            else:
-                self.stats.stage_published += 1
-                obs.count("store.stages.published")
+        if not self._manifest_written:
+            _ensure_manifest(self.root)
+            self._manifest_written = True
+        pack.adopt(_write_envelope(pack.path, _PACK_MAGIC, pack.name, meta, encode))
+        for additions in added.values():
+            for key, meta, _value in additions:
+                if key not in published:
+                    continue
+                if meta["entry_kind"] == "app":
+                    self.stats.published += 1
+                    obs.count("store.apps.published")
+                else:
+                    self.stats.stage_published += 1
+                    obs.count("store.stages.published")
 
     def _flush(self) -> None:
-        """Write the current slot's pending additions, if any."""
-        if self._slot is not None and self._slot.pending:
-            self._write(self._slot)
+        """Write the current pack's pending additions, if any."""
+        if self._pack is not None and self._pack.pending:
+            self._write(self._pack)
 
     @contextmanager
     def holding(self):
-        """Hold each app's computed stages until its result is published.
+        """Hold computed stages until their unit's results are published.
 
         Inside, :meth:`finish_app` leaves the stages a stage graph
-        computed pending, and the caller's :meth:`publish_unit` for that
-        app writes them together with the result: one write per app.
-        Whatever is still pending on exit (an app that failed part-way
-        through its graph) is written then.
+        computed pending, and the caller's :meth:`publish_unit` writes
+        them together with the unit's results: one write per unit.
+        Whatever is still pending on exit (the apps of a unit that failed
+        part-way) is written then.
         """
         self._held = True
         try:
@@ -702,9 +810,10 @@ class ResultStore:
             self._flush()
 
     def finish_app(self) -> None:
-        """A stage graph finished its app: write the app's slot.
+        """A stage graph finished its app: write its pack.
 
-        Held (see :meth:`holding`), the write waits for the result.
+        Held (see :meth:`holding`), the write waits for the unit's
+        results.
         """
         if not self._held:
             self._flush()
@@ -716,7 +825,7 @@ class ResultStore:
     ):
         """The stored result for one app under one stage config, or None.
 
-        A corrupt slot is invalidated (warned, counted, deleted) and
+        A corrupt pack is invalidated (warned, counted, deleted) and
         reads as a miss, so the caller recomputes instead of trusting a
         damaged payload.
         """
@@ -725,10 +834,11 @@ class ResultStore:
         fingerprint = self.fingerprint_for(
             stage, platform, dataset, app_id, extra
         )
-        slot = self._open(stage, platform, dataset, app_id)
+        pack = self._open(stage, platform, dataset)
         result = None
-        if fingerprint in slot.entries:
-            result = self._values(slot).get(fingerprint)
+        if fingerprint in pack.entries:
+            self._forget(stage, platform, dataset, app_id, extra)
+            result = self._decode(pack, app_id, _RESULTS).get(fingerprint)
         if result is None:
             self.stats.app_misses += 1
             obs.count("store.apps.miss")
@@ -736,6 +846,35 @@ class ResultStore:
         self.stats.app_hits += 1
         obs.count("store.apps.hit")
         return result
+
+    def _add_app(
+        self,
+        stage: str,
+        platform: str,
+        dataset: str,
+        app_id: str,
+        extra,
+        result,
+    ) -> _Pack:
+        """File one app's result in its pack, pending the write."""
+        fingerprint = self.fingerprint_for(
+            stage, platform, dataset, app_id, extra
+        )
+        pack = self._open(stage, platform, dataset)
+        if fingerprint not in pack.entries:
+            pack.pending[fingerprint] = (
+                {
+                    "entry_kind": "app",
+                    "app_id": app_id,
+                    "stage": stage,
+                    "sleep_s": self.sleep_s,
+                    "extra": repr(normalize_extra(stage, extra)),
+                    "summary": summarize_result(result),
+                },
+                result,
+            )
+        self._forget(stage, platform, dataset, app_id, extra)
+        return pack
 
     def publish_app(
         self,
@@ -746,28 +885,16 @@ class ResultStore:
         extra,
         result,
     ) -> None:
-        """File one app's result in its slot and write the slot.
+        """File one app's result in its pack and write the pack.
 
-        Pending stage artifacts of the same app go out in the same
-        write.  Idempotent: a result already stored is not rewritten.
+        Pending additions to the same pack go out in the same write.
+        Idempotent: a result already stored is not rewritten.
         """
         if not self.write:
             return
-        fingerprint = self.fingerprint_for(
-            stage, platform, dataset, app_id, extra
-        )
-        slot = self._open(stage, platform, dataset, app_id)
-        if fingerprint not in slot.entries:
-            meta = {
-                "entry_kind": "app",
-                "stage": stage,
-                "sleep_s": self.sleep_s,
-                "extra": repr(normalize_extra(stage, extra)),
-                "summary": summarize_result(result),
-            }
-            slot.pending[fingerprint] = (meta, result)
-        if slot.pending:
-            self._write(slot)
+        pack = self._add_app(stage, platform, dataset, app_id, extra, result)
+        if pack.pending:
+            self._write(pack)
 
     # -- per-stage access (the stage graphs' interface) --------------------
 
@@ -784,15 +911,15 @@ class ResultStore:
         """The stored artifact for one stage fingerprint, or ``miss``.
 
         The ``miss`` sentinel distinguishes absence from stored values;
-        corruption invalidates the slot and reads as a miss, same as
+        corruption invalidates the pack and reads as a miss, same as
         the app-level contract.
         """
         if not self.read:
             return miss
-        slot = self._open(kind, platform, dataset, app_id)
+        pack = self._open(kind, platform, dataset)
         value = miss
-        if fingerprint in slot.entries:
-            value = self._values(slot).get(fingerprint, miss)
+        if fingerprint in pack.entries:
+            value = self._decode(pack, app_id, _STAGES).get(fingerprint, miss)
         self._count_stage(kind, stage, hit=value is not miss)
         return value
 
@@ -816,18 +943,18 @@ class ResultStore:
         app_id: str,
         value,
     ) -> None:
-        """Add one stage artifact to its app's slot, pending the write.
+        """Add one stage artifact to its dataset's pack, pending the write.
 
-        The slot is written by :meth:`finish_app` or, for an app whose
-        result is being published, by :meth:`publish_app`.  A stage
+        The pack is written by :meth:`finish_app` or, for a unit whose
+        results are being published, by :meth:`publish_unit`.  A stage
         already filed, stored or pending, is kept as filed.
         """
         if not self.write:
             return
-        slot = self._open(kind, platform, dataset, app_id)
-        if fingerprint not in slot.entries and fingerprint not in slot.pending:
-            meta = {"entry_kind": "stage", "stage": f"{kind}.{stage}"}
-            slot.pending[fingerprint] = (meta, value)
+        pack = self._open(kind, platform, dataset)
+        if fingerprint not in pack.entries and fingerprint not in pack.pending:
+            meta = {"entry_kind": "stage", "app_id": app_id, "stage": f"{kind}.{stage}"}
+            pack.pending[fingerprint] = (meta, value)
 
     # -- unit-level access (the engine's interface) ------------------------
 
@@ -848,8 +975,8 @@ class ResultStore:
         """The composed stored result for one work unit, or None.
 
         All of the unit's apps must hit — a partial unit is a unit miss
-        and is recomputed whole (and republished per app, so the next
-        warm run hits).
+        and is recomputed whole (and republished, so the next warm run
+        hits).
         """
         if not self.read:
             return None
@@ -882,9 +1009,9 @@ class ResultStore:
         graph = self._graph(kind)
         if graph is None:
             return False
+        entries = self._open(kind, platform, dataset).entries
         for app_id, app_extra in self._unit_apps(unit):
-            keys = self._stage_keys(graph, platform, dataset, app_id, app_extra)
-            entries = self._open(kind, platform, dataset, app_id).entries
+            keys = self._extra_keys(graph, platform, dataset, app_id, app_extra)
             if any(
                 stage.persist and keys[stage.name] in entries
                 for stage in graph.stages
@@ -893,7 +1020,7 @@ class ResultStore:
         return False
 
     def publish_unit(self, unit, results: list) -> None:
-        """File one completed unit's results: one slot write per app.
+        """File one completed unit's results: one write of its pack.
 
         Only a complete unit is publishable: a quarantined unit whose
         survivors were merged around abandoned apps no longer aligns
@@ -904,7 +1031,7 @@ class ResultStore:
         with a flipped downstream knob can warm-start mid-graph even
         when the cold run computed units in cache-less pool workers.  A
         unit run against this handle has its graph's stages pending
-        already; they go out with the result, in the app's one write.
+        already; they go out with the results, in the same write.
         """
         if not self.write:
             return
@@ -912,11 +1039,12 @@ class ResultStore:
         if len(results) != len(indices):
             return
         graph = self._graph(kind)
+        pack = None
         for (app_id, app_extra), result in zip(
             self._unit_apps(unit), results
         ):
             if graph is not None and result is not None:
-                keys = self._stage_keys(
+                keys = self._extra_keys(
                     graph, platform, dataset, app_id, app_extra
                 )
                 for stage in graph.stages:
@@ -939,9 +1067,11 @@ class ResultStore:
                             app_id,
                             artifact,
                         )
-            self.publish_app(
+            pack = self._add_app(
                 kind, platform, dataset, app_id, app_extra, result
             )
+        if pack is not None and pack.pending:
+            self._write(pack)
 
 
 def _settings(config) -> tuple:
@@ -967,7 +1097,7 @@ class CorpusStore:
     :meth:`~repro.corpus.generator.CorpusGenerator.generate` asks
     :meth:`load` first and hands a corpus it built to :meth:`save`,
     before any study runs on it.  A corpus file is an envelope like a
-    slot's and follows the same corruption contract: a damaged file is
+    pack's and follows the same corruption contract: a damaged file is
     warned about, deleted and regenerated; ``AttributeError`` and
     ``ImportError`` propagate.
 
@@ -999,7 +1129,7 @@ class CorpusStore:
             envelope = _read_envelope(path, _CORPUS_MAGIC, path.stem)
             if envelope is None:
                 return None
-            corpus = _loads_paused(envelope[2])
+            corpus = _loads_paused(envelope.payload)
             _promote_to_oldest()
         except _CORRUPTION_ERRORS as exc:
             _discard(
@@ -1016,7 +1146,10 @@ class CorpusStore:
         if self.write:
             path = self.path(config)
             meta = dict(_settings(config))
-            _write_envelope(self.root, path, _CORPUS_MAGIC, path.stem, meta, corpus)
+            _ensure_manifest(self.root)
+            _write_envelope(
+                path, _CORPUS_MAGIC, path.stem, meta, lambda: pickle.dumps(corpus)
+            )
 
     def describe(self) -> str:
         if self.loaded:

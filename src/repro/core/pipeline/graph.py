@@ -223,7 +223,7 @@ class StageGraph:
         config names from; without one, ``overrides`` then
         :attr:`defaults` resolve them (the unbound-store path).
         """
-        from repro.core.exec.resultstore import CODE_SALT, _VERSION
+        from repro.core.exec.resultstore import _KEY_VERSION, CODE_SALT
 
         params = params or {}
         keys: Dict[str, str] = {}
@@ -234,7 +234,7 @@ class StageGraph:
             )
             identity = repr(
                 (
-                    _VERSION,
+                    _KEY_VERSION,
                     CODE_SALT,
                     "stage",
                     corpus_fp,
@@ -270,9 +270,10 @@ class StageGraph:
         from the store and its stage function (and telemetry span) is
         skipped, which is what turns a config flip into a partial
         recomputation of only the invalidated suffix of the graph.  The
-        app's slot is read once, on the first lookup, and written once,
-        when the graph finishes or fails (or, under the engine, together
-        with the app's result).
+        stage keys come from the cache, which computes them once per app
+        and config.  The dataset's pack is read once, on the first
+        lookup, and written when the graph finishes or fails (or, under
+        the engine, together with the whole unit's results).
         """
         params = dict(params or {})
         app = packaged.app
@@ -290,13 +291,8 @@ class StageGraph:
             artifacts["platform"] = app.platform
             keys = None
             if cache is not None and dataset is not None:
-                keys = self.stage_keys(
-                    cache.corpus_fp,
-                    app.platform,
-                    dataset,
-                    app.app_id,
-                    params=params,
-                    knobs=ctx,
+                keys = cache.stage_keys(
+                    self, app.platform, dataset, app.app_id, params, ctx
                 )
             try:
                 for stage in self.stages:

@@ -4,7 +4,7 @@ The warm-start contract: a repeated ``Study.run(store=...)`` recomputes
 (far) fewer than 5 % of its work units — zero, when nothing changed —
 and still merges to bit-for-bit the same results as a cold run, at any
 worker count; any configuration change invalidates cleanly; a corrupt
-slot is recomputed with a ``RuntimeWarning``, never served.
+pack is recomputed with a ``RuntimeWarning``, never served.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class TestWarmRuns:
         _, stats = cold
         assert stats.unit_hits == 0
         assert stats.published > 0
-        assert any((store_dir / "slots").rglob("*.pkl"))
+        assert any((store_dir / "packs").glob("*.pkl"))
 
     def test_warm_run_identical_and_fully_cached(self, corpus, store_dir, cold):
         cold_results, _ = cold
@@ -127,8 +127,7 @@ class TestCorruptionFallback:
     ):
         cold_results, _ = cold
         store = ResultStore(store_dir, corpus)
-        app_id = corpus.dataset("android", "popular")[0].app.app_id
-        victim = store.slot_path("static", "android", "popular", app_id)
+        victim = store.pack_path("static", "android", "popular")
         blob = victim.read_bytes()
         victim.write_bytes(blob[: len(blob) // 2])
         with pytest.warns(RuntimeWarning, match="corrupt"):

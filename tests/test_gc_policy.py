@@ -1,12 +1,12 @@
 """The study's garbage-collector contract (DESIGN.md §7).
 
 A run freezes each unit's results out of the cyclic collector as they
-land, and decodes store slots with collection paused and freezes each
-one as soon as it is decoded.  Neither may leak
+land, and decodes store packs with collection paused and freezes each
+part as soon as it is decoded.  Neither may leak
 past the run: after ``Study.run`` returns or raises, ``gc.isenabled()``
 and ``gc.get_freeze_count()`` read as they did before, and a caller's
 own freeze is left in place.  Freezing is only safe because finished
-results hold no reference cycles, which is checked here on every slot of
+results hold no reference cycles, which is checked here on every pack of
 a filled store.  A serial run also never imports ``multiprocessing``, and
 ``repro.cli.main`` leaves nothing frozen.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import errno
 import gc
+import io
 import os
 import pickle
 import subprocess
@@ -121,10 +122,10 @@ class TestRunRestoresGCState:
 
 
 def test_warm_run_young_collections_are_bounded(corpus, filled):
-    """Each decoded slot is frozen as soon as it is decoded, so young
-    collections during a warm run never scan the slots already decoded.
-    Freezing only when a unit lands, this run made ~80 gen0 collections;
-    freezing per slot it makes ~10."""
+    """Each decoded pack part is frozen as soon as it is decoded, so
+    young collections during a warm run never scan the parts already
+    decoded.  Freezing only when a unit lands, this run made ~80 gen0
+    collections; freezing per decode it makes ~10."""
     recorder = obs.Recorder()
     Study(corpus).run(recorder=recorder, store=filled, store_write=False)
     young = recorder.drain().counters.get("gc.collections.gen0", 0)
@@ -157,23 +158,28 @@ class TestLoadedCorpus:
 
 
 def test_stored_artifacts_are_acyclic(filled):
-    """Decoded slots leave no cyclic garbage, so freezing them strands
+    """Decoded packs leave no cyclic garbage, so freezing them strands
     nothing the collector could have freed."""
-    slots = sorted((filled / "slots").rglob("*.pkl"))
-    assert slots
+    packs = sorted((filled / "packs").glob("*.pkl"))
+    assert packs
     gc.collect()
     gc.disable()
     try:
         decoded = 0
-        for path in slots:
-            envelope = pickle.loads(path.read_bytes())
-            values = pickle.loads(envelope[-1])
-            decoded += len(values)
-            del envelope, values
+        for path in packs:
+            blob = path.read_bytes()
+            header = pickle.loads(blob)
+            meta, payload = header[3], blob[len(blob) - header[-1] :]
+            for start, end in meta["segments"].values():
+                unpickler = pickle.Unpickler(io.BytesIO(payload[start:end]))
+                values = [unpickler.load(), unpickler.load()]
+                decoded += sum(len(part) for part in values)
+                del unpickler, values
+            del blob, header, payload
         unreachable = gc.collect()
     finally:
         gc.enable()
-    assert decoded > len(slots)
+    assert decoded > len(packs)
     assert unreachable == 0
 
 

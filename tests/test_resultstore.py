@@ -1,7 +1,7 @@
-"""The content-addressed result store: fingerprints, slots, corruption.
+"""The content-addressed result store: fingerprints, packs, corruption.
 
 The store's contract (DESIGN.md §10): a result is served only under the
-exact fingerprint of everything it is a function of; a damaged slot is
+exact fingerprint of everything it is a function of; a damaged pack is
 invalidated with a ``RuntimeWarning`` and recomputed, never trusted.
 """
 
@@ -13,6 +13,7 @@ import pickle
 import pytest
 
 from repro.core import obs
+from repro.core.exec import resultstore
 from repro.core.exec.resultstore import (
     CODE_SALT,
     ResultStore,
@@ -168,12 +169,23 @@ class TestRoundTrip:
         assert store.stats.published == 0
         assert not (tmp_path / "s").exists()
 
-    def test_manifest_written_once(self, corpus, tmp_path):
+    def test_manifest_written_once(self, corpus, tmp_path, monkeypatch):
+        checks = []
+        ensure = resultstore._ensure_manifest
+
+        def counting(root):
+            checks.append(root)
+            ensure(root)
+
+        monkeypatch.setattr(resultstore, "_ensure_manifest", counting)
         store = ResultStore(tmp_path / "s", corpus)
-        store.publish_app(
-            "static", "ios", "common", "app-5", None, FakeResult("app-5")
-        )
+        for app_id in ("app-5", "app-6"):
+            store.publish_app(
+                "static", "ios", "common", app_id, None, FakeResult(app_id)
+            )
         assert (tmp_path / "s" / "store.json").exists()
+        # One check per handle, not one per write.
+        assert len(checks) == 1
 
     def test_sleep_change_invalidates(self, corpus, tmp_path):
         a = ResultStore(tmp_path / "s", corpus, sleep_s=30.0)
@@ -204,10 +216,12 @@ class TestUnits:
         unit = self._unit(corpus)
         apps = corpus.dataset("android", "popular")
         results = [FakeResult(apps[i].app.app_id) for i in unit[3]]
-        store.publish_unit(unit, results)
-        # Remove one app's slot: the composed unit must miss whole.
-        app_id = apps[1].app.app_id
-        store.slot_path("static", "android", "popular", app_id).unlink()
+        # Store every app but one: the composed unit must miss whole.
+        for index in (0, 2):
+            store.publish_app(
+                "static", "android", "popular", apps[index].app.app_id,
+                None, results[index],
+            )
         assert store.lookup_unit(unit) is None
         assert store.stats.unit_misses == 1
 
@@ -230,17 +244,17 @@ class TestUnits:
 
 
 class TestCorruption:
-    """Truncated/tampered slots fall back to recompute with a warning."""
+    """Truncated/tampered packs fall back to recompute with a warning."""
 
-    def _slot_path(self, store, corpus):
+    def _pack_path(self, store, corpus):
         app_id = corpus.dataset("ios", "common")[0].app.app_id
         store.publish_app(
             "static", "ios", "common", app_id, None, FakeResult(app_id)
         )
-        return app_id, store.slot_path("static", "ios", "common", app_id)
+        return app_id, store.pack_path("static", "ios", "common")
 
     def _assert_invalidated(self, store, corpus, app_id, path):
-        # A fresh handle: the publishing one holds the slot decoded.
+        # A fresh handle: the publishing one holds the pack decoded.
         reader = ResultStore(store.root, corpus)
         with pytest.warns(RuntimeWarning, match="corrupt"):
             assert (
@@ -248,17 +262,17 @@ class TestCorruption:
                 is None
             )
         assert reader.stats.invalidated == 1
-        assert not path.exists(), "a bad slot must be deleted"
+        assert not path.exists(), "a bad pack must be deleted"
 
     def test_truncated_entry(self, corpus, tmp_path):
         store = ResultStore(tmp_path / "s", corpus)
-        app_id, path = self._slot_path(store, corpus)
+        app_id, path = self._pack_path(store, corpus)
         path.write_bytes(path.read_bytes()[:20])
         self._assert_invalidated(store, corpus, app_id, path)
 
     def test_tampered_payload(self, corpus, tmp_path):
         store = ResultStore(tmp_path / "s", corpus)
-        app_id, path = self._slot_path(store, corpus)
+        app_id, path = self._pack_path(store, corpus)
         blob = bytearray(path.read_bytes())
         blob[-10] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -266,27 +280,25 @@ class TestCorruption:
 
     def test_wrong_magic(self, corpus, tmp_path):
         store = ResultStore(tmp_path / "s", corpus)
-        app_id, path = self._slot_path(store, corpus)
+        app_id, path = self._pack_path(store, corpus)
         path.write_bytes(pickle.dumps(("not-an-entry", 1, "x", {}, "d", b"")))
         self._assert_invalidated(store, corpus, app_id, path)
 
     def test_entry_under_wrong_fingerprint(self, corpus, tmp_path):
-        """A valid envelope filed under another app's slot must not be
-        served."""
+        """A valid envelope filed under another dataset's pack must not
+        be served."""
         store = ResultStore(tmp_path / "s", corpus)
-        app_id, path = self._slot_path(store, corpus)
-        other = corpus.dataset("ios", "common")[1].app.app_id
-        wrong = store.slot_path("static", "ios", "common", other)
-        wrong.parent.mkdir(parents=True, exist_ok=True)
+        app_id, path = self._pack_path(store, corpus)
+        wrong = store.pack_path("static", "ios", "popular")
         wrong.write_bytes(path.read_bytes())
         with pytest.warns(RuntimeWarning, match="corrupt"):
             assert (
-                store.lookup_app("static", "ios", "common", other, None)
+                store.lookup_app("static", "ios", "popular", app_id, None)
                 is None
             )
 
     def test_recompute_republishes_after_invalidation(self, corpus, tmp_path):
-        app_id, path = self._slot_path(
+        app_id, path = self._pack_path(
             ResultStore(tmp_path / "s", corpus), corpus
         )
         path.write_bytes(b"garbage")
@@ -376,6 +388,6 @@ class TestProgrammingErrorsPropagate:
         reader = ResultStore(tmp_path / "s", corpus)
         with pytest.raises(AttributeError):
             reader.lookup_app("static", "ios", "common", app_id, None)
-        # Not misfiled as corruption: nothing invalidated, slot intact.
+        # Not misfiled as corruption: nothing invalidated, pack intact.
         assert reader.stats.invalidated == 0
-        assert store.slot_path("static", "ios", "common", app_id).exists()
+        assert store.pack_path("static", "ios", "common").exists()

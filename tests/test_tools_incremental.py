@@ -49,14 +49,17 @@ class FakeDynamicResult:
         return bool(self.pinned_destinations)
 
 
-def populate(store, corpus, flip_app=None):
+def populate(store, corpus, flip_app=None, skip_app=None):
     """Publish a dynamic entry for the first few Android-popular apps.
 
     ``flip_app`` (an index) gets a different pinned verdict — the one
-    perturbed app the diff must name.
+    perturbed app the diff must name; ``skip_app`` (an index) is left
+    out.
     """
     apps = corpus.dataset("android", "popular")[:5]
     for position, packaged in enumerate(apps):
+        if position == skip_app:
+            continue
         app_id = packaged.app.app_id
         pinned = {"api.example.com"} if position % 2 else set()
         if position == flip_app:
@@ -102,9 +105,8 @@ class TestDiffRuns:
         a = ResultStore(tmp_path / "a", corpus)
         b = ResultStore(tmp_path / "b", corpus)
         app_ids = populate(a, corpus)
-        populate(b, corpus)
+        populate(b, corpus, skip_app=2)
         dropped = app_ids[2]
-        b.slot_path("dynamic", "android", "popular", dropped).unlink()
         assert diff_runs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
         out = capsys.readouterr().out
         assert dropped in out and "only in A" in out

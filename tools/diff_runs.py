@@ -24,10 +24,10 @@ across interpreter processes under hash randomisation, so equivalent
 runs do not produce byte-identical payloads unless ``PYTHONHASHSEED``
 is pinned.
 
-Stdlib-only by design: each app's slot is a self-describing envelope
-whose metadata lists every stored key with plain-data context and
-summaries, so this tool never imports the ``repro`` package or
-unpickles result payloads.
+Stdlib-only by design: each dataset's pack is a self-describing
+envelope whose metadata lists every stored key with its app and
+plain-data context and summaries, so this tool never imports the
+``repro`` package or unpickles result payloads.
 
 Exit status: 0 when the stores are identical, 1 when they differ, 2 on
 usage or store-format errors.
@@ -41,7 +41,7 @@ import pickle
 import sys
 from pathlib import Path
 
-_SLOT_MAGIC = "repro-result-slot"
+_PACK_MAGIC = "repro-result-pack"
 
 
 def load_store(root):
@@ -51,25 +51,25 @@ def load_store(root):
     identifies *what was measured*; the fingerprint additionally bakes in
     corpus/code versions, so keying semantically lets two stores written
     by different checkouts still be compared app by app.  Unreadable
-    slots are reported on stderr and skipped (the store itself treats
+    packs are reported on stderr and skipped (the store itself treats
     them as misses).
     """
     root = Path(root)
-    slots = root / "slots"
-    if not slots.is_dir():
-        raise SystemExit(f"error: {root} is not a result store (no slots/)")
+    packs = root / "packs"
+    if not packs.is_dir():
+        raise SystemExit(f"error: {root} is not a result store (no packs/)")
     entries = {}
-    for path in sorted(slots.glob("*/*.pkl")):
+    for path in sorted(packs.glob("*.pkl")):
         try:
             envelope = pickle.loads(path.read_bytes())
             magic, _version, _name, meta, _digest, _payload = envelope
-            if magic != _SLOT_MAGIC:
-                raise ValueError("bad slot magic")
-            identity = (meta["platform"], meta["dataset"], meta["app_id"])
+            if magic != _PACK_MAGIC:
+                raise ValueError("bad pack magic")
+            dataset = (meta["platform"], meta["dataset"])
             stored = meta["entries"].items()
         except Exception as exc:
             print(
-                f"warning: skipping corrupt slot {path}: {exc}",
+                f"warning: skipping corrupt pack {path}: {exc}",
                 file=sys.stderr,
             )
             continue
@@ -80,7 +80,7 @@ def load_store(root):
                 # may legitimately differ in which ones they
                 # materialized.  Only app-level results are compared.
                 continue
-            key = (entry["stage"], *identity, entry["extra"])
+            key = (entry["stage"], *dataset, entry["app_id"], entry["extra"])
             entries[key] = {
                 "fingerprint": fingerprint,
                 "summary": entry.get("summary", {}),
