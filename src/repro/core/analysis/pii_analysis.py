@@ -2,7 +2,9 @@
 
 Pinned flows come from the circumvention re-runs (only decrypted pinned
 traffic is readable); non-pinned flows come from the ordinary MITM runs,
-where default validation accepted the proxy certificate.
+where default validation accepted the proxy certificate.  Both sides are
+read from the results' per-flow facts rows, whose PII types the pipelines
+found when they built them.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ from typing import Iterable, List, Sequence
 from repro.core.circumvent.pipeline import CircumventionResult
 from repro.core.dynamic.pipeline import DynamicAppResult
 from repro.core.pii.compare import PIIComparison, compare_pii_prevalence
-from repro.core.pii.detector import PIIDetector
-from repro.device.identifiers import DeviceIdentifiers
-from repro.netsim.flow import FlowRecord
+from repro.netsim.flow import FlowFacts
 from repro.reporting.tables import Table, percent
 
 #: The PII types Table 9 reports per platform, in paper order.
@@ -23,14 +23,14 @@ TABLE9_TYPES = ("ad_id", "email", "state", "city", "latitude")
 
 def collect_non_pinned_flows(
     results: Sequence[DynamicAppResult],
-) -> List[FlowRecord]:
+) -> List[FlowFacts]:
     """Decrypted MITM flows to destinations that were not pinned."""
-    flows: List[FlowRecord] = []
+    flows: List[FlowFacts] = []
     for result in results:
         pinned = result.pinned_destinations
         excluded = result.excluded_destinations
-        for flow in result.mitm_capture:
-            if not flow.plaintext_visible or flow.os_initiated:
+        for flow in result.mitm_facts:
+            if not flow.plaintext or flow.os_initiated:
                 continue
             if flow.sni in pinned or flow.sni in excluded:
                 continue
@@ -40,24 +40,23 @@ def collect_non_pinned_flows(
 
 def collect_pinned_flows(
     circumventions: Sequence[CircumventionResult],
-) -> List[FlowRecord]:
+) -> List[FlowFacts]:
     """Decrypted flows to pinned destinations from the hooked re-runs."""
-    flows: List[FlowRecord] = []
+    flows: List[FlowFacts] = []
     for circ in circumventions:
-        flows.extend(circ.decrypted_pinned_flows())
+        bypassed = circ.bypassed_destinations
+        flows.extend(f for f in circ.hooked_facts if f.sni in bypassed and f.plaintext)
     return flows
 
 
 def platform_pii_comparison(
     platform: str,
-    identifiers: DeviceIdentifiers,
     dynamic_results: Sequence[DynamicAppResult],
     circumventions: Sequence[CircumventionResult],
 ) -> PIIComparison:
-    detector = PIIDetector(identifiers)
+    """One platform's Table 9 rows, from its results' facts rows."""
     return compare_pii_prevalence(
         platform,
-        detector,
         collect_pinned_flows(circumventions),
         collect_non_pinned_flows(dynamic_results),
     )

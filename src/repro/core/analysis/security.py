@@ -7,8 +7,8 @@ Per dataset and platform:
 * **Pinning apps** — fraction of pinning apps with at least one *pinned*
   connection advertising a bad suite.
 
-Both read the baseline (non-MITM) captures: cipher advertisement is a
-client property visible without interception.
+Both read the baseline (non-MITM) capture's facts rows: cipher
+advertisement is a client property visible without interception.
 """
 
 from __future__ import annotations
@@ -37,15 +37,14 @@ def analyze_ciphers(results: Sequence[DynamicAppResult]) -> CipherSecurityCell:
     pinning_apps = 0
     pinning_weak = 0
     for result in results:
-        flows = list(result.direct_capture)
-        if any(f.advertised_weak_cipher() for f in flows):
+        facts = result.direct_facts
+        if any(f.weak_offer for f in facts):
             overall += 1
         pinned = result.pinned_destinations
         if not pinned:
             continue
         pinning_apps += 1
-        pinned_flows = [f for f in flows if f.sni in pinned]
-        if any(f.advertised_weak_cipher() for f in pinned_flows):
+        if any(f.weak_offer for f in facts if f.sni in pinned):
             pinning_weak += 1
     return CipherSecurityCell(
         overall_rate=overall / total if total else 0.0,

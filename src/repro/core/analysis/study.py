@@ -656,20 +656,12 @@ class Study:
         pii: Dict[str, PIIComparison] = {}
         with obs_mod.span("phase.pii", cat="study"):
             for platform in ("android", "ios"):
-                device = (
-                    self.dynamic_pipeline.android_device
-                    if platform == "android"
-                    else self.dynamic_pipeline.ios_device
-                )
                 all_results = []
                 for (plat, _), results in sorted(dynamic_results.items()):
                     if plat == platform:
                         all_results.extend(results)
                 pii[platform] = pii_mod.platform_pii_comparison(
-                    platform,
-                    device.identifiers,
-                    all_results,
-                    circumvention[platform],
+                    platform, all_results, circumvention[platform]
                 )
 
         return StudyResults(

@@ -11,17 +11,19 @@ The per-app flow is the declarative :data:`CIRCUMVENT_GRAPH` stage graph
 a per-app parameter consumed only by the final (non-persisted) verdict
 stage, so a detector flip that changes an app's pinned set still reuses
 its cached hooked capture — the expensive stage keys on the hook set and
-the run knobs alone.
+the run knobs alone.  The verdict stage also reduces the hooked capture to
+its per-flow facts rows, which Table 9 reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Set
+from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.dynamic.pipeline import DynamicAppResult, DynamicPipeline
 from repro.core.pipeline import Artifact, Stage, StageGraph
 from repro.netsim.capture import TrafficCapture
+from repro.netsim.flow import FlowFacts
 
 
 @dataclass
@@ -35,6 +37,7 @@ class CircumventionResult:
         resistant_destinations: pinned destinations that still reject the
             proxy.
         hooked_capture: the MITM capture of the instrumented run.
+        hooked_facts: one facts row per flow of ``hooked_capture``.
     """
 
     app_id: str
@@ -42,6 +45,7 @@ class CircumventionResult:
     bypassed_destinations: Set[str] = field(default_factory=set)
     resistant_destinations: Set[str] = field(default_factory=set)
     hooked_capture: TrafficCapture = field(default_factory=TrafficCapture)
+    hooked_facts: Tuple[FlowFacts, ...] = ()
 
     def decrypted_pinned_flows(self) -> List:
         """Flows to pinned destinations that the proxy decrypted."""
@@ -80,17 +84,17 @@ def _hooked_run(ctx, a):
 def _verdict(ctx, a):
     pinned = set(a["pinned"])
     capture = a["hooked_run"]
+    facts = ctx.dynamic._pii_detectors[a["platform"]].capture_facts(capture)
     # A destination counts as circumvented when its pinned traffic
     # actually decrypted in the hooked run.
-    decrypted = {
-        f.sni for f in capture if f.plaintext_visible and f.sni in pinned
-    }
+    decrypted = {f.sni for f in facts if f.plaintext and f.sni in pinned}
     return CircumventionResult(
         app_id=a["app_id"],
         platform=a["platform"],
         bypassed_destinations=decrypted,
         resistant_destinations=pinned - decrypted,
         hooked_capture=capture,
+        hooked_facts=facts,
     )
 
 

@@ -5,12 +5,15 @@ One shared proxy and one device per platform; each app runs twice
 differential detector produces per-destination verdicts.
 
 The per-app flow is the declarative :data:`DYNAMIC_GRAPH` stage graph
-(DESIGN.md §15): run_direct → run_mitm → exclusions → detect → result,
-with per-stage telemetry, fault points, and content-addressed stage
+(DESIGN.md §15): run_direct → run_mitm → exclusions → detect → facts →
+result, with per-stage telemetry, fault points, and content-addressed stage
 fingerprints derived from the declaration.  The install-to-launch wait
 and the interaction flag are per-app parameters (``@wait`` / ``@interact``
 config knobs), so the Common-iOS re-run keys differently from the
-first pass.
+first pass.  The ``facts`` stage reduces both captures to the per-flow
+rows the analysis reads (Tables 8 and 9), scanning decrypted flows for the
+device's PII once; a result served from the result store carries its rows
+and decodes its captures only if something reads them.
 
 The Common-iOS re-run (Section 4.5) is available via
 :meth:`DynamicPipeline.run_dataset` with ``rerun_ios_wait=True``: after an
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Set
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 from repro.appmodel.ios import IOSApp
 from repro.core.dynamic.detector import (
@@ -31,11 +34,13 @@ from repro.core.dynamic.detector import (
     DestinationVerdict,
     detect_verdicts,
 )
+from repro.core.pii.detector import PIIDetector
 from repro.core.pipeline import Artifact, Stage, StageGraph
 from repro.corpus.datasets import AppCorpus
 from repro.device.android import AndroidDevice
 from repro.device.ios import IOSDevice
 from repro.netsim.capture import TrafficCapture
+from repro.netsim.flow import FlowFacts
 from repro.netsim.proxy import MITMProxy
 from repro.util.rng import DeterministicRng
 
@@ -48,7 +53,12 @@ if TYPE_CHECKING:
 
 @dataclass
 class DynamicAppResult:
-    """Detection outcome for one app."""
+    """Detection outcome for one app.
+
+    ``direct_facts`` and ``mitm_facts`` hold one row per flow of the two
+    captures, in capture order; the analysis reads them, not the
+    captures.
+    """
 
     app_id: str
     platform: str
@@ -57,6 +67,8 @@ class DynamicAppResult:
     mitm_capture: TrafficCapture = field(default_factory=TrafficCapture)
     excluded_destinations: Set[str] = field(default_factory=set)
     reran_with_wait: bool = False
+    direct_facts: Tuple[FlowFacts, ...] = ()
+    mitm_facts: Tuple[FlowFacts, ...] = ()
 
     @property
     def pinned_destinations(self) -> Set[str]:
@@ -128,7 +140,16 @@ def _detect(ctx, a):
     )
 
 
+def _facts(ctx, a):
+    detector = ctx._pii_detectors[a["platform"]]
+    return (
+        detector.capture_facts(a["run_direct"]),
+        detector.capture_facts(a["run_mitm"]),
+    )
+
+
 def _result(ctx, a):
+    direct_facts, mitm_facts = a["facts"]
     return DynamicAppResult(
         app_id=a["app_id"],
         platform=a["platform"],
@@ -137,6 +158,8 @@ def _result(ctx, a):
         mitm_capture=a["run_mitm"],
         excluded_destinations=a["exclusions"],
         reran_with_wait=a["wait"] >= 120.0,
+        direct_facts=direct_facts,
+        mitm_facts=mitm_facts,
     )
 
 
@@ -188,10 +211,18 @@ DYNAMIC_GRAPH = StageGraph(
             persist=True,
             derive=lambda r: r.verdicts,
         ),
+        # Its own stage so that re-deriving a result under another
+        # detector reuses the rows instead of scanning the captures again.
+        Stage(
+            name="facts",
+            fn=_facts,
+            inputs=("run_direct", "run_mitm"),
+            derive=lambda r: (r.direct_facts, r.mitm_facts),
+        ),
         Stage(
             name="result",
             fn=_result,
-            inputs=("run_direct", "run_mitm", "exclusions", "detect"),
+            inputs=("run_direct", "run_mitm", "exclusions", "detect", "facts"),
             span=False,
         ),
     ),
@@ -271,6 +302,14 @@ class DynamicPipeline:
                 self.proxy,
                 self._rng.child("harness", "ios"),
             ),
+        }
+
+    @cached_property
+    def _pii_detectors(self) -> Dict[str, PIIDetector]:
+        """Per platform, the PII detector for its device's identifiers."""
+        return {
+            "android": PIIDetector(self.android_device.identifiers),
+            "ios": PIIDetector(self.ios_device.identifiers),
         }
 
     def _exclusions_for(self, packaged) -> Set[str]:

@@ -21,13 +21,17 @@ A **pack** holds every stored artifact of one dataset's apps for one
 kind, for every config.  Its file is a pickled header ``(magic, version,
 pack name, meta, payload_sha256, payload_size)`` followed by the
 payload: one segment per app, two pickles written by one
-:class:`pickle.Pickler` (the app's results, then its stage artifacts,
-so shared captures are written once).  ``meta`` is plain data — segment
-offsets and, per fingerprint, the app and what the entry is — so
+:class:`pickle.Pickler` (the app's results, then its stage artifacts).
+A result's captures are not in the results pickle: each is a reference
+to the stage artifact it is, and decodes from the stage pickle when
+first read (:meth:`~repro.netsim.capture.TrafficCapture.deferred`).
+``meta`` is plain data — segment offsets and, per fingerprint, the app
+and what the entry is (an app result also with its config digest) — so
 ``tools/diff_runs.py`` never unpickles a payload.
 
 A handle keeps one pack current and reads its header once per visit; a
-miss decodes nothing, an app lookup decodes only the app's results, a
+miss decodes nothing, an app lookup decodes only the app's results
+(found by app id and config digest, without deriving stage keys), a
 stage lookup also its stage artifacts.  Writes merge pending additions
 into a fresh read of the file and replace it atomically (``mkstemp``
 plus ``os.replace``); under :meth:`ResultStore.holding` a unit's stages
@@ -45,6 +49,7 @@ paused (:func:`_paused`) and, in a run that owns the freeze
 
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
 import io
@@ -55,6 +60,7 @@ import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -66,8 +72,10 @@ _CORPUS_MAGIC = "repro-result-corpus"
 #: Bytes hashed at a time when a pack's payload is verified unread.
 _CHUNK = 1 << 16
 #: On-disk format version.  v2: one slot file per app; v3: one pack file
-#: per dataset.  A file of another version is never read.
-_VERSION = 3
+#: per dataset; v4: results carry per-flow facts and refer to their
+#: captures in the stage pickle.  A file of another version is never read
+#: (pack and corpus file names hash it).
+_VERSION = 4
 #: The schema version every fingerprint hashes.  Independent of the file
 #: format: repacking stored entries does not change what they are.
 _KEY_VERSION = 2
@@ -225,6 +233,19 @@ def _write_envelope(path: Path, magic: str, name: str, meta: dict, encode) -> _E
     except Exception as exc:
         raise StoreWriteError(f"cannot write result store file {path}: {exc}") from exc
     return _Envelope(meta, digest, offset, identity, payload)
+
+
+def _read_at(path: Path, identity: Optional[tuple], start: int, size: int) -> Optional[bytes]:
+    """``size`` bytes at ``start`` of the file at ``path``, or None if it
+    is absent or no longer the file ``identity`` names."""
+    try:
+        with open(path, "rb") as fh:
+            if _identity(fh) != identity:
+                return None
+            fh.seek(start)
+            return fh.read(size)
+    except OSError:
+        return None
 
 
 def _mkstemp(path: Path):
@@ -402,10 +423,12 @@ class _Pack:
     ``(start, end)`` of its two pickles in the payload),
     ``digest``, ``offset`` (of the payload in the file) and ``identity``
     mirror the file as last read or written; the payload stays on disk.
-    ``decoded`` holds the last app decoded: its results, then its stage
-    artifacts.  ``pending`` and ``written`` map fingerprints to
-    ``(metadata, artifact)``: additions not yet written, and the results
-    this handle wrote.
+    ``index`` maps (app id, config digest) to the fingerprint of each
+    stored app result.  ``decoded`` holds the last app decoded: its
+    results, then its stage artifacts.  ``pending`` and ``written`` map
+    fingerprints to ``(metadata, artifact, refs)``: additions not yet
+    written, and the results this handle wrote; ``refs`` pairs each of a
+    result's deferrable stage artifacts with its :class:`_Ref`.
     """
 
     key: tuple
@@ -413,6 +436,7 @@ class _Pack:
     path: Path
     entries: dict = field(default_factory=dict)
     segments: dict = field(default_factory=dict)
+    index: dict = field(default_factory=dict)
     digest: Optional[str] = None
     offset: int = 0
     identity: Optional[tuple] = None
@@ -424,11 +448,16 @@ class _Pack:
         """Mirror ``envelope`` (None: no file), dropping what was decoded."""
         self.decoded = {}
         if envelope is None:
-            self.entries, self.segments = {}, {}
+            self.entries, self.segments, self.index = {}, {}, {}
             self.digest, self.offset, self.identity = None, 0, None
         else:
             self.entries = dict(envelope.meta["entries"])
             self.segments = dict(envelope.meta["segments"])
+            self.index = {
+                (meta["app_id"], meta["config"]): key
+                for key, meta in self.entries.items()
+                if meta["entry_kind"] == "app"
+            }
             self.digest, self.offset = envelope.digest, envelope.offset
             self.identity = envelope.identity
 
@@ -436,6 +465,125 @@ class _Pack:
 #: The two pickles of an app's segment: its results, then its stage
 #: artifacts.
 _RESULTS, _STAGES = 0, 1
+
+
+def _unpickle(data: bytes, parts: int) -> list:
+    """The first ``parts`` pickles of an app's segment, unpickled with
+    collection paused."""
+    unpickler = pickle.Unpickler(io.BytesIO(data))
+    values = [_paused(unpickler.load) for _ in range(parts)]
+    if parts > _STAGES:
+        obs.count("store.stages.decoded")
+    return values
+
+
+@dataclass(frozen=True)
+class _Ref:
+    """What a stored result holds in place of a capture: the capture's
+    type and the key of the stage artifact it is, in the same segment."""
+
+    kind: type
+    key: str
+
+    def __reduce__(self):
+        return _Ref, (self.kind, self.key)
+
+
+def _detached(result, refs: tuple, entries: dict):
+    """``result`` as its results pickle holds it: a shallow copy whose
+    attributes holding a stage artifact filed in ``entries`` hold its
+    :class:`_Ref` instead (``result`` itself if it has none)."""
+    swap = {id(artifact): ref for artifact, ref in refs if ref.key in entries}
+    if not swap:
+        return result
+    stored = copy.copy(result)
+    attrs = vars(stored)
+    attrs.update({name: swap[id(value)] for name, value in attrs.items() if id(value) in swap})
+    return stored
+
+
+@dataclass
+class _Segment:
+    """Where one app's segment was read from, for the deferred captures
+    of the results decoded from it.
+
+    It holds no result, so a result, its deferred captures and this
+    form no reference cycle.  ``stages`` are its stage artifacts once
+    decoded: by a stage lookup, or by the first capture read.
+    """
+
+    path: Path
+    name: str
+    app_id: str
+    identity: Optional[tuple]
+    start: int
+    size: int
+    stages: Optional[dict] = None
+
+    def attach(self, results: dict) -> None:
+        """Put deferred captures in place of the :class:`_Ref` attributes
+        of decoded ``results``."""
+        for result in results.values():
+            attrs = getattr(result, "__dict__", {})
+            for name, value in attrs.items():
+                if type(value) is _Ref:
+                    attrs[name] = value.kind.deferred(partial(self.artifact, value.key))
+
+    def read(self) -> Optional[bytes]:
+        """The segment's bytes, or None if the file was replaced since."""
+        return _read_at(self.path, self.identity, self.start, self.size)
+
+    def artifact(self, key: str):
+        if self.stages is None:
+            self.stages = self._load()
+        if key not in self.stages:
+            raise LookupError(f"stage artifact {key} is not in {self.path}")
+        return self.stages[key]
+
+    def _load(self) -> dict:
+        """This app's stage artifacts, from the pack file as it is now.
+
+        A pack replaced since (a later write merged into it) is found
+        again by its header.  A damaged one is warned about and deleted
+        like on any read, and the capture cannot be served.
+        """
+        try:
+            data = self.read()
+            if data is None:
+                envelope = _read_envelope(self.path, _PACK_MAGIC, self.name, False)
+                bounds = envelope and envelope.meta["segments"].get(self.app_id)
+                if bounds:
+                    start, end = bounds
+                    data = _read_at(
+                        self.path, envelope.identity, envelope.offset + start, end - start
+                    )
+            if data is None:
+                raise LookupError(f"{self.app_id} has no segment in {self.path}")
+            return _unpickle(data, _STAGES + 1)[_STAGES]
+        except _CORRUPTION_ERRORS as exc:
+            obs.count("store.entries.invalidated")
+            _discard(
+                self.path,
+                f"result store pack {self.path} is corrupt ({exc}); the pack "
+                "was discarded and its dataset's entries will be recomputed",
+            )
+            raise LookupError(f"cannot decode a capture from {self.path}") from exc
+
+
+def _derived(graph, result):
+    """``(stage, artifact)`` for each persisted stage whose artifact
+    ``result`` supplies through the stage's ``derive``."""
+    for stage in graph.stages:
+        if stage.persist and stage.derive is not None:
+            try:
+                artifact = stage.derive(result)
+            except (AttributeError, TypeError):
+                # A result that cannot supply this stage's artifact (a
+                # foreign or test result type) is still a valid app-level
+                # entry; backfilling stage entries is best-effort — a
+                # future run simply recomputes that stage cold.
+                continue
+            yield stage, artifact
 
 
 def _memo_key(graph, platform: str, dataset: str, app_id: str, params: dict) -> tuple:
@@ -491,9 +639,12 @@ class ResultStore:
         # matches a default-configured study.
         self._knobs: dict = {}
         # (kind, platform, dataset, app id, params) -> stage keys under
-        # the bound knobs, for the apps whose result is neither served
-        # nor filed yet; emptied when a binding changes.
+        # the bound knobs, for the apps whose result is not filed yet;
+        # emptied when a binding changes.
         self._keys_memo: dict = {}
+        # (kind, params) -> config digest under the bound knobs; emptied
+        # when a binding changes.
+        self._digests: dict = {}
         self._pack: Optional[_Pack] = None
         self._held = False
         self._manifest_written = False
@@ -528,6 +679,7 @@ class ResultStore:
             if pipeline is not None and self._knobs.get(kind) is not pipeline:
                 self._knobs[kind] = pipeline
                 self._keys_memo.clear()
+                self._digests.clear()
 
     @staticmethod
     def _graph(kind: str):
@@ -542,13 +694,19 @@ class ResultStore:
 
         Under the bound pipeline they are computed once and shared by the
         stage lookups, the derive backfill and the result's own address
-        until the result is served or filed.
+        until the result is filed.  Serving a stored result needs none
+        (:meth:`lookup_app` finds it by config digest).
         """
         if knobs is not self._knobs.get(graph.kind):
             return graph.stage_keys(
                 self.corpus_fp, platform, dataset, app_id, params=params, knobs=knobs
             )
         return self._stage_keys(graph, platform, dataset, app_id, params)
+
+    def _resolution(self, kind: str) -> tuple:
+        """``(knobs, overrides)`` config knobs of ``kind`` resolve from."""
+        knobs = self._knobs.get(kind)
+        return knobs, None if knobs is not None else {"sleep_s": self.sleep_s}
 
     def _stage_keys(
         self, graph, platform: str, dataset: str, app_id: str, params: dict
@@ -557,8 +715,7 @@ class ResultStore:
         memo = _memo_key(graph, platform, dataset, app_id, params)
         keys = self._keys_memo.get(memo)
         if keys is None:
-            knobs = self._knobs.get(graph.kind)
-            overrides = None if knobs is not None else {"sleep_s": self.sleep_s}
+            knobs, overrides = self._resolution(graph.kind)
             keys = graph.stage_keys(
                 self.corpus_fp,
                 platform,
@@ -571,6 +728,26 @@ class ResultStore:
             self._keys_memo[memo] = keys
         return keys
 
+    def _config(self, kind: str, platform: str, dataset: str, app_id: str, extra) -> str:
+        """What, besides the app, an app entry's address is a function of.
+
+        For graph kinds, the graph's config digest under the bound knobs,
+        computed once per kind and parameters; otherwise the flat
+        fingerprint itself.
+        """
+        graph = self._graph(kind)
+        if graph is None:
+            return app_fingerprint(
+                self.corpus_fp, self.sleep_s, kind, platform, dataset, app_id, extra
+            )
+        params = graph.params_from_extra(extra)
+        memo = kind, tuple(sorted(params.items()))
+        digest = self._digests.get(memo)
+        if digest is None:
+            knobs, overrides = self._resolution(kind)
+            digest = self._digests[memo] = graph.config_digest(params, knobs, overrides)
+        return digest
+
     def _extra_keys(
         self, graph, platform: str, dataset: str, app_id: str, extra
     ) -> dict:
@@ -580,34 +757,12 @@ class ResultStore:
         )
 
     def _forget(self, stage: str, platform: str, dataset: str, app_id: str, extra) -> None:
-        """Drop one app's memoised stage keys: its result was served or
-        filed, so nothing of this handle asks for them again."""
+        """Drop one app's memoised stage keys: its result was filed, so
+        nothing of this handle asks for them again."""
         graph = self._graph(stage)
         if graph is not None:
             params = graph.params_from_extra(extra)
             self._keys_memo.pop(_memo_key(graph, platform, dataset, app_id, params), None)
-
-    def fingerprint_for(
-        self, stage: str, platform: str, dataset: str, app_id: str, extra
-    ) -> str:
-        """The content address of one app's result for one stage config.
-
-        For kinds with a registered stage graph this is the final
-        stage's chain key — every upstream config knob and artifact
-        fingerprint enters it; otherwise the flat legacy fingerprint.
-        """
-        graph = self._graph(stage)
-        if graph is None:
-            return app_fingerprint(
-                self.corpus_fp,
-                self.sleep_s,
-                stage,
-                platform,
-                dataset,
-                app_id,
-                extra,
-            )
-        return self._extra_keys(graph, platform, dataset, app_id, extra)[graph.final]
 
     # -- packs -------------------------------------------------------------
 
@@ -647,60 +802,68 @@ class ResultStore:
         return envelope.payload if envelope is not None else None
 
     @staticmethod
-    def _segment(pack: _Pack, app_id: str, payload: Optional[bytes]) -> Optional[bytes]:
-        """One app's segment: sliced from ``payload`` if given, else read
-        from the file, or None if the file is not the one ``pack``
-        mirrors."""
-        start, end = pack.segments[app_id]
-        if payload is not None:
-            return payload[start:end]
-        try:
-            with open(pack.path, "rb") as fh:
-                if _identity(fh) != pack.identity:
-                    return None
-                fh.seek(pack.offset + start)
-                return fh.read(end - start)
-        except OSError:
+    def _segment(pack: _Pack, app_id: str) -> Optional[_Segment]:
+        """Where one app's segment is in the file ``pack`` mirrors."""
+        if app_id not in pack.segments:
             return None
+        start, end = pack.segments[app_id]
+        return _Segment(
+            pack.path, pack.name, app_id, pack.identity, pack.offset + start, end - start
+        )
 
-    def _decode(
-        self, pack: _Pack, app_id: str, part: int, payload: Optional[bytes] = None
-    ) -> dict:
+    def _decode(self, pack: _Pack, app_id: str, part: int) -> dict:
         """Pickle ``part`` (:data:`_RESULTS` or :data:`_STAGES`) of one
         app's segment, unpickled on first use with collection paused.
 
-        The stage pickle refers into the results pickle's memo, so stages
-        asked for after the results decode the segment again from its
-        start.  A pack file replaced since the handle read it is read
-        again first.  Only errors damaged bytes can produce invalidate
-        the pack; anything else (an ``AttributeError`` from a renamed
-        result class, an ``ImportError`` from a moved module) is a
-        programming error, usually a missing :data:`CODE_SALT` bump, and
-        propagates instead of silently recomputing the store.
+        The captures in the results are deferred: they decode from the
+        stage pickle if something reads them.  The stage pickle refers
+        into the results pickle's memo, so stages asked for after the
+        results decode the segment again from its start.  A pack file
+        replaced since the handle read it is read again first.  Only
+        errors damaged bytes can produce invalidate the pack; anything
+        else (an ``AttributeError`` from a renamed result class, an
+        ``ImportError`` from a moved module) is a programming error,
+        usually a missing :data:`CODE_SALT` bump, and propagates instead
+        of silently recomputing the store.
         """
         parts = pack.decoded.get(app_id, ())
         if len(parts) > part:
             return parts[part]
-        data = None
-        if app_id in pack.segments:
-            data = self._segment(pack, app_id, payload)
-            if data is None:
-                self._read(pack)
-                if app_id in pack.segments:
-                    data = self._segment(pack, app_id, None)
+        segment = self._segment(pack, app_id)
+        data = segment.read() if segment else None
+        if segment and data is None:
+            self._read(pack)
+            segment = self._segment(pack, app_id)
+            data = segment.read() if segment else None
         if data is None:
             return {}
-        unpickler = pickle.Unpickler(io.BytesIO(data))
         try:
-            parts = [_paused(unpickler.load) for _ in range(part + 1)]
+            parts = _unpickle(data, part + 1)
         except _CORRUPTION_ERRORS as exc:
             self._invalidate(pack.path, exc)
             pack.adopt(None)
             return {}
+        segment.attach(parts[_RESULTS])
+        if part == _STAGES:
+            segment.stages = parts[_STAGES]
         if self.freeze_decoded:
             gc.freeze()
         pack.decoded = {app_id: parts}
         return parts[part]
+
+    def _merge_parts(self, pack: _Pack, app_id: str, payload: bytes) -> list:
+        """Both pickles of one app's segment in ``payload``, to be
+        encoded again (stored results keep their :class:`_Ref`
+        attributes).  A damaged segment invalidates the pack and reads as
+        empty."""
+        if app_id in pack.segments:
+            start, end = pack.segments[app_id]
+            try:
+                return _unpickle(payload[start:end], _STAGES + 1)
+            except _CORRUPTION_ERRORS as exc:
+                self._invalidate(pack.path, exc)
+                pack.adopt(None)
+        return [{}, {}]
 
     def _invalidate(self, path: Path, reason: Exception) -> None:
         self.stats.invalidated += 1
@@ -719,9 +882,9 @@ class ResultStore:
         handle wrote before where a concurrent writer's replace dropped
         them.  Pending keys already on disk are dropped (same content
         address, same value); a pack with nothing new is not rewritten.
-        Only the apps with additions are decoded and pickled again; the
-        other segments are copied as they are.  Failures raise
-        :class:`StoreWriteError`.
+        Only the apps with additions are decoded and pickled again (their
+        stored results' captures stay references); the other segments
+        are copied as they are.  Failures raise :class:`StoreWriteError`.
         """
         pending, pack.pending = pack.pending, {}
         published = set(pending)
@@ -731,22 +894,23 @@ class ResultStore:
         payload = self._read(pack, keep_payload=True)
         if pack.digest == digest:
             pack.decoded = decoded
-        # app id -> [(fingerprint, metadata, artifact)] not on disk yet.
+        # app id -> [(fingerprint, metadata, artifact, refs)] not on disk yet.
         added: dict = {}
-        for key, (meta, value) in pending.items():
+        for key, (meta, value, refs) in pending.items():
             if key not in pack.entries:
-                added.setdefault(meta["app_id"], []).append((key, meta, value))
+                added.setdefault(meta["app_id"], []).append((key, meta, value, refs))
         if not added:
             return
+        for additions in added.values():
+            for key, meta, value, refs in additions:
+                pack.entries[key] = meta
+                if meta["entry_kind"] == "app":
+                    pack.written[key] = (meta, value, refs)
         merged: dict = {}
         for app_id, additions in added.items():
-            stages = self._decode(pack, app_id, _STAGES, payload)  # decodes both
-            parts = [dict(self._decode(pack, app_id, _RESULTS, payload)), dict(stages)]
-            for key, meta, value in additions:
-                pack.entries[key] = meta
-                parts[_part_of(meta)][key] = value
-                if meta["entry_kind"] == "app":
-                    pack.written[key] = (meta, value)
+            parts = self._merge_parts(pack, app_id, payload)
+            for key, meta, value, refs in additions:
+                parts[_part_of(meta)][key] = _detached(value, refs, pack.entries)
             merged[app_id] = parts
         segments: dict = {}
 
@@ -777,7 +941,7 @@ class ResultStore:
             self._manifest_written = True
         pack.adopt(_write_envelope(pack.path, _PACK_MAGIC, pack.name, meta, encode))
         for additions in added.values():
-            for key, meta, _value in additions:
+            for key, meta, _value, _refs in additions:
                 if key not in published:
                     continue
                 if meta["entry_kind"] == "app":
@@ -831,13 +995,11 @@ class ResultStore:
         """
         if not self.read:
             return None
-        fingerprint = self.fingerprint_for(
-            stage, platform, dataset, app_id, extra
-        )
         pack = self._open(stage, platform, dataset)
+        config = self._config(stage, platform, dataset, app_id, extra)
+        fingerprint = pack.index.get((app_id, config))
         result = None
-        if fingerprint in pack.entries:
-            self._forget(stage, platform, dataset, app_id, extra)
+        if fingerprint is not None:
             result = self._decode(pack, app_id, _RESULTS).get(fingerprint)
         if result is None:
             self.stats.app_misses += 1
@@ -856,10 +1018,26 @@ class ResultStore:
         extra,
         result,
     ) -> _Pack:
-        """File one app's result in its pack, pending the write."""
-        fingerprint = self.fingerprint_for(
-            stage, platform, dataset, app_id, extra
-        )
+        """File one app's result in its pack, pending the write.
+
+        Its captures that are also stage artifacts (a graph's ``derive``
+        extracts them, and their type can be
+        :meth:`~repro.netsim.capture.TrafficCapture.deferred`) are
+        written as references to those, if those are in the pack.
+        """
+        graph = self._graph(stage)
+        config = self._config(stage, platform, dataset, app_id, extra)
+        refs: tuple = ()
+        if graph is None:
+            fingerprint = config  # the flat fingerprint
+        else:
+            keys = self._extra_keys(graph, platform, dataset, app_id, extra)
+            fingerprint = keys[graph.final]
+            refs = tuple(
+                (artifact, _Ref(type(artifact), keys[item.name]))
+                for item, artifact in _derived(graph, result)
+                if hasattr(type(artifact), "deferred")
+            )
         pack = self._open(stage, platform, dataset)
         if fingerprint not in pack.entries:
             pack.pending[fingerprint] = (
@@ -867,11 +1045,13 @@ class ResultStore:
                     "entry_kind": "app",
                     "app_id": app_id,
                     "stage": stage,
+                    "config": config,
                     "sleep_s": self.sleep_s,
                     "extra": repr(normalize_extra(stage, extra)),
                     "summary": summarize_result(result),
                 },
                 result,
+                refs,
             )
         self._forget(stage, platform, dataset, app_id, extra)
         return pack
@@ -954,7 +1134,7 @@ class ResultStore:
         pack = self._open(kind, platform, dataset)
         if fingerprint not in pack.entries and fingerprint not in pack.pending:
             meta = {"entry_kind": "stage", "app_id": app_id, "stage": f"{kind}.{stage}"}
-            pack.pending[fingerprint] = (meta, value)
+            pack.pending[fingerprint] = (meta, value, ())
 
     # -- unit-level access (the engine's interface) ------------------------
 
@@ -1047,26 +1227,16 @@ class ResultStore:
                 keys = self._extra_keys(
                     graph, platform, dataset, app_id, app_extra
                 )
-                for stage in graph.stages:
-                    if stage.persist and stage.derive is not None:
-                        try:
-                            artifact = stage.derive(result)
-                        except (AttributeError, TypeError):
-                            # A result that cannot supply this stage's
-                            # artifact (a foreign or test result type) is
-                            # still a valid app-level entry; backfilling
-                            # stage entries is best-effort — a future run
-                            # simply recomputes that stage cold.
-                            continue
-                        self.publish_stage(
-                            keys[stage.name],
-                            kind,
-                            stage.name,
-                            platform,
-                            dataset,
-                            app_id,
-                            artifact,
-                        )
+                for stage, artifact in _derived(graph, result):
+                    self.publish_stage(
+                        keys[stage.name],
+                        kind,
+                        stage.name,
+                        platform,
+                        dataset,
+                        app_id,
+                        artifact,
+                    )
             pack = self._add_app(
                 kind, platform, dataset, app_id, app_extra, result
             )

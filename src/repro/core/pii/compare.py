@@ -11,9 +11,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.core.pii.detector import PIIDetector
 from repro.device.identifiers import PII_TYPES
-from repro.netsim.flow import FlowRecord
+from repro.netsim.flow import FlowFacts
 from repro.util.stats import ChiSquareResult, chi_square_independence
 
 
@@ -49,32 +48,30 @@ class PIIComparison:
         raise KeyError(pii_type)
 
 
-def _type_counts(detector: PIIDetector, flows: Sequence[FlowRecord]) -> Counter:
+def _type_counts(flows: Sequence[FlowFacts]) -> Counter:
     """Number of flows containing each PII type."""
     counts: Counter = Counter()
     for flow in flows:
-        counts.update(detector.flow_pii_types(flow))
+        counts.update(flow.pii)
     return counts
 
 
 def compare_pii_prevalence(
     platform: str,
-    detector: PIIDetector,
-    pinned_flows: Sequence[FlowRecord],
-    non_pinned_flows: Sequence[FlowRecord],
+    pinned_flows: Sequence[FlowFacts],
+    non_pinned_flows: Sequence[FlowFacts],
 ) -> PIIComparison:
     """Build the pinned-vs-non-pinned comparison for one platform.
 
     Flows that were never decrypted are skipped (they carry no readable
     payload); the chi-square test is omitted for types absent from both
-    sides (a zero margin makes it undefined).
+    sides (a zero margin makes it undefined).  Each row counts the flows
+    whose PII types contain it.
     """
-    pinned = [f for f in pinned_flows if f.plaintext_visible]
-    non_pinned = [f for f in non_pinned_flows if f.plaintext_visible]
-    # One scan per flow; each PII type's row then counts the flows whose
-    # type set contains it.
-    pinned_counts = _type_counts(detector, pinned)
-    non_pinned_counts = _type_counts(detector, non_pinned)
+    pinned = [f for f in pinned_flows if f.plaintext]
+    non_pinned = [f for f in non_pinned_flows if f.plaintext]
+    pinned_counts = _type_counts(pinned)
+    non_pinned_counts = _type_counts(non_pinned)
 
     comparison = PIIComparison(platform=platform)
     for pii_type in PII_TYPES:

@@ -5,15 +5,18 @@ detection is a search for those known values in decrypted payloads —
 ReCon-style, as in the studies the paper builds on ([45, 46]).  The PII
 set is the paper's: IMEI, advertisement ID, WiFi MAC, user email, state,
 city and latitude/longitude.
+
+The pipelines scan each flow once, as its :class:`FlowFacts` row is built
+(:meth:`PIIDetector.capture_facts`); Table 9 counts the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.device.identifiers import DeviceIdentifiers, PII_TYPES
-from repro.netsim.flow import FlowRecord
+from repro.netsim.flow import FlowFacts, FlowRecord, flow_facts
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,10 @@ class PIIDetector:
     def flow_pii_types(self, flow: FlowRecord) -> Set[str]:
         """The distinct PII types present in one flow."""
         return {hit.pii_type for hit in self.scan_flow(flow)}
+
+    def capture_facts(self, flows: Iterable[FlowRecord]) -> Tuple[FlowFacts, ...]:
+        """One facts row per flow; only decrypted flows are scanned."""
+        return flow_facts(flows, lambda flow: frozenset(self.flow_pii_types(flow)))
 
     def prevalence(self, flows: Sequence[FlowRecord]) -> Dict[str, float]:
         """Fraction of flows containing each PII type."""

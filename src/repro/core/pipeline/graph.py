@@ -203,6 +203,51 @@ class StageGraph:
             return overrides[name]
         return self.defaults[name]
 
+    def _configs(
+        self,
+        params: Mapping[str, object],
+        knobs: Optional[object],
+        overrides: Optional[Mapping[str, object]],
+    ) -> Tuple[tuple, ...]:
+        """Each stage's resolved ``(knob, value)`` pairs, in stage order."""
+        return tuple(
+            tuple(
+                (name, _freeze(self._resolve_knob(name, params, knobs, overrides)))
+                for name in stage.config
+            )
+            for stage in self.stages
+        )
+
+    def config_digest(
+        self,
+        params: Optional[Mapping[str, object]] = None,
+        knobs: Optional[object] = None,
+        overrides: Optional[Mapping[str, object]] = None,
+    ) -> str:
+        """A digest of the graph's shape and every stage's resolved config.
+
+        With the app identity (and the corpus fingerprint) it decides
+        every key :meth:`stage_keys` derives, so a store can find an
+        app's stored result by (app id, digest) without deriving the
+        chain; it is the same for every app under one config.
+        """
+        from repro.core.exec.resultstore import _KEY_VERSION, CODE_SALT
+
+        configs = self._configs(params or {}, knobs, overrides)
+        identity = repr(
+            (
+                _KEY_VERSION,
+                CODE_SALT,
+                "config",
+                self.kind,
+                tuple(
+                    (stage.name, stage.inputs, config)
+                    for stage, config in zip(self.stages, configs)
+                ),
+            )
+        )
+        return hashlib.sha256(identity.encode("utf-8")).hexdigest()
+
     def stage_keys(
         self,
         corpus_fp: str,
@@ -225,13 +270,9 @@ class StageGraph:
         """
         from repro.core.exec.resultstore import _KEY_VERSION, CODE_SALT
 
-        params = params or {}
+        configs = self._configs(params or {}, knobs, overrides)
         keys: Dict[str, str] = {}
-        for stage in self.stages:
-            config = tuple(
-                (name, _freeze(self._resolve_knob(name, params, knobs, overrides)))
-                for name in stage.config
-            )
+        for stage, config in zip(self.stages, configs):
             identity = repr(
                 (
                     _KEY_VERSION,

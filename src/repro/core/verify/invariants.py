@@ -3,9 +3,9 @@
 Cross-pipeline consistency rules over a completed
 :class:`~repro.core.analysis.study.StudyResults`.  Every rule is a pure
 check — the auditor never mutates results — and each re-derives its
-expectation from the rawest inputs available (verdicts, captures, the
-corpus, the error ledger) rather than trusting an intermediate
-aggregate, so a bug in any aggregation step shows up as a disagreement
+expectation from the rawest inputs available (verdicts, the captures'
+per-flow facts rows, the corpus, the error ledger) rather than trusting
+an intermediate aggregate, so a bug in any aggregation step shows up as a disagreement
 between two derivations.
 
 The rule catalogue is data: each rule registers itself with a name and a
@@ -153,6 +153,11 @@ def _check_verdict_partition(results) -> Iterator[Violation]:
                 )
 
 
+def _destinations(facts) -> set:
+    """A capture's distinct SNIs, as ``TrafficCapture.destinations``."""
+    return {f.sni.lower() for f in facts if f.sni}
+
+
 @rule(
     "capture-consistency",
     "a pinned verdict's destination appears in both captures",
@@ -160,8 +165,8 @@ def _check_verdict_partition(results) -> Iterator[Violation]:
 def _check_capture_consistency(results) -> Iterator[Violation]:
     for key, dataset_results in sorted(results.dynamic_results.items()):
         for result in dataset_results:
-            direct = result.direct_capture.destinations()
-            mitm = result.mitm_capture.destinations()
+            direct = _destinations(result.direct_facts)
+            mitm = _destinations(result.mitm_facts)
             for destination in sorted(result.pinned_destinations):
                 if destination not in direct:
                     yield _v(

@@ -2,12 +2,14 @@
 
 A :class:`TrafficCapture` is the pcap of one experiment run: an ordered
 list of :class:`FlowRecord` with filtering helpers the dynamic pipeline
-uses (per-app, per-destination, direct vs intercepted).
+uses (per-app, per-destination, direct vs intercepted).  A capture served
+from the result store is :meth:`~TrafficCapture.deferred`: its flows are
+decoded when first read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set
+from typing import Callable, Dict, Iterable, Iterator, List, Set
 
 from repro.netsim.flow import FlowRecord
 
@@ -17,6 +19,26 @@ class TrafficCapture:
 
     def __init__(self, flows: Iterable[FlowRecord] = ()):
         self.flows: List[FlowRecord] = list(flows)
+
+    @classmethod
+    def deferred(cls, load: Callable[[], "TrafficCapture"]) -> "TrafficCapture":
+        """A capture whose flows are those of ``load()``, called on first
+        use."""
+        capture = cls.__new__(cls)
+        capture._load = load
+        return capture
+
+    def __getattr__(self, name: str):
+        # Reached only for a missing attribute: the flows of a deferred
+        # capture not read yet.
+        load = self.__dict__.pop("_load", None) if name == "flows" else None
+        if load is None:
+            raise AttributeError(name)
+        self.flows = load().flows
+        return self.flows
+
+    def __reduce__(self):
+        return TrafficCapture, (self.flows,)
 
     def add(self, flow: FlowRecord) -> None:
         self.flows.append(flow)

@@ -3,6 +3,7 @@
 A :class:`FlowRecord` is one TCP/TLS connection as the capture box saw it:
 SNI, offered and negotiated TLS parameters, the record trace, the TCP
 teardown, and — only when the proxy terminated TLS — decrypted payloads.
+A :class:`FlowFacts` row is the little of it the analysis reads.
 
 Ground-truth fields (``gt_*``) record what *actually* happened so tests can
 score detector precision/recall; analysis code never reads them.
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from operator import attrgetter
-from typing import Optional, Tuple
+from typing import Callable, FrozenSet, Iterable, Optional, Tuple
 
 from repro.errors import AnalysisError
 from repro.tls.ciphers import CipherSuite, advertises_weak
@@ -96,10 +97,6 @@ class FlowRecord:
             )
         return self._payloads
 
-    def advertised_weak_cipher(self) -> bool:
-        """Table 8's per-connection test on the ClientHello."""
-        return advertises_weak(self.offered_suites)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "mitm" if self.mitm_attempted else "direct"
         return f"FlowRecord({self.sni!r}, {state}, teardown={self.trace.teardown})"
@@ -111,3 +108,78 @@ class FlowRecord:
 
 
 _flow_fields = attrgetter(*(item.name for item in fields(FlowRecord)))
+
+
+@dataclass(frozen=True)
+class FlowFacts:
+    """What the analysis reads of one captured flow.
+
+    Table 8 reads ``weak_offer``; Table 9 reads the rest.  Rows are
+    shared: :func:`flow_facts` and unpickling both return one instance
+    per value (a study's captures hold ~7x fewer distinct rows than
+    flows).
+
+    Attributes:
+        sni: the flow's SNI, as captured.
+        weak_offer: the ClientHello advertised a weak suite (Table 8's
+            per-connection test).
+        plaintext: the proxy decrypted the flow.
+        os_initiated: the OS, not the app, opened the connection.
+        pii: the PII types found in the decrypted payloads (empty for a
+            flow that was not decrypted).
+    """
+
+    sni: str
+    weak_offer: bool
+    plaintext: bool
+    os_initiated: bool
+    pii: FrozenSet[str]
+
+    def __reduce__(self):
+        return _shared_facts, (
+            self.sni,
+            self.weak_offer,
+            self.plaintext,
+            self.os_initiated,
+            self.pii,
+        )
+
+
+@lru_cache(maxsize=1 << 15)
+def _shared_facts(
+    sni: str, weak_offer: bool, plaintext: bool, os_initiated: bool, pii: frozenset
+) -> FlowFacts:
+    """One shared :class:`FlowFacts` per value (bounded, like
+    :func:`_shared_payload`).
+
+    The row keeps a string of its own for the SNI.  Holding the string of
+    the flow it was first built from would make a result pickle
+    differently (shared or not with its flows' SNIs) depending on which
+    run built the row.
+    """
+    return FlowFacts(sni.encode().decode(), weak_offer, plaintext, os_initiated, pii)
+
+
+#: One instance per PII type set (there are at most 2**7), so that the
+#: rows and their cache keys share them.
+_PII_SETS: dict = {}
+
+
+def flow_facts(
+    flows: Iterable[FlowRecord], pii_types: Callable[[FlowRecord], FrozenSet[str]]
+) -> Tuple[FlowFacts, ...]:
+    """One facts row per flow, in order; ``pii_types`` is asked about the
+    decrypted flows only."""
+    # The flows to one destination share their offered-suites tuple.
+    weak: dict = {}
+    rows = []
+    for flow in flows:
+        suites = flow.offered_suites
+        weak_offer = weak.get(id(suites))
+        if weak_offer is None:
+            weak_offer = weak[id(suites)] = advertises_weak(suites)
+        plaintext = flow.plaintext_visible
+        pii = pii_types(flow) if plaintext else frozenset()
+        pii = _PII_SETS.setdefault(pii, pii)
+        rows.append(_shared_facts(flow.sni, weak_offer, plaintext, flow.os_initiated, pii))
+    return tuple(rows)

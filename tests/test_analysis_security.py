@@ -5,7 +5,7 @@ from repro.core.analysis.security import analyze_ciphers
 from repro.core.dynamic.pipeline import DynamicAppResult
 from repro.core.dynamic.detector import DestinationVerdict
 from repro.netsim.capture import TrafficCapture
-from repro.netsim.flow import FlowRecord
+from repro.netsim.flow import FlowRecord, flow_facts
 from repro.tls.ciphers import MODERN_SUITES, WEAK_SUITES
 from repro.util.simtime import STUDY_START
 
@@ -29,6 +29,7 @@ def result(app_id, flows, pinned=()):
         platform="android",
         verdicts=verdicts,
         direct_capture=TrafficCapture(flows),
+        direct_facts=flow_facts(flows, pii_types=None),
     )
 
 
@@ -70,5 +71,7 @@ class TestAnalyzeCiphers:
         assert cell.pinning_rate == 0.0
 
     def test_weak_advertisement_detection(self):
-        assert flow("x.com", True).advertised_weak_cipher()
-        assert not flow("x.com", False).advertised_weak_cipher()
+        (weak,) = flow_facts([flow("x.com", True)], pii_types=None)
+        (strong,) = flow_facts([flow("x.com", False)], pii_types=None)
+        assert weak.weak_offer
+        assert not strong.weak_offer

@@ -84,7 +84,7 @@ class TestComparison:
             for _ in range(20)
         ] + [decrypted_flow("n.com", [("k", "v")]) for _ in range(80)]
         comparison = compare_pii_prevalence(
-            "android", detector, pinned, non_pinned
+            "android", detector.capture_facts(pinned), detector.capture_facts(non_pinned)
         )
         row = comparison.row("ad_id")
         assert row.pinned_rate == pytest.approx(0.8)
@@ -97,38 +97,80 @@ class TestComparison:
             decrypted_flow("x.com", [("id", identifiers.ad_id)])
             for _ in range(50)
         ] + [decrypted_flow("x.com", [("k", "v")]) for _ in range(50)]
-        comparison = compare_pii_prevalence("ios", detector, flows, list(flows))
+        facts = detector.capture_facts(flows)
+        comparison = compare_pii_prevalence("ios", facts, list(facts))
         assert not comparison.row("ad_id").significant
 
     def test_absent_type_has_no_test(self, identifiers):
         detector = PIIDetector(identifiers)
-        flows = [decrypted_flow("x.com", [("k", "v")])]
-        comparison = compare_pii_prevalence("ios", detector, flows, flows)
+        facts = detector.capture_facts([decrypted_flow("x.com", [("k", "v")])])
+        comparison = compare_pii_prevalence("ios", facts, facts)
         assert comparison.row("mac").chi_square is None
 
     def test_unknown_type_raises(self, identifiers):
         detector = PIIDetector(identifiers)
-        comparison = compare_pii_prevalence("ios", detector, [], [])
+        comparison = compare_pii_prevalence("ios", [], [])
         with pytest.raises(KeyError):
             comparison.row("ssn")
 
     def test_undecrypted_flows_skipped(self, identifiers):
         detector = PIIDetector(identifiers)
-        encrypted = FlowRecord(sni="x.com", started_at=STUDY_START)
-        comparison = compare_pii_prevalence(
-            "ios", detector, [encrypted], [encrypted]
-        )
+        encrypted = detector.capture_facts([FlowRecord(sni="x.com", started_at=STUDY_START)])
+        comparison = compare_pii_prevalence("ios", encrypted, encrypted)
         assert comparison.row("ad_id").pinned_total == 0
+
+
+def non_pinned_capture_flows(results):
+    """Table 9's non-pinned side, selected from the MITM captures."""
+    return [
+        flow
+        for result in results
+        for flow in result.mitm_capture
+        if flow.plaintext_visible
+        and not flow.os_initiated
+        and flow.sni not in result.pinned_destinations
+        and flow.sni not in result.excluded_destinations
+    ]
+
+
+def pinned_capture_flows(circumventions):
+    """Table 9's pinned side, selected from the hooked captures."""
+    return [flow for circ in circumventions for flow in circ.decrypted_pinned_flows()]
+
+
+class TestCaptureFacts:
+    def test_rows_mirror_the_flows(self, identifiers):
+        detector = PIIDetector(identifiers)
+        flows = [
+            decrypted_flow("a.com", [("id", identifiers.ad_id)]),
+            FlowRecord(sni="b.com", started_at=STUDY_START, os_initiated=True),
+        ]
+        plain, encrypted = detector.capture_facts(flows)
+        assert (plain.sni, plain.plaintext, plain.os_initiated) == ("a.com", True, False)
+        assert plain.pii == {"ad_id"}
+        assert (encrypted.sni, encrypted.plaintext, encrypted.os_initiated) == (
+            "b.com",
+            False,
+            True,
+        )
+        assert encrypted.pii == frozenset()
+
+    def test_rows_are_shared_and_unpickle_shared(self, identifiers):
+        import pickle
+
+        detector = PIIDetector(identifiers)
+        one, two = detector.capture_facts(
+            [decrypted_flow("a.com", [("k", "v")]), decrypted_flow("a.com", [("k", "v")])]
+        )
+        assert one is two
+        assert pickle.loads(pickle.dumps(one)) is one
 
 
 class TestSinglePassCounts:
     def test_study_counts_equal_a_per_type_rescan(self):
-        """Table 9 scans each flow once; a rescan per PII type agrees."""
+        """Table 9 counts the facts rows the pipelines built; a rescan of
+        the same flows in the captures, per PII type, agrees."""
         from repro.core.analysis import Study
-        from repro.core.analysis.pii_analysis import (
-            collect_non_pinned_flows,
-            collect_pinned_flows,
-        )
         from repro.corpus import CorpusConfig, CorpusGenerator
         from repro.device.identifiers import PII_TYPES
 
@@ -149,8 +191,8 @@ class TestSinglePassCounts:
                 for result in per_dataset
             ]
             sides = {
-                "pinned": collect_pinned_flows(results.circumvention[platform]),
-                "non_pinned": collect_non_pinned_flows(dynamic),
+                "pinned": pinned_capture_flows(results.circumvention[platform]),
+                "non_pinned": non_pinned_capture_flows(dynamic),
             }
             for pii_type in PII_TYPES:
                 row = comparison.row(pii_type)

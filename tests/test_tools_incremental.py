@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,74 @@ class TestCheckStoreHits:
             )
             == 2
         )
+
+
+def write_pack(root, name, stages):
+    """A pack file whose header lists one stage entry per ``stages`` item
+    (a ``kind.stage`` name); the checker reads headers only."""
+    entries = {
+        f"{name}-{position}": {"entry_kind": "stage", "app_id": "a", "stage": stage}
+        for position, stage in enumerate(stages)
+    }
+    entries[f"{name}-app"] = {"entry_kind": "app", "app_id": "a", "stage": "dynamic"}
+    header = ("repro-result-pack", 4, name, {"entries": entries, "segments": {}}, "", 0)
+    (root / "packs").mkdir(parents=True, exist_ok=True)
+    (root / "packs" / f"{name}.pkl").write_bytes(pickle.dumps(header))
+
+
+class TestStageWrites:
+    """``--store/--since``: every computed persisted stage added an entry."""
+
+    def run_check(self, tmp_path, capsys, computed, extra=()):
+        store = tmp_path / "store"
+        write_pack(store, "p1", ["dynamic.run_direct", "dynamic.detect"])
+        assert check_store_hits.main(["--snapshot", str(store)]) == 0
+        (tmp_path / "before.json").write_text(capsys.readouterr().out)
+        # The run adds one detect entry to p1 and writes a second pack.
+        write_pack(store, "p1", ["dynamic.run_direct", "dynamic.detect", "dynamic.detect"])
+        write_pack(store, "p2", ["dynamic.detect"])
+        counters = {f"pipeline.{stage}.computed": n for stage, n in computed.items()}
+        (tmp_path / "m.json").write_text(json.dumps({"counters": counters}))
+        argv = [str(tmp_path / "m.json"), "--store", str(store), "--since"]
+        return check_store_hits.main([*argv, str(tmp_path / "before.json"), *extra])
+
+    def test_snapshot_counts_stage_entries(self, tmp_path, capsys):
+        write_pack(tmp_path, "p1", ["dynamic.detect", "dynamic.detect", "static.scan"])
+        assert check_store_hits.main(["--snapshot", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"dynamic.detect": 2, "static.scan": 1}
+
+    def test_every_computation_stored_passes(self, tmp_path, capsys):
+        assert self.run_check(tmp_path, capsys, {"dynamic.detect": 2}) == 0
+
+    def test_recomputing_a_held_key_fails(self, tmp_path, capsys):
+        # Three detect computations for two new entries: one recomputed a
+        # key the store held.
+        assert self.run_check(tmp_path, capsys, {"dynamic.detect": 3}) == 1
+        assert "dynamic.detect computed 3" in capsys.readouterr().err
+
+    def test_a_computed_stage_must_be_stored(self, tmp_path, capsys):
+        computed = {"dynamic.detect": 2, "dynamic.run_direct": 1}
+        assert self.run_check(tmp_path, capsys, computed) == 1
+
+    def test_store_and_since_go_together(self, tmp_path):
+        write_metrics(tmp_path / "m.json", hits=1, misses=0)
+        with pytest.raises(SystemExit):
+            check_store_hits.main([str(tmp_path / "m.json"), "--store", str(tmp_path)])
+
+
+class TestStageDecodes:
+    def decodes(self, tmp_path, count, expect):
+        counters = {"store.stages.decoded": count} if count is not None else {}
+        (tmp_path / "m.json").write_text(json.dumps({"counters": counters}))
+        return check_store_hits.main([str(tmp_path / "m.json"), "--stage-decodes", expect])
+
+    def test_none(self, tmp_path):
+        assert self.decodes(tmp_path, None, "none") == 0
+        assert self.decodes(tmp_path, 3, "none") == 1
+
+    def test_some(self, tmp_path):
+        assert self.decodes(tmp_path, 3, "some") == 0
+        assert self.decodes(tmp_path, 0, "some") == 1
 
 
 def write_bench(path, static_mean, dynamic_mean):

@@ -81,9 +81,7 @@ def test_verdict_partition_trips(study_results):
 def test_capture_consistency_trips(study_results):
     def strip_direct_capture(result):
         pinned = sorted(result.pinned_destinations)[0]
-        result.direct_capture.flows = [
-            f for f in result.direct_capture.flows if f.sni != pinned
-        ]
+        result.direct_facts = tuple(f for f in result.direct_facts if f.sni != pinned)
 
     corrupted = replace_result(
         study_results, ("ios", "popular"), strip_direct_capture

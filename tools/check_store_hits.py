@@ -5,8 +5,9 @@ Usage::
 
     python tools/check_store_hits.py METRICS_JSON --min-hit-rate 0.95
     python tools/check_store_hits.py METRICS_JSON --expect-no-hits
+    python tools/check_store_hits.py --snapshot STORE > before.json
     python tools/check_store_hits.py METRICS_JSON \\
-        --stage-cold dynamic.detect --min-stage-hit-rate 0.95
+        --stage-cold dynamic.detect --store STORE --since before.json
 
 Reads the flat metrics JSON written by ``repro study --metrics-out`` and
 checks the ``store.units.hit`` / ``store.units.miss`` counters.  CI uses
@@ -18,12 +19,17 @@ contract: changed fingerprints never serve stale results).
 Stage-level flags extend the contract to partial recomputation
 (DESIGN.md §15): ``--stage-cold KIND.STAGE`` asserts the named stage
 recorded zero hits and at least one miss (the config flip invalidated
-it), and ``--min-stage-hit-rate`` bounds the hit rate over the
-``store.stage.*`` per-stage counters — with every ``--stage-cold`` stage
-excluded from the aggregate, so a flip re-run must serve essentially all
-*other* stages from the store.
+it).  ``--store STORE --since BEFORE`` asserts that the run stored every
+stage it computed and recomputed none it held: for every persisted
+stage, its ``pipeline.KIND.STAGE.computed`` count must equal the stage
+entries the run added to the store's packs — the pack headers now
+against ``BEFORE``, the counts ``--snapshot`` printed from the headers
+before the run.  ``--stage-decodes none|some`` asserts the run
+unpickled no stage pickle (``store.stages.decoded`` is 0: a warm run
+reads no capture) or at least one.
 
-Stdlib-only.  Exit status: 0 when the invariant holds, 1 when it does
+Stdlib-only: pack headers are plain data, read without importing
+``repro``.  Exit status: 0 when the invariant holds, 1 when it does
 not, 2 on malformed input.
 """
 
@@ -31,7 +37,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import pickle
 import sys
+from pathlib import Path
 
 
 def _stage_tallies(counters: dict) -> dict:
@@ -48,9 +56,40 @@ def _stage_tallies(counters: dict) -> dict:
     return tallies
 
 
+def stage_entries(root) -> dict:
+    """``{kind.stage: stored entries}`` from every pack header of a store."""
+    counts: dict = {}
+    for path in sorted(Path(root, "packs").glob("*.pkl")):
+        with open(path, "rb") as fh:
+            meta = pickle.load(fh)[3]
+        for entry in meta["entries"].values():
+            if entry.get("entry_kind") == "stage":
+                counts[entry["stage"]] = counts.get(entry["stage"], 0) + 1
+    return counts
+
+
+def stage_write_failures(counters: dict, before: dict, after: dict) -> list:
+    """Persisted stages whose computed count differs from the entries the
+    run added: a stage recomputed under a key the store held, or
+    computed and not stored."""
+    failures = []
+    for stage in sorted(set(before) | set(after)):
+        added = after.get(stage, 0) - before.get(stage, 0)
+        computed = float(counters.get(f"pipeline.{stage}.computed", 0))
+        print(f"stage {stage}: {computed:g} computed, {added} entr(ies) added")
+        if computed != added:
+            failures.append(f"stage {stage} computed {computed:g} time(s) but added {added}")
+    return failures
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("metrics", help="metrics JSON from --metrics-out")
+    parser.add_argument("metrics", nargs="?", help="metrics JSON from --metrics-out")
+    parser.add_argument(
+        "--snapshot",
+        metavar="STORE",
+        help="print the stage entries of STORE's packs as JSON and exit (the BEFORE of --since)",
+    )
     parser.add_argument(
         "--min-hit-rate",
         type=float,
@@ -67,26 +106,46 @@ def main(argv=None):
         action="append",
         default=[],
         metavar="KIND.STAGE",
-        help="assert this stage recorded zero hits and at least one miss "
-        "(repeatable); cold stages are excluded from --min-stage-hit-rate",
+        help="assert this stage recorded zero hits and at least one miss (repeatable)",
     )
     parser.add_argument(
-        "--min-stage-hit-rate",
-        type=float,
-        default=None,
-        help="fail when stage hits / (hits + misses) — over all stages "
-        "not named by --stage-cold — is below this",
+        "--store",
+        metavar="STORE",
+        help="with --since: the store the run wrote to",
+    )
+    parser.add_argument(
+        "--since",
+        metavar="BEFORE",
+        help="with --store: fail unless every persisted stage's computed "
+        "count equals the stage entries the run added since --snapshot "
+        "wrote BEFORE",
+    )
+    parser.add_argument(
+        "--stage-decodes",
+        choices=("none", "some"),
+        help="fail unless the run unpickled no stage pickle (none) or at least one (some)",
     )
     args = parser.parse_args(argv)
-    if (
+    if args.snapshot is not None:
+        try:
+            entries = stage_entries(args.snapshot)
+        except (OSError, pickle.UnpicklingError, EOFError, IndexError, KeyError) as exc:
+            print(f"error: unreadable store: {exc}", file=sys.stderr)
+            return 2
+        print(json.dumps(entries, indent=1, sort_keys=True))
+        return 0
+    if (args.store is None) != (args.since is None):
+        parser.error("--store and --since go together")
+    if args.metrics is None or (
         args.min_hit_rate is None
         and not args.expect_no_hits
         and not args.stage_cold
-        and args.min_stage_hit_rate is None
+        and args.since is None
+        and args.stage_decodes is None
     ):
         parser.error(
-            "give --min-hit-rate, --expect-no-hits, --stage-cold and/or "
-            "--min-stage-hit-rate"
+            "give METRICS and --min-hit-rate, --expect-no-hits, --stage-cold, "
+            "--store/--since and/or --stage-decodes (or --snapshot STORE)"
         )
 
     try:
@@ -95,9 +154,18 @@ def main(argv=None):
         hits = float(counters.get("store.units.hit", 0))
         misses = float(counters.get("store.units.miss", 0))
         stages = _stage_tallies(counters)
+        decoded = float(counters.get("store.stages.decoded", 0))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: unreadable metrics file: {exc}", file=sys.stderr)
         return 2
+    if args.since is not None:
+        try:
+            with open(args.since) as fh:
+                before = json.load(fh)
+            after = stage_entries(args.store)
+        except (OSError, ValueError, pickle.UnpicklingError, EOFError, IndexError, KeyError) as exc:
+            print(f"error: unreadable snapshot or store: {exc}", file=sys.stderr)
+            return 2
 
     total = hits + misses
     rate = hits / total if total else 0.0
@@ -148,26 +216,21 @@ def main(argv=None):
             )
             return 1
 
-    if args.min_stage_hit_rate is not None:
-        cold = set(args.stage_cold)
-        warm_hits = sum(h for s, (h, _) in stages.items() if s not in cold)
-        warm_misses = sum(m for s, (_, m) in stages.items() if s not in cold)
-        warm_total = warm_hits + warm_misses
-        warm_rate = warm_hits / warm_total if warm_total else 0.0
-        print(
-            f"store stages (excluding cold): {warm_hits:g} hit(s), "
-            f"{warm_misses:g} miss(es) (hit rate {warm_rate:.1%})"
-        )
-        if warm_total == 0:
-            print(
-                "FAIL: no stage lookups recorded — was --store passed?",
-                file=sys.stderr,
-            )
+    if args.since is not None:
+        if not after:
+            print("FAIL: the store holds no stage entries", file=sys.stderr)
             return 1
-        if warm_rate < args.min_stage_hit_rate:
+        failures = stage_write_failures(counters, before, after)
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        if failures:
+            return 1
+
+    if args.stage_decodes is not None:
+        print(f"stage pickles decoded: {decoded:g}")
+        if (args.stage_decodes == "none") != (decoded == 0):
             print(
-                f"FAIL: stage hit rate {warm_rate:.1%} below required "
-                f"{args.min_stage_hit_rate:.1%}",
+                f"FAIL: expected {args.stage_decodes} stage pickle decodes, got {decoded:g}",
                 file=sys.stderr,
             )
             return 1
