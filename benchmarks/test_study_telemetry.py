@@ -43,9 +43,7 @@ def quick_corpus():
 def _run_dynamic_stage(corpus, recorder=None):
     """One serial dynamic pass over every dataset; returns seconds."""
     keys = sorted(corpus.datasets)
-    engine = ExecutionEngine(
-        corpus, ExecutionPlan(workers=1), recorder=recorder
-    )
+    engine = ExecutionEngine(corpus, ExecutionPlan(), recorder=recorder)
     if recorder is not None:
         recorder.install()
     try:
@@ -56,7 +54,6 @@ def _run_dynamic_stage(corpus, recorder=None):
             )
         return watch.elapsed()
     finally:
-        engine.close()
         if recorder is not None:
             recorder.uninstall()
 

@@ -7,8 +7,8 @@ stages, and prints Tables 1–9 and the data behind Figures 2–5.  Takes a
 few minutes; use ``--scale`` to shrink.
 
 Run:
-    python examples/full_study.py [--scale 1.0] [--workers auto] \
-        [--max-retries 2] [--out results.txt] [--store results.store] \
+    python examples/full_study.py [--scale 1.0] [--max-retries 2] \
+        [--out results.txt] [--store results.store] \
         [--trace-out study.trace.json] [--metrics-out study.metrics.json]
 
 Per-app failures never abort the study — they are retried, quarantined,
@@ -45,13 +45,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=2022)
-    parser.add_argument(
-        "--workers",
-        type=lambda v: v if v == "auto" else int(v),
-        default=1,
-        help="worker processes (results identical for any value; 'auto' "
-        "= one per CPU)",
-    )
     parser.add_argument(
         "--max-retries",
         type=int,
@@ -133,7 +126,7 @@ def main() -> None:
     recorder = (
         obs.Recorder() if (args.trace_out or args.metrics_out) else None
     )
-    plan = ExecutionPlan(workers=args.workers, max_retries=args.max_retries)
+    plan = ExecutionPlan(max_retries=args.max_retries)
     study = Study(corpus, plan=plan, fault_predicate=faults)
     store = None
     if args.store:

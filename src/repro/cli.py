@@ -12,15 +12,8 @@ Commands:
   invariant catalogue, and exit non-zero on any violation.
 * ``corpus``   — generate a corpus and print its composition.
 * ``sweep``    — run a grid of study configurations (seeds × scales ×
-  fault rates × detector ablations × worker counts) through a shared
-  result store and print cross-configuration stability tables.
-* ``serve``    — run the long-lived study service: a daemon that keeps a
-  shared result store and cached corpora resident across submitted jobs
-  (DESIGN.md §14).
-* ``submit``   — submit a study or sweep job to a running service and
-  print its output (byte-identical to the direct command).
-* ``jobs``     — inspect or control a running service (status / cancel /
-  stats / shutdown).
+  fault rates × detector ablations) through a shared result store and
+  print cross-configuration stability tables.
 """
 
 from __future__ import annotations
@@ -40,11 +33,6 @@ from repro.reporting.render import (
     render_sweep_stdout,
 )
 
-#: Default service socket path (kept in sync with
-#: ``repro.service.protocol.DEFAULT_SOCKET`` without importing the
-#: service package for every CLI invocation).
-DEFAULT_SOCKET = "repro.sock"
-
 
 def _build_corpus(args, store: Optional[CorpusStore] = None):
     config = CorpusConfig(seed=args.seed)
@@ -54,11 +42,7 @@ def _build_corpus(args, store: Optional[CorpusStore] = None):
 
 
 def _plan(args) -> ExecutionPlan:
-    return ExecutionPlan(
-        workers=args.workers,
-        chunk_size=args.chunk_size,
-        max_retries=args.max_retries,
-    )
+    return ExecutionPlan(max_retries=args.max_retries)
 
 
 def _faults(args):
@@ -76,23 +60,6 @@ def _report_ledger(results) -> None:
     )
     for line in results.error_ledger():
         print(f"#   {line}", file=sys.stderr)
-
-
-def _positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return number
-
-
-def _workers_arg(value: str):
-    """``--workers`` value: a positive integer or the string ``auto``."""
-    if value == "auto":
-        return value
-    try:
-        return _positive_int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError("must be an integer >= 1 or 'auto'")
 
 
 def _non_negative_int(value: str) -> int:
@@ -197,8 +164,8 @@ def _cmd_study(args) -> int:
     if results.audit is not None:
         # The audit is commentary about the run, not part of the study's
         # deterministic stdout contract — route it to stderr so output
-        # diffs (e.g. the CI parallel-parity check) stay byte-identical
-        # with and without --audit.
+        # diffs (e.g. the CI audit job's) stay byte-identical with and
+        # without --audit.
         print(results.audit.render(), file=sys.stderr)
         if args.audit_out:
             _write_audit_json(results.audit, args.audit_out)
@@ -260,7 +227,6 @@ def _sweep_spec(args):
         args.sweep_scales,
         args.sweep_fault_rates,
         args.sweep_detectors,
-        args.sweep_workers,
     )
     if args.spec is not None:
         if any(flag is not None for flag in axis_flags):
@@ -273,7 +239,6 @@ def _sweep_spec(args):
         scales=tuple(args.sweep_scales or [args.scale]),
         fault_rates=tuple(args.sweep_fault_rates or [args.fault_rate]),
         detectors=tuple(args.sweep_detectors or ["full"]),
-        workers=tuple(args.sweep_workers or [args.workers]),
     )
 
 
@@ -325,121 +290,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.service import StudyService
-
-    service = StudyService(
-        socket_path=args.socket,
-        store_dir=args.store,
-        queue_size=args.queue_size,
-        max_concurrent=args.max_concurrent,
-        log=lambda line: print(f"# {line}", file=sys.stderr),
-    )
-    try:
-        code = service.serve_forever()
-    except RuntimeError as exc:  # e.g. socket already claimed
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.metrics_out:
-        service.recorder.write_metrics(args.metrics_out)
-        print(
-            f"# service metrics written to {args.metrics_out}", file=sys.stderr
-        )
-    return code
-
-
-def _submit_config(args) -> dict:
-    """The job config for ``repro submit``, from the session flags."""
-    if args.kind == "study":
-        return {
-            "seed": args.seed,
-            "scale": args.scale,
-            "workers": args.workers,
-            "chunk_size": args.chunk_size,
-            "max_retries": args.max_retries,
-            "fault_rate": args.fault_rate,
-            "fault_seed": args.fault_seed,
-        }
-    return {
-        "seeds": args.sweep_seeds or [args.seed],
-        "scales": args.sweep_scales or [args.scale],
-        "fault_rates": args.sweep_fault_rates or [args.fault_rate],
-        "detectors": args.sweep_detectors or ["full"],
-        "workers": args.sweep_workers or [args.workers],
-        "fault_seed": args.fault_seed,
-    }
-
-
-def _cmd_submit(args) -> int:
-    from repro.service import ServiceClient, ServiceError
-
-    client = ServiceClient(args.socket)
-    # The daemon may run in another directory: artifact paths it writes
-    # on the client's behalf must be absolute.
-    metrics_out = os.path.abspath(args.metrics_out) if args.metrics_out else None
-    report_out = None
-    if args.kind == "sweep" and args.report_out:
-        report_out = os.path.abspath(args.report_out)
-    try:
-        job = client.submit(
-            args.kind,
-            _submit_config(args),
-            metrics_out=metrics_out,
-            report_out=report_out,
-        )
-        print(f"# submitted {job['id']} ({args.kind})", file=sys.stderr)
-        if args.no_wait:
-            print(job["id"])
-            return 0
-        job = client.result(job["id"], wait=True, timeout=args.timeout)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if job["state"] != "completed":
-        print(f"# {job['id']} {job['state']}", file=sys.stderr)
-        if job.get("error"):
-            print(job["error"], file=sys.stderr)
-        return 1
-    print(
-        f"# {job['id']} completed "
-        f"(queue wait {job['queue_wait_s']:.2f}s, ran {job['elapsed_s']:.1f}s)",
-        file=sys.stderr,
-    )
-    if job.get("store_hits") is not None:
-        total = job["store_hits"] + job["store_misses"]
-        print(
-            f"# result store: {job['store_hits']}/{total} unit hits",
-            file=sys.stderr,
-        )
-    # The job's stdout, byte-identical to the direct command's.
-    sys.stdout.write(job["output"] or "")
-    return 0
-
-
-def _cmd_jobs(args) -> int:
-    import json
-
-    from repro.service import ServiceClient, ServiceError
-
-    client = ServiceClient(args.socket)
-    try:
-        if args.action == "stats":
-            print(json.dumps(client.stats(), indent=2, sort_keys=True))
-        elif args.action == "shutdown":
-            client.shutdown()
-            print("# shutdown requested; service is draining", file=sys.stderr)
-        else:  # status / cancel
-            if not args.id:
-                print(f"error: {args.action} requires a job id", file=sys.stderr)
-                return 2
-            job = getattr(client, args.action)(args.id)
-            print(json.dumps(job, indent=2, sort_keys=True))
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _cmd_verify(args) -> int:
     if args.out:
         parent = os.path.dirname(args.out) or "."
@@ -460,48 +310,6 @@ def _cmd_verify(args) -> int:
         _write_audit_json(report, args.out)
         print(f"# audit report written to {args.out}", file=sys.stderr)
     return 0 if report.passed else 1
-
-
-def _add_sweep_axis_flags(parser) -> None:
-    """The sweep grid axes, shared by ``sweep`` and ``submit sweep``."""
-    parser.add_argument(
-        "--sweep-seeds",
-        metavar="LIST",
-        type=lambda v: _split_list(v, int),
-        default=None,
-        help="comma-separated corpus seeds (default: --seed)",
-    )
-    parser.add_argument(
-        "--sweep-scales",
-        metavar="LIST",
-        type=lambda v: _split_list(v, float),
-        default=None,
-        help="comma-separated corpus scales (default: --scale)",
-    )
-    parser.add_argument(
-        "--sweep-fault-rates",
-        metavar="LIST",
-        type=lambda v: _split_list(v, _rate),
-        default=None,
-        help="comma-separated fault-injection rates (default: "
-        "--fault-rate); faulted points run without the shared store",
-    )
-    parser.add_argument(
-        "--sweep-detectors",
-        metavar="LIST",
-        type=lambda v: _split_list(v, str),
-        default=None,
-        help="comma-separated detector ablations from "
-        "{full, no-tls13, naive} (default: full); ablated points "
-        "re-detect over cached captures and warm-start fully",
-    )
-    parser.add_argument(
-        "--sweep-workers",
-        metavar="LIST",
-        type=lambda v: _split_list(v, _workers_arg),
-        default=None,
-        help="comma-separated worker counts (default: --workers)",
-    )
 
 
 def _study_arguments(study) -> None:
@@ -574,17 +382,47 @@ def _sweep_arguments(sweep) -> None:
         metavar="FILE",
         default=None,
         help="sweep grid as a JSON (or, on Python 3.11+, TOML) document "
-        "with keys seeds/scales/fault_rates/detectors/workers; exclusive "
+        "with keys seeds/scales/fault_rates/detectors; exclusive "
         "with the --sweep-* axis flags",
     )
-    _add_sweep_axis_flags(sweep)
+    sweep.add_argument(
+        "--sweep-seeds",
+        metavar="LIST",
+        type=lambda v: _split_list(v, int),
+        default=None,
+        help="comma-separated corpus seeds (default: --seed)",
+    )
+    sweep.add_argument(
+        "--sweep-scales",
+        metavar="LIST",
+        type=lambda v: _split_list(v, float),
+        default=None,
+        help="comma-separated corpus scales (default: --scale)",
+    )
+    sweep.add_argument(
+        "--sweep-fault-rates",
+        metavar="LIST",
+        type=lambda v: _split_list(v, _rate),
+        default=None,
+        help="comma-separated fault-injection rates (default: "
+        "--fault-rate); faulted points run without the shared store",
+    )
+    sweep.add_argument(
+        "--sweep-detectors",
+        metavar="LIST",
+        type=lambda v: _split_list(v, str),
+        default=None,
+        help="comma-separated detector ablations from "
+        "{full, no-tls13, naive} (default: full); ablated points "
+        "re-detect over cached captures and warm-start fully",
+    )
     sweep.add_argument(
         "--store",
         metavar="DIR",
         default=None,
         help="shared content-addressed result store: sweep points that "
-        "differ only in analysis-side knobs or worker counts reuse their "
-        "siblings' cached pipeline units",
+        "differ only in analysis-side knobs reuse their siblings' cached "
+        "pipeline units",
     )
     sweep.add_argument(
         "--audit",
@@ -611,87 +449,6 @@ def _sweep_arguments(sweep) -> None:
         default=None,
         help="write per-point metrics JSON (point-<index>.json) here, "
         "before each point's telemetry merges into the sweep aggregate",
-    )
-
-
-def _serve_arguments(serve) -> None:
-    serve.add_argument(
-        "--socket",
-        metavar="PATH",
-        default=DEFAULT_SOCKET,
-        help="unix socket to listen on",
-    )
-    serve.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="shared content-addressed result store all non-faulted jobs "
-        "run against; overlapping submissions warm-start from it",
-    )
-    serve.add_argument(
-        "--queue-size",
-        type=_positive_int,
-        default=16,
-        help="bounded job-queue capacity; submits beyond it fail fast",
-    )
-    serve.add_argument(
-        "--max-concurrent",
-        type=_positive_int,
-        default=1,
-        help="jobs running simultaneously (1 = serialise jobs, which "
-        "keeps per-job telemetry attribution exact)",
-    )
-    serve.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="write the merged service-level metrics JSON here on exit",
-    )
-
-
-def _submit_arguments(submit) -> None:
-    submit.add_argument("kind", choices=["study", "sweep"])
-    submit.add_argument(
-        "--socket",
-        metavar="PATH",
-        default=DEFAULT_SOCKET,
-        help="the service's unix socket",
-    )
-    submit.add_argument(
-        "--no-wait",
-        action="store_true",
-        help="enqueue and print the job id instead of waiting for output",
-    )
-    submit.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="give up waiting for the result after this many seconds",
-    )
-    submit.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="write the job's own metrics JSON here (daemon-side write; "
-        "the path is made absolute before sending)",
-    )
-    submit.add_argument(
-        "--report-out",
-        metavar="PATH",
-        default=None,
-        help="sweep jobs: write the sweep report JSON here",
-    )
-    _add_sweep_axis_flags(submit)
-
-
-def _jobs_arguments(jobs) -> None:
-    jobs.add_argument("action", choices=["status", "cancel", "stats", "shutdown"])
-    jobs.add_argument("id", nargs="?", default=None, help="job id")
-    jobs.add_argument(
-        "--socket",
-        metavar="PATH",
-        default=DEFAULT_SOCKET,
-        help="the service's unix socket",
     )
 
 
@@ -726,19 +483,6 @@ _COMMANDS = {
         _cmd_sweep,
         _sweep_arguments,
     ),
-    "serve": (
-        "run the long-lived study service: shared result store, cached "
-        "corpora; jobs arrive over a unix socket",
-        _cmd_serve,
-        _serve_arguments,
-    ),
-    "submit": (
-        "submit a study or sweep job to a running service and print "
-        "its output (byte-identical to the direct command)",
-        _cmd_submit,
-        _submit_arguments,
-    ),
-    "jobs": ("inspect or control a running service", _cmd_jobs, _jobs_arguments),
     "table": ("print one table/figure", _cmd_table, _table_arguments),
     "score": ("detector precision/recall vs ground truth", _cmd_score, None),
     "verify": (
@@ -778,19 +522,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=0.1,
         help="corpus scale relative to the paper's (1.0 = 5,150 apps)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=_workers_arg,
-        default=1,
-        help="worker processes for study execution (results are "
-        "identical for any value; 1 = serial; 'auto' = one per CPU)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=_non_negative_int,
-        default=0,
-        help="apps per work unit (0 = one unit per worker per dataset)",
     )
     parser.add_argument(
         "--max-retries",

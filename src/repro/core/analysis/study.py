@@ -398,13 +398,9 @@ class Study:
     Args:
         corpus: the generated app corpus.
         sleep_s: dynamic-run capture window.
-        plan: how to shard per-app work across worker processes, and how
-            hard to fight per-app failures (retries, quarantine); the
-            default plan runs serially.  Results are identical for every
-            plan (see :mod:`repro.core.exec`).
-        workers: shorthand for ``plan=ExecutionPlan(workers=...)`` — an
-            integer pool size, or ``"auto"`` to size the pool to the
-            machine.  Ignored when ``plan`` is given.
+        plan: how hard to fight per-app failures (retries,
+            quarantine).  Results are identical for every plan (see
+            :mod:`repro.core.exec`).
         fault_predicate: injectable per-app failure hook for
             fault-tolerance testing (see :mod:`repro.core.exec.faults`).
         detector: the dynamic pipeline's detector variant
@@ -420,12 +416,9 @@ class Study:
         sleep_s: float = 30.0,
         plan: Optional[ExecutionPlan] = None,
         fault_predicate=None,
-        workers: Optional[Union[int, str]] = None,
         detector: str = "full",
     ):
         self.corpus = corpus
-        if plan is None and workers is not None:
-            plan = ExecutionPlan(workers=workers)
         self.plan = plan or ExecutionPlan()
         self.sleep_s = sleep_s
         self.dynamic_pipeline = DynamicPipeline(
@@ -492,9 +485,9 @@ class Study:
         Args:
             recorder: optional :class:`repro.core.obs.Recorder`.  When
                 given, the run is instrumented — spans, counters and
-                cache statistics accumulate in the recorder (worker
-                processes included), and the recorder is attached to the
-                results as ``StudyResults.telemetry``.  Results are
+                cache statistics accumulate in the recorder, and the
+                recorder is attached to the results as
+                ``StudyResults.telemetry``.  Results are
                 bit-for-bit identical with or without a recorder.
             store: optional result-store directory (or a pre-built
                 :class:`~repro.core.exec.resultstore.ResultStore`).
@@ -526,8 +519,6 @@ class Study:
         then neither freezes nor unfreezes.
         """
         if recorder is not None:
-            # Must happen before the engine spins up its pool so workers
-            # are initialized with telemetry on.
             self.engine.recorder = recorder
             recorder.install()
         if store is not None and not isinstance(store, ResultStore):
@@ -553,7 +544,6 @@ class Study:
                     results.audit = audit_study(results, level=level)
             return results
         finally:
-            self.engine.close()
             self.engine.store = None
             if store is not None:
                 store.freeze_decoded = False
@@ -570,7 +560,7 @@ class Study:
         ledger: List[UnitFailure] = []
 
         # Phase 1: every static scan and every initial dynamic pass is
-        # independent per app — shard them all into one batch.
+        # independent per app — run them all as one batch.
         units: List = []
         owners: List[Tuple[str, DatasetKey]] = []
         for key in sorted(corpus.datasets):

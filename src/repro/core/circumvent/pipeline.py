@@ -192,9 +192,9 @@ class CircumventionPipeline:
     ) -> Optional[CircumventionResult]:
         """Like :meth:`circumvent_app`, from a bare pinned-destination set.
 
-        The parallel engine hands workers just the pinned sets instead of
-        full dynamic results (captures and verdicts would dominate the
-        pickling cost for no benefit).
+        The engine's circumvention units carry just the pinned sets
+        instead of full dynamic results: they are all a unit, and its
+        store key, needs.
         """
         if not pinned:
             return None

@@ -1,14 +1,10 @@
-"""Parallel, fault-tolerant study execution.
+"""Fault-tolerant study execution.
 
-Public API: :class:`~repro.core.exec.plan.ExecutionPlan` configures worker
-count (``"auto"`` sizes the pool to the machine), chunking, and the
+Public API: :class:`~repro.core.exec.plan.ExecutionPlan` configures the
 fault-tolerance envelope (retries, backoff, deadline, quarantine);
 :class:`~repro.core.exec.engine.ExecutionEngine` runs study work units
-under a plan, serially or on one
-:class:`~concurrent.futures.ProcessPoolExecutor` whose workers receive
-the corpus as they start and return their results pickled, with results
-identical to a serial run — degrading per-app failures into a
-:class:`~repro.core.exec.faults.UnitFailure` ledger;
+(one per dataset and kind) in-process under a plan, degrading per-app
+failures into a :class:`~repro.core.exec.faults.UnitFailure` ledger;
 :class:`~repro.core.exec.resultstore.ResultStore` is the one persistence
 layer — a content-addressed, on-disk store of per-app results that makes
 repeated runs warm-start, recomputing only fingerprint misses, and lets

@@ -38,8 +38,8 @@ FaultPredicate = Callable[[str, str], bool]
 #: attempt, every quarantined solo re-run, would fail the same way.
 #: Retrying them wastes the retry budget; quarantining them disguises a
 #: code bug as per-app flakiness and buries it in the error ledger.  The
-#: engine therefore propagates them immediately, so the run (or, under
-#: the service, the job) fails loudly instead.  Deliberately narrow:
+#: engine therefore propagates them immediately, so the run fails
+#: loudly instead.  Deliberately narrow:
 #: ``ValueError`` / ``KeyError`` / ``OSError`` can be data- or
 #: environment-dependent and stay retryable.  One environment error is
 #: listed: a failed result-store write (:class:`StoreWriteError`), which
@@ -57,11 +57,11 @@ NON_RETRYABLE_ERRORS = (
 def is_retryable(exc: BaseException) -> bool:
     """Whether the engine may retry/quarantine a unit that raised ``exc``.
 
-    The narrowing policy (DESIGN.md §13, extended to the execution
-    engine): transient faults — injected faults, timeouts, crashes the
-    environment can produce — earn the retry/quarantine ladder;
-    programming errors (:data:`NON_RETRYABLE_ERRORS`) propagate so they
-    surface as a failed run instead of being masked as per-app losses.
+    The narrowing policy (DESIGN.md §8): transient faults — injected
+    faults, timeouts, crashes the environment can produce — earn the
+    retry/quarantine ladder; programming errors
+    (:data:`NON_RETRYABLE_ERRORS`) propagate so they surface as a failed
+    run instead of being masked as per-app losses.
     """
     return not isinstance(exc, NON_RETRYABLE_ERRORS)
 
@@ -73,12 +73,6 @@ class InjectedFault(RuntimeError):
         super().__init__(f"injected fault: phase={phase} app={app_id}")
         self.phase = phase
         self.app_id = app_id
-
-    def __reduce__(self):
-        # Rebuild from (phase, app_id) — the default exception reduction
-        # would replay ``args`` (the formatted message) into ``__init__``
-        # and fail, and worker exceptions must pickle back to the parent.
-        return (InjectedFault, (self.phase, self.app_id))
 
 
 def maybe_inject(
@@ -98,9 +92,8 @@ class SeededFaults:
     """Deterministically fail ~``rate`` of apps, derived from a seed.
 
     A pure function of ``(seed, phase, app_id)``: the same apps fail on
-    every attempt, in every process, under every execution plan — which
-    is exactly what exercising quarantine and the error ledger needs.
-    Being a frozen dataclass it pickles cleanly into worker pools.
+    every attempt, in every run, under every execution plan — which is
+    exactly what exercising quarantine and the error ledger needs.
     """
 
     rate: float
@@ -121,11 +114,8 @@ class SeededFaults:
 class TransientFaults:
     """Make an inner predicate fire only for its first ``attempts`` calls.
 
-    Models transient failures that a retry cures.  The attempt counter is
-    per-instance and therefore per-process: serial plans retry in-process
-    and recover; under a worker pool a retry may land on a worker with a
-    fresh counter, so deterministic transient-fault tests use serial
-    plans.
+    Models transient failures that a retry cures: the attempt counter is
+    per-instance, so a retry of the same app sees the fault gone.
     """
 
     def __init__(self, inner: FaultPredicate, attempts: int = 1):

@@ -5,7 +5,7 @@ filed under a **fingerprint** of everything it is a function of: the key
 schema version and :data:`CODE_SALT`, the corpus fingerprint (seed plus
 dataset sizes), the capture window, the stage, the app's platform,
 dataset and id, and its per-app stage config (for graph kinds, the final
-stage's chain key).  Chunking, worker count, retries and telemetry are
+stage's chain key).  Unit boundaries, retries and telemetry are
 absent, so a warm run hits however the cold run was scheduled; it
 recomputes only fingerprint misses and stays bit-for-bit identical to a
 cold run.  DESIGN.md §10 has the full contract.
@@ -580,8 +580,7 @@ def _derived(graph, result):
             except (AttributeError, TypeError):
                 # A result that cannot supply this stage's artifact (a
                 # foreign or test result type) is still a valid app-level
-                # entry; backfilling stage entries is best-effort — a
-                # future run simply recomputes that stage cold.
+                # entry; it is stored without capture references.
                 continue
             yield stage, artifact
 
@@ -693,8 +692,8 @@ class ResultStore:
         """The stage keys of one app and config, knobs read from ``knobs``.
 
         Under the bound pipeline they are computed once and shared by the
-        stage lookups, the derive backfill and the result's own address
-        until the result is filed.  Serving a stored result needs none
+        stage lookups and the result's own address until the result is
+        filed.  Serving a stored result needs none
         (:meth:`lookup_app` finds it by config digest).
         """
         if knobs is not self._knobs.get(graph.kind):
@@ -1175,42 +1174,13 @@ class ResultStore:
         obs.count("store.units.hit")
         return results
 
-    def probe_unit_stages(self, unit) -> bool:
-        """Whether any app of this unit has warm *stage* artifacts.
-
-        The engine's partial-recomputation probe: a unit that missed at
-        the app level but has persisted upstream stages on disk is worth
-        running locally through the stage cache instead of shipping to a
-        cache-less pool worker.
-        """
-        if not self.read:
-            return False
-        kind, platform, dataset, _indices, _extra = unit
-        graph = self._graph(kind)
-        if graph is None:
-            return False
-        entries = self._open(kind, platform, dataset).entries
-        for app_id, app_extra in self._unit_apps(unit):
-            keys = self._extra_keys(graph, platform, dataset, app_id, app_extra)
-            if any(
-                stage.persist and keys[stage.name] in entries
-                for stage in graph.stages
-            ):
-                return True
-        return False
-
     def publish_unit(self, unit, results: list) -> None:
         """File one completed unit's results: one write of its pack.
 
         Only a complete unit is publishable: a quarantined unit whose
         survivors were merged around abandoned apps no longer aligns
         with its index list (its solo re-runs published themselves).
-
-        Stage artifacts recoverable from a result (the graph's
-        ``derive`` extractors) are published alongside, so future runs
-        with a flipped downstream knob can warm-start mid-graph even
-        when the cold run computed units in cache-less pool workers.  A
-        unit run against this handle has its graph's stages pending
+        A unit run against this handle has its graph's stages pending
         already; they go out with the results, in the same write.
         """
         if not self.write:
@@ -1218,25 +1188,10 @@ class ResultStore:
         kind, platform, dataset, indices, _extra = unit
         if len(results) != len(indices):
             return
-        graph = self._graph(kind)
         pack = None
         for (app_id, app_extra), result in zip(
             self._unit_apps(unit), results
         ):
-            if graph is not None and result is not None:
-                keys = self._extra_keys(
-                    graph, platform, dataset, app_id, app_extra
-                )
-                for stage, artifact in _derived(graph, result):
-                    self.publish_stage(
-                        keys[stage.name],
-                        kind,
-                        stage.name,
-                        platform,
-                        dataset,
-                        app_id,
-                        artifact,
-                    )
             pack = self._add_app(
                 kind, platform, dataset, app_id, app_extra, result
             )

@@ -1,19 +1,17 @@
 """Order-independent metric primitives: counters, gauges, histograms.
 
 Each metric type defines a commutative, associative ``merge`` so that
-per-worker telemetry can be folded into the parent recorder in whatever
-order unit results arrive — the merged totals are identical for every
-completion order, keeping instrumented runs as deterministic as the
-study results themselves:
+per-run telemetry can be folded into an aggregate recorder in any order
+— the merged totals are identical for every order, keeping instrumented
+sweeps as deterministic as the study results themselves:
 
 * :class:`Counter` — merge adds.
 * :class:`Gauge` — merge keeps the maximum (the only order-independent
-  choice for a last-write-wins quantity coming from concurrent workers).
+  choice for a last-write-wins quantity coming from several runs).
 * :class:`Histogram` — merge sums counts/totals and widens min/max.
 
 None of these hold locks; the :class:`~repro.core.obs.recorder.Recorder`
-serialises access.  All are picklable so worker snapshots can cross
-process boundaries.
+serialises access.
 """
 
 from __future__ import annotations
@@ -109,7 +107,7 @@ class Histogram:
         }
 
     def as_tuple(self) -> Tuple[int, float, Optional[float], Optional[float]]:
-        """Compact picklable form for worker snapshots."""
+        """Compact form for snapshots."""
         return (self.count, self.total, self.minimum, self.maximum)
 
     @classmethod

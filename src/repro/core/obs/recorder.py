@@ -13,14 +13,14 @@ consults the process-global active recorder: ``None`` means telemetry is
 off and every call degrades to a near-free no-op, which is how the whole
 subsystem stays off by default with negligible overhead.
 
-Worker processes run their own recorder and :meth:`Recorder.drain` a
-picklable :class:`TelemetrySnapshot` after each work unit; the parent
-folds snapshots in with :meth:`Recorder.merge_snapshot`.  Counters add,
-gauges take maxima, histograms widen — all commutative — so the merged
-metrics are identical for every unit completion order (the same
-order-independence the engine guarantees for results).  Span *timestamps*
-are wall-clock facts and naturally vary run to run; determinism is
-claimed for metrics and for study results, never for timings.
+A sweep runs each study point under its own recorder and folds it into
+the sweep-level recorder with :meth:`Recorder.merge_from`, which drains
+a :class:`TelemetrySnapshot` and merges it.  Counters add, gauges take
+maxima, histograms widen — all commutative — so the merged metrics are
+identical for every point order.  Span
+*timestamps* are wall-clock facts and naturally vary run to run;
+determinism is claimed for metrics and for study results, never for
+timings.
 
 ``functools.lru_cache``-based hot-path caches register themselves via
 :func:`register_cache`; the recorder turns ``cache_info()`` deltas into
@@ -68,16 +68,12 @@ def register_cache(name: str, cached_function) -> None:
 
 @dataclass
 class TelemetrySnapshot:
-    """A picklable delta of one recorder's state since the last drain."""
+    """A delta of one recorder's state since the last drain."""
 
     counters: Dict[str, float] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, tuple] = field(default_factory=dict)
     spans: List[tuple] = field(default_factory=list)
-
-    def compute_seconds(self) -> float:
-        """Total duration of top-level (depth-0) spans in this snapshot."""
-        return sum(s[3] - s[2] for s in self.spans if s[4] == 0)
 
 
 class Recorder:
@@ -149,10 +145,9 @@ class Recorder:
     def install(self) -> "Recorder":
         """Make this the process's active recorder and baseline the caches.
 
-        Baselining matters on fork-start worker pools: a forked child
-        inherits the parent's warm ``lru_cache`` contents *and* hit/miss
-        totals, so only deltas from this point may be attributed to the
-        instrumented run.
+        The ``lru_cache`` hit/miss totals of earlier runs in the same
+        process stay out: only deltas from this point are attributed to
+        the instrumented run.
         """
         for name, function in _LRU_CACHES.items():
             info = function.cache_info()
@@ -193,7 +188,7 @@ class Recorder:
             self.count(f"gc.collections.gen{generation}")
             self.observe("gc.pause_s", pause_s)
 
-    # -- worker snapshots --------------------------------------------------
+    # -- snapshots ---------------------------------------------------------
 
     def drain(self) -> TelemetrySnapshot:
         """Return (and clear) everything recorded since the last drain."""
@@ -213,24 +208,8 @@ class Recorder:
             self._spans.clear()
         return snapshot
 
-    def merge_snapshot(
-        self,
-        snapshot: TelemetrySnapshot,
-        rebase_to: Optional[float] = None,
-    ) -> None:
-        """Fold a worker snapshot in (order-independent).
-
-        Args:
-            snapshot: a drained worker delta.
-            rebase_to: optional timestamp on *this* recorder's clock to
-                shift the snapshot's earliest span onto.  ``perf_counter``
-                origins differ across processes; rebasing puts worker
-                spans onto the parent timeline so the trace reads as one
-                run.  Metrics are unaffected.
-        """
-        shift = 0.0
-        if rebase_to is not None and snapshot.spans:
-            shift = rebase_to - min(s[2] for s in snapshot.spans)
+    def merge_snapshot(self, snapshot: TelemetrySnapshot) -> None:
+        """Fold a drained snapshot in (order-independent)."""
         with self._lock:
             for name, value in snapshot.counters.items():
                 counter = self._counters.get(name)
@@ -250,16 +229,12 @@ class Recorder:
                 else:
                     histogram.merge(Histogram.from_tuple(data))
             for data in snapshot.spans:
-                span = Span.from_tuple(data)
-                span.start += shift
-                span.end += shift
-                self._spans.append(span)
+                self._spans.append(Span.from_tuple(data))
 
     def merge_from(self, other: "Recorder") -> TelemetrySnapshot:
         """Drain ``other`` and fold its telemetry into this recorder.
 
-        The cross-run counterpart of the worker-snapshot path: a sweep
-        instruments each study run with its own recorder, then merges
+        A sweep instruments each study run with its own recorder, then merges
         every run into one sweep-level recorder with this method.  The
         drained snapshot is returned so callers can *also* export the
         single run's metrics before it dissolves into the aggregate.

@@ -16,7 +16,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-#: Compact picklable span form for worker snapshots:
+#: Compact span form for snapshots:
 #: ``(name, cat, start, end, depth, pid, tid, args-items)``.
 SpanTuple = Tuple[str, str, float, float, int, int, int, tuple]
 

@@ -44,7 +44,7 @@ def resolve_pins(pins: List[PinFinding], ctlog: CTLog) -> CTResolution:
     resolution = CTResolution()
     # Sorted so the resolved-dict insertion order is stable across
     # processes (set iteration order varies under hash randomization,
-    # and the parallel engine compares results across workers).
+    # and a warm run serves results another process stored).
     for pin in sorted({f.pin for f in pins}):
         hits = ctlog.search_pin(pin)
         if hits:

@@ -2,8 +2,8 @@
 
 One reproduction run is a point estimate; the sweep layer turns the repo
 into a study fleet.  :class:`~repro.core.sweep.spec.SweepSpec` declares a
-grid (seeds × scales × fault rates × detector ablations × worker
-counts), :class:`~repro.core.sweep.engine.SweepEngine` executes every
+grid (seeds × scales × fault rates × detector ablations),
+:class:`~repro.core.sweep.engine.SweepEngine` executes every
 point through the ordinary :class:`~repro.core.analysis.Study` machinery
 with a shared content-addressed result store (warm-starting points that
 differ only in analysis-side knobs), and

@@ -8,8 +8,8 @@ same determinism contract — with the sweep-level glue this module owns:
 * **Shared result store.**  All non-faulted points run against one
   content-addressed store directory.  Corpus fingerprints already key
   every entry, so seed/scale points coexist safely, and points that
-  differ only in analysis-side knobs (detector ablation) or execution
-  sharding (worker count) warm-start from their siblings' entries.
+  differ only in analysis-side knobs (detector ablation) warm-start
+  from their siblings' entries.
   Fault-injected points run store-less: a store hit short-circuits the
   per-app pipeline *before* the injection site, so serving cached
   results would silently turn the fault test into a no-op.
@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core import obs
 from repro.core.analysis import Study
-from repro.core.exec import CorpusStore, ExecutionPlan, ResultStore, SeededFaults
+from repro.core.exec import CorpusStore, ResultStore, SeededFaults
 from repro.core.sweep.ablation import apply_detector_ablation
 from repro.core.sweep.spec import SweepPoint, SweepSpec
 from repro.corpus import CorpusConfig, CorpusGenerator
@@ -96,10 +96,6 @@ class SweepEngine:
             (``point-<index>.json``), written before the point's
             telemetry is merged into the sweep aggregate.
         progress: optional callable for per-point progress lines.
-        corpora: optional externally owned ``(seed, scale) -> corpus``
-            cache to share corpus construction with the caller (the
-            service keeps one across jobs); the engine reads and
-            populates it in place.
     """
 
     def __init__(
@@ -111,7 +107,6 @@ class SweepEngine:
         fault_seed: int = 0,
         metrics_dir: Optional[str] = None,
         progress: Optional[Callable[[str], None]] = None,
-        corpora: Optional[Dict[Tuple[int, float], object]] = None,
     ):
         self.spec = spec
         self.sleep_s = sleep_s
@@ -120,7 +115,7 @@ class SweepEngine:
         self.fault_seed = fault_seed
         self.metrics_dir = metrics_dir
         self.progress = progress or (lambda line: None)
-        self._corpora: Dict[Tuple[int, float], object] = corpora if corpora is not None else {}
+        self._corpora: Dict[Tuple[int, float], object] = {}
 
     def _corpus(self, seed: int, scale: float):
         key = (seed, scale)
@@ -152,7 +147,6 @@ class SweepEngine:
         study = Study(
             corpus,
             sleep_s=self.sleep_s,
-            plan=ExecutionPlan(workers=point.workers),
             fault_predicate=faults,
         )
         stopwatch = obs.Stopwatch()

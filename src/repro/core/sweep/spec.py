@@ -1,8 +1,8 @@
 """Declarative sweep grids: which study configurations to run.
 
 A :class:`SweepSpec` names the axes of a scenario matrix — corpus seeds,
-corpus scales, fault-injection rates, detector ablations, worker counts —
-and :meth:`SweepSpec.expand` turns it into the deterministic list of
+corpus scales, fault-injection rates, detector ablations — and
+:meth:`SweepSpec.expand` turns it into the deterministic list of
 :class:`SweepPoint` configurations the engine executes.  Specs come from
 CLI flags (``repro sweep --sweep-seeds 2022,2023 ...``) or from a small
 JSON/TOML file (:meth:`SweepSpec.load`), so a study fleet is one checked-in
@@ -15,9 +15,6 @@ Axis semantics:
 * ``detectors`` are *analysis-side* ablations re-run over the captures a
   sibling point already produced (:mod:`repro.core.sweep.ablation`), so
   they share **every** pipeline unit with their full-detector sibling.
-* ``workers`` changes only execution sharding; the engine's determinism
-  contract makes results identical and fingerprints are worker-agnostic,
-  so these points also warm-start fully.
 * ``fault_rates`` inject per-app failures; a faulted point runs without
   the shared store (a store hit would bypass the injection site, making
   the fault test vacuous).
@@ -43,21 +40,19 @@ class SweepPoint:
     scale: float
     fault_rate: float = 0.0
     detector: str = "full"
-    workers: Union[int, str] = 1
 
     def label(self) -> str:
         """Human-readable one-liner for tables and progress output."""
         return (
             f"seed={self.seed} scale={self.scale:g} "
-            f"faults={self.fault_rate:g} detector={self.detector} "
-            f"workers={self.workers}"
+            f"faults={self.fault_rate:g} detector={self.detector}"
         )
 
     def slug(self) -> str:
         """Filesystem-safe identifier for per-point file names."""
         return (
             f"seed{self.seed}-scale{self.scale:g}-fault{self.fault_rate:g}"
-            f"-{self.detector}-w{self.workers}"
+            f"-{self.detector}"
         ).replace(".", "p")
 
     def group_label(self) -> str:
@@ -65,7 +60,7 @@ class SweepPoint:
         key for cross-seed stability aggregation."""
         return (
             f"scale={self.scale:g} faults={self.fault_rate:g} "
-            f"detector={self.detector} workers={self.workers}"
+            f"detector={self.detector}"
         )
 
     def config_dict(self) -> dict:
@@ -74,7 +69,6 @@ class SweepPoint:
             "scale": self.scale,
             "fault_rate": self.fault_rate,
             "detector": self.detector,
-            "workers": self.workers,
         }
 
 
@@ -91,14 +85,12 @@ class SweepSpec:
     scales: Tuple[float, ...]
     fault_rates: Tuple[float, ...] = (0.0,)
     detectors: Tuple[str, ...] = ("full",)
-    workers: Tuple[Union[int, str], ...] = (1,)
 
     def __post_init__(self):
         _require(len(self.seeds) > 0, "seeds must be non-empty")
         _require(len(self.scales) > 0, "scales must be non-empty")
         _require(len(self.fault_rates) > 0, "fault_rates must be non-empty")
         _require(len(self.detectors) > 0, "detectors must be non-empty")
-        _require(len(self.workers) > 0, "workers must be non-empty")
         for seed in self.seeds:
             _require(
                 isinstance(seed, int) and not isinstance(seed, bool),
@@ -119,19 +111,9 @@ class SweepSpec:
                 detector in DETECTORS,
                 f"detector {detector!r} is not one of {DETECTORS}",
             )
-        for count in self.workers:
-            _require(
-                count == "auto"
-                or (
-                    isinstance(count, int)
-                    and not isinstance(count, bool)
-                    and count >= 1
-                ),
-                f"workers {count!r} is not a positive integer or 'auto'",
-            )
         # Duplicate axis values would silently run (and aggregate) the
         # same configuration twice, skewing stability statistics.
-        for name in ("seeds", "scales", "fault_rates", "detectors", "workers"):
+        for name in ("seeds", "scales", "fault_rates", "detectors"):
             values = getattr(self, name)
             _require(
                 len(set(values)) == len(values),
@@ -153,9 +135,7 @@ class SweepSpec:
                 scale=float(scale),
                 fault_rate=float(rate),
                 detector=detector,
-                workers=count,
             )
-            for count in self.workers
             for rate in self.fault_rates
             for scale in self.scales
             for detector in detectors
@@ -168,14 +148,13 @@ class SweepSpec:
             "scales": list(self.scales),
             "fault_rates": list(self.fault_rates),
             "detectors": list(self.detectors),
-            "workers": list(self.workers),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Sequence]) -> "SweepSpec":
         """Build a spec from a parsed JSON/TOML mapping (validating)."""
         _require(isinstance(data, dict), "spec document must be a mapping")
-        known = {"seeds", "scales", "fault_rates", "detectors", "workers"}
+        known = {"seeds", "scales", "fault_rates", "detectors"}
         unknown = set(data) - known
         _require(not unknown, f"unknown keys {sorted(unknown)}")
         _require("seeds" in data, "'seeds' is required")

@@ -8,7 +8,7 @@ as JSON (for CI, validated by ``schemas/audit_report.schema.json``).
 
 At ``level="deep"`` the audit additionally re-executes the study
 serially from the same corpus and compares every rendered table byte for
-byte — the determinism contract that resume/store/parallel runs must
+byte — the determinism contract that resumed and warm-store runs must
 also meet (CI exercises those variants directly; the deep audit makes
 the serial baseline self-checking).
 """

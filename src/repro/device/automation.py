@@ -90,8 +90,8 @@ class AutomationHarness:
         """Deterministic install time for one app.
 
         Derived from the harness seed and the app id alone, so a given app
-        sees the same timeline whether it runs first or last, serially or
-        on any worker of the parallel execution engine.  Both experiment
+        sees the same timeline whether it runs first or last in its unit,
+        or alone in a retry or solo re-run.  Both experiment
         settings (baseline and MITM) share the anchor, as the paper ran
         them back-to-back.
         """

@@ -47,9 +47,9 @@ class MITMProxy:
         hostname (key material and serial derive from a per-hostname child
         stream, not the CA's issuance counter), so two proxy instances with
         the same seed forge identical chains regardless of how many other
-        hostnames each has intercepted.  The parallel execution engine
-        depends on this: every worker process owns its own proxy, and the
-        forgeries must still match bit-for-bit across any work schedule.
+        hostnames each has intercepted.  The execution engine depends on
+        this: a retried or solo re-run app must still see bit-for-bit the
+        forgeries it saw inside its whole unit.
         """
         hostname = endpoint.hostname
         cached = self._forged.get(hostname)

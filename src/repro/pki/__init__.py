@@ -12,7 +12,7 @@ PKI without performing real cryptography:
 * :mod:`repro.pki.chain` — ordered certificate chains as served in TLS.
 * :mod:`repro.pki.store` — root stores (Mozilla, AOSP, iOS, OEM-extended).
 * :mod:`repro.pki.validation` — chain validation: signatures, validity
-  windows, hostname matching, path to a trusted root, revocation.
+  windows, hostname matching, path to a trusted root.
 * :mod:`repro.pki.ctlog` — a Certificate Transparency index standing in for
   crt.sh, used by static analysis to resolve SPKI hashes to certificates.
 

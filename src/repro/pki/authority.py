@@ -63,8 +63,9 @@ class CertificateAuthority:
         Issuing with a stateless serial (and a caller-supplied RNG) makes
         the certificate a pure function of the CA plus the labels —
         independent of how many certificates were issued before it.  The
-        parallel execution engine relies on this for on-demand issuance
-        (proxy forgeries) that must not depend on worker scheduling.
+        execution engine relies on this for on-demand issuance (proxy
+        forgeries) that must not depend on which apps ran before, so a
+        retried or solo re-run app forges what it forged in its unit.
         """
         from repro.util.rng import derive_seed
 

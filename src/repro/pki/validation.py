@@ -4,7 +4,7 @@ This module implements the client-side checks the paper's TLS layer needs:
 
 * :func:`validate_chain` — the default (root-store) validation algorithm:
   link signatures, validity windows, CA flags, hostname match, a path to a
-  trusted anchor, revocation.
+  trusted anchor.
 * :func:`hostname_matches` — RFC-6125-style matching with single-label
   wildcards.
 * :func:`classify_pki` — the Section 5.3.1 OpenSSL-against-Mozilla check
@@ -14,7 +14,6 @@ This module implements the client-side checks the paper's TLS layer needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
 from repro.core import obs
 from repro.errors import ChainValidationError
@@ -22,9 +21,6 @@ from repro.pki.certificate import Certificate
 from repro.pki.chain import CertificateChain
 from repro.pki.store import RootStore
 from repro.util.simtime import Timestamp
-
-if TYPE_CHECKING:
-    from repro.pki.revocation import RevocationList
 
 
 def hostname_matches(pattern: str, hostname: str) -> bool:
@@ -58,7 +54,6 @@ class ValidationContext:
             this is the misbehaviour Stone et al. hunt for, kept available
             so tests can model it).
         at_time: validation time.
-        revocation: optional CRL set.
         check_hostname: toggle for the hostname check.
         check_validity: toggle for the expiry check.
     """
@@ -66,7 +61,6 @@ class ValidationContext:
     store: RootStore
     hostname: str
     at_time: Timestamp
-    revocation: Optional[RevocationList] = None
     check_hostname: bool = True
     check_validity: bool = True
 
@@ -74,7 +68,7 @@ class ValidationContext:
 #: Failure reasons that depend on the validation time and therefore must
 #: never be served from the cache (a chain expired *now* may have been
 #: fine an hour ago, and vice versa).
-_TIME_DEPENDENT_REASONS = frozenset({"expired", "not_yet_valid", "revoked"})
+_TIME_DEPENDENT_REASONS = frozenset({"expired", "not_yet_valid"})
 
 
 def validate_chain(chain: CertificateChain, ctx: ValidationContext) -> Certificate:
@@ -82,7 +76,7 @@ def validate_chain(chain: CertificateChain, ctx: ValidationContext) -> Certifica
 
     Performs, in order: link-name consistency, per-certificate validity
     windows, CA flags on non-leaf links, simulated signature verification,
-    revocation, hostname match on the leaf, and anchoring in the store
+    hostname match on the leaf, and anchoring in the store
     (either the terminal certificate is itself trusted, or its issuer is
     found in the store and verifies it).
 
@@ -91,18 +85,14 @@ def validate_chain(chain: CertificateChain, ctx: ValidationContext) -> Certifica
     the same chain), and everything except the validity-window checks is
     independent of ``at_time``, so a cached outcome can be replayed for any
     time inside the chain's joint validity window.  Time-dependent failures
-    are never cached, and nothing is cached when a revocation list is in
-    play (its contents may change between calls).
+    are never cached.
 
     Raises:
         ChainValidationError: with a machine-readable ``reason`` on the
             first failed check (``bad_link``, ``expired``, ``not_yet_valid``,
-            ``not_ca``, ``bad_signature``, ``revoked``,
-            ``hostname_mismatch``, ``untrusted_root``).
+            ``not_ca``, ``bad_signature``, ``hostname_mismatch``,
+            ``untrusted_root``).
     """
-    if ctx.revocation is not None:
-        return _validate_chain_checks(chain, ctx)
-
     cache = chain.__dict__.get("_validation_cache")
     if cache is None:
         cache = {}
@@ -159,10 +149,6 @@ def _validate_chain_checks(
                     f"{cert.common_name!r} not valid before {cert.not_before}",
                     reason="not_yet_valid",
                 )
-        if ctx.revocation is not None and ctx.revocation.is_revoked(cert):
-            raise ChainValidationError(
-                f"{cert.common_name!r} is revoked", reason="revoked"
-            )
 
     for cert in chain.certificates[1:]:
         if not cert.is_ca:

@@ -1,12 +1,9 @@
 """Canonical stdout rendering for study and sweep runs.
 
 The byte layout of ``repro study`` / ``repro sweep`` stdout is a
-contract: the CI parallel-parity check diffs it across execution plans,
-and the service smoke job diffs a daemon-executed job against its
-direct-CLI twin.  Both the CLI and the service therefore render through
-these two functions — the *only* place the layout is defined — so
-"byte-identical output" is true by construction, not by parallel
-maintenance of two format strings.
+contract: CI diffs it across warm and cold stores, detector flips,
+telemetry and audits, and against a golden fixture.  These two
+functions are the *only* place the layout is defined.
 
 Everything here is deterministic given the results object.  Volatile
 commentary (timings, store statistics, telemetry tables, audit reports)
@@ -51,7 +48,6 @@ def render_sweep_stdout(results) -> str:
 
     Unlike the study rendering this is *not* byte-reproducible across
     runs: the grid table embeds per-point elapsed seconds and store hit
-    rates.  Cross-run comparisons use the JSON report with those fields
-    masked (``tools/diff_sweep_reports.py``), not this string.
+    rates.
     """
     return results.render() + "\n"

@@ -61,7 +61,6 @@ class Alert:
 ALERT_FOR_REASON = {
     "expired": AlertDescription.CERTIFICATE_EXPIRED,
     "not_yet_valid": AlertDescription.CERTIFICATE_EXPIRED,
-    "revoked": AlertDescription.CERTIFICATE_REVOKED,
     "untrusted_root": AlertDescription.UNKNOWN_CA,
     "bad_signature": AlertDescription.BAD_CERTIFICATE,
     "bad_link": AlertDescription.BAD_CERTIFICATE,

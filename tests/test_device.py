@@ -217,7 +217,7 @@ class TestAutomationHarness:
 
     def test_per_app_timeline_is_order_independent(self, small_corpus, harnesses):
         # Flow timestamps derive from the app id, not from how many apps
-        # ran before — the determinism contract of the parallel engine.
+        # ran before — the determinism contract of the execution engine.
         android, _ = harnesses
         apps = small_corpus.dataset("android", "popular")[:2]
         first = android.run_app(apps[0], RunConfig())

@@ -1,7 +1,7 @@
 """Tests for the engine's fault-tolerance layer.
 
-Covers the escalation ladder (retry → quarantine → error ledger), pool
-hygiene when a run fails, and graceful degradation of a full
+Covers the escalation ladder (retry → quarantine → error ledger), the
+fast failure of programming errors, and graceful degradation of a full
 ``Study.run()`` under injected faults — including the faulted-then-clean
 convergence through a shared result store.
 """
@@ -19,13 +19,14 @@ from repro.core.exec import (
     SeededFaults,
     TransientFaults,
 )
+from repro.core.exec.engine import split_unit
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.reporting.render import render_study_stdout
 
 
 @dataclass(frozen=True)
 class FailApps:
-    """Picklable predicate failing exactly the given (phase, app_id) pairs."""
+    """Predicate failing exactly the given (phase, app_id) pairs."""
 
     app_ids: Tuple[str, ...]
     phases: Tuple[str, ...] = ("static", "dynamic", "circumvent")
@@ -59,17 +60,23 @@ def _app_ids(corpus, key):
 KEY = ("android", "common")
 
 
+def _solo_units(engine, indices):
+    """One static unit per app of ``KEY``: each app retried on its own."""
+    (unit,) = engine.units_for("static", KEY, indices)
+    return split_unit(unit)
+
+
 class TestQuarantine:
     def test_quarantine_isolates_the_failing_app(self, tiny_corpus):
         ids = _app_ids(tiny_corpus, KEY)
         bad = ids[1]
         engine = ExecutionEngine(
             tiny_corpus,
-            ExecutionPlan(max_retries=1, chunk_size=len(ids)),
+            ExecutionPlan(max_retries=1),
             fault_predicate=FailApps((bad,), phases=("static",)),
         )
         units = engine.units_for("static", KEY, range(len(ids)))
-        assert len(units) == 1  # one chunk holds every app
+        assert len(units) == 1  # one unit holds every app
         outcome = engine.execute(units)
 
         surviving = [r.app_id for r in outcome.items]
@@ -87,7 +94,7 @@ class TestQuarantine:
         bad = ids[1]
         engine = ExecutionEngine(
             tiny_corpus,
-            ExecutionPlan(max_retries=0, chunk_size=len(ids), quarantine=False),
+            ExecutionPlan(max_retries=0, quarantine=False),
             fault_predicate=FailApps((bad,), phases=("static",)),
         )
         outcome = engine.execute(
@@ -107,7 +114,7 @@ class TestQuarantine:
         }
         engine = ExecutionEngine(
             tiny_corpus,
-            ExecutionPlan(chunk_size=len(ids)),
+            ExecutionPlan(),
             fault_predicate=FailApps((bad,), phases=("dynamic",)),
         )
         outcome = engine.map_dataset(
@@ -124,12 +131,10 @@ class TestRetries:
         faults = CountingFaults(FailApps((bad,), phases=("static",)))
         engine = ExecutionEngine(
             tiny_corpus,
-            ExecutionPlan(max_retries=2, chunk_size=1),
+            ExecutionPlan(max_retries=2),
             fault_predicate=faults,
         )
-        outcome = engine.execute(
-            engine.units_for("static", KEY, range(len(ids)))
-        )
+        outcome = engine.execute(_solo_units(engine, range(len(ids))))
         # Initial attempt + exactly plan.max_retries retries.
         assert faults.calls[("static", bad)] == 3
         assert outcome.failures[0].attempts == 3
@@ -144,12 +149,10 @@ class TestRetries:
         )
         engine = ExecutionEngine(
             tiny_corpus,
-            ExecutionPlan(max_retries=1, chunk_size=1),
+            ExecutionPlan(max_retries=1),
             fault_predicate=faults,
         )
-        outcome = engine.execute(
-            engine.units_for("static", KEY, range(len(ids)))
-        )
+        outcome = engine.execute(_solo_units(engine, range(len(ids))))
         assert outcome.failures == []
         assert [r.app_id for r in outcome.items] == ids
 
@@ -158,12 +161,10 @@ class TestRetries:
         faults = CountingFaults(FailApps((ids[0],), phases=("static",)))
         engine = ExecutionEngine(
             tiny_corpus,
-            ExecutionPlan(max_retries=0, chunk_size=1),
+            ExecutionPlan(max_retries=0),
             fault_predicate=faults,
         )
-        outcome = engine.execute(
-            engine.units_for("static", KEY, range(2))
-        )
+        outcome = engine.execute(_solo_units(engine, range(2)))
         assert faults.calls[("static", ids[0])] == 1
         assert outcome.failures[0].attempts == 1
 
@@ -181,41 +182,6 @@ class TestRetries:
             ExecutionPlan(retry_backoff_s=-0.1)
         with pytest.raises(ValueError):
             ExecutionPlan(retry_deadline_s=-1.0)
-
-
-class TestPoolHygiene:
-    def test_failed_execute_shuts_pool_down_on_error(self, tiny_corpus):
-        # An unknown unit kind is a programming error: it must fail the
-        # run (not be retried into the ledger) and release the pool.
-        engine = ExecutionEngine(
-            tiny_corpus, ExecutionPlan(workers=2, chunk_size=2)
-        )
-        units = engine.units_for("static", KEY, range(4)) + [
-            ("explodes", "android", "common", (0, 1), None)
-        ]
-        with pytest.raises(TypeError, match="unknown work-unit kind"):
-            engine.execute(units)
-        assert engine._pool is None
-
-    def test_parallel_resilient_keeps_pool_and_degrades(self, tiny_corpus):
-        ids = _app_ids(tiny_corpus, KEY)
-        bad = ids[0]
-        engine = ExecutionEngine(
-            tiny_corpus,
-            ExecutionPlan(workers=2, chunk_size=len(ids)),
-            fault_predicate=FailApps((bad,), phases=("static",)),
-        )
-        try:
-            outcome = engine.execute(
-                engine.units_for("static", KEY, range(len(ids)))
-            )
-            assert [r.app_id for r in outcome.items] == [
-                i for i in ids if i != bad
-            ]
-            assert [f.app_id for f in outcome.failures] == [bad]
-            assert engine._pool is not None  # healthy pool survives
-        finally:
-            engine.close()
 
 
 class TestStudyDegradation:
@@ -263,23 +229,11 @@ class TestStudyDegradation:
         assert all(c.app_id != bad for c in results.circumvention["android"])
 
 
-@dataclass(frozen=True)
-class BuggyPredicate:
-    """Picklable stand-in for a programming error inside per-app work:
-    consulting it for a target app raises ``AttributeError``, the way a
-    detector dereferencing a missing attribute would."""
-
-    app_ids: Tuple[str, ...]
-    phases: Tuple[str, ...] = ("static",)
-
-    def __call__(self, phase: str, app_id: str) -> bool:
-        if phase in self.phases and app_id in self.app_ids:
-            raise AttributeError("simulated detector bug: no attribute 'verdict'")
-        return False
-
-
 class CountingBuggyPredicate:
-    """Serial-only variant counting how often the bug site is reached."""
+    """Stand-in for a programming error inside per-app work: consulting
+    it for the target app raises ``AttributeError``, the way a detector
+    dereferencing a missing attribute would.  Counts how often the bug
+    site is reached."""
 
     def __init__(self, app_id: str):
         self.app_id = app_id
@@ -315,7 +269,7 @@ class TestNonRetryableErrors:
         recorder = obs.Recorder()
         engine = ExecutionEngine(
             tiny_corpus,
-            ExecutionPlan(max_retries=3, chunk_size=len(ids)),
+            ExecutionPlan(max_retries=3),
             fault_predicate=predicate,
             recorder=recorder,
         )
@@ -325,21 +279,8 @@ class TestNonRetryableErrors:
         # One consultation: the retry/quarantine ladder never engaged.
         assert predicate.calls == 1
         assert recorder.counter_value("exec.faults.nonretryable") == 1
-
-    def test_programming_error_propagates_from_pool(self, tiny_corpus):
-        ids = _app_ids(tiny_corpus, KEY)
-        engine = ExecutionEngine(
-            tiny_corpus,
-            ExecutionPlan(workers=2, max_retries=2, chunk_size=2),
-            fault_predicate=BuggyPredicate((ids[1],)),
-        )
-        try:
-            with pytest.raises(AttributeError):
-                engine.execute(
-                    engine.units_for("static", KEY, range(len(ids)))
-                )
-        finally:
-            engine.close()
+        assert recorder.counter_value("exec.retry.attempts") == 0
+        assert recorder.counter_value("exec.units.quarantined") == 0
 
     def test_injected_fault_still_earns_the_ladder(self, tiny_corpus):
         # The narrowing must not over-reach: an InjectedFault on the same
@@ -347,7 +288,7 @@ class TestNonRetryableErrors:
         ids = _app_ids(tiny_corpus, KEY)
         engine = ExecutionEngine(
             tiny_corpus,
-            ExecutionPlan(max_retries=1, chunk_size=len(ids)),
+            ExecutionPlan(max_retries=1),
             fault_predicate=FailApps((ids[1],), phases=("static",)),
         )
         outcome = engine.execute(

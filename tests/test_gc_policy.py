@@ -7,7 +7,7 @@ past the run: after ``Study.run`` returns or raises, ``gc.isenabled()``
 and ``gc.get_freeze_count()`` read as they did before, and a caller's
 own freeze is left in place.  Freezing is only safe because finished
 results hold no reference cycles, which is checked here on every pack of
-a filled store.  A serial run also never imports ``multiprocessing``, and
+a filled store.  A run also never imports ``multiprocessing``, and
 ``repro.cli.main`` leaves nothing frozen.
 """
 
@@ -27,7 +27,7 @@ import pytest
 
 from repro.core import obs
 from repro.core.analysis import Study
-from repro.core.exec import CorpusStore, ExecutionPlan, StoreWriteError
+from repro.core.exec import CorpusStore, StoreWriteError
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.reporting.render import render_study_stdout
 
@@ -92,15 +92,14 @@ class TestRunRestoresGCState:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_state_after_failed_run(
-        self, corpus, tmp_path, monkeypatch, freezes, workers
+        self, corpus, tmp_path, monkeypatch, freezes
     ):
         def no_disk_space(*args, **kwargs):
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(tempfile, "mkstemp", no_disk_space)
-        study = Study(corpus, plan=ExecutionPlan(workers=workers))
+        study = Study(corpus)
         with pytest.raises(StoreWriteError):
             study.run(store=tmp_path / "store")
         assert gc_state() == (True, 0)
@@ -206,7 +205,7 @@ def test_serial_run_never_imports_multiprocessing(tmp_path):
 
 def test_main_leaves_the_collector_unfrozen(capsys):
     # Only ``python -m repro`` freezes the heap, after ``main`` returns;
-    # in-process callers (tests, the service) keep their collector.
+    # in-process callers (tests, perfbench's launcher) keep their collector.
     from repro.cli import main
 
     assert gc.get_freeze_count() == 0

@@ -1,11 +1,10 @@
-"""Tests for repro.pki.validation and revocation."""
+"""Tests for repro.pki.validation."""
 
 import pytest
 
 from repro.errors import ChainValidationError
 from repro.pki.authority import CertificateAuthority, PKIHierarchy
 from repro.pki.chain import CertificateChain
-from repro.pki.revocation import RevocationList
 from repro.pki.store import RootStore, StoreCatalog
 from repro.pki.validation import (
     ValidationContext,
@@ -151,31 +150,6 @@ class TestChainValidation:
                 ),
             )
         assert err.value.reason == "not_ca"
-
-    def test_revoked_leaf(self, world):
-        _, catalog, issued = world
-        crl = RevocationList([issued.chain.leaf])
-        ctx = ValidationContext(
-            store=catalog.mozilla,
-            hostname="api.valid.com",
-            at_time=STUDY_START,
-            revocation=crl,
-        )
-        with pytest.raises(ChainValidationError) as err:
-            validate_chain(issued.chain, ctx)
-        assert err.value.reason == "revoked"
-
-    def test_unrevoke_restores(self, world):
-        _, catalog, issued = world
-        crl = RevocationList([issued.chain.leaf])
-        crl.unrevoke(issued.chain.leaf)
-        ctx = ValidationContext(
-            store=catalog.mozilla,
-            hostname="api.valid.com",
-            at_time=STUDY_START,
-            revocation=crl,
-        )
-        assert chain_is_valid(issued.chain, ctx)
 
     def test_trusted_terminal_direct(self, world):
         hierarchy, catalog, _ = world

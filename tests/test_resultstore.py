@@ -319,8 +319,8 @@ class TestConcurrentWriters:
     def test_second_writer_of_same_key_finishes_first(
         self, corpus, tmp_path, monkeypatch
     ):
-        """Two writers of one key in one process (two service jobs over
-        one store) must not share a temp file: with a per-process temp
+        """Two writers of one key in one process (two store handles over
+        one directory) must not share a temp file: with a per-process temp
         name, the second writer's ``os.replace`` consumed the first
         writer's temp file and the first ``os.replace`` raised
         ``FileNotFoundError``."""

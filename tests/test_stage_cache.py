@@ -14,9 +14,9 @@ from repro.core import obs
 from repro.core.analysis import Study
 from repro.core.circumvent.pipeline import CircumventionPipeline
 from repro.core.dynamic.pipeline import DynamicPipeline
-from repro.core.exec import ExecutionPlan
 from repro.core.exec.resultstore import ResultStore
 from repro.core.static.pipeline import StaticPipeline
+from repro.reporting.render import render_study_stdout
 
 
 @pytest.fixture()
@@ -193,9 +193,9 @@ class TestStoreStats:
 
 class TestEngineIntegration:
     """Stage invalidation through the engine: a detector flip over a
-    stored study recomputes only the detect suffix, runs the partial
-    units serially on the parent's store handle, and produces the same
-    results as a cold run under the flipped configuration."""
+    stored study recomputes only the detect suffix of its partial units
+    and produces the same results as a cold run under the flipped
+    configuration."""
 
     @pytest.fixture(scope="class")
     def tiny_corpus(self):
@@ -206,21 +206,18 @@ class TestEngineIntegration:
     def test_detector_flip_study_is_partial_and_equal(
         self, tiny_corpus, tmp_path
     ):
-        plan = ExecutionPlan(workers=1)
         root = tmp_path / "store"
 
-        cold = Study(tiny_corpus, plan=plan).run(store=root)
+        Study(tiny_corpus).run(store=root)
 
-        # A pooled plan exercises the partial-unit partition: units with
-        # reusable stage artifacts are pulled off the pool and run on the
-        # parent's store handle (workers have none).
         recorder = obs.Recorder()
-        flipped = Study(
-            tiny_corpus, plan=ExecutionPlan(workers=2), detector="no-tls13"
-        ).run(store=root, recorder=recorder)
+        flipped = Study(tiny_corpus, detector="no-tls13").run(
+            store=root, recorder=recorder
+        )
         counters = recorder.counters()
-        # Every dynamic unit is partial: captures warm, detect cold.
-        assert counters.get("store.units.partial", 0) > 0
+        # Every dynamic unit is partial: it misses as a unit, its
+        # captures are warm and its detect stage is cold.
+        assert counters.get("store.units.miss", 0) > 0
         assert counters.get("store.stage.dynamic.detect.hit", 0) == 0
         assert counters.get("store.stage.dynamic.detect.miss", 0) > 0
         assert counters.get("store.stage.dynamic.run_direct.hit", 0) > 0
@@ -229,7 +226,8 @@ class TestEngineIntegration:
         # Static units are untouched by the flip and hit at unit level.
         assert counters.get("store.units.hit", 0) > 0
 
-        reference = Study(tiny_corpus, plan=plan, detector="no-tls13").run()
+        reference = Study(tiny_corpus, detector="no-tls13").run()
+        assert render_study_stdout(flipped) == render_study_stdout(reference)
         for key in reference.dynamic_results:
             assert [r.verdicts for r in flipped.dynamic_results[key]] == [
                 r.verdicts for r in reference.dynamic_results[key]

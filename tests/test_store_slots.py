@@ -21,7 +21,7 @@ import threading
 import pytest
 
 from repro.core.analysis import Study
-from repro.core.exec import ExecutionPlan, ResultStore, StoreWriteError
+from repro.core.exec import ResultStore, StoreWriteError
 from repro.core.exec.faults import InjectedFault
 from repro.core.static.pipeline import StaticPipeline
 from repro.corpus import CorpusConfig, CorpusGenerator
@@ -349,9 +349,8 @@ class TestStoreWriteFailures:
     cure it, and abandoning apps whose results were computed would turn
     a cache failure into lost results."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_write_fails_the_run_unretried(
-        self, corpus, tmp_path, monkeypatch, workers
+        self, corpus, tmp_path, monkeypatch
     ):
         calls = []
 
@@ -360,7 +359,7 @@ class TestStoreWriteFailures:
             no_disk_space()
 
         monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
-        study = Study(corpus, plan=ExecutionPlan(workers=workers))
+        study = Study(corpus)
         with pytest.raises(StoreWriteError, match="No space") as info:
             study.run(store=tmp_path / "store")
         assert isinstance(info.value.__cause__, OSError)

@@ -6,7 +6,7 @@ Three layers are covered:
   compute each expensive aggregation exactly once;
 * the windowed :func:`~repro.pki.validation.validate_chain` cache —
   replayed only inside the chain's validity window, keyed on the store
-  generation, bypassed under revocation;
+  generation;
 * the :class:`~repro.pki.ctlog.CTLog` search cache and its invalidation.
 """
 
@@ -19,7 +19,6 @@ from repro.errors import ChainValidationError
 from repro.pki import validation as validation_mod
 from repro.pki.authority import PKIHierarchy
 from repro.pki.ctlog import CTLog
-from repro.pki.revocation import RevocationList
 from repro.pki.store import RootStore
 from repro.pki.validation import ValidationContext, validate_chain
 from repro.util.rng import DeterministicRng
@@ -177,21 +176,6 @@ class TestValidationCache:
         assert err.value.reason == "untrusted_root"
         empty.add(issued.root.certificate)
         assert validate_chain(issued.chain, ctx).is_ca
-
-    def test_revocation_bypasses_cache(self, pki_world):
-        _, issued, store = pki_world
-        crl = RevocationList()
-        ctx = ValidationContext(
-            store=store,
-            hostname="api.cached.com",
-            at_time=STUDY_START,
-            revocation=crl,
-        )
-        assert validate_chain(issued.chain, ctx).is_ca
-        crl.revoke(issued.chain.leaf)
-        with pytest.raises(ChainValidationError) as err:
-            validate_chain(issued.chain, ctx)
-        assert err.value.reason == "revoked"
 
 
 class TestCTLogSearchCache:

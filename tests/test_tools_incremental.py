@@ -31,7 +31,6 @@ def load_tool(name):
 diff_runs = load_tool("diff_runs")
 check_store_hits = load_tool("check_store_hits")
 check_bench_regression = load_tool("check_bench_regression")
-diff_sweep_reports = load_tool("diff_sweep_reports")
 
 
 @pytest.fixture(scope="module")
@@ -343,52 +342,3 @@ class TestCheckBenchRegression:
             )
             == 2
         )
-
-
-class TestDiffSweepReports:
-    """The service smoke job's sweep comparison: findings must match,
-    run-volatile fields (elapsed seconds, store tallies) must not."""
-
-    @staticmethod
-    def _report(elapsed=1.0, store=None, finding=0.5):
-        return {
-            "points": [
-                {
-                    "config": {"seed": 2022, "scale": 0.05},
-                    "findings": {"table3.android.pinned_pct": finding},
-                    "failures": 0,
-                    "elapsed_s": elapsed,
-                    "store": store,
-                }
-            ]
-        }
-
-    def _run(self, tmp_path, baseline, candidate):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        a.write_text(json.dumps(baseline))
-        b.write_text(json.dumps(candidate))
-        return diff_sweep_reports.main([str(a), str(b)])
-
-    def test_volatile_differences_are_masked(self, tmp_path, capsys):
-        baseline = self._report(elapsed=1.0, store={"hits": 0, "misses": 9})
-        candidate = self._report(elapsed=9.9, store=None)
-        assert self._run(tmp_path, baseline, candidate) == 0
-
-    def test_finding_differences_are_reported(self, tmp_path, capsys):
-        assert (
-            self._run(
-                tmp_path, self._report(finding=0.5), self._report(finding=0.6)
-            )
-            == 1
-        )
-        assert "findings" in capsys.readouterr().out
-
-    def test_shape_differences_are_reported(self, tmp_path, capsys):
-        candidate = self._report()
-        candidate["points"].append(candidate["points"][0])
-        assert self._run(tmp_path, self._report(), candidate) == 1
-
-    def test_missing_file_is_input_error(self, tmp_path):
-        a = tmp_path / "a.json"
-        a.write_text(json.dumps(self._report()))
-        assert diff_sweep_reports.main([str(a), str(tmp_path / "nope.json")]) == 2

@@ -40,7 +40,6 @@ NOT_WARM = (
     "repro.corpus.stores",
     "repro.netsim.simulate",
     "repro.pki.pem",
-    "repro.pki.revocation",
     "repro.tls.alerts",
     "repro.tls.fingerprint",
     "repro.tls.handshake",
@@ -90,15 +89,6 @@ def test_warm_run_imports_none_of_them(cold):
     assert "; corpus loaded from store" in done.stderr.decode()
     assert "repro.core.exec.resultstore" in imported(done)
     assert sorted(imported(done) & set(NOT_WARM)) == []
-    assert done.stdout == GOLDEN.read_bytes()
-
-
-def test_warm_pool_run_builds_no_pool(cold):
-    # Every unit is served from the store, so no worker is ever needed.
-    root, _ = cold
-    done = repro("--workers", "2", "study", "--store", "store", cwd=root, importtime=True)
-    assert done.returncode == 0, done.stderr.decode()[-2000:]
-    assert "multiprocessing" not in imported(done)
     assert done.stdout == GOLDEN.read_bytes()
 
 
