@@ -27,7 +27,6 @@ from repro.core.obs.recorder import (
     count,
     get_recorder,
     observe,
-    register_cache,
     set_recorder,
     span,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "get_recorder",
     "now",
     "observe",
-    "register_cache",
     "set_recorder",
     "span",
 ]

@@ -22,17 +22,16 @@ identical for every point order.  Span
 determinism is claimed for metrics and for study results, never for
 timings.
 
-``functools.lru_cache``-based hot-path caches register themselves via
-:func:`register_cache`; the recorder turns ``cache_info()`` deltas into
-``cache.<name>.hit`` / ``cache.<name>.miss`` counters at drain/finalize
-time, so cache instrumentation costs nothing per call.
+A hot-path cache reports each lookup through :func:`cache_event`, which
+counts ``cache.<name>.hit`` / ``cache.<name>.miss`` while a recorder is
+installed.
 
 While a recorder is installed, a :data:`gc.callbacks` hook times every
 cyclic garbage collection: ``gc.collections.gen0/1/2`` counters and a
 ``gc.pause_s`` histogram.  The hook never takes the recorder's lock (a
 collection can start while the lock is held); it queues each
 collection's ``(generation, pause)`` and the queue is folded into the
-metrics at drain/uninstall time, like the cache deltas.  With no
+metrics at drain/uninstall time.  With no
 recorder installed there is no hook.
 """
 
@@ -43,7 +42,7 @@ import gc
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.obs import clock
 from repro.core.obs.metrics import Counter, Gauge, Histogram
@@ -51,19 +50,6 @@ from repro.core.obs.spans import NULL_SPAN, Span, SpanTimer
 
 #: Version tag stamped into both JSON exports.
 SCHEMA_VERSION = "repro-telemetry-v1"
-
-#: Registered ``lru_cache`` functions: metric name -> cached function.
-_LRU_CACHES: Dict[str, object] = {}
-
-
-def register_cache(name: str, cached_function) -> None:
-    """Register an ``lru_cache``-wrapped function for hit/miss accounting.
-
-    Idempotent per name; modules call this once at import time.  The
-    recorder reads ``cache_info()`` deltas lazily, so registration has no
-    runtime cost for uninstrumented runs.
-    """
-    _LRU_CACHES[name] = cached_function
 
 
 @dataclass
@@ -86,7 +72,6 @@ class Recorder:
         self._histograms: Dict[str, Histogram] = {}
         self._spans: List[Span] = []
         self._tls = threading.local()
-        self._lru_baseline: Dict[str, Tuple[int, int]] = {}
         #: ``(generation, pause_s)`` per collection, appended by
         #: :func:`_on_gc` without the lock (``deque.append`` is atomic).
         self._gc_pending: collections.deque = collections.deque()
@@ -143,41 +128,18 @@ class Recorder:
     # -- lifecycle ---------------------------------------------------------
 
     def install(self) -> "Recorder":
-        """Make this the process's active recorder and baseline the caches.
-
-        The ``lru_cache`` hit/miss totals of earlier runs in the same
-        process stay out: only deltas from this point are attributed to
-        the instrumented run.
-        """
-        for name, function in _LRU_CACHES.items():
-            info = function.cache_info()
-            self._lru_baseline[name] = (info.hits, info.misses)
+        """Make this the process's active recorder."""
         set_recorder(self)
         if _on_gc not in gc.callbacks:
             gc.callbacks.append(_on_gc)
         return self
 
     def uninstall(self) -> None:
-        """Collect final cache and GC deltas and deactivate."""
+        """Collect the queued GC collections and deactivate."""
         if get_recorder() is self:
             set_recorder(None)
             if _on_gc in gc.callbacks:
                 gc.callbacks.remove(_on_gc)
-        self.collect_caches()
-
-    def collect_caches(self) -> None:
-        """Fold ``lru_cache`` hit/miss deltas and queued GC collections
-        into metrics."""
-        for name, function in _LRU_CACHES.items():
-            info = function.cache_info()
-            base_hits, base_misses = self._lru_baseline.get(name, (0, 0))
-            hits = info.hits - base_hits
-            misses = info.misses - base_misses
-            self._lru_baseline[name] = (info.hits, info.misses)
-            if hits:
-                self.count(f"cache.{name}.hit", hits)
-            if misses:
-                self.count(f"cache.{name}.miss", misses)
         self._collect_gc()
 
     def _collect_gc(self) -> None:
@@ -192,7 +154,7 @@ class Recorder:
 
     def drain(self) -> TelemetrySnapshot:
         """Return (and clear) everything recorded since the last drain."""
-        self.collect_caches()
+        self._collect_gc()
         with self._lock:
             snapshot = TelemetrySnapshot(
                 counters={k: c.value for k, c in self._counters.items()},

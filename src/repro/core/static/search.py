@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import List, Set, Tuple
 
 from repro.appmodel.filetree import FileNode, FileTree
-from repro.core import obs
 from repro.errors import CertificateError, EncodingError
 from repro.pki.certificate import ParsedCertificate, parse_der
 from repro.util.encoding import b64decode
@@ -92,27 +90,25 @@ class ScanResult:
         return {f.path for f in self.certificates} | {f.path for f in self.pins}
 
 
-@lru_cache(maxsize=4096)
-def _parse_certificate_content(content: str) -> Tuple[ParsedCertificate, ...]:
-    """Recover certificates from extension-matched file content.
+def _parse_certificate_file(node: FileNode) -> List[ParsedCertificate]:
+    """Recover certificates from an extension-matched file.
 
     PEM-armoured content parses directly; otherwise the content is tried
     as base64 DER (the ``.der``/``.cer`` convention).  Unparseable content
     yields nothing — apps ship all kinds of junk under these extensions.
-    Cached on the content string: bundled certificate assets repeat across
-    apps (shared SDKs) and across the repeated scans of a study.
     """
     from repro.pki.pem import load_pem_certificates
 
+    content = node.content
     if "-----BEGIN CERTIFICATE-----" in content:
         try:
-            return tuple(load_pem_certificates(content))
+            return load_pem_certificates(content)
         except EncodingError:
-            return ()
+            return []
     try:
         decoded = b64decode("".join(content.split()))
     except EncodingError:
-        return ()
+        return []
     # Some ``.cer`` files are base64-wrapped PEM text; others are bare DER.
     try:
         text = decoded.decode("utf-8")
@@ -120,20 +116,13 @@ def _parse_certificate_content(content: str) -> Tuple[ParsedCertificate, ...]:
         text = ""
     if "-----BEGIN CERTIFICATE-----" in text:
         try:
-            return tuple(load_pem_certificates(text))
+            return load_pem_certificates(text)
         except EncodingError:
-            return ()
+            return []
     try:
-        return (parse_der(decoded),)
+        return [parse_der(decoded)]
     except CertificateError:
-        return ()
-
-
-obs.register_cache("cert_parse", _parse_certificate_content)
-
-
-def _parse_certificate_file(node: FileNode) -> List[ParsedCertificate]:
-    return list(_parse_certificate_content(node.content))
+        return []
 
 
 def scan_tree(tree: FileTree, include_native: bool = True) -> ScanResult:

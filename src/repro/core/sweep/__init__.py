@@ -12,7 +12,6 @@ findings into cross-seed stability tables plus a schema-validated JSON
 report.  Surfaced on the CLI as ``repro sweep``.
 """
 
-from repro.core.sweep.ablation import apply_detector_ablation
 from repro.core.sweep.engine import SweepEngine, SweepPointResult
 from repro.core.sweep.report import FindingStability, SweepResults
 from repro.core.sweep.spec import DETECTORS, SweepPoint, SweepSpec
@@ -25,5 +24,4 @@ __all__ = [
     "SweepPointResult",
     "SweepResults",
     "SweepSpec",
-    "apply_detector_ablation",
 ]

@@ -20,20 +20,68 @@ same determinism contract — with the sweep-level glue this module owns:
   the run it is drained into one sweep-level recorder
   (:meth:`~repro.core.obs.Recorder.merge_from`), giving the sweep a
   single merged metrics document alongside optional per-point exports.
+* **Detector ablations.**  A point's ``detector`` is re-applied to the
+  captures its run already holds, not re-run: the dynamic graph's
+  ``rederive`` recomputes only the ``detect`` stage of each app
+  (DESIGN.md §15), so an ablated point shares every pipeline unit with
+  its full-detector sibling.  Only the detection-derived views change
+  (verdicts, and with them prevalence, consistency and detector
+  scoring); circumvention and PII were measured against the full
+  detector's pinned sets and are carried over (DESIGN.md §13).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core import obs
 from repro.core.analysis import Study
+from repro.core.analysis.study import StudyResults
+from repro.core.dynamic.pipeline import DYNAMIC_GRAPH
 from repro.core.exec import CorpusStore, ResultStore, SeededFaults
-from repro.core.sweep.ablation import apply_detector_ablation
 from repro.core.sweep.spec import SweepPoint, SweepSpec
 from repro.corpus import CorpusConfig, CorpusGenerator
+
+
+def _redetected(results: StudyResults, detector: str) -> StudyResults:
+    """A new :class:`StudyResults` whose verdicts come from ``detector``
+    over the same captures; ``results`` is left as it was."""
+    with obs.span("sweep.ablation", cat="sweep", detector=detector):
+        dynamic = {
+            key: [
+                DYNAMIC_GRAPH.rederive(
+                    SimpleNamespace(detector=detector),
+                    seeds={
+                        "packaged": None,
+                        "app_id": result.app_id,
+                        "platform": result.platform,
+                    },
+                    result=result,
+                    dirty={"detect"},
+                    params={
+                        "wait": 120.0 if result.reran_with_wait else 0.0,
+                        "interact": False,
+                    },
+                )
+                for result in dataset_results
+            ]
+            for key, dataset_results in results.dynamic_results.items()
+        }
+        obs.count("sweep.ablation.redetected", sum(map(len, dynamic.values())))
+    return StudyResults(
+        corpus=results.corpus,
+        static_reports=results.static_reports,
+        dynamic_results=dynamic,
+        circumvention=results.circumvention,
+        pii=results.pii,
+        failures=results.failures,
+        window_s=results.window_s,
+        telemetry=results.telemetry,
+        audit=results.audit,
+    )
 
 
 @dataclass
@@ -155,7 +203,7 @@ class SweepEngine:
         # analysis-side ablation and finding extraction are observed too.
         recorder.install()
         try:
-            ablated = apply_detector_ablation(results, point.detector)
+            ablated = results if point.detector == "full" else _redetected(results, point.detector)
             with obs.span("sweep.findings", cat="sweep"):
                 findings = ablated.headline_findings()
         finally:

@@ -13,7 +13,7 @@ Axis semantics:
 * ``seeds`` / ``scales`` change the corpus itself — every per-app
   fingerprint differs, so these points never share result-store entries.
 * ``detectors`` are *analysis-side* ablations re-run over the captures a
-  sibling point already produced (:mod:`repro.core.sweep.ablation`), so
+  sibling point already produced (:mod:`repro.core.sweep.engine`), so
   they share **every** pipeline unit with their full-detector sibling.
 * ``fault_rates`` inject per-app failures; a faulted point runs without
   the shared store (a store hit would bypass the injection site, making
@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
 #: The detector ablations a sweep may request (see
-#: :func:`repro.core.sweep.ablation.apply_detector_ablation`).
+#: :mod:`repro.core.sweep.engine`).
 DETECTORS: Tuple[str, ...] = ("full", "no-tls13", "naive")
 
 

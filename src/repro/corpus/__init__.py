@@ -17,8 +17,6 @@ from repro.util.lazy import lazy_exports
 __getattr__ = lazy_exports(
     __name__,
     {
-        "CollectionCampaign": "crawler",
-        "CollectionReport": "crawler",
         "AppCorpus": "datasets",
         "DatasetKey": "datasets",
         "CorpusConfig": "generator",
@@ -29,8 +27,6 @@ __getattr__ = lazy_exports(
 
 __all__ = [
     "AppCorpus",
-    "CollectionCampaign",
-    "CollectionReport",
     "CorpusConfig",
     "CorpusGenerator",
     "DatasetKey",

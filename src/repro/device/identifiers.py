@@ -84,18 +84,10 @@ class DeviceIdentifiers:
         """Replace every placeholder in a payload-template string.
 
         Runs once per payload field of every simulated request, so the
-        placeholder-free common case returns immediately and the
-        (token, value) pairs are built once per instance.
+        placeholder-free common case returns immediately.
         """
         if PII_PLACEHOLDER_PREFIX not in text:
             return text
-        pairs = self.__dict__.get("_substitution_pairs")
-        if pairs is None:
-            pairs = tuple(
-                (placeholder(pii_type), value)
-                for pii_type, value in self.as_dict().items()
-            )
-            object.__setattr__(self, "_substitution_pairs", pairs)
-        for token, value in pairs:
-            text = text.replace(token, value)
+        for pii_type, value in self.as_dict().items():
+            text = text.replace(placeholder(pii_type), value)
         return text

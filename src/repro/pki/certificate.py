@@ -34,17 +34,13 @@ class DistinguishedName:
     country: str = ""
 
     def render(self) -> str:
-        """RFC-4514-ish single-line rendering (memoized per instance)."""
-        cached = self.__dict__.get("_rendered")
-        if cached is None:
-            parts = [f"CN={self.common_name}"]
-            if self.organization:
-                parts.append(f"O={self.organization}")
-            if self.country:
-                parts.append(f"C={self.country}")
-            cached = ", ".join(parts)
-            object.__setattr__(self, "_rendered", cached)
-        return cached
+        """RFC-4514-ish single-line rendering."""
+        parts = [f"CN={self.common_name}"]
+        if self.organization:
+            parts.append(f"O={self.organization}")
+        if self.country:
+            parts.append(f"C={self.country}")
+        return ", ".join(parts)
 
     def __str__(self) -> str:  # pragma: no cover - display only
         return self.render()
@@ -137,13 +133,9 @@ class Certificate:
         san: Tuple[str, ...] = (),
         is_ca: bool = False,
     ) -> "Certificate":
-        """Issue a certificate signed by ``signer`` in one construction.
-
-        The to-be-signed encoding is computed once, signed, and kept as the
-        certificate's memoized :meth:`tbs_bytes`.
-        """
+        """Issue a certificate signed by ``signer`` in one construction."""
         tbs = _tbs_encoding(subject, issuer, serial, not_before, not_after, san, is_ca, key)
-        cert = cls(
+        return cls(
             subject=subject,
             issuer=issuer,
             serial=serial,
@@ -155,50 +147,31 @@ class Certificate:
             signature=signer.sign(tbs),
             issuer_key_id=signer.key_id,
         )
-        object.__setattr__(cert, "_tbs", tbs)
-        return cert
 
     def tbs_bytes(self) -> bytes:
-        """The canonical to-be-signed encoding (memoized per instance).
-
-        The encoding is recomputed for every signature verification during
-        chain validation — a profiled hot path of the full study — and the
-        certificate is frozen, so computing it once is safe.
-        """
-        cached = self.__dict__.get("_tbs")
-        if cached is None:
-            cached = _tbs_encoding(
-                self.subject,
-                self.issuer,
-                self.serial,
-                self.not_before,
-                self.not_after,
-                self.san,
-                self.is_ca,
-                self.key,
-            )
-            object.__setattr__(self, "_tbs", cached)
-        return cached
+        """The canonical to-be-signed encoding."""
+        return _tbs_encoding(
+            self.subject,
+            self.issuer,
+            self.serial,
+            self.not_before,
+            self.not_after,
+            self.san,
+            self.is_ca,
+            self.key,
+        )
 
     def to_der(self) -> bytes:
         """Canonical full encoding (tbs + signature), the DER stand-in."""
-        cached = self.__dict__.get("_der")
-        if cached is None:
-            cached = self.tbs_bytes() + b"\x1f" + self.signature
-            object.__setattr__(self, "_der", cached)
-        return cached
+        return self.tbs_bytes() + b"\x1f" + self.signature
 
     def to_pem(self) -> str:
         """PEM-armoured encoding, greppable by the static analyzer."""
         return pem_wrap(self.to_der(), label="CERTIFICATE")
 
     def fingerprint_sha256(self) -> str:
-        """Hex SHA-256 fingerprint of the full encoding (memoized)."""
-        cached = self.__dict__.get("_fingerprint")
-        if cached is None:
-            cached = hashlib.sha256(self.to_der()).hexdigest()
-            object.__setattr__(self, "_fingerprint", cached)
-        return cached
+        """Hex SHA-256 fingerprint of the full encoding."""
+        return hashlib.sha256(self.to_der()).hexdigest()
 
     def spki_pin(self, algorithm: str = "sha256") -> str:
         """HPKP-style pin string for this certificate's public key."""

@@ -12,9 +12,8 @@ pins resolved to certificates (Section 5.3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
-from repro.core import obs
 from repro.pki.certificate import Certificate
 from repro.pki.chain import CertificateChain
 from repro.util.encoding import b64encode
@@ -26,10 +25,6 @@ class CTLog:
     def __init__(self):
         self._by_digest: Dict[str, List[Certificate]] = {}
         self._seen: Set[str] = set()
-        # Memoized search results (the static pipeline resolves the same
-        # few pins for thousands of apps).  Invalidated wholesale whenever
-        # a new certificate lands in the index.
-        self._search_cache: Dict[str, Tuple[Certificate, ...]] = {}
 
     def _index_keys(self, cert: Certificate) -> List[str]:
         sha256 = cert.key.spki_sha256()
@@ -47,7 +42,6 @@ class CTLog:
         if fingerprint in self._seen:
             return
         self._seen.add(fingerprint)
-        self._search_cache.clear()
         for key in self._index_keys(cert):
             self._by_digest.setdefault(key, []).append(cert)
 
@@ -63,18 +57,13 @@ class CTLog:
             digest: base64 or hex encoding of a sha1/sha256 SPKI digest.
                 Trailing base64 padding may be present or absent.
         """
-        cached = self._search_cache.get(digest)
-        obs.cache_event("ctlog_search", hit=cached is not None)
-        if cached is None:
-            hits = self._by_digest.get(digest)
-            if hits is None and not digest.endswith("="):
-                for pad in ("=", "=="):
-                    hits = self._by_digest.get(digest + pad)
-                    if hits is not None:
-                        break
-            cached = tuple(hits) if hits else ()
-            self._search_cache[digest] = cached
-        return list(cached)
+        hits = self._by_digest.get(digest)
+        if hits is None and not digest.endswith("="):
+            for pad in ("=", "=="):
+                hits = self._by_digest.get(digest + pad)
+                if hits is not None:
+                    break
+        return list(hits or ())
 
     def search_pin(self, pin: str) -> List[Certificate]:
         """Look up a ``shaN/<base64>`` pin string."""

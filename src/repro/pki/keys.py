@@ -11,35 +11,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 
-from repro.core import obs
 from repro.errors import EncodingError
 from repro.util.encoding import b64encode
 from repro.util.rng import DeterministicRng
-
-
-@lru_cache(maxsize=None)
-def _spki_digest(public_bytes: bytes, algorithm: str) -> bytes:
-    """SPKI digest, memoized process-wide.
-
-    Digests are recomputed for the same key on every chain validation and
-    pin comparison — one of the profiled hot paths of the full study.  The
-    key space is bounded by the corpus (one entry per generated key), so
-    the cache is unbounded.
-    """
-    if algorithm == "sha256":
-        return hashlib.sha256(public_bytes).digest()
-    return hashlib.sha1(public_bytes).digest()
-
-
-@lru_cache(maxsize=None)
-def _pin_string(public_bytes: bytes, algorithm: str) -> str:
-    return f"{algorithm}/{b64encode(_spki_digest(public_bytes, algorithm))}"
-
-
-obs.register_cache("spki_digest", _spki_digest)
-obs.register_cache("spki_pin", _pin_string)
 
 
 @dataclass(frozen=True)
@@ -69,11 +44,11 @@ class KeyPair:
 
     def spki_sha256(self) -> bytes:
         """Raw SHA-256 digest of the SPKI bytes."""
-        return _spki_digest(self.public_bytes, "sha256")
+        return hashlib.sha256(self.public_bytes).digest()
 
     def spki_sha1(self) -> bytes:
         """Raw SHA-1 digest of the SPKI bytes."""
-        return _spki_digest(self.public_bytes, "sha1")
+        return hashlib.sha1(self.public_bytes).digest()
 
     def pin(self, algorithm: str = "sha256") -> str:
         """Render the HPKP-style pin string for this key."""
@@ -105,7 +80,8 @@ def spki_pin(key: KeyPair, algorithm: str = "sha256") -> str:
     """
     if algorithm not in ("sha256", "sha1"):
         raise EncodingError(f"unsupported pin algorithm: {algorithm!r}")
-    return _pin_string(key.public_bytes, algorithm)
+    digest = key.spki_sha256() if algorithm == "sha256" else key.spki_sha1()
+    return f"{algorithm}/{b64encode(digest)}"
 
 
 def parse_pin(pin: str) -> tuple:

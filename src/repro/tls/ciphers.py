@@ -9,7 +9,6 @@ something to find.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 
@@ -94,13 +93,6 @@ def is_weak_suite(suite) -> bool:
 
 def advertises_weak(suites: Sequence[CipherSuite]) -> bool:
     """True if any advertised suite is weak (Table 8's per-connection test)."""
-    return _advertises_weak(tuple(suites))
-
-
-@lru_cache(maxsize=None)
-def _advertises_weak(suites: Tuple[CipherSuite, ...]) -> bool:
-    # Memoized per suite tuple: Table 8 asks for every captured flow, and a
-    # corpus offers only a handful of distinct ClientHello suite lists.
     return any(is_weak_suite(s) for s in suites)
 
 

@@ -10,21 +10,14 @@ platform share a client stack and therefore a fingerprint.
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core import obs
 from repro.tls.ciphers import CipherSuite
 from repro.tls.records import TLSVersion
 
-
-@lru_cache(maxsize=None)
-def _ja3_cached(versions: Tuple[str, ...], suites: Tuple[str, ...]) -> str:
-    material = ",".join(versions) + "|" + ",".join(suites)
-    return hashlib.md5(material.encode("ascii")).hexdigest()
-
-
-obs.register_cache("ja3", _ja3_cached)
+#: Fingerprints by (version names, suite names), process-wide.
+_JA3: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], str] = {}
 
 
 def ja3_fingerprint(
@@ -37,6 +30,10 @@ def ja3_fingerprint(
     results are memoized process-wide, keyed by version and suite names
     (strings hash faster than the suite dataclasses).
     """
-    return _ja3_cached(
-        tuple(v.value for v in versions), tuple(s.name for s in suites)
-    )
+    key = tuple(v.value for v in versions), tuple(s.name for s in suites)
+    fingerprint = _JA3.get(key)
+    obs.cache_event("ja3", hit=fingerprint is not None)
+    if fingerprint is None:
+        material = ",".join(key[0]) + "|" + ",".join(key[1])
+        fingerprint = _JA3[key] = hashlib.md5(material.encode("ascii")).hexdigest()
+    return fingerprint

@@ -8,7 +8,6 @@ whatever order its points ran in.
 import gc
 import importlib.util
 import json
-from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -164,27 +163,6 @@ class TestCountersAndCaches:
         obs.cache_event("handrolled", hit=False)
         assert recorder.counter_value("cache.handrolled.hit") == 2
         assert recorder.counter_value("cache.handrolled.miss") == 1
-
-    def test_lru_registration_uses_install_baseline(self):
-        @lru_cache(maxsize=None)
-        def cached(x):
-            return x * 2
-
-        obs.register_cache("obs_test_lru", cached)
-        cached(1)  # pre-install warmup must not be attributed
-        recorder = obs.Recorder().install()
-        try:
-            cached(1)  # hit
-            cached(2)  # miss
-            cached(2)  # hit
-            recorder.collect_caches()
-            assert recorder.counter_value("cache.obs_test_lru.hit") == 2
-            assert recorder.counter_value("cache.obs_test_lru.miss") == 1
-            # A second collect must not double count.
-            recorder.collect_caches()
-            assert recorder.counter_value("cache.obs_test_lru.hit") == 2
-        finally:
-            recorder.uninstall()
 
     def test_install_uninstall_lifecycle(self):
         recorder = obs.Recorder()

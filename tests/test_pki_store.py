@@ -131,6 +131,39 @@ class TestCTLog:
     def test_miss_returns_empty(self):
         assert CTLog().search_pin("sha256/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA=") == []
 
+    @pytest.mark.parametrize("algorithm", ["sha256", "sha1"])
+    @pytest.mark.parametrize("encoding", ["padded", "unpadded", "hex"])
+    def test_every_digest_encoding_finds_the_leaf(self, hierarchy, algorithm, encoding):
+        log = CTLog()
+        issued = hierarchy.issue_leaf_chain("enc.example.com", DeterministicRng(9))
+        log.log_chain(issued.chain)
+        key = issued.chain.leaf.key
+        raw = key.spki_sha256() if algorithm == "sha256" else key.spki_sha1()
+        digest = {
+            "padded": b64encode(raw),
+            "unpadded": b64encode(raw).rstrip("="),
+            "hex": raw.hex(),
+        }[encoding]
+        assert [c.common_name for c in log.search_spki(digest)] == ["enc.example.com"]
+
+    def test_logged_after_search_found_by_next_search(self, hierarchy):
+        issued = hierarchy.issue_leaf_chain("pin.me.com", DeterministicRng(74))
+        leaf = issued.chain.leaf
+        log = CTLog()
+        pin = leaf.spki_pin()
+        assert log.search_pin(pin) == []
+        log.log_certificate(leaf)
+        assert log.search_pin(pin) == [leaf]
+
+    def test_repeat_searches_stable(self, hierarchy):
+        issued = hierarchy.issue_leaf_chain("stable.com", DeterministicRng(76))
+        log = CTLog()
+        log.log_chain(issued.chain)
+        pin = issued.chain.leaf.spki_pin()
+        first = log.search_pin(pin)
+        first.clear()  # a caller's list is its own
+        assert log.search_pin(pin) == log.search_pin(pin) == [issued.chain.leaf]
+
 
 class TestPEMLoading:
     def test_loads_bundle(self, hierarchy):

@@ -1,13 +1,12 @@
 """Regression tests for the study's memoization layers.
 
-Three layers are covered:
+Two layers are covered:
 
 * :class:`StudyResults` derived-view memos — rendering every table must
   compute each expensive aggregation exactly once;
 * the windowed :func:`~repro.pki.validation.validate_chain` cache —
   replayed only inside the chain's validity window, keyed on the store
-  generation;
-* the :class:`~repro.pki.ctlog.CTLog` search cache and its invalidation.
+  generation.
 """
 
 import pytest
@@ -18,7 +17,6 @@ from repro.core.analysis.study import StudyResults
 from repro.errors import ChainValidationError
 from repro.pki import validation as validation_mod
 from repro.pki.authority import PKIHierarchy
-from repro.pki.ctlog import CTLog
 from repro.pki.store import RootStore
 from repro.pki.validation import ValidationContext, validate_chain
 from repro.util.rng import DeterministicRng
@@ -176,24 +174,3 @@ class TestValidationCache:
         assert err.value.reason == "untrusted_root"
         empty.add(issued.root.certificate)
         assert validate_chain(issued.chain, ctx).is_ca
-
-
-class TestCTLogSearchCache:
-    def test_miss_then_invalidated_on_log(self):
-        hierarchy = PKIHierarchy(DeterministicRng(73))
-        issued = hierarchy.issue_leaf_chain("pin.me.com", DeterministicRng(74))
-        leaf = issued.chain.leaf
-        ctlog = CTLog()
-        pin = leaf.spki_pin()
-        assert ctlog.search_pin(pin) == []  # miss is now cached
-        ctlog.log_certificate(leaf)
-        hits = ctlog.search_pin(pin)
-        assert leaf in hits
-
-    def test_repeat_searches_stable(self):
-        hierarchy = PKIHierarchy(DeterministicRng(75))
-        issued = hierarchy.issue_leaf_chain("stable.com", DeterministicRng(76))
-        ctlog = CTLog()
-        ctlog.log_chain(issued.chain)
-        pin = issued.chain.leaf.spki_pin()
-        assert ctlog.search_pin(pin) == ctlog.search_pin(pin)

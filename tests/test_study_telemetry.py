@@ -110,43 +110,6 @@ class TestCounterAccuracy:
         # Persistent faults in multi-app units must trigger quarantine.
         assert recorder.counter_value("exec.units.quarantined") > 0
 
-    def test_ctlog_search_cache_counters(self):
-        from repro.pki.authority import PKIHierarchy
-        from repro.pki.ctlog import CTLog
-        from repro.util.rng import DeterministicRng
-
-        hierarchy = PKIHierarchy(DeterministicRng(11))
-        issued = hierarchy.issue_leaf_chain(
-            "cache.example.com", DeterministicRng(12)
-        )
-        log = CTLog()
-        log.log_chain(issued.chain)
-        digest = issued.chain.leaf.spki_pin().split("/", 1)[1]
-        recorder = obs.Recorder().install()
-        try:
-            for _ in range(3):
-                assert log.search_spki(digest)
-            assert recorder.counter_value("cache.ctlog_search.miss") == 1
-            assert recorder.counter_value("cache.ctlog_search.hit") == 2
-        finally:
-            recorder.uninstall()
-
-    def test_spki_lru_cache_counters(self):
-        from repro.pki.keys import KeyPair
-        from repro.util.rng import DeterministicRng
-
-        # A distinctive seed so no other test has warmed this entry.
-        key = KeyPair.generate(DeterministicRng(987_654_321))
-        recorder = obs.Recorder().install()
-        try:
-            for _ in range(5):
-                key.spki_sha256()
-            recorder.collect_caches()
-            assert recorder.counter_value("cache.spki_digest.miss") == 1
-            assert recorder.counter_value("cache.spki_digest.hit") == 4
-        finally:
-            recorder.uninstall()
-
     def test_validate_chain_cache_counters(self):
         from repro.pki.authority import PKIHierarchy
         from repro.pki.store import StoreCatalog

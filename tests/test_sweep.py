@@ -22,8 +22,8 @@ from repro.core.sweep import (
     SweepPointResult,
     SweepResults,
     SweepSpec,
-    apply_detector_ablation,
 )
+from repro.core.sweep.engine import _redetected
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SWEEP_SCALE = 0.04
@@ -213,19 +213,12 @@ class TestEngine:
 
 
 class TestAblation:
-    def test_full_is_identity(self, study_results):
-        assert apply_detector_ablation(study_results, "full") is study_results
-
-    def test_unknown_detector_rejected(self, study_results):
-        with pytest.raises(ValueError, match="unknown detector"):
-            apply_detector_ablation(study_results, "bogus")
-
     def test_ablation_does_not_mutate_the_original(self, study_results):
         before = {
             key: [sorted(r.pinned_destinations) for r in results]
             for key, results in study_results.dynamic_results.items()
         }
-        apply_detector_ablation(study_results, "naive")
+        _redetected(study_results, "naive")
         after = {
             key: [sorted(r.pinned_destinations) for r in results]
             for key, results in study_results.dynamic_results.items()
@@ -236,7 +229,7 @@ class TestAblation:
         """Disabling the TLS 1.3 heuristics degrades both detector legs
         over the same captures — verdict maps stay over the same
         destination universe."""
-        ablated = apply_detector_ablation(study_results, "no-tls13")
+        ablated = _redetected(study_results, "no-tls13")
         for key, results in study_results.dynamic_results.items():
             for original, redetected in zip(results, ablated.dynamic_results[key]):
                 assert original.app_id == redetected.app_id

@@ -33,11 +33,9 @@ NOT_WARM = (
     "repro.core.static.decompile",
     "repro.corpus.categories",
     "repro.corpus.common",
-    "repro.corpus.crawler",
     "repro.corpus.factory",
     "repro.corpus.naming",
     "repro.corpus.profiles",
-    "repro.corpus.stores",
     "repro.netsim.simulate",
     "repro.pki.pem",
     "repro.tls.alerts",
