@@ -36,8 +36,12 @@ class CircumventionResult:
             decrypts.
         resistant_destinations: pinned destinations that still reject the
             proxy.
-        hooked_capture: the MITM capture of the instrumented run.
-        hooked_facts: one facts row per flow of ``hooked_capture``.
+        hooked_capture: the MITM capture of the instrumented run,
+            deferred in a finished result: decoded from the result
+            store's pack, or re-run with the patched policy, on first
+            read.
+        hooked_facts: one facts row per flow of ``hooked_capture``;
+            Table 9 reads these, not the capture.
     """
 
     app_id: str
@@ -194,17 +198,24 @@ class CircumventionPipeline:
 
         The engine's circumvention units carry just the pinned sets
         instead of full dynamic results: they are all a unit, and its
-        store key, needs.
+        store key, needs.  Without a ``cache``, the hooked capture is
+        deferred to its ``rerun`` like the dynamic ones
+        (:meth:`DynamicPipeline.run_app`).
         """
         if not pinned:
             return None
-        return CIRCUMVENT_GRAPH.run(
+        result = CIRCUMVENT_GRAPH.run(
             self,
             packaged,
             params={"pinned": tuple(sorted(pinned))},
             cache=cache,
             dataset=dataset,
         )
+        if cache is None:
+            result.hooked_capture = TrafficCapture.deferred(
+                result.hooked_capture.rerun
+            )
+        return result
 
     def circumvent_dataset(
         self, packaged_apps: List, results: List[DynamicAppResult]

@@ -12,8 +12,9 @@ and the interaction flag are per-app parameters (``@wait`` / ``@interact``
 config knobs), so the Common-iOS re-run keys differently from the
 first pass.  The ``facts`` stage reduces both captures to the per-flow
 rows the analysis reads (Tables 8 and 9), scanning decrypted flows for the
-device's PII once; a result served from the result store carries its rows
-and decodes its captures only if something reads them.
+device's PII once.  A result carries its rows, and its captures only as
+deferred handles: served from the result store, it decodes them from its
+pack if something reads them; built without one, it re-runs them.
 
 The Common-iOS re-run (Section 4.5) is available via
 :meth:`DynamicPipeline.run_dataset` with ``rerun_ios_wait=True``: after an
@@ -57,7 +58,10 @@ class DynamicAppResult:
 
     ``direct_facts`` and ``mitm_facts`` hold one row per flow of the two
     captures, in capture order; the analysis reads them, not the
-    captures.
+    captures.  The captures are :meth:`~TrafficCapture.deferred` in a
+    finished result: served from the result store, they decode from its
+    pack on first read; built without one, they are re-run through the
+    harness with the stage's run config on first read.
     """
 
     app_id: str
@@ -348,9 +352,12 @@ class DynamicPipeline:
                 (the §5.7 future-work variant; the paper's runs use
                 False).
             cache / dataset: stage-granular result store and dataset
-                name; warm stages are served from the store.
+                name; warm stages are served from the store.  Without a
+                store, the result's captures are deferred to their
+                ``rerun``: each is run again on first read, so the flows
+                are freed once the facts and verdicts exist.
         """
-        return DYNAMIC_GRAPH.run(
+        result = DYNAMIC_GRAPH.run(
             self,
             packaged,
             params={
@@ -360,6 +367,14 @@ class DynamicPipeline:
             cache=cache,
             dataset=dataset,
         )
+        if cache is None:
+            result.direct_capture = TrafficCapture.deferred(
+                result.direct_capture.rerun
+            )
+            result.mitm_capture = TrafficCapture.deferred(
+                result.mitm_capture.rerun
+            )
+        return result
 
     def run_dataset(
         self,

@@ -391,8 +391,9 @@ class StageGraph:
 
         This is the analysis-side generalization of stage-graph
         invalidation: the sweep's detector ablation marks ``detect``
-        dirty and re-derives a result from its stored captures without
-        touching a device harness.  No telemetry spans and no fault
+        dirty and re-derives a result from its captures (decoded from
+        the store, or re-run by their harness call when the result was
+        built without one).  No telemetry spans and no fault
         injection — re-derivation is pure analysis, exactly like the
         bespoke re-detection path it replaces.  A clean stage without an
         extractor is recomputed (its artifact cannot be recovered from

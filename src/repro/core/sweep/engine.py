@@ -21,10 +21,12 @@ same determinism contract — with the sweep-level glue this module owns:
   (:meth:`~repro.core.obs.Recorder.merge_from`), giving the sweep a
   single merged metrics document alongside optional per-point exports.
 * **Detector ablations.**  A point's ``detector`` is re-applied to the
-  captures its run already holds, not re-run: the dynamic graph's
+  captures of its run's results, not to a new run: the dynamic graph's
   ``rederive`` recomputes only the ``detect`` stage of each app
   (DESIGN.md §15), so an ablated point shares every pipeline unit with
-  its full-detector sibling.  Only the detection-derived views change
+  its full-detector sibling.  The captures are read from the store's
+  packs, or, on a store-less point, made again by their harness calls
+  (DESIGN.md §7).  Only the detection-derived views change
   (verdicts, and with them prevalence, consistency and detector
   scoring); circumvention and PII were measured against the full
   detector's pinned sets and are carried over (DESIGN.md §13).

@@ -12,7 +12,8 @@ differential detector compares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 from repro.appmodel.behavior import DestinationUsage
@@ -242,7 +243,9 @@ class AutomationHarness:
         """Install, capture for the sleep window, uninstall.
 
         Returns the per-app capture (the paper's traffic isolation: one app
-        installed at a time).
+        installed at a time).  A capture is a function of the app and
+        ``config`` alone, so its ``rerun`` is this call again, with a
+        copy of ``config``.
 
         Raises:
             DeviceError: platform mismatch or unknown destination.
@@ -272,6 +275,7 @@ class AutomationHarness:
             self._emit_usage_flows(
                 capture, packaged_app, usage, policy, config, launch_time, rng
             )
+        capture.rerun = partial(self.run_app, packaged_app, replace(config))
         return capture
 
     def handshake_count(self, packaged_app, sleep_s: float) -> int:

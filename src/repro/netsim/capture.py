@@ -2,20 +2,27 @@
 
 A :class:`TrafficCapture` is the pcap of one experiment run: an ordered
 list of :class:`FlowRecord` with filtering helpers the dynamic pipeline
-uses (per-app, per-destination, direct vs intercepted).  A capture served
-from the result store is :meth:`~TrafficCapture.deferred`: its flows are
-decoded when first read.
+uses (per-app, per-destination, direct vs intercepted).  A capture in a
+finished result is often :meth:`~TrafficCapture.deferred`: served from the
+result store, its flows are decoded from the pack when first read; built
+without a store, they are made again by its harness run
+(:attr:`~TrafficCapture.rerun`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Set
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.netsim.flow import FlowRecord
 
 
 class TrafficCapture:
     """An ordered collection of captured flows."""
+
+    #: For a capture a harness run made, that same call
+    #: (``() -> TrafficCapture``): a result built without a store holds
+    #: ``deferred(capture.rerun)`` instead of the capture.
+    rerun: Optional[Callable[[], "TrafficCapture"]] = None
 
     def __init__(self, flows: Iterable[FlowRecord] = ()):
         self.flows: List[FlowRecord] = list(flows)

@@ -228,9 +228,10 @@ class TestGraphExecution:
             )
 
     def test_rederive_recomputes_only_dirty_stages(self, small_corpus):
-        """Marking ``detect`` dirty rebuilds the verdicts from the stored
-        captures without touching a harness — the captures come back as
-        the very same objects via the ``derive`` extractors."""
+        """Marking ``detect`` dirty rebuilds the verdicts from the
+        result's captures without running the capture stages — the
+        captures come back as the very same objects via the ``derive``
+        extractors."""
         pipeline = DynamicPipeline(small_corpus)
         packaged = small_corpus.dataset("android", "popular")[0]
         result = pipeline.run_app(packaged)
