@@ -11,9 +11,6 @@ Commands:
 * ``verify``   — run the study, audit it against ground truth and the
   invariant catalogue, and exit non-zero on any violation.
 * ``corpus``   — generate a corpus and print its composition.
-* ``sweep``    — run a grid of study configurations (seeds × scales ×
-  fault rates × detector ablations) through a shared result store and
-  print cross-configuration stability tables.
 """
 
 from __future__ import annotations
@@ -27,11 +24,7 @@ from repro.core import obs
 from repro.core.analysis import Study
 from repro.core.exec import CorpusStore, ExecutionPlan, ResultStore, SeededFaults
 from repro.corpus import CorpusConfig, CorpusGenerator
-from repro.reporting.render import (
-    TABLE_CHOICES,
-    render_study_stdout,
-    render_sweep_stdout,
-)
+from repro.reporting.render import TABLE_CHOICES, render_study_stdout
 
 
 def _build_corpus(args, store: Optional[CorpusStore] = None):
@@ -177,7 +170,7 @@ def _cmd_study(args) -> int:
 
 def _cmd_table(args) -> int:
     corpus = _build_corpus(args)
-    results = Study(corpus, plan=_plan(args)).run()
+    results = Study(corpus, plan=_plan(args), fault_predicate=_faults(args)).run()
     if results.failures:
         _report_ledger(results)
     artefact = getattr(results, args.name)()
@@ -207,86 +200,6 @@ def _cmd_score(args) -> int:
             f"R={dest.recall:.3f} F1={dest.f1:.3f} | "
             f"app P={app.precision:.3f} R={app.recall:.3f}"
         )
-    return 0
-
-
-def _split_list(value: str, parse) -> list:
-    """Parse a comma-separated CLI axis value (``"2022,2023"``)."""
-    items = [item.strip() for item in value.split(",") if item.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated list")
-    return [parse(item) for item in items]
-
-
-def _sweep_spec(args):
-    """Build the sweep grid from ``--spec`` or from the axis flags."""
-    from repro.core.sweep import SweepSpec
-
-    axis_flags = (
-        args.sweep_seeds,
-        args.sweep_scales,
-        args.sweep_fault_rates,
-        args.sweep_detectors,
-    )
-    if args.spec is not None:
-        if any(flag is not None for flag in axis_flags):
-            raise ValueError("--spec and --sweep-* axis flags are exclusive")
-        return SweepSpec.load(args.spec)
-    # Unspecified axes degrade to the session's single-run settings, so
-    # `repro sweep --sweep-seeds 2022,2023` alone is a valid 2-point grid.
-    return SweepSpec(
-        seeds=tuple(args.sweep_seeds or [args.seed]),
-        scales=tuple(args.sweep_scales or [args.scale]),
-        fault_rates=tuple(args.sweep_fault_rates or [args.fault_rate]),
-        detectors=tuple(args.sweep_detectors or ["full"]),
-    )
-
-
-def _cmd_sweep(args) -> int:
-    import json
-
-    from repro.core.sweep import SweepEngine
-
-    if args.report_out:
-        parent = os.path.dirname(args.report_out) or "."
-        if not os.path.isdir(parent):
-            print(
-                f"error: output directory does not exist: {parent}",
-                file=sys.stderr,
-            )
-            return 2
-    try:
-        spec = _sweep_spec(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    stopwatch = obs.Stopwatch()
-    engine = SweepEngine(
-        spec,
-        store_dir=args.store,
-        audit=args.audit_level if args.audit else False,
-        fault_seed=args.fault_seed,
-        metrics_dir=args.metrics_dir,
-        progress=lambda line: print(f"# {line}", file=sys.stderr),
-    )
-    results = engine.run()
-    print(
-        f"# sweep of {len(results.points)} point(s) completed in "
-        f"{stopwatch.elapsed():.0f}s",
-        file=sys.stderr,
-    )
-    sys.stdout.write(render_sweep_stdout(results))
-    if results.telemetry is not None:
-        # Commentary, like the study timing: the merged sweep telemetry
-        # goes to stderr so stdout stays the comparison report.
-        print(results.telemetry_table().render(), file=sys.stderr)
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as handle:
-            json.dump(results.to_json_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"# sweep report written to {args.report_out}", file=sys.stderr)
-    if any(point.audit_passed is False for point in results.points):
-        return 1
     return 0
 
 
@@ -376,82 +289,6 @@ def _study_arguments(study) -> None:
     )
 
 
-def _sweep_arguments(sweep) -> None:
-    sweep.add_argument(
-        "--spec",
-        metavar="FILE",
-        default=None,
-        help="sweep grid as a JSON (or, on Python 3.11+, TOML) document "
-        "with keys seeds/scales/fault_rates/detectors; exclusive "
-        "with the --sweep-* axis flags",
-    )
-    sweep.add_argument(
-        "--sweep-seeds",
-        metavar="LIST",
-        type=lambda v: _split_list(v, int),
-        default=None,
-        help="comma-separated corpus seeds (default: --seed)",
-    )
-    sweep.add_argument(
-        "--sweep-scales",
-        metavar="LIST",
-        type=lambda v: _split_list(v, float),
-        default=None,
-        help="comma-separated corpus scales (default: --scale)",
-    )
-    sweep.add_argument(
-        "--sweep-fault-rates",
-        metavar="LIST",
-        type=lambda v: _split_list(v, _rate),
-        default=None,
-        help="comma-separated fault-injection rates (default: "
-        "--fault-rate); faulted points run without the shared store",
-    )
-    sweep.add_argument(
-        "--sweep-detectors",
-        metavar="LIST",
-        type=lambda v: _split_list(v, str),
-        default=None,
-        help="comma-separated detector ablations from "
-        "{full, no-tls13, naive} (default: full); ablated points "
-        "re-detect over cached captures and warm-start fully",
-    )
-    sweep.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="shared content-addressed result store: sweep points that "
-        "differ only in analysis-side knobs reuse their siblings' cached "
-        "pipeline units",
-    )
-    sweep.add_argument(
-        "--audit",
-        action="store_true",
-        help="audit every point against ground truth; any failed audit "
-        "makes the sweep exit non-zero",
-    )
-    sweep.add_argument(
-        "--audit-level",
-        choices=["standard", "deep"],
-        default="standard",
-        help="audit depth when --audit is on",
-    )
-    sweep.add_argument(
-        "--report-out",
-        metavar="PATH",
-        default=None,
-        help="write the sweep report as JSON here (validates against "
-        "schemas/sweep_report.schema.json)",
-    )
-    sweep.add_argument(
-        "--metrics-dir",
-        metavar="DIR",
-        default=None,
-        help="write per-point metrics JSON (point-<index>.json) here, "
-        "before each point's telemetry merges into the sweep aggregate",
-    )
-
-
 def _table_arguments(table) -> None:
     table.add_argument("name", choices=TABLE_CHOICES + ["figure4"])
     table.add_argument("--csv", action="store_true")
@@ -477,12 +314,6 @@ def _verify_arguments(verify) -> None:
 _COMMANDS = {
     "corpus": ("generate a corpus and print composition", _cmd_corpus, None),
     "study": ("run everything, print all tables", _cmd_study, _study_arguments),
-    "sweep": (
-        "run a grid of study configurations through a shared result "
-        "store and print cross-seed stability tables",
-        _cmd_sweep,
-        _sweep_arguments,
-    ),
     "table": ("print one table/figure", _cmd_table, _table_arguments),
     "score": ("detector precision/recall vs ground truth", _cmd_score, None),
     "verify": (

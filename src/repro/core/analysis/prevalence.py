@@ -7,12 +7,11 @@ our numbers next to prior work's NSC-only and dynamic-only techniques.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.dynamic.pipeline import DynamicAppResult
 from repro.core.static.report import StaticAppReport
 from repro.reporting.tables import NO_DATA, Table, percent
-from repro.util.stats import proportion_or_none
 
 
 @dataclass(frozen=True)
@@ -24,14 +23,9 @@ class PrevalenceCell:
 
     @property
     def rate(self) -> float:
-        """Lenient rate (0.0 for an empty dataset); use
-        :attr:`rate_or_none` anywhere the value is rendered."""
+        """Lenient rate (0.0 for an empty dataset); :meth:`render` is
+        what tells an empty dataset from a measured 0 %."""
         return self.count / self.total if self.total else 0.0
-
-    @property
-    def rate_or_none(self) -> Optional[float]:
-        """Strict rate: ``None`` when there is no data to divide by."""
-        return proportion_or_none(self.count, self.total)
 
     def render(self) -> str:
         """``"12.34% (5)"`` — or :data:`NO_DATA` for an empty dataset,

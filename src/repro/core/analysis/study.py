@@ -288,76 +288,6 @@ class StudyResults:
             self.circumvention.get(platform, [])
         )
 
-    def headline_findings(self) -> Dict[str, Optional[float]]:
-        """The paper's headline numbers as one flat scalar map.
-
-        The cross-configuration comparison layer
-        (:mod:`repro.core.sweep`) aggregates *these* values across sweep
-        points — finding name → value, with ``None`` (not a fabricated
-        zero) wherever a configuration produced no data to measure.
-        Signed deltas are included deliberately: a finding whose sign
-        flips across seeds ("iOS pins more than Android") is the
-        instability the stability tables exist to flag.
-        """
-        from repro.util.stats import mean_or_none, proportion_or_none
-
-        findings: Dict[str, Optional[float]] = {}
-
-        for (platform, dataset), cells in self._prevalence_cells().items():
-            for technique in ("dynamic", "embedded", "nsc"):
-                if technique == "nsc" and platform != "android":
-                    continue  # NSC is an Android-only mechanism
-                findings[f"prevalence.{technique}.{platform}.{dataset}"] = (
-                    cells[technique].rate_or_none
-                )
-
-        classifications = [c for _, c in self.pair_classifications()]
-        pinning = [c for c in classifications if c.pins_either]
-        findings["consistency.pins_both_rate"] = proportion_or_none(
-            sum(1 for c in pinning if c.pins_both), len(pinning)
-        )
-        findings["consistency.inconsistent_rate"] = proportion_or_none(
-            sum(1 for c in pinning if c.verdict == "inconsistent"),
-            len(pinning),
-        )
-        findings["consistency.mean_jaccard"] = mean_or_none(
-            [c.jaccard for c in classifications if c.jaccard is not None]
-        )
-
-        for platform in ("android", "ios"):
-            findings[f"circumvention.{platform}"] = (
-                self.circumvention_rate(platform)
-                if self.circumvention.get(platform)
-                else None
-            )
-
-        for platform, comparison in sorted(self.pii.items()):
-            measured = [
-                row
-                for row in comparison.rows
-                if row.pinned_total and row.non_pinned_total
-            ]
-            findings[f"pii.{platform}.rate_delta"] = mean_or_none(
-                [row.pinned_rate - row.non_pinned_rate for row in measured]
-            )
-            tested = [r for r in comparison.rows if r.chi_square is not None]
-            findings[f"pii.{platform}.significant_fraction"] = (
-                proportion_or_none(
-                    sum(1 for r in tested if r.significant), len(tested)
-                )
-            )
-
-        # Signed cross-platform gaps: a sweep wants to know not just the
-        # per-platform rates but whether their ordering is stable.
-        for dataset in ("common", "popular", "random"):
-            android = findings.get(f"prevalence.dynamic.android.{dataset}")
-            ios = findings.get(f"prevalence.dynamic.ios.{dataset}")
-            findings[f"delta.dynamic_prevalence.ios_minus_android.{dataset}"] = (
-                ios - android if android is not None and ios is not None else None
-            )
-
-        return dict(sorted(findings.items()))
-
     # -- extensions ---------------------------------------------------------------
 
     def spinner_report(self, platform: str):

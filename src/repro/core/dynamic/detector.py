@@ -22,8 +22,7 @@ from repro.servers.parties import registrable_domain
 
 #: Detector variants selectable as a pipeline config knob.  ``full`` is
 #: the paper's differential detector; the other two are the Section 5
-#: ablations (the sweep's ``detector`` axis selects among the same
-#: names).
+#: ablations (``repro study --detector`` selects among the same names).
 DETECTOR_VARIANTS = ("full", "no-tls13", "naive")
 
 
@@ -140,8 +139,7 @@ def detect_verdicts(
     TLS 1.3 heuristics.  ``naive`` keeps the full detector's verdict
     universe (so downstream consumers see the same destinations and
     exclusion markings) but overwrites ``pinned`` with the
-    any-MITM-failure flag — exactly the rewrite the sweep's detector
-    ablation applies.
+    any-MITM-failure flag.
     """
     if detector == "full":
         return detect_pinned_destinations(

@@ -204,7 +204,6 @@ DYNAMIC_GRAPH = StageGraph(
             fn=_exclusions,
             config=("@wait",),
             persist=True,
-            derive=lambda r: r.excluded_destinations,
             span=False,
         ),
         Stage(
@@ -213,15 +212,11 @@ DYNAMIC_GRAPH = StageGraph(
             inputs=("run_direct", "run_mitm", "exclusions"),
             config=("detector",),
             persist=True,
-            derive=lambda r: r.verdicts,
         ),
-        # Its own stage so that re-deriving a result under another
-        # detector reuses the rows instead of scanning the captures again.
         Stage(
             name="facts",
             fn=_facts,
             inputs=("run_direct", "run_mitm"),
-            derive=lambda r: (r.direct_facts, r.mitm_facts),
         ),
         Stage(
             name="result",
@@ -251,8 +246,8 @@ class DynamicPipeline:
         transient_failure_prob: simulated per-connection flakiness.
         fault_predicate: injectable per-app failure hook.
         detector: which :data:`DETECTOR_VARIANTS` member the ``detect``
-            stage runs; the stage-graph config knob behind the sweep's
-            detector axis.
+            stage runs; the stage-graph config knob behind ``repro study
+            --detector``.
     """
 
     graph = DYNAMIC_GRAPH

@@ -5,8 +5,7 @@ The study's observability layer (DESIGN.md §9).  Three pieces:
 * :mod:`repro.core.obs.clock` — the one monotonic clock
   (``time.perf_counter``) every duration in the codebase is measured on.
 * :mod:`repro.core.obs.metrics` / :mod:`repro.core.obs.spans` — the
-  primitives: order-independently mergeable counters/gauges/histograms
-  and nested timed regions.
+  primitives: counters/gauges/histograms and nested timed regions.
 * :mod:`repro.core.obs.recorder` — the :class:`Recorder` that collects
   both and exports a Chrome trace-event JSON (Perfetto /
   ``about://tracing``) plus a flat metrics JSON, and the module-level
@@ -22,7 +21,6 @@ from repro.core.obs.clock import Stopwatch, now
 from repro.core.obs.metrics import Counter, Gauge, Histogram
 from repro.core.obs.recorder import (
     Recorder,
-    TelemetrySnapshot,
     cache_event,
     count,
     get_recorder,
@@ -40,7 +38,6 @@ __all__ = [
     "Recorder",
     "Span",
     "Stopwatch",
-    "TelemetrySnapshot",
     "cache_event",
     "count",
     "get_recorder",

@@ -13,12 +13,7 @@ consults the process-global active recorder: ``None`` means telemetry is
 off and every call degrades to a near-free no-op, which is how the whole
 subsystem stays off by default with negligible overhead.
 
-A sweep runs each study point under its own recorder and folds it into
-the sweep-level recorder with :meth:`Recorder.merge_from`, which drains
-a :class:`TelemetrySnapshot` and merges it.  Counters add, gauges take
-maxima, histograms widen — all commutative — so the merged metrics are
-identical for every point order.  Span
-*timestamps* are wall-clock facts and naturally vary run to run;
+Span *timestamps* are wall-clock facts and naturally vary run to run;
 determinism is claimed for metrics and for study results, never for
 timings.
 
@@ -31,8 +26,7 @@ cyclic garbage collection: ``gc.collections.gen0/1/2`` counters and a
 ``gc.pause_s`` histogram.  The hook never takes the recorder's lock (a
 collection can start while the lock is held); it queues each
 collection's ``(generation, pause)`` and the queue is folded into the
-metrics at drain/uninstall time.  With no
-recorder installed there is no hook.
+metrics at uninstall time.  With no recorder installed there is no hook.
 """
 
 from __future__ import annotations
@@ -41,7 +35,6 @@ import collections
 import gc
 import json
 import threading
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.obs import clock
@@ -50,16 +43,6 @@ from repro.core.obs.spans import NULL_SPAN, Span, SpanTimer
 
 #: Version tag stamped into both JSON exports.
 SCHEMA_VERSION = "repro-telemetry-v1"
-
-
-@dataclass
-class TelemetrySnapshot:
-    """A delta of one recorder's state since the last drain."""
-
-    counters: Dict[str, float] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
-    histograms: Dict[str, tuple] = field(default_factory=dict)
-    spans: List[tuple] = field(default_factory=list)
 
 
 class Recorder:
@@ -149,64 +132,6 @@ class Recorder:
             generation, pause_s = pending.popleft()
             self.count(f"gc.collections.gen{generation}")
             self.observe("gc.pause_s", pause_s)
-
-    # -- snapshots ---------------------------------------------------------
-
-    def drain(self) -> TelemetrySnapshot:
-        """Return (and clear) everything recorded since the last drain."""
-        self._collect_gc()
-        with self._lock:
-            snapshot = TelemetrySnapshot(
-                counters={k: c.value for k, c in self._counters.items()},
-                gauges={k: g.value for k, g in self._gauges.items()},
-                histograms={
-                    k: h.as_tuple() for k, h in self._histograms.items()
-                },
-                spans=[s.as_tuple() for s in self._spans],
-            )
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self._spans.clear()
-        return snapshot
-
-    def merge_snapshot(self, snapshot: TelemetrySnapshot) -> None:
-        """Fold a drained snapshot in (order-independent)."""
-        with self._lock:
-            for name, value in snapshot.counters.items():
-                counter = self._counters.get(name)
-                if counter is None:
-                    counter = self._counters[name] = Counter()
-                counter.add(value)
-            for name, value in snapshot.gauges.items():
-                gauge = self._gauges.get(name)
-                if gauge is None:
-                    gauge = self._gauges[name] = Gauge(value)
-                else:
-                    gauge.merge(Gauge(value))
-            for name, data in snapshot.histograms.items():
-                histogram = self._histograms.get(name)
-                if histogram is None:
-                    self._histograms[name] = Histogram.from_tuple(data)
-                else:
-                    histogram.merge(Histogram.from_tuple(data))
-            for data in snapshot.spans:
-                self._spans.append(Span.from_tuple(data))
-
-    def merge_from(self, other: "Recorder") -> TelemetrySnapshot:
-        """Drain ``other`` and fold its telemetry into this recorder.
-
-        A sweep instruments each study run with its own recorder, then merges
-        every run into one sweep-level recorder with this method.  The
-        drained snapshot is returned so callers can *also* export the
-        single run's metrics before it dissolves into the aggregate.
-        Merging is commutative (counters add, gauges take maxima,
-        histograms widen), so the aggregate is identical for any run
-        order.
-        """
-        snapshot = other.drain()
-        self.merge_snapshot(snapshot)
-        return snapshot
 
     # -- read access -------------------------------------------------------
 

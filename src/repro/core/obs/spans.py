@@ -14,11 +14,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
-
-#: Compact span form for snapshots:
-#: ``(name, cat, start, end, depth, pid, tid, args-items)``.
-SpanTuple = Tuple[str, str, float, float, int, int, int, tuple]
+from typing import Dict
 
 
 @dataclass
@@ -37,23 +33,6 @@ class Span:
     @property
     def duration(self) -> float:
         return self.end - self.start
-
-    def as_tuple(self) -> SpanTuple:
-        return (
-            self.name,
-            self.cat,
-            self.start,
-            self.end,
-            self.depth,
-            self.pid,
-            self.tid,
-            tuple(self.args.items()),
-        )
-
-    @classmethod
-    def from_tuple(cls, data: SpanTuple) -> "Span":
-        name, cat, start, end, depth, pid, tid, args = data
-        return cls(name, cat, start, end, depth, pid, tid, dict(args))
 
 
 class SpanTimer:

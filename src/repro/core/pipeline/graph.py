@@ -86,11 +86,11 @@ class Stage:
         persist: whether a stage-granular result cache stores this
             artifact.  The final stage must not persist — its value *is*
             the app result, which the engine stores under the same key.
-        derive: optional extractor rebuilding this stage's artifact from
-            a finished app result (``derive(result) -> value``), used to
-            publish stage artifacts from results computed without a
-            cache attached and to re-derive downstream stages without
-            re-executing upstream ones.
+        derive: optional extractor of this stage's artifact from a
+            finished app result (``derive(result) -> value``).  The
+            result store files a result's captures that a persisted
+            stage's ``derive`` extracts as references to that stage's
+            stored artifact instead of a second copy.
         span: whether computing this stage opens a telemetry span
             (assembly-only stages match the monolithic pipelines by
             omitting one).
@@ -376,44 +376,6 @@ class StageGraph:
                 if keys is not None:
                     cache.finish_app()
             return artifacts[self.final]
-
-    def rederive(
-        self,
-        ctx,
-        seeds: Mapping[str, object],
-        result,
-        dirty,
-        params: Optional[Mapping[str, object]] = None,
-    ):
-        """Recompute only the ``dirty`` stages (and their downstream) of a
-        finished result, rebuilding clean upstream artifacts from their
-        ``derive`` extractors.
-
-        This is the analysis-side generalization of stage-graph
-        invalidation: the sweep's detector ablation marks ``detect``
-        dirty and re-derives a result from its captures (decoded from
-        the store, or re-run by their harness call when the result was
-        built without one).  No telemetry spans and no fault
-        injection — re-derivation is pure analysis, exactly like the
-        bespoke re-detection path it replaces.  A clean stage without an
-        extractor is recomputed (its artifact cannot be recovered from
-        the result).
-        """
-        params = dict(params or {})
-        artifacts = dict(params)
-        artifacts.update(seeds)
-        dirty = set(dirty)
-        recomputed = set(dirty)
-        for stage in self.stages:
-            stale = stage.name in dirty or any(
-                name in recomputed for name in stage.inputs
-            )
-            if not stale and stage.derive is not None:
-                artifacts[stage.name] = stage.derive(result)
-                continue
-            artifacts[stage.name] = stage.fn(ctx, artifacts)
-            recomputed.add(stage.name)
-        return artifacts[self.final]
 
 
 def graph_kinds() -> Tuple[str, ...]:

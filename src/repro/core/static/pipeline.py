@@ -103,14 +103,12 @@ STATIC_GRAPH = StageGraph(
             inputs=("decompile",),
             config=("include_native",),
             persist=True,
-            derive=lambda r: r.scan,
         ),
         Stage(
             name="ct_lookup",
             fn=_ct_lookup,
             inputs=("scan",),
             persist=True,
-            derive=lambda r: r.ct,
         ),
         Stage(
             name="report",

@@ -1,9 +1,9 @@
-"""Canonical stdout rendering for study and sweep runs.
+"""Canonical stdout rendering for study runs.
 
-The byte layout of ``repro study`` / ``repro sweep`` stdout is a
-contract: CI diffs it across warm and cold stores, detector flips,
-telemetry and audits, and against a golden fixture.  These two
-functions are the *only* place the layout is defined.
+The byte layout of ``repro study`` stdout is a contract: CI diffs it
+across warm and cold stores, detector flips, telemetry and audits, and
+against a golden fixture.  This function is the *only* place the layout
+is defined.
 
 Everything here is deterministic given the results object.  Volatile
 commentary (timings, store statistics, telemetry tables, audit reports)
@@ -42,12 +42,3 @@ def render_study_stdout(results) -> str:
     )
     return "".join(parts)
 
-
-def render_sweep_stdout(results) -> str:
-    """The full ``repro sweep`` stdout for a `SweepResults`.
-
-    Unlike the study rendering this is *not* byte-reproducible across
-    runs: the grid table embeds per-point elapsed seconds and store hit
-    rates.
-    """
-    return results.render() + "\n"

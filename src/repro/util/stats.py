@@ -110,19 +110,11 @@ def chi_square_independence(
 def mean(values: Sequence[float]) -> float:
     """Lenient arithmetic mean; 0.0 for an empty sequence.
 
-    As with :func:`proportion`, prefer :func:`mean_or_none` wherever the
-    value is rendered — an empty sequence has no mean, and printing one
-    as ``0.00`` fabricates data.
+    Do not render it: an empty sequence has no mean, and printing one as
+    ``0.00`` fabricates data.
     """
     values = list(values)
     if not values:
         return 0.0
     return sum(values) / len(values)
 
-
-def mean_or_none(values: Sequence[float]) -> Optional[float]:
-    """Strict arithmetic mean; ``None`` (no data) for an empty sequence."""
-    values = list(values)
-    if not values:
-        return None
-    return sum(values) / len(values)

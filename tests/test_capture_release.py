@@ -16,8 +16,8 @@ import pickle
 import pytest
 
 from repro.core.analysis import Study
+from repro.core.dynamic.detector import detect_verdicts
 from repro.core.dynamic.pipeline import DynamicPipeline
-from repro.core.sweep.engine import _redetected
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.netsim.flow import FlowRecord
 from repro.tls.connection import ConnectionTrace
@@ -99,13 +99,29 @@ def test_copies_materialise_equal_flows(corpus, served):
         assert twin.verdicts == reference.verdicts
 
 
+def _redetected(result, detector):
+    return detect_verdicts(
+        result.direct_capture,
+        result.mitm_capture,
+        result.excluded_destinations,
+        detector,
+    )
+
+
 def test_redetection_agrees_over_storeless_and_served(corpus, served):
     storeless = Study(corpus).run()  # its captures not read yet
     for detector in ("naive", "no-tls13"):
-        mine = _redetected(storeless, detector).dynamic_results
-        theirs = _redetected(served, detector).dynamic_results
-        assert mine.keys() == theirs.keys()
-        for key in mine:
-            assert [r.verdicts for r in mine[key]] == [
-                r.verdicts for r in theirs[key]
-            ], (detector, key)
+        changed = 0
+        for key, mine in storeless.dynamic_results.items():
+            theirs = served.dynamic_results[key]
+            assert [r.app_id for r in mine] == [r.app_id for r in theirs]
+            for result, other in zip(mine, theirs):
+                verdicts = _redetected(result, detector)
+                assert verdicts == _redetected(other, detector), (
+                    detector,
+                    key,
+                    result.app_id,
+                )
+                changed += verdicts != result.verdicts
+        # The ablation is not the stored detector's verdicts read back.
+        assert changed, detector

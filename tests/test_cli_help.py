@@ -26,14 +26,13 @@ FIXTURE = Path(__file__).parent / "data" / "cli_help.json"
 COMMANDS = [
     "corpus",
     "study",
-    "sweep",
     "table",
     "score",
     "verify",
 ]
 
 #: Commands the CLI no longer has: each must be rejected as a choice.
-REMOVED_COMMANDS = ["serve", "submit", "jobs"]
+REMOVED_COMMANDS = ["serve", "submit", "jobs", "sweep"]
 
 #: Every case stops inside argument parsing: none runs a command.
 CASES = (
@@ -56,8 +55,6 @@ CASES = (
         ["table", "table99"],
         ["table", "table3", "--scale", "0.02"],
         ["score", "--csv"],
-        ["sweep", "--sweep-seeds", ","],
-        ["sweep", "--sweep-workers", "0"],
         ["verify", "--level", "shallow"],
     ]
 )

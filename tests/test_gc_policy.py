@@ -127,7 +127,7 @@ def test_warm_run_young_collections_are_bounded(corpus, filled):
     collections; freezing per decode it makes ~10."""
     recorder = obs.Recorder()
     Study(corpus).run(recorder=recorder, store=filled, store_write=False)
-    young = recorder.drain().counters.get("gc.collections.gen0", 0)
+    young = recorder.counter_value("gc.collections.gen0")
     assert young <= 40
 
 

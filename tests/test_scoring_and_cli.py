@@ -90,6 +90,16 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Dynamic analysis" in out
 
+    def test_table_honours_fault_rate(self, capsys):
+        import re
+
+        from repro.cli import main
+
+        assert main(["--scale", "0.02", "--fault-rate", "0.3", "table", "table3"]) == 0
+        err = capsys.readouterr().err
+        ledger = re.search(r"^# error ledger: (\d+) failed unit\(s\)$", err, re.M)
+        assert ledger and int(ledger.group(1)) > 0, err
+
     def test_table_csv(self, capsys):
         from repro.cli import main
 

@@ -203,6 +203,10 @@ class TestEngineIntegration:
 
         return CorpusGenerator(CorpusConfig(seed=1337).scaled(0.015)).generate()
 
+    @pytest.fixture(scope="class")
+    def default_results(self, tiny_corpus):
+        return Study(tiny_corpus).run()
+
     def test_detector_flip_study_is_partial_and_equal(
         self, tiny_corpus, tmp_path
     ):
@@ -240,3 +244,37 @@ class TestEngineIntegration:
                 (c.app_id, c.bypassed_destinations, c.resistant_destinations)
                 for c in reference.circumvention[key]
             ]
+
+    def test_naive_detector_overflags(self, tiny_corpus, default_results):
+        """The naive detector flags every MITM failure, so on each
+        Android dataset its dynamic prevalence is at least the
+        differential detector's, and above it on some."""
+        full = default_results._prevalence_cells()
+        naive = Study(tiny_corpus, detector="naive").run()._prevalence_cells()
+        gaps = [
+            naive["android", d]["dynamic"].rate - full["android", d]["dynamic"].rate
+            for d in ("common", "popular", "random")
+        ]
+        assert min(gaps) >= 0 and max(gaps) > 0, gaps
+
+    def test_no_tls13_is_a_subset_story(self, tiny_corpus, default_results):
+        """Disabling the TLS 1.3 heuristics changes verdicts, not the
+        destinations judged: an app measured by the same runs has the
+        same verdict destinations under both detectors.  Which Common-iOS
+        apps are re-run follows the detector's findings, so an app
+        re-run under only one of them is not compared."""
+        ablated = Study(tiny_corpus, detector="no-tls13").run()
+        compared = flipped = 0
+        for key, results in default_results.dynamic_results.items():
+            for original, other in zip(results, ablated.dynamic_results[key]):
+                assert original.app_id == other.app_id
+                if original.reran_with_wait != other.reran_with_wait:
+                    assert key == ("ios", "common")
+                    continue
+                assert set(original.verdicts) == set(other.verdicts), other.app_id
+                compared += 1
+                flipped += any(
+                    verdict.pinned != other.verdicts[name].pinned
+                    for name, verdict in original.verdicts.items()
+                )
+        assert compared > 0 and flipped > 0

@@ -226,27 +226,3 @@ class TestGraphExecution:
                 recorder.counter_value(f"pipeline.static.{stage}.computed")
                 == 1
             )
-
-    def test_rederive_recomputes_only_dirty_stages(self, small_corpus):
-        """Marking ``detect`` dirty rebuilds the verdicts from the
-        result's captures without running the capture stages — the
-        captures come back as the very same objects via the ``derive``
-        extractors."""
-        pipeline = DynamicPipeline(small_corpus)
-        packaged = small_corpus.dataset("android", "popular")[0]
-        result = pipeline.run_app(packaged)
-        rerun = DYNAMIC_GRAPH.rederive(
-            pipeline,
-            seeds={
-                "packaged": packaged,
-                "app_id": result.app_id,
-                "platform": result.platform,
-            },
-            result=result,
-            dirty={"detect"},
-            params={"wait": 0.0, "interact": False},
-        )
-        assert rerun.verdicts == result.verdicts
-        assert rerun.direct_capture is result.direct_capture
-        assert rerun.mitm_capture is result.mitm_capture
-        assert rerun.excluded_destinations is result.excluded_destinations

@@ -30,7 +30,6 @@ from repro.core.analysis import Study
 from repro.core.exec import CorpusStore, StoreWriteError
 from repro.core.exec import resultstore
 from repro.core.exec.resultstore import corpus_fingerprint
-from repro.core.sweep import SweepEngine, SweepSpec
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.corpus.spec import content_fingerprint
 from repro.netsim.flow import FlowRecord, Payload
@@ -130,14 +129,6 @@ class TestStoredCorpus:
         assert sorted((tmp_path / "corpus").iterdir()) == sorted(
             [kept(tmp_path), kept(tmp_path, other)]
         )
-
-    def test_sweep_reads_the_stored_corpus(self, tmp_path, monkeypatch):
-        spec = SweepSpec(seeds=(SEED,), scales=(SCALE,))
-        first = SweepEngine(spec, store_dir=str(tmp_path)).run()
-        assert kept(tmp_path).exists()
-        monkeypatch.setattr(CorpusGenerator, "_build", refuse_to_build)
-        second = SweepEngine(spec, store_dir=str(tmp_path)).run()
-        assert second.points[0].findings == first.points[0].findings
 
 
 def flip_byte(path):

@@ -101,17 +101,7 @@ class TestStrictVariants:
     def test_proportion_or_none_negative_total(self):
         assert stats.proportion_or_none(1, -2) is None
 
-    def test_mean_or_none_values(self):
-        assert stats.mean_or_none([1, 2, 3]) == 2.0
-
-    def test_mean_or_none_empty(self):
-        assert stats.mean_or_none([]) is None
-
-    def test_mean_or_none_consumes_iterators(self):
-        assert stats.mean_or_none(x for x in (2.0, 4.0)) == 3.0
-
     def test_lenient_and_strict_agree_on_data(self):
-        # On non-empty input the two families are interchangeable; only
+        # On non-empty input the lenient and strict ratios agree; only
         # the empty case differs (0.0 vs None).
         assert stats.proportion(2, 8) == stats.proportion_or_none(2, 8)
-        assert stats.mean([5]) == stats.mean_or_none([5])
