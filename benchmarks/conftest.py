@@ -35,6 +35,21 @@ def results(study):
     return study.run()
 
 
+@pytest.fixture(scope="session")
+def captures(corpus, study, results):
+    """``(platform, dataset, app_id) -> (direct, mitm)``: the captures
+    each dynamic result was computed from, made again by the study's
+    pipeline (a result keeps only their facts rows)."""
+    out = {}
+    for (platform, dataset), dyn_results in results.dynamic_results.items():
+        apps = {p.app.app_id: p for p in corpus.dataset(platform, dataset)}
+        for result in dyn_results:
+            out[(platform, dataset, result.app_id)] = study.dynamic_pipeline.captures(
+                apps[result.app_id], wait=120.0 if result.reran_with_wait else 0.0
+            )
+    return out
+
+
 def pytest_collection_modifyitems(config, items):
     """Everything under benchmarks/ carries the opt-in ``bench`` marker.
 

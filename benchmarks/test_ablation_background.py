@@ -9,7 +9,7 @@ from repro.core.dynamic.detector import detect_pinned_destinations
 from repro.device.ios import APPLE_BACKGROUND_DOMAINS
 
 
-def test_exclusion_prevents_false_positives(results, corpus, benchmark):
+def test_exclusion_prevents_false_positives(results, corpus, captures, benchmark):
     def evaluate():
         with_fp = without_fp = 0
         apps = {
@@ -24,10 +24,9 @@ def test_exclusion_prevents_false_positives(results, corpus, benchmark):
             }
             # Re-detect without any exclusions (Apple domains kept out so
             # we isolate the associated-domains effect).
+            direct, mitm = captures[("ios", "common", result.app_id)]
             verdicts = detect_pinned_destinations(
-                result.direct_capture,
-                result.mitm_capture,
-                excluded_domains=APPLE_BACKGROUND_DOMAINS,
+                direct, mitm, excluded_domains=APPLE_BACKGROUND_DOMAINS
             )
             no_exclusion = {d for d, v in verdicts.items() if v.pinned}
             without_fp += len(no_exclusion - gt)

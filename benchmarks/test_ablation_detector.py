@@ -9,7 +9,7 @@ the paper's two-setting differential design (Section 4.2.2).
 from repro.core.dynamic.detector import naive_detect_pinned_destinations
 
 
-def test_naive_detector_false_positives(results, corpus, benchmark):
+def test_naive_detector_false_positives(results, corpus, captures, benchmark):
     def evaluate():
         diff_fp = diff_fn = naive_fp = naive_fn = 0
         for (platform, dataset), dyn_results in results.dynamic_results.items():
@@ -24,8 +24,9 @@ def test_naive_detector_false_positives(results, corpus, benchmark):
                 detected = result.pinned_destinations
                 diff_fp += len(detected - gt)
                 diff_fn += len(gt - detected)
+                _direct, mitm = captures[(platform, dataset, result.app_id)]
                 naive = naive_detect_pinned_destinations(
-                    result.mitm_capture, result.excluded_destinations
+                    mitm, result.excluded_destinations
                 )
                 naive_fp += len(naive - gt)
                 naive_fn += len(gt - naive)

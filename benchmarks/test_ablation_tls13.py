@@ -12,7 +12,7 @@ from repro.core.dynamic.classify import connection_used
 from repro.tls.records import TLSVersion
 
 
-def test_tls13_heuristics_ablation(results, corpus, benchmark):
+def test_tls13_heuristics_ablation(results, corpus, captures, benchmark):
     def evaluate():
         correct_fn = naive_fn = tls13_pinned = 0
         for (platform, dataset), dyn_results in results.dynamic_results.items():
@@ -24,10 +24,9 @@ def test_tls13_heuristics_ablation(results, corpus, benchmark):
                     for u in app.behavior.usages_within(30)
                     if app.pins_domain(u.hostname)
                 }
+                _direct, mitm = captures[(platform, dataset, result.app_id)]
                 for destination in gt:
-                    mitm_flows = [
-                        f for f in result.mitm_capture if f.sni == destination
-                    ]
+                    mitm_flows = [f for f in mitm if f.sni == destination]
                     if not mitm_flows:
                         continue
                     if not any(

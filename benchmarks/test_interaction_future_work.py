@@ -22,9 +22,9 @@ def test_interaction_future_work(corpus, benchmark):
         for packaged in apps:
             plain = pipeline.run_app(packaged)
             interactive = pipeline.run_app(packaged, interact=True)
-            domains_plain += len(plain.direct_capture.destinations())
+            domains_plain += len(pipeline.captures(packaged)[0].destinations())
             domains_interactive += len(
-                interactive.direct_capture.destinations()
+                pipeline.captures(packaged, interact=True)[0].destinations()
             )
             extra_pinned += len(
                 interactive.pinned_destinations - plain.pinned_destinations

@@ -109,7 +109,12 @@ def main() -> None:
     circ = circumvention.circumvent_app(packaged, result)
     print(f"bypassed : {sorted(circ.bypassed_destinations)}")
     print(f"resistant: {sorted(circ.resistant_destinations)}")
-    for flow in circ.decrypted_pinned_flows()[:3]:
+    decrypted = [
+        flow
+        for flow in circumvention.hooked_capture(packaged)
+        if flow.sni in circ.bypassed_destinations and flow.plaintext_visible
+    ]
+    for flow in decrypted[:3]:
         for payload in flow.decrypted_payloads():
             print(f"  decrypted {flow.sni}: {payload.flattened()!r}")
 

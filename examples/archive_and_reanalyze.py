@@ -35,13 +35,10 @@ def main() -> None:
     archived = []
     for packaged in corpus.dataset("ios", "popular"):
         result = pipeline.run_app(packaged)
+        direct, mitm = pipeline.captures(packaged)
         stem = packaged.app.app_id
-        (outdir / f"{stem}.direct.json").write_text(
-            dump_capture(result.direct_capture)
-        )
-        (outdir / f"{stem}.mitm.json").write_text(
-            dump_capture(result.mitm_capture)
-        )
+        (outdir / f"{stem}.direct.json").write_text(dump_capture(direct))
+        (outdir / f"{stem}.mitm.json").write_text(dump_capture(mitm))
         archived.append(
             (stem, result.pinned_destinations, sorted(result.excluded_destinations))
         )

@@ -264,7 +264,7 @@ def _study_arguments(study) -> None:
         metavar="PATH",
         default=None,
         help="instrument the run and write flat metrics JSON (counters, "
-        "gauges, histograms, cache hit rates) here",
+        "histograms, cache hit rates) here",
     )
     study.add_argument(
         "--audit",

@@ -442,8 +442,8 @@ class Study:
                 them.
 
         Each unit's results are frozen out of the cyclic garbage
-        collector as they land (:func:`gc.freeze`), each app segment the
-        store decodes as soon as it is decoded, and all are unfrozen when
+        collector as they land (:func:`gc.freeze`), each entry the store
+        decodes as soon as it is decoded, and all are unfrozen when
         the run ends, even when it raises.  A caller that has frozen objects
         itself (``gc.get_freeze_count() > 0``) keeps its freeze: the run
         then neither freezes nor unfreezes.

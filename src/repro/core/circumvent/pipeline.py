@@ -12,7 +12,8 @@ a per-app parameter consumed only by the final (non-persisted) verdict
 stage, so a detector flip that changes an app's pinned set still reuses
 its cached hooked capture — the expensive stage keys on the hook set and
 the run knobs alone.  The verdict stage also reduces the hooked capture to
-its per-flow facts rows, which Table 9 reads.
+its per-flow facts rows, which Table 9 reads; the result keeps the rows,
+not the capture (:meth:`CircumventionPipeline.hooked_capture`).
 """
 
 from __future__ import annotations
@@ -36,28 +37,15 @@ class CircumventionResult:
             decrypts.
         resistant_destinations: pinned destinations that still reject the
             proxy.
-        hooked_capture: the MITM capture of the instrumented run,
-            deferred in a finished result: decoded from the result
-            store's pack, or re-run with the patched policy, on first
-            read.
-        hooked_facts: one facts row per flow of ``hooked_capture``;
-            Table 9 reads these, not the capture.
+        hooked_facts: one facts row per flow of the MITM capture of the
+            instrumented run; Table 9 reads these.
     """
 
     app_id: str
     platform: str
     bypassed_destinations: Set[str] = field(default_factory=set)
     resistant_destinations: Set[str] = field(default_factory=set)
-    hooked_capture: TrafficCapture = field(default_factory=TrafficCapture)
     hooked_facts: Tuple[FlowFacts, ...] = ()
-
-    def decrypted_pinned_flows(self) -> List:
-        """Flows to pinned destinations that the proxy decrypted."""
-        return [
-            f
-            for f in self.hooked_capture
-            if f.sni in self.bypassed_destinations and f.plaintext_visible
-        ]
 
 
 def _hook_inject(ctx, a):
@@ -97,7 +85,6 @@ def _verdict(ctx, a):
         platform=a["platform"],
         bypassed_destinations=decrypted,
         resistant_destinations=pinned - decrypted,
-        hooked_capture=capture,
         hooked_facts=facts,
     )
 
@@ -120,7 +107,6 @@ CIRCUMVENT_GRAPH = StageGraph(
             inputs=("hook_inject",),
             config=("sleep_s", "transient_failure_prob"),
             persist=True,
-            derive=lambda r: r.hooked_capture,
         ),
         Stage(
             name="verdict",
@@ -198,24 +184,26 @@ class CircumventionPipeline:
 
         The engine's circumvention units carry just the pinned sets
         instead of full dynamic results: they are all a unit, and its
-        store key, needs.  Without a ``cache``, the hooked capture is
-        deferred to its ``rerun`` like the dynamic ones
-        (:meth:`DynamicPipeline.run_app`).
+        store key, needs.
         """
         if not pinned:
             return None
-        result = CIRCUMVENT_GRAPH.run(
+        return CIRCUMVENT_GRAPH.run(
             self,
             packaged,
             params={"pinned": tuple(sorted(pinned))},
             cache=cache,
             dataset=dataset,
         )
-        if cache is None:
-            result.hooked_capture = TrafficCapture.deferred(
-                result.hooked_capture.rerun
-            )
-        return result
+
+    def hooked_capture(self, packaged) -> TrafficCapture:
+        """The MITM capture of one app's instrumented run, made again by
+        the graph's ``hook_inject`` and ``hooked_run`` stage functions:
+        the capture a :meth:`circumvent_app_pins` of the app computed its
+        facts rows and verdicts from."""
+        artifacts = {"packaged": packaged, "platform": packaged.app.platform}
+        artifacts["hook_inject"] = _hook_inject(self, artifacts)
+        return _hooked_run(self, artifacts)
 
     def circumvent_dataset(
         self, packaged_apps: List, results: List[DynamicAppResult]

@@ -12,9 +12,8 @@ and the interaction flag are per-app parameters (``@wait`` / ``@interact``
 config knobs), so the Common-iOS re-run keys differently from the
 first pass.  The ``facts`` stage reduces both captures to the per-flow
 rows the analysis reads (Tables 8 and 9), scanning decrypted flows for the
-device's PII once.  A result carries its rows, and its captures only as
-deferred handles: served from the result store, it decodes them from its
-pack if something reads them; built without one, it re-runs them.
+device's PII once.  A result carries its rows and verdicts, not the
+captures: :meth:`DynamicPipeline.captures` makes them again.
 
 The Common-iOS re-run (Section 4.5) is available via
 :meth:`DynamicPipeline.run_dataset` with ``rerun_ios_wait=True``: after an
@@ -57,18 +56,13 @@ class DynamicAppResult:
     """Detection outcome for one app.
 
     ``direct_facts`` and ``mitm_facts`` hold one row per flow of the two
-    captures, in capture order; the analysis reads them, not the
-    captures.  The captures are :meth:`~TrafficCapture.deferred` in a
-    finished result: served from the result store, they decode from its
-    pack on first read; built without one, they are re-run through the
-    harness with the stage's run config on first read.
+    captures, in capture order; the analysis reads them.  The captures
+    themselves are not kept (:meth:`DynamicPipeline.captures`).
     """
 
     app_id: str
     platform: str
     verdicts: Dict[str, DestinationVerdict] = field(default_factory=dict)
-    direct_capture: TrafficCapture = field(default_factory=TrafficCapture)
-    mitm_capture: TrafficCapture = field(default_factory=TrafficCapture)
     excluded_destinations: Set[str] = field(default_factory=set)
     reran_with_wait: bool = False
     direct_facts: Tuple[FlowFacts, ...] = ()
@@ -158,8 +152,6 @@ def _result(ctx, a):
         app_id=a["app_id"],
         platform=a["platform"],
         verdicts=a["detect"],
-        direct_capture=a["run_direct"],
-        mitm_capture=a["run_mitm"],
         excluded_destinations=a["exclusions"],
         reran_with_wait=a["wait"] >= 120.0,
         direct_facts=direct_facts,
@@ -185,7 +177,6 @@ DYNAMIC_GRAPH = StageGraph(
                 "@interact",
             ),
             persist=True,
-            derive=lambda r: r.direct_capture,
         ),
         Stage(
             name="run_mitm",
@@ -197,7 +188,6 @@ DYNAMIC_GRAPH = StageGraph(
                 "@interact",
             ),
             persist=True,
-            derive=lambda r: r.mitm_capture,
         ),
         Stage(
             name="exclusions",
@@ -221,7 +211,7 @@ DYNAMIC_GRAPH = StageGraph(
         Stage(
             name="result",
             fn=_result,
-            inputs=("run_direct", "run_mitm", "exclusions", "detect", "facts"),
+            inputs=("exclusions", "detect", "facts"),
             span=False,
         ),
     ),
@@ -347,12 +337,9 @@ class DynamicPipeline:
                 (the §5.7 future-work variant; the paper's runs use
                 False).
             cache / dataset: stage-granular result store and dataset
-                name; warm stages are served from the store.  Without a
-                store, the result's captures are deferred to their
-                ``rerun``: each is run again on first read, so the flows
-                are freed once the facts and verdicts exist.
+                name; warm stages are served from the store.
         """
-        result = DYNAMIC_GRAPH.run(
+        return DYNAMIC_GRAPH.run(
             self,
             packaged,
             params={
@@ -362,14 +349,24 @@ class DynamicPipeline:
             cache=cache,
             dataset=dataset,
         )
-        if cache is None:
-            result.direct_capture = TrafficCapture.deferred(
-                result.direct_capture.rerun
-            )
-            result.mitm_capture = TrafficCapture.deferred(
-                result.mitm_capture.rerun
-            )
-        return result
+
+    def captures(
+        self, packaged, wait: float = 0.0, interact: bool = False
+    ) -> Tuple[TrafficCapture, TrafficCapture]:
+        """The direct and MITM captures of one app's run, made again by
+        the graph's ``run_direct`` and ``run_mitm`` stage functions.
+
+        A capture is a function of the app and the run config alone, so
+        these are the captures a :meth:`run_app` with the same ``wait``
+        and ``interact`` computed its facts and verdicts from.
+        """
+        artifacts = {
+            "packaged": packaged,
+            "platform": packaged.app.platform,
+            "wait": float(wait),
+            "interact": bool(interact),
+        }
+        return _run_direct(self, artifacts), _run_mitm(self, artifacts)
 
     def run_dataset(
         self,

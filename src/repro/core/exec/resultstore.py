@@ -20,22 +20,21 @@ Layout::
 A **pack** holds every stored artifact of one dataset's apps for one
 kind, for every config.  Its file is a pickled header ``(magic, version,
 pack name, meta, payload_sha256, payload_size)`` followed by the
-payload: one segment per app, two pickles written by one
-:class:`pickle.Pickler` (the app's results, then its stage artifacts).
-A result's captures are not in the results pickle: each is a reference
-to the stage artifact it is, and decodes from the stage pickle when
-first read (:meth:`~repro.netsim.capture.TrafficCapture.deferred`).
-``meta`` is plain data — segment offsets and, per fingerprint, the app
-and what the entry is (an app result also with its config digest) — so
+payload: one pickle per entry, an app's result or one of its stage
+artifacts.  A result is plain data (verdicts, exclusions, facts rows);
+the captures are stage artifacts only.  ``meta`` is plain data — per
+fingerprint, the app, what the entry is (an app result also with its
+config digest) and the ``(start, end)`` span of its pickle — so
 ``tools/diff_runs.py`` never unpickles a payload.
 
 A handle keeps one pack current and reads its header once per visit; a
-miss decodes nothing, an app lookup decodes only the app's results
-(found by app id and config digest, without deriving stage keys), a
-stage lookup also its stage artifacts.  Writes merge pending additions
-into a fresh read of the file and replace it atomically (``mkstemp``
-plus ``os.replace``); under :meth:`ResultStore.holding` a unit's stages
-wait for :meth:`ResultStore.publish_unit`, which writes the pack once.
+miss decodes nothing and a lookup decodes only its entry's pickle (an
+app result is found by app id and config digest, without deriving stage
+keys).  A write appends the pending additions' pickles to a fresh read
+of the file's payload, decoding nothing, and replaces the file
+atomically (``mkstemp`` plus ``os.replace``); under
+:meth:`ResultStore.holding` a unit's stages wait for
+:meth:`ResultStore.publish_unit`, which writes the pack once.
 Concurrent writers can lose an update, which reads as a miss, never as
 a wrong value.  A failed write raises :class:`StoreWriteError`.
 
@@ -49,7 +48,6 @@ paused (:func:`_paused`) and, in a run that owns the freeze
 
 from __future__ import annotations
 
-import copy
 import gc
 import hashlib
 import io
@@ -60,7 +58,6 @@ import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from functools import partial
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -73,9 +70,10 @@ _CORPUS_MAGIC = "repro-result-corpus"
 _CHUNK = 1 << 16
 #: On-disk format version.  v2: one slot file per app; v3: one pack file
 #: per dataset; v4: results carry per-flow facts and refer to their
-#: captures in the stage pickle.  A file of another version is never read
-#: (pack and corpus file names hash it).
-_VERSION = 4
+#: captures in the stage pickle; v5: one pickle per entry, results hold
+#: no captures.  A file of another version is never read (pack and corpus
+#: file names hash it).
+_VERSION = 5
 #: The schema version every fingerprint hashes.  Independent of the file
 #: format: repacking stored entries does not change what they are.
 _KEY_VERSION = 2
@@ -84,8 +82,9 @@ _KEY_VERSION = 2
 #: result dataclass schemas: old entries stop hitting instead of feeding
 #: stale results into a new checkout.  v2: stage-graph fingerprints —
 #: app-level keys are now the final stage's chain key, so every config
-#: knob (not just sleep/wait/pins) enters the address.
-CODE_SALT = "pin-study-results-v2"
+#: knob (not just sleep/wait/pins) enters the address.  v3: results hold
+#: no captures.
+CODE_SALT = "pin-study-results-v3"
 
 #: What unpickling/validating a *damaged* pack can raise.  Truncated or
 #: bit-rotted pickle streams surface as :class:`pickle.UnpicklingError`,
@@ -121,8 +120,8 @@ def _paused(load, *args):
 
 
 def _loads_paused(data: bytes):
-    """``pickle.loads`` with cyclic collection paused (:func:`_paused`)."""
-    return _paused(pickle.loads, data)
+    """``data`` unpickled with cyclic collection paused (:func:`_paused`)."""
+    return _paused(pickle.Unpickler(io.BytesIO(data)).load)
 
 
 def _promote_to_oldest() -> None:
@@ -303,32 +302,6 @@ def normalize_extra(stage: str, extra) -> object:
     return None
 
 
-def app_fingerprint(
-    corpus_fp: str,
-    sleep_s: float,
-    stage: str,
-    platform: str,
-    dataset: str,
-    app_id: str,
-    extra,
-) -> str:
-    """The content address of one app's result for one stage config."""
-    identity = repr(
-        (
-            _KEY_VERSION,
-            CODE_SALT,
-            corpus_fp,
-            float(sleep_s),
-            stage,
-            platform,
-            dataset,
-            app_id,
-            normalize_extra(stage, extra),
-        )
-    )
-    return hashlib.sha256(identity.encode("utf-8")).hexdigest()
-
-
 def pack_name(corpus_fp: str, kind: str, platform: str, dataset: str) -> str:
     """The name of the pack holding every stored artifact of one
     dataset's apps for one kind."""
@@ -419,40 +392,33 @@ class StoreWriteError(RuntimeError):
 class _Pack:
     """One dataset's pack of one kind, as a handle knows it.
 
-    ``entries`` (fingerprint -> metadata), ``segments`` (app id ->
-    ``(start, end)`` of its two pickles in the payload),
-    ``digest``, ``offset`` (of the payload in the file) and ``identity``
-    mirror the file as last read or written; the payload stays on disk.
-    ``index`` maps (app id, config digest) to the fingerprint of each
-    stored app result.  ``decoded`` holds the last app decoded: its
-    results, then its stage artifacts.  ``pending`` and ``written`` map
-    fingerprints to ``(metadata, artifact, refs)``: additions not yet
-    written, and the results this handle wrote; ``refs`` pairs each of a
-    result's deferrable stage artifacts with its :class:`_Ref`.
+    ``entries`` (fingerprint -> metadata, with the ``span`` of its pickle
+    in the payload), ``digest``, ``offset`` (of the payload in the file)
+    and ``identity`` mirror the file as last read or written; the payload
+    stays on disk.  ``index`` maps (app id, config digest) to the
+    fingerprint of each stored app result.  ``pending`` and ``written``
+    map fingerprints to ``(metadata, artifact)``: additions not yet
+    written, and the results this handle wrote.
     """
 
     key: tuple
     name: str
     path: Path
     entries: dict = field(default_factory=dict)
-    segments: dict = field(default_factory=dict)
     index: dict = field(default_factory=dict)
     digest: Optional[str] = None
     offset: int = 0
     identity: Optional[tuple] = None
-    decoded: dict = field(default_factory=dict)
     pending: dict = field(default_factory=dict)
     written: dict = field(default_factory=dict)
 
     def adopt(self, envelope: Optional[_Envelope]) -> None:
-        """Mirror ``envelope`` (None: no file), dropping what was decoded."""
-        self.decoded = {}
+        """Mirror ``envelope`` (None: no file)."""
         if envelope is None:
-            self.entries, self.segments, self.index = {}, {}, {}
+            self.entries, self.index = {}, {}
             self.digest, self.offset, self.identity = None, 0, None
         else:
             self.entries = dict(envelope.meta["entries"])
-            self.segments = dict(envelope.meta["segments"])
             self.index = {
                 (meta["app_id"], meta["config"]): key
                 for key, meta in self.entries.items()
@@ -461,138 +427,19 @@ class _Pack:
             self.digest, self.offset = envelope.digest, envelope.offset
             self.identity = envelope.identity
 
-
-#: The two pickles of an app's segment: its results, then its stage
-#: artifacts.
-_RESULTS, _STAGES = 0, 1
-
-
-def _unpickle(data: bytes, parts: int) -> list:
-    """The first ``parts`` pickles of an app's segment, unpickled with
-    collection paused."""
-    unpickler = pickle.Unpickler(io.BytesIO(data))
-    values = [_paused(unpickler.load) for _ in range(parts)]
-    if parts > _STAGES:
-        obs.count("store.stages.decoded")
-    return values
-
-
-@dataclass(frozen=True)
-class _Ref:
-    """What a stored result holds in place of a capture: the capture's
-    type and the key of the stage artifact it is, in the same segment."""
-
-    kind: type
-    key: str
-
-    def __reduce__(self):
-        return _Ref, (self.kind, self.key)
-
-
-def _detached(result, refs: tuple, entries: dict):
-    """``result`` as its results pickle holds it: a shallow copy whose
-    attributes holding a stage artifact filed in ``entries`` hold its
-    :class:`_Ref` instead (``result`` itself if it has none)."""
-    swap = {id(artifact): ref for artifact, ref in refs if ref.key in entries}
-    if not swap:
-        return result
-    stored = copy.copy(result)
-    attrs = vars(stored)
-    attrs.update({name: swap[id(value)] for name, value in attrs.items() if id(value) in swap})
-    return stored
-
-
-@dataclass
-class _Segment:
-    """Where one app's segment was read from, for the deferred captures
-    of the results decoded from it.
-
-    It holds no result, so a result, its deferred captures and this
-    form no reference cycle.  ``stages`` are its stage artifacts once
-    decoded: by a stage lookup, or by the first capture read.
-    """
-
-    path: Path
-    name: str
-    app_id: str
-    identity: Optional[tuple]
-    start: int
-    size: int
-    stages: Optional[dict] = None
-
-    def attach(self, results: dict) -> None:
-        """Put deferred captures in place of the :class:`_Ref` attributes
-        of decoded ``results``."""
-        for result in results.values():
-            attrs = getattr(result, "__dict__", {})
-            for name, value in attrs.items():
-                if type(value) is _Ref:
-                    attrs[name] = value.kind.deferred(partial(self.artifact, value.key))
-
-    def read(self) -> Optional[bytes]:
-        """The segment's bytes, or None if the file was replaced since."""
-        return _read_at(self.path, self.identity, self.start, self.size)
-
-    def artifact(self, key: str):
-        if self.stages is None:
-            self.stages = self._load()
-        if key not in self.stages:
-            raise LookupError(f"stage artifact {key} is not in {self.path}")
-        return self.stages[key]
-
-    def _load(self) -> dict:
-        """This app's stage artifacts, from the pack file as it is now.
-
-        A pack replaced since (a later write merged into it) is found
-        again by its header.  A damaged one is warned about and deleted
-        like on any read, and the capture cannot be served.
-        """
-        try:
-            data = self.read()
-            if data is None:
-                envelope = _read_envelope(self.path, _PACK_MAGIC, self.name, False)
-                bounds = envelope and envelope.meta["segments"].get(self.app_id)
-                if bounds:
-                    start, end = bounds
-                    data = _read_at(
-                        self.path, envelope.identity, envelope.offset + start, end - start
-                    )
-            if data is None:
-                raise LookupError(f"{self.app_id} has no segment in {self.path}")
-            return _unpickle(data, _STAGES + 1)[_STAGES]
-        except _CORRUPTION_ERRORS as exc:
-            obs.count("store.entries.invalidated")
-            _discard(
-                self.path,
-                f"result store pack {self.path} is corrupt ({exc}); the pack "
-                "was discarded and its dataset's entries will be recomputed",
-            )
-            raise LookupError(f"cannot decode a capture from {self.path}") from exc
-
-
-def _derived(graph, result):
-    """``(stage, artifact)`` for each persisted stage whose artifact
-    ``result`` supplies through the stage's ``derive``."""
-    for stage in graph.stages:
-        if stage.persist and stage.derive is not None:
-            try:
-                artifact = stage.derive(result)
-            except (AttributeError, TypeError):
-                # A result that cannot supply this stage's artifact (a
-                # foreign or test result type) is still a valid app-level
-                # entry; it is stored without capture references.
-                continue
-            yield stage, artifact
+    def pickled(self, key: str) -> Optional[bytes]:
+        """The pickle of entry ``key`` in the file this mirrors, or None
+        if it has no such entry or was replaced since."""
+        meta = self.entries.get(key)
+        if meta is None:
+            return None
+        start, end = meta["span"]
+        return _read_at(self.path, self.identity, self.offset + start, end - start)
 
 
 def _memo_key(graph, platform: str, dataset: str, app_id: str, params: dict) -> tuple:
     """The key of one app's stage keys in a handle's memo."""
     return graph.kind, platform, dataset, app_id, tuple(sorted(params.items()))
-
-
-def _part_of(meta: dict) -> int:
-    """The pickle of its app's segment an entry's value is stored in."""
-    return _RESULTS if meta["entry_kind"] == "app" else _STAGES
 
 
 class ResultStore:
@@ -611,7 +458,7 @@ class ResultStore:
 
     Attributes:
         freeze_decoded: when true, :func:`gc.freeze` follows each
-            segment's decode, so collections until the run ends never
+            entry's decode, so collections until the run ends never
             scan it.  Set only by a run that owns the freeze and unfreezes
             when it ends (``Study.run``).
     """
@@ -684,7 +531,10 @@ class ResultStore:
     def _graph(kind: str):
         from repro.core.pipeline import graph_for
 
-        return graph_for(kind)
+        graph = graph_for(kind)
+        if graph is None:
+            raise ValueError(f"no stage graph for result kind {kind!r}")
+        return graph
 
     def stage_keys(
         self, graph, platform: str, dataset: str, app_id: str, params, knobs
@@ -727,18 +577,11 @@ class ResultStore:
             self._keys_memo[memo] = keys
         return keys
 
-    def _config(self, kind: str, platform: str, dataset: str, app_id: str, extra) -> str:
-        """What, besides the app, an app entry's address is a function of.
-
-        For graph kinds, the graph's config digest under the bound knobs,
-        computed once per kind and parameters; otherwise the flat
-        fingerprint itself.
-        """
+    def _config(self, kind: str, extra) -> str:
+        """What, besides the app, an app entry's address is a function of:
+        the graph's config digest under the bound knobs, computed once per
+        kind and parameters."""
         graph = self._graph(kind)
-        if graph is None:
-            return app_fingerprint(
-                self.corpus_fp, self.sleep_s, kind, platform, dataset, app_id, extra
-            )
         params = graph.params_from_extra(extra)
         memo = kind, tuple(sorted(params.items()))
         digest = self._digests.get(memo)
@@ -746,22 +589,6 @@ class ResultStore:
             knobs, overrides = self._resolution(kind)
             digest = self._digests[memo] = graph.config_digest(params, knobs, overrides)
         return digest
-
-    def _extra_keys(
-        self, graph, platform: str, dataset: str, app_id: str, extra
-    ) -> dict:
-        """Stage keys of one app under a work unit's per-app ``extra``."""
-        return self._stage_keys(
-            graph, platform, dataset, app_id, graph.params_from_extra(extra)
-        )
-
-    def _forget(self, stage: str, platform: str, dataset: str, app_id: str, extra) -> None:
-        """Drop one app's memoised stage keys: its result was filed, so
-        nothing of this handle asks for them again."""
-        graph = self._graph(stage)
-        if graph is not None:
-            params = graph.params_from_extra(extra)
-            self._keys_memo.pop(_memo_key(graph, platform, dataset, app_id, params), None)
 
     # -- packs -------------------------------------------------------------
 
@@ -800,69 +627,35 @@ class ResultStore:
             pack.adopt(None)
         return envelope.payload if envelope is not None else None
 
-    @staticmethod
-    def _segment(pack: _Pack, app_id: str) -> Optional[_Segment]:
-        """Where one app's segment is in the file ``pack`` mirrors."""
-        if app_id not in pack.segments:
-            return None
-        start, end = pack.segments[app_id]
-        return _Segment(
-            pack.path, pack.name, app_id, pack.identity, pack.offset + start, end - start
-        )
+    def _decode(self, pack: _Pack, key: str, miss=None):
+        """The value of entry ``key``, unpickled with collection paused, or
+        ``miss``.
 
-    def _decode(self, pack: _Pack, app_id: str, part: int) -> dict:
-        """Pickle ``part`` (:data:`_RESULTS` or :data:`_STAGES`) of one
-        app's segment, unpickled on first use with collection paused.
-
-        The captures in the results are deferred: they decode from the
-        stage pickle if something reads them.  The stage pickle refers
-        into the results pickle's memo, so stages asked for after the
-        results decode the segment again from its start.  A pack file
-        replaced since the handle read it is read again first.  Only
-        errors damaged bytes can produce invalidate the pack; anything
+        A pack file replaced since the handle read it is read again first.
+        Only errors damaged bytes can produce invalidate the pack; anything
         else (an ``AttributeError`` from a renamed result class, an
         ``ImportError`` from a moved module) is a programming error,
         usually a missing :data:`CODE_SALT` bump, and propagates instead
         of silently recomputing the store.
         """
-        parts = pack.decoded.get(app_id, ())
-        if len(parts) > part:
-            return parts[part]
-        segment = self._segment(pack, app_id)
-        data = segment.read() if segment else None
-        if segment and data is None:
+        data = pack.pickled(key)
+        if data is None and key in pack.entries:
             self._read(pack)
-            segment = self._segment(pack, app_id)
-            data = segment.read() if segment else None
+            data = pack.pickled(key)
         if data is None:
-            return {}
+            return miss
+        stage = pack.entries[key]["entry_kind"] == "stage"
         try:
-            parts = _unpickle(data, part + 1)
+            value = _loads_paused(data)
         except _CORRUPTION_ERRORS as exc:
             self._invalidate(pack.path, exc)
             pack.adopt(None)
-            return {}
-        segment.attach(parts[_RESULTS])
-        if part == _STAGES:
-            segment.stages = parts[_STAGES]
+            return miss
+        if stage:
+            obs.count("store.stages.decoded")
         if self.freeze_decoded:
             gc.freeze()
-        pack.decoded = {app_id: parts}
-        return parts[part]
-
-    def _merge_parts(self, pack: _Pack, app_id: str, payload: bytes) -> list:
-        """Both pickles of one app's segment in ``payload``, to be
-        encoded again (stored results keep their :class:`_Ref`
-        attributes).  A damaged segment invalidates the pack and reads as
-        empty."""
-        if app_id in pack.segments:
-            start, end = pack.segments[app_id]
-            try:
-                return _unpickle(payload[start:end], _STAGES + 1)
-            except _CORRUPTION_ERRORS as exc:
-                self._invalidate(pack.path, exc)
-                pack.adopt(None)
-        return [{}, {}]
+        return value
 
     def _invalidate(self, path: Path, reason: Exception) -> None:
         self.stats.invalidated += 1
@@ -874,81 +667,58 @@ class ResultStore:
         )
 
     def _write(self, pack: _Pack) -> None:
-        """Merge the pack's pending additions into a fresh read of its
+        """Append the pack's pending additions to a fresh read of its
         file, and replace the file.
 
         Keys another handle stored are kept, and so are the results this
         handle wrote before where a concurrent writer's replace dropped
         them.  Pending keys already on disk are dropped (same content
         address, same value); a pack with nothing new is not rewritten.
-        Only the apps with additions are decoded and pickled again (their
-        stored results' captures stay references); the other segments
-        are copied as they are.  Failures raise :class:`StoreWriteError`.
+        The stored entries' bytes are copied undecoded, and each addition
+        is pickled on its own after them.  Failures raise
+        :class:`StoreWriteError`.
         """
         pending, pack.pending = pack.pending, {}
         published = set(pending)
         for key, addition in pack.written.items():
             pending.setdefault(key, addition)
-        digest, decoded = pack.digest, pack.decoded
-        payload = self._read(pack, keep_payload=True)
-        if pack.digest == digest:
-            pack.decoded = decoded
-        # app id -> [(fingerprint, metadata, artifact, refs)] not on disk yet.
-        added: dict = {}
-        for key, (meta, value, refs) in pending.items():
-            if key not in pack.entries:
-                added.setdefault(meta["app_id"], []).append((key, meta, value, refs))
+        payload = self._read(pack, keep_payload=True) or b""
+        added = {key: item for key, item in pending.items() if key not in pack.entries}
         if not added:
             return
-        for additions in added.values():
-            for key, meta, value, refs in additions:
-                pack.entries[key] = meta
-                if meta["entry_kind"] == "app":
-                    pack.written[key] = (meta, value, refs)
-        merged: dict = {}
-        for app_id, additions in added.items():
-            parts = self._merge_parts(pack, app_id, payload)
-            for key, meta, value, refs in additions:
-                parts[_part_of(meta)][key] = _detached(value, refs, pack.entries)
-            merged[app_id] = parts
-        segments: dict = {}
+        entries = dict(pack.entries)
 
         def encode() -> bytes:
             buffer = io.BytesIO()
-            # The apps already in the file, in its order, then new ones.
-            for app_id in {**pack.segments, **added}:
+            buffer.write(payload)
+            for key, (meta, value) in added.items():
                 start = buffer.tell()
-                if app_id in merged:
-                    pickler = pickle.Pickler(buffer)
-                    for part in merged[app_id]:
-                        pickler.dump(part)
-                else:
-                    was_start, was_end = pack.segments[app_id]
-                    buffer.write(memoryview(payload)[was_start:was_end])
-                segments[app_id] = (start, buffer.tell())
+                pickle.dump(value, buffer)
+                entries[key] = {**meta, "span": (start, buffer.tell())}
             return buffer.getvalue()
 
         meta = dict(
             zip(("kind", "platform", "dataset"), pack.key),
             corpus=self.corpus_fp,
             salt=CODE_SALT,
-            entries=pack.entries,
-            segments=segments,
+            entries=entries,
         )
         if not self._manifest_written:
             _ensure_manifest(self.root)
             self._manifest_written = True
         pack.adopt(_write_envelope(pack.path, _PACK_MAGIC, pack.name, meta, encode))
-        for additions in added.values():
-            for key, meta, _value, _refs in additions:
-                if key not in published:
-                    continue
-                if meta["entry_kind"] == "app":
-                    self.stats.published += 1
-                    obs.count("store.apps.published")
-                else:
-                    self.stats.stage_published += 1
-                    obs.count("store.stages.published")
+        for key, (meta, value) in added.items():
+            app = meta["entry_kind"] == "app"
+            if app:
+                pack.written[key] = (meta, value)
+            if key not in published:
+                continue
+            if app:
+                self.stats.published += 1
+                obs.count("store.apps.published")
+            else:
+                self.stats.stage_published += 1
+                obs.count("store.stages.published")
 
     def _flush(self) -> None:
         """Write the current pack's pending additions, if any."""
@@ -995,11 +765,8 @@ class ResultStore:
         if not self.read:
             return None
         pack = self._open(stage, platform, dataset)
-        config = self._config(stage, platform, dataset, app_id, extra)
-        fingerprint = pack.index.get((app_id, config))
-        result = None
-        if fingerprint is not None:
-            result = self._decode(pack, app_id, _RESULTS).get(fingerprint)
+        fingerprint = pack.index.get((app_id, self._config(stage, extra)))
+        result = None if fingerprint is None else self._decode(pack, fingerprint)
         if result is None:
             self.stats.app_misses += 1
             obs.count("store.apps.miss")
@@ -1019,24 +786,13 @@ class ResultStore:
     ) -> _Pack:
         """File one app's result in its pack, pending the write.
 
-        Its captures that are also stage artifacts (a graph's ``derive``
-        extracts them, and their type can be
-        :meth:`~repro.netsim.capture.TrafficCapture.deferred`) are
-        written as references to those, if those are in the pack.
+        Its stage keys are then dropped from the memo: nothing of this
+        handle asks for them again.
         """
         graph = self._graph(stage)
-        config = self._config(stage, platform, dataset, app_id, extra)
-        refs: tuple = ()
-        if graph is None:
-            fingerprint = config  # the flat fingerprint
-        else:
-            keys = self._extra_keys(graph, platform, dataset, app_id, extra)
-            fingerprint = keys[graph.final]
-            refs = tuple(
-                (artifact, _Ref(type(artifact), keys[item.name]))
-                for item, artifact in _derived(graph, result)
-                if hasattr(type(artifact), "deferred")
-            )
+        params = graph.params_from_extra(extra)
+        fingerprint = self._stage_keys(graph, platform, dataset, app_id, params)[graph.final]
+        self._keys_memo.pop(_memo_key(graph, platform, dataset, app_id, params), None)
         pack = self._open(stage, platform, dataset)
         if fingerprint not in pack.entries:
             pack.pending[fingerprint] = (
@@ -1044,15 +800,13 @@ class ResultStore:
                     "entry_kind": "app",
                     "app_id": app_id,
                     "stage": stage,
-                    "config": config,
+                    "config": self._config(stage, extra),
                     "sleep_s": self.sleep_s,
                     "extra": repr(normalize_extra(stage, extra)),
                     "summary": summarize_result(result),
                 },
                 result,
-                refs,
             )
-        self._forget(stage, platform, dataset, app_id, extra)
         return pack
 
     def publish_app(
@@ -1084,7 +838,6 @@ class ResultStore:
         stage: str,
         platform: str,
         dataset: str,
-        app_id: str,
         miss=None,
     ):
         """The stored artifact for one stage fingerprint, or ``miss``.
@@ -1096,9 +849,7 @@ class ResultStore:
         if not self.read:
             return miss
         pack = self._open(kind, platform, dataset)
-        value = miss
-        if fingerprint in pack.entries:
-            value = self._decode(pack, app_id, _STAGES).get(fingerprint, miss)
+        value = self._decode(pack, fingerprint, miss)
         self._count_stage(kind, stage, hit=value is not miss)
         return value
 
@@ -1133,7 +884,7 @@ class ResultStore:
         pack = self._open(kind, platform, dataset)
         if fingerprint not in pack.entries and fingerprint not in pack.pending:
             meta = {"entry_kind": "stage", "app_id": app_id, "stage": f"{kind}.{stage}"}
-            pack.pending[fingerprint] = (meta, value, ())
+            pack.pending[fingerprint] = (meta, value)
 
     # -- unit-level access (the engine's interface) ------------------------
 

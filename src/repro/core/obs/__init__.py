@@ -5,7 +5,7 @@ The study's observability layer (DESIGN.md §9).  Three pieces:
 * :mod:`repro.core.obs.clock` — the one monotonic clock
   (``time.perf_counter``) every duration in the codebase is measured on.
 * :mod:`repro.core.obs.metrics` / :mod:`repro.core.obs.spans` — the
-  primitives: counters/gauges/histograms and nested timed regions.
+  primitives: counters/histograms and nested timed regions.
 * :mod:`repro.core.obs.recorder` — the :class:`Recorder` that collects
   both and exports a Chrome trace-event JSON (Perfetto /
   ``about://tracing``) plus a flat metrics JSON, and the module-level
@@ -18,7 +18,7 @@ or ``repro study --trace-out/--metrics-out`` turns it on.
 """
 
 from repro.core.obs.clock import Stopwatch, now
-from repro.core.obs.metrics import Counter, Gauge, Histogram
+from repro.core.obs.metrics import Counter, Histogram
 from repro.core.obs.recorder import (
     Recorder,
     cache_event,
@@ -32,7 +32,6 @@ from repro.core.obs.spans import NULL_SPAN, Span
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "NULL_SPAN",
     "Recorder",

@@ -1,4 +1,4 @@
-"""Metric primitives: counters, gauges, histograms.
+"""Metric primitives: counters and histograms.
 
 None of these hold locks; the :class:`~repro.core.obs.recorder.Recorder`
 serialises access.
@@ -19,18 +19,6 @@ class Counter:
 
     def add(self, n: float = 1) -> None:
         self.value += n
-
-
-class Gauge:
-    """A point-in-time level (queue depth, pool size)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float = 0.0):
-        self.value = value
-
-    def set(self, value: float) -> None:
-        self.value = value
 
 
 class Histogram:

@@ -1,11 +1,11 @@
 """The telemetry recorder and the module-level instrumentation funnel.
 
 One :class:`Recorder` collects everything a run emits — spans, counters,
-gauges, histograms — and exports two artifacts:
+histograms — and exports two artifacts:
 
 * a Chrome trace-event JSON (``ph: "X"`` complete events, microsecond
   timestamps) that loads directly into Perfetto or ``about://tracing``;
-* a flat metrics JSON with every counter/gauge/histogram.
+* a flat metrics JSON with every counter/histogram.
 
 Instrumented code never takes a recorder parameter.  It calls the
 module-level funnel (:func:`span`, :func:`count`, :func:`observe`), which
@@ -38,7 +38,7 @@ import threading
 from typing import Dict, List, Optional
 
 from repro.core.obs import clock
-from repro.core.obs.metrics import Counter, Gauge, Histogram
+from repro.core.obs.metrics import Counter, Histogram
 from repro.core.obs.spans import NULL_SPAN, Span, SpanTimer
 
 #: Version tag stamped into both JSON exports.
@@ -51,7 +51,6 @@ class Recorder:
     def __init__(self):
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._spans: List[Span] = []
         self._tls = threading.local()
@@ -93,13 +92,6 @@ class Recorder:
             if counter is None:
                 counter = self._counters[name] = Counter()
             counter.add(n)
-
-    def gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            gauge = self._gauges.get(name)
-            if gauge is None:
-                gauge = self._gauges[name] = Gauge()
-            gauge.set(value)
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:
@@ -185,9 +177,6 @@ class Recorder:
                 "schema": SCHEMA_VERSION,
                 "counters": {
                     k: self._counters[k].value for k in sorted(self._counters)
-                },
-                "gauges": {
-                    k: self._gauges[k].value for k in sorted(self._gauges)
                 },
                 "histograms": {
                     k: self._histograms[k].as_dict()

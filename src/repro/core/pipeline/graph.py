@@ -86,11 +86,6 @@ class Stage:
         persist: whether a stage-granular result cache stores this
             artifact.  The final stage must not persist — its value *is*
             the app result, which the engine stores under the same key.
-        derive: optional extractor of this stage's artifact from a
-            finished app result (``derive(result) -> value``).  The
-            result store files a result's captures that a persisted
-            stage's ``derive`` extracts as references to that stage's
-            stored artifact instead of a second copy.
         span: whether computing this stage opens a telemetry span
             (assembly-only stages match the monolithic pipelines by
             omitting one).
@@ -101,7 +96,6 @@ class Stage:
     inputs: Tuple[str, ...] = ()
     config: Tuple[str, ...] = ()
     persist: bool = False
-    derive: Optional[Callable[[object], object]] = None
     span: bool = True
 
 
@@ -348,7 +342,6 @@ class StageGraph:
                             stage.name,
                             app.platform,
                             dataset,
-                            app.app_id,
                             miss=_MISS,
                         )
                     if value is _MISS:

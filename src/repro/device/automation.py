@@ -12,8 +12,7 @@ differential detector compares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.appmodel.behavior import DestinationUsage
@@ -244,8 +243,7 @@ class AutomationHarness:
 
         Returns the per-app capture (the paper's traffic isolation: one app
         installed at a time).  A capture is a function of the app and
-        ``config`` alone, so its ``rerun`` is this call again, with a
-        copy of ``config``.
+        ``config`` alone: the same call makes the same flows again.
 
         Raises:
             DeviceError: platform mismatch or unknown destination.
@@ -275,7 +273,6 @@ class AutomationHarness:
             self._emit_usage_flows(
                 capture, packaged_app, usage, policy, config, launch_time, rng
             )
-        capture.rerun = partial(self.run_app, packaged_app, replace(config))
         return capture
 
     def handshake_count(self, packaged_app, sleep_s: float) -> int:

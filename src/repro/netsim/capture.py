@@ -2,16 +2,14 @@
 
 A :class:`TrafficCapture` is the pcap of one experiment run: an ordered
 list of :class:`FlowRecord` with filtering helpers the dynamic pipeline
-uses (per-app, per-destination, direct vs intercepted).  A capture in a
-finished result is often :meth:`~TrafficCapture.deferred`: served from the
-result store, its flows are decoded from the pack when first read; built
-without a store, they are made again by its harness run
-(:attr:`~TrafficCapture.rerun`).
+uses (per-app, per-destination, direct vs intercepted).  No finished
+result holds one: a capture is a stage artifact, made again by re-running
+its stage (:meth:`~repro.core.dynamic.pipeline.DynamicPipeline.captures`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Set
 
 from repro.netsim.flow import FlowRecord
 
@@ -19,33 +17,8 @@ from repro.netsim.flow import FlowRecord
 class TrafficCapture:
     """An ordered collection of captured flows."""
 
-    #: For a capture a harness run made, that same call
-    #: (``() -> TrafficCapture``): a result built without a store holds
-    #: ``deferred(capture.rerun)`` instead of the capture.
-    rerun: Optional[Callable[[], "TrafficCapture"]] = None
-
     def __init__(self, flows: Iterable[FlowRecord] = ()):
         self.flows: List[FlowRecord] = list(flows)
-
-    @classmethod
-    def deferred(cls, load: Callable[[], "TrafficCapture"]) -> "TrafficCapture":
-        """A capture whose flows are those of ``load()``, called on first
-        use."""
-        capture = cls.__new__(cls)
-        capture._load = load
-        return capture
-
-    def __getattr__(self, name: str):
-        # Reached only for a missing attribute: the flows of a deferred
-        # capture not read yet.
-        load = self.__dict__.pop("_load", None) if name == "flows" else None
-        if load is None:
-            raise AttributeError(name)
-        self.flows = load().flows
-        return self.flows
-
-    def __reduce__(self):
-        return TrafficCapture, (self.flows,)
 
     def add(self, flow: FlowRecord) -> None:
         self.flows.append(flow)

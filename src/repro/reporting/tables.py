@@ -86,8 +86,7 @@ def ratio(value: Optional[float], digits: int = 2) -> str:
 def percent(value: Optional[float], digits: int = 2) -> str:
     """Render a ratio as a percentage string.
 
-    ``None`` — the "no data" sentinel from the strict stats helpers
-    (:func:`repro.util.stats.proportion_or_none`) — renders as
+    ``None`` — a ratio with nothing to measure — renders as
     :data:`NO_DATA`, so an empty denominator can never masquerade as a
     measured ``0.00%``.
     """

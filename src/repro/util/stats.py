@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Set, TypeVar
+from typing import Sequence, Set, TypeVar
 
 T = TypeVar("T")
 
@@ -29,25 +29,16 @@ def proportion(count: int, total: int) -> float:
     """Lenient ratio; 0.0 when the denominator is zero.
 
     Use only where a zero denominator genuinely *means* zero (e.g. "no
-    apps, so no pinning apps").  Anywhere the result is rendered, prefer
-    :func:`proportion_or_none` — collapsing "no data" into ``0.0`` made
-    empty denominators print as ``0.00%`` in paper tables, which reads
-    as a measured zero."""
+    apps, so no pinning apps").  Nothing rendered may use it: collapsing
+    "no data" into ``0.0`` made empty denominators print as ``0.00%`` in
+    paper tables, which reads as a measured zero.  A table cell renders
+    no data as ``None`` (:func:`repro.reporting.tables.percent`) or
+    checks its denominator itself (``PrevalenceCell.render``)."""
     if total <= 0:
         return 0.0
     return count / total
 
 
-def proportion_or_none(count: int, total: int) -> Optional[float]:
-    """Strict ratio; ``None`` (no data) when the denominator is zero.
-
-    ``None`` propagates to :func:`repro.reporting.tables.percent` and
-    cell formatting as "—", keeping "nothing to measure" visually
-    distinct from a measured 0 %.
-    """
-    if total <= 0:
-        return None
-    return count / total
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@
 from repro.core.analysis.security import analyze_ciphers
 from repro.core.dynamic.pipeline import DynamicAppResult
 from repro.core.dynamic.detector import DestinationVerdict
-from repro.netsim.capture import TrafficCapture
 from repro.netsim.flow import FlowRecord, flow_facts
 from repro.tls.ciphers import MODERN_SUITES, WEAK_SUITES
 from repro.util.simtime import STUDY_START
@@ -28,7 +27,6 @@ def result(app_id, flows, pinned=()):
         app_id=app_id,
         platform="android",
         verdicts=verdicts,
-        direct_capture=TrafficCapture(flows),
         direct_facts=flow_facts(flows, pii_types=None),
     )
 

@@ -1,23 +1,24 @@
-"""A result built without a store keeps facts, not captures (DESIGN.md §7).
+"""A finished result keeps facts and verdicts, not captures (DESIGN.md §7).
 
-Its captures are deferred handles that re-run the harness call the stage
-made, with that stage's run config, on first read; a result served from
-the store decodes them from its pack instead.  Either way a capture reads
-back the same flows, and a store-less study frees every flow record as
-soon as its facts and verdicts exist.
+A capture is a stage artifact only.  ``DynamicPipeline.captures`` and
+``CircumventionPipeline.hooked_capture`` make one again by re-running the
+graph's own stage functions: what they return equals what the graph
+computed and stored, and re-detecting from it gives the verdicts a study
+of that detector reports.  A study, with a store or without, frees every
+flow record as soon as its facts and verdicts exist.
 """
 
 from __future__ import annotations
 
-import copy
 import gc
-import pickle
 
 import pytest
 
 from repro.core.analysis import Study
+from repro.core.circumvent.pipeline import CIRCUMVENT_GRAPH, CircumventionPipeline
 from repro.core.dynamic.detector import detect_verdicts
-from repro.core.dynamic.pipeline import DynamicPipeline
+from repro.core.dynamic.pipeline import DYNAMIC_GRAPH, DynamicPipeline
+from repro.core.exec import ResultStore
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.netsim.flow import FlowRecord
 from repro.tls.connection import ConnectionTrace
@@ -32,32 +33,26 @@ def corpus():
 
 
 @pytest.fixture(scope="module")
-def storeless(corpus):
-    return Study(corpus).run()
-
-
-@pytest.fixture(scope="module")
-def served(corpus, tmp_path_factory):
-    """A study served from a store that a first study filled."""
+def filled(corpus, tmp_path_factory):
+    """A store filled by one default study, and that study's results."""
     root = tmp_path_factory.mktemp("release") / "store"
-    Study(corpus).run(store=root)
-    return Study(corpus).run(store=root)
+    return root, Study(corpus).run(store=root)
 
 
 def _live(kind: type) -> int:
     return sum(type(o) is kind for o in gc.get_objects())
 
 
-def _captures(results):
-    """``(label, capture)`` for every capture of every result."""
-    for key, dataset_results in sorted(results.dynamic_results.items()):
-        for result in dataset_results:
-            label = (key, result.app_id, result.reran_with_wait)
-            yield label + ("direct",), result.direct_capture
-            yield label + ("mitm",), result.mitm_capture
-    for platform, circumvented in sorted(results.circumvention.items()):
-        for result in circumvented:
-            yield (platform, result.app_id, "hooked"), result.hooked_capture
+def _runs(results, corpus):
+    """``(platform, dataset, packaged, result)`` for every dynamic result."""
+    for (platform, dataset), per_dataset in sorted(results.dynamic_results.items()):
+        packaged = {p.app.app_id: p for p in corpus.dataset(platform, dataset)}
+        for result in per_dataset:
+            yield platform, dataset, packaged[result.app_id], result
+
+
+def _wait(result) -> float:
+    return 120.0 if result.reran_with_wait else 0.0
 
 
 def test_storeless_study_holds_no_flow(corpus):
@@ -65,63 +60,77 @@ def test_storeless_study_holds_no_flow(corpus):
     before = (_live(FlowRecord), _live(ConnectionTrace))
     results = Study(corpus).run()
     gc.collect()
+    assert results.dynamic_results
     assert (_live(FlowRecord), _live(ConnectionTrace)) == before
-    # Every capture is a handle that has not run yet, holding the run
-    # config its stage used.
-    loads = {label: vars(c)["_load"] for label, c in _captures(results)}
-    assert all(set(vars(c)) == {"_load"} for _, c in _captures(results))
-    configs = {label: load.args[1] for label, load in loads.items()}
-    assert all(c.mitm == (label[-1] != "direct") for label, c in configs.items())
-    assert any(c.pre_launch_wait_s == 120.0 for c in configs.values())
-    hooked = [c for label, c in configs.items() if label[-1] == "hooked"]
-    assert hooked and all(c.policy_override is not None for c in hooked)
 
 
-def test_deferred_captures_equal_the_served_ones(storeless, served):
-    mine = dict(_captures(storeless))
-    theirs = dict(_captures(served))
-    assert mine.keys() == theirs.keys()
-    assert {label[-1] for label in mine} == {"direct", "mitm", "hooked"}
-    assert any(label[2] is True for label in mine)  # the 120 s re-run
-    for label, capture in mine.items():
-        assert capture.flows == theirs[label].flows, label
+def test_store_filling_study_holds_no_flow(corpus, tmp_path):
+    gc.collect()
+    before = (_live(FlowRecord), _live(ConnectionTrace))
+    results = Study(corpus).run(store=tmp_path / "store")
+    gc.collect()
+    assert results.dynamic_results
+    assert (_live(FlowRecord), _live(ConnectionTrace)) == before
 
 
-def test_copies_materialise_equal_flows(corpus, served):
-    packaged = corpus.dataset("android", "popular")[0]
-    pipeline = DynamicPipeline(corpus)
-    reference = served.dynamic_results[("android", "popular")][0]
-    assert reference.app_id == packaged.app.app_id
-    for twin_of in (copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
-        twin = twin_of(pipeline.run_app(packaged))
-        assert twin.direct_capture.flows == reference.direct_capture.flows
-        assert twin.mitm_capture.flows == reference.mitm_capture.flows
-        assert twin.verdicts == reference.verdicts
+def test_captures_equal_the_stored_stage_artifacts(corpus, filled):
+    root, results = filled
+    store = ResultStore(root, corpus, write=False)
+    dynamic = DynamicPipeline(corpus)
+    circumvent = CircumventionPipeline(dynamic)
+
+    def stored(graph, stage, platform, dataset, app_id, params):
+        keys = store.stage_keys(graph, platform, dataset, app_id, params, None)
+        return store.lookup_stage(keys[stage], graph.kind, stage, platform, dataset)
+
+    waits, hooked = set(), 0
+    for platform, dataset, packaged, result in _runs(results, corpus):
+        app_id, wait = result.app_id, _wait(result)
+        params = {"wait": wait, "interact": False}
+        direct, mitm = dynamic.captures(packaged, wait=wait)
+        assert direct.flows == stored(
+            DYNAMIC_GRAPH, "run_direct", platform, dataset, app_id, params
+        ).flows
+        assert mitm.flows == stored(
+            DYNAMIC_GRAPH, "run_mitm", platform, dataset, app_id, params
+        ).flows
+        waits.add(wait)
+        if result.pins():
+            params = {"pinned": tuple(sorted(result.pinned_destinations))}
+            capture = circumvent.hooked_capture(packaged)
+            assert capture.flows == stored(
+                CIRCUMVENT_GRAPH, "hooked_run", platform, dataset, app_id, params
+            ).flows
+            hooked += 1
+    assert waits == {0.0, 120.0}  # the Common-iOS re-run included
+    assert hooked
+    assert store.stats.stage_misses == 0
 
 
-def _redetected(result, detector):
-    return detect_verdicts(
-        result.direct_capture,
-        result.mitm_capture,
-        result.excluded_destinations,
-        detector,
-    )
-
-
-def test_redetection_agrees_over_storeless_and_served(corpus, served):
-    storeless = Study(corpus).run()  # its captures not read yet
+def test_redetection_equals_the_detector_study(corpus, filled):
+    """Re-detecting from the captures under an ablation detector gives
+    that detector's study verdicts, app by app (where both studies ran
+    the app with the same pre-launch wait)."""
+    results = filled[1]
+    dynamic = DynamicPipeline(corpus)
+    captures = {
+        (platform, dataset, result.app_id): (
+            dynamic.captures(packaged, wait=_wait(result)),
+            result,
+        )
+        for platform, dataset, packaged, result in _runs(results, corpus)
+    }
     for detector in ("naive", "no-tls13"):
-        changed = 0
-        for key, mine in storeless.dynamic_results.items():
-            theirs = served.dynamic_results[key]
-            assert [r.app_id for r in mine] == [r.app_id for r in theirs]
-            for result, other in zip(mine, theirs):
-                verdicts = _redetected(result, detector)
-                assert verdicts == _redetected(other, detector), (
-                    detector,
-                    key,
-                    result.app_id,
-                )
-                changed += verdicts != result.verdicts
-        # The ablation is not the stored detector's verdicts read back.
+        ablation = Study(corpus, detector=detector).run()
+        compared = changed = 0
+        for platform, dataset, _packaged, theirs in _runs(ablation, corpus):
+            (direct, mitm), mine = captures[(platform, dataset, theirs.app_id)]
+            if mine.reran_with_wait != theirs.reran_with_wait:
+                continue
+            verdicts = detect_verdicts(direct, mitm, mine.excluded_destinations, detector)
+            assert verdicts == theirs.verdicts, (detector, platform, dataset, theirs.app_id)
+            compared += 1
+            changed += verdicts != mine.verdicts
+        assert compared > 0.9 * len(captures), detector
+        # The ablation is not the default detector's verdicts read back.
         assert changed, detector

@@ -63,8 +63,10 @@ class TestHarnessDeterminism:
         first = DynamicPipeline(small_corpus).run_app(packaged)
         second = DynamicPipeline(small_corpus).run_app(packaged)
         assert first.pinned_destinations == second.pinned_destinations
-        assert len(first.direct_capture) == len(second.direct_capture)
-        for f1, f2 in zip(first.direct_capture, second.direct_capture):
+        first_direct, _ = DynamicPipeline(small_corpus).captures(packaged)
+        second_direct, _ = DynamicPipeline(small_corpus).captures(packaged)
+        assert len(first_direct) == len(second_direct)
+        for f1, f2 in zip(first_direct, second_direct):
             assert f1.sni == f2.sni
             assert f1.trace.teardown == f2.trace.teardown
             assert [r.length for r in f1.trace.records] == [

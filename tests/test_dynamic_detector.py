@@ -166,8 +166,8 @@ class TestDynamicPipeline:
         result = dynamic_pipeline.run_app(packaged)
         assert result.platform == "ios"
         assert result.app_id == packaged.app.app_id
-        assert len(result.direct_capture) > 0
-        assert len(result.mitm_capture) > 0
+        assert len(result.direct_facts) > 0
+        assert len(result.mitm_facts) > 0
         assert "icloud.com" in result.excluded_destinations
 
     def test_rerun_flag(self, small_corpus, dynamic_pipeline):

@@ -79,10 +79,13 @@ class TestPerAppRngDerivation:
         matching = [r for r in in_study if r.app_id == target.app.app_id]
         assert len(matching) == 1
         assert fresh.pinned_destinations == matching[0].pinned_destinations
+        assert fresh.verdicts == matching[0].verdicts
+        assert fresh.direct_facts == matching[0].direct_facts
+        # The swept pipeline's harness makes the same capture again.
         assert [
             (f.sni, f.started_at, f.handshake_completed)
-            for f in fresh.direct_capture
+            for f in DynamicPipeline(tiny_corpus).captures(target)[0]
         ] == [
             (f.sni, f.started_at, f.handshake_completed)
-            for f in matching[0].direct_capture
+            for f in pipeline.captures(target)[0]
         ]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import errno
 import gc
-import io
 import os
 import pickle
 import subprocess
@@ -169,11 +168,11 @@ def test_stored_artifacts_are_acyclic(filled):
             blob = path.read_bytes()
             header = pickle.loads(blob)
             meta, payload = header[3], blob[len(blob) - header[-1] :]
-            for start, end in meta["segments"].values():
-                unpickler = pickle.Unpickler(io.BytesIO(payload[start:end]))
-                values = [unpickler.load(), unpickler.load()]
-                decoded += sum(len(part) for part in values)
-                del unpickler, values
+            for entry in meta["entries"].values():
+                start, end = entry["span"]
+                value = pickle.loads(payload[start:end])
+                decoded += 1
+                del value
             del blob, header, payload
         unreachable = gc.collect()
     finally:

@@ -31,9 +31,8 @@ class TestInteractionGating:
             for u in packaged.app.behavior.usages
             if u.requires_interaction
         }
-        result = pipeline.run_app(packaged)
-        observed = result.direct_capture.destinations()
-        assert not (gated & observed)
+        direct, _mitm = pipeline.captures(packaged)
+        assert not (gated & direct.destinations())
 
     def test_interaction_run_includes_gated_hosts(
         self, small_corpus, pipeline
@@ -44,9 +43,8 @@ class TestInteractionGating:
             for u in packaged.app.behavior.usages
             if u.requires_interaction and u.starts_within(30)
         }
-        result = pipeline.run_app(packaged, interact=True)
-        observed = result.direct_capture.destinations()
-        assert gated <= observed
+        direct, _mitm = pipeline.captures(packaged, interact=True)
+        assert gated <= direct.destinations()
 
     def test_traffic_change_is_insignificant(self, small_corpus, pipeline):
         """The paper's §4.2.1 finding: random interaction does not
@@ -54,10 +52,9 @@ class TestInteractionGating:
         apps = small_corpus.dataset("android", "popular")
         without = with_interaction = 0
         for packaged in apps:
-            without += len(pipeline.run_app(packaged).direct_capture.destinations())
+            without += len(pipeline.captures(packaged)[0].destinations())
             with_interaction += len(
-                pipeline.run_app(packaged, interact=True)
-                .direct_capture.destinations()
+                pipeline.captures(packaged, interact=True)[0].destinations()
             )
         assert with_interaction >= without
         # Less than ~10% more domains — "no significant change".

@@ -9,19 +9,28 @@ from repro.netsim.export import dump_capture, flow_to_dict, load_capture
 
 
 @pytest.fixture(scope="module")
-def sample_result(small_corpus):
-    pipeline = DynamicPipeline(small_corpus)
-    pinner = next(
+def pinner(small_corpus):
+    return next(
         p
         for p in small_corpus.dataset("ios", "popular")
         if p.app.pins_at_runtime()
     )
-    return pipeline.run_app(pinner)
+
+
+@pytest.fixture(scope="module")
+def sample_result(small_corpus, pinner):
+    return DynamicPipeline(small_corpus).run_app(pinner)
+
+
+@pytest.fixture(scope="module")
+def captures(small_corpus, pinner):
+    """The direct and MITM captures of ``sample_result``'s run."""
+    return DynamicPipeline(small_corpus).captures(pinner)
 
 
 class TestRoundtrip:
-    def test_capture_roundtrip_preserves_flows(self, sample_result):
-        for capture in (sample_result.direct_capture, sample_result.mitm_capture):
+    def test_capture_roundtrip_preserves_flows(self, captures):
+        for capture in captures:
             restored = load_capture(dump_capture(capture))
             assert len(restored) == len(capture)
             for original, loaded in zip(capture, restored):
@@ -31,26 +40,25 @@ class TestRoundtrip:
                 assert len(loaded.trace.records) == len(original.trace.records)
                 assert loaded.gt_pinned == original.gt_pinned
 
-    def test_classifiers_agree_after_roundtrip(self, sample_result):
-        capture = sample_result.mitm_capture
+    def test_classifiers_agree_after_roundtrip(self, captures):
+        capture = captures[1]
         restored = load_capture(dump_capture(capture))
         for original, loaded in zip(capture, restored):
             assert connection_used(loaded) == connection_used(original)
             assert connection_failed(loaded) == connection_failed(original)
 
-    def test_detector_agrees_after_roundtrip(self, sample_result):
+    def test_detector_agrees_after_roundtrip(self, sample_result, captures):
         from repro.core.dynamic.detector import detect_pinned_destinations
 
-        direct = load_capture(dump_capture(sample_result.direct_capture))
-        mitm = load_capture(dump_capture(sample_result.mitm_capture))
+        direct, mitm = (load_capture(dump_capture(capture)) for capture in captures)
         verdicts = detect_pinned_destinations(
             direct, mitm, sample_result.excluded_destinations
         )
         pinned = {d for d, v in verdicts.items() if v.pinned}
         assert pinned == sample_result.pinned_destinations
 
-    def test_payloads_only_for_decrypted_flows(self, sample_result):
-        for flow in sample_result.mitm_capture:
+    def test_payloads_only_for_decrypted_flows(self, captures):
+        for flow in captures[1]:
             data = flow_to_dict(flow)
             if not flow.plaintext_visible:
                 assert data["payloads"] == []
@@ -58,8 +66,8 @@ class TestRoundtrip:
                 restored_fields = [p["fields"] for p in data["payloads"]]
                 assert len(restored_fields) == len(flow.decrypted_payloads())
 
-    def test_decrypted_payloads_survive(self, sample_result):
-        capture = sample_result.mitm_capture
+    def test_decrypted_payloads_survive(self, captures):
+        capture = captures[1]
         restored = load_capture(dump_capture(capture))
         for original, loaded in zip(capture, restored):
             if original.plaintext_visible:

@@ -120,12 +120,13 @@ class TestComparison:
         assert comparison.row("ad_id").pinned_total == 0
 
 
-def non_pinned_capture_flows(results):
-    """Table 9's non-pinned side, selected from the MITM captures."""
+def non_pinned_capture_flows(pipeline, runs):
+    """Table 9's non-pinned side, selected from the MITM captures of
+    ``runs``, ``(packaged, dynamic result)`` pairs."""
     return [
         flow
-        for result in results
-        for flow in result.mitm_capture
+        for packaged, result in runs
+        for flow in pipeline.captures(packaged, wait=120.0 if result.reran_with_wait else 0.0)[1]
         if flow.plaintext_visible
         and not flow.os_initiated
         and flow.sni not in result.pinned_destinations
@@ -133,9 +134,16 @@ def non_pinned_capture_flows(results):
     ]
 
 
-def pinned_capture_flows(circumventions):
-    """Table 9's pinned side, selected from the hooked captures."""
-    return [flow for circ in circumventions for flow in circ.decrypted_pinned_flows()]
+def pinned_capture_flows(pipeline, runs):
+    """Table 9's pinned side, selected from the hooked captures of
+    ``runs``, ``(packaged, circumvention result)`` pairs: the flows to
+    bypassed destinations that the proxy decrypted."""
+    return [
+        flow
+        for packaged, circ in runs
+        for flow in pipeline.hooked_capture(packaged)
+        if flow.sni in circ.bypassed_destinations and flow.plaintext_visible
+    ]
 
 
 class TestCaptureFacts:
@@ -181,18 +189,27 @@ class TestSinglePassCounts:
             "android": study.dynamic_pipeline.android_device,
             "ios": study.dynamic_pipeline.ios_device,
         }
+        packaged = {
+            (platform, p.app.app_id): p
+            for (platform, _), apps in corpus.datasets.items()
+            for p in apps
+        }
         found = 0
         for platform, comparison in results.pii.items():
             detector = PIIDetector(devices[platform].identifiers)
             dynamic = [
-                result
+                (packaged[(platform, result.app_id)], result)
                 for (plat, _), per_dataset in sorted(results.dynamic_results.items())
                 if plat == platform
                 for result in per_dataset
             ]
+            circumvented = [
+                (packaged[(platform, circ.app_id)], circ)
+                for circ in results.circumvention[platform]
+            ]
             sides = {
-                "pinned": pinned_capture_flows(results.circumvention[platform]),
-                "non_pinned": non_pinned_capture_flows(dynamic),
+                "pinned": pinned_capture_flows(study.circumvention_pipeline, circumvented),
+                "non_pinned": non_pinned_capture_flows(study.dynamic_pipeline, dynamic),
             }
             for pii_type in PII_TYPES:
                 row = comparison.row(pii_type)

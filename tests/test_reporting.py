@@ -134,8 +134,9 @@ class TestLenientStatsGuard:
 
     ``stats.proportion`` / ``stats.mean`` collapse "no data" into 0.0;
     fed into ``percent()`` or cell formatting they print a fabricated
-    measured zero.  Every table/figure call site must go through the
-    strict ``proportion_or_none``, whose ``None`` renders as NO_DATA.
+    measured zero.  A table/figure renders no data itself instead:
+    ``PrevalenceCell.render`` checks its denominator, and a ``None``
+    table cell renders as NO_DATA.
     """
 
     RENDER_PACKAGES = ("core/analysis", "reporting")
@@ -174,6 +175,6 @@ class TestLenientStatsGuard:
                             f"uses stats.{node.attr}"
                         )
         assert not offenders, (
-            "lenient stats helpers reached a render path; use "
-            f"proportion_or_none instead: {offenders}"
+            "lenient stats helpers reached a render path; render no data "
+            f"as None (or NO_DATA, like PrevalenceCell.render): {offenders}"
         )

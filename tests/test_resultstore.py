@@ -17,11 +17,11 @@ from repro.core.exec import resultstore
 from repro.core.exec.resultstore import (
     CODE_SALT,
     ResultStore,
-    app_fingerprint,
     corpus_fingerprint,
     normalize_extra,
     summarize_result,
 )
+from repro.core.pipeline import graph_for
 from repro.corpus import CorpusConfig, CorpusGenerator
 
 
@@ -48,11 +48,31 @@ class FakeResult:
         )
 
 
+def app_key(corpus_fp, sleep_s, stage, platform, dataset, app_id, extra):
+    """An app result's address: its stage graph's final chain key."""
+    graph = graph_for(stage)
+    keys = graph.stage_keys(
+        corpus_fp,
+        platform,
+        dataset,
+        app_id,
+        params=graph.params_from_extra(extra),
+        overrides={"sleep_s": sleep_s},
+    )
+    return keys[graph.final]
+
+
+def config_digest(stage, extra, sleep_s=30.0):
+    graph = graph_for(stage)
+    return graph.config_digest(graph.params_from_extra(extra), overrides={"sleep_s": sleep_s})
+
+
 class TestFingerprints:
     def test_stable_across_calls(self):
-        a = app_fingerprint("c", 30.0, "dynamic", "android", "popular", "x", 0.0)
-        b = app_fingerprint("c", 30.0, "dynamic", "android", "popular", "x", 0.0)
+        a = app_key("c", 30.0, "dynamic", "android", "popular", "x", 0.0)
+        b = app_key("c", 30.0, "dynamic", "android", "popular", "x", 0.0)
         assert a == b
+        assert config_digest("dynamic", 0.0) == config_digest("dynamic", 0.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -76,7 +96,7 @@ class TestFingerprints:
             app_id="x",
             extra=0.0,
         )
-        assert app_fingerprint(**base) != app_fingerprint(**{**base, **kwargs})
+        assert app_key(**base) != app_key(**{**base, **kwargs})
 
     def test_circumvent_extra_is_order_insensitive(self):
         base = dict(
@@ -87,9 +107,8 @@ class TestFingerprints:
             dataset="common",
             app_id="x",
         )
-        assert app_fingerprint(**base, extra=("b", "a")) == app_fingerprint(
-            **base, extra=("a", "b")
-        )
+        assert app_key(**base, extra=("b", "a")) == app_key(**base, extra=("a", "b"))
+        assert config_digest("circumvent", ("b", "a")) == config_digest("circumvent", ("a", "b"))
 
     def test_normalize_extra(self):
         assert normalize_extra("static", None) is None
@@ -105,8 +124,12 @@ class TestFingerprints:
         ).generate()
         assert fp != corpus_fingerprint(other)
 
-    def test_salt_enters_fingerprint(self):
-        assert CODE_SALT  # bumping it must invalidate — see fingerprint body
+    def test_salt_enters_fingerprint(self, monkeypatch):
+        args = ("c", 30.0, "dynamic", "android", "popular", "x", 0.0)
+        key, digest = app_key(*args), config_digest("dynamic", 0.0)
+        monkeypatch.setattr(resultstore, "CODE_SALT", CODE_SALT + "-bumped")
+        assert app_key(*args) != key
+        assert config_digest("dynamic", 0.0) != digest
 
 
 class TestSummaries:

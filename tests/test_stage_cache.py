@@ -28,10 +28,6 @@ def _app(small_corpus, platform="android", dataset="popular", index=0):
     return small_corpus.dataset(platform, dataset)[index]
 
 
-def _flows(capture):
-    return list(capture.flows)
-
-
 class TestStaticStageCache:
     def test_cold_run_publishes_then_warm_run_hits(self, small_corpus, store):
         pipeline = StaticPipeline(small_corpus.registry.ctlog)
@@ -86,9 +82,9 @@ class TestDynamicStageCache:
         # run_direct, run_mitm and exclusions hit; detect went cold.
         assert store.stats.stage_hits == hits_before + 3
 
-        # Upstream artifacts are bit-for-bit the cold run's.
-        assert _flows(partial.direct_capture) == _flows(cold.direct_capture)
-        assert _flows(partial.mitm_capture) == _flows(cold.mitm_capture)
+        # The served captures reduce to the cold run's facts rows.
+        assert partial.direct_facts == cold.direct_facts
+        assert partial.mitm_facts == cold.mitm_facts
         assert partial.excluded_destinations == cold.excluded_destinations
 
         # The partially recomputed result equals a cache-less run under
@@ -171,7 +167,7 @@ class TestCircumventStageCache:
         # a changed pinned set (a detector flip upstream) still reuses it
         # and only the cheap verdict assembly reruns.
         assert store.stats.stage_hits == hits_before + 1
-        assert _flows(narrowed.hooked_capture) == _flows(full.hooked_capture)
+        assert narrowed.hooked_facts == full.hooked_facts
         assert (
             narrowed.bypassed_destinations | narrowed.resistant_destinations
             == subset

@@ -2,16 +2,16 @@
 
 Tables 8 and 9 and the capture-consistency invariant read each result's
 facts rows, which the pipelines build when they compute a result.  A
-result served from the store carries its rows; its captures stay in the
-stage pickle of its pack segment and decode only when something reads
-them.  A warm study therefore builds no flow record, rebuilds no TLS
-record, scans no payload for PII and derives no stage key, while a
-detector flip over the same store still does the work it needs.
+result served from the store carries its rows and no capture; the
+captures are stage entries of their own in the pack, decoded only by a
+stage lookup.  A warm study therefore builds no flow record, rebuilds no
+TLS record, scans no payload for PII and derives no stage key, while a
+detector flip over the same store still does the work it needs, decoding
+each stage entry it serves once.
 """
 
 from __future__ import annotations
 
-import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -68,17 +68,6 @@ def calls(monkeypatch):
     return counted
 
 
-class FakeResult:
-    """A stand-in result of another config, with no captures."""
-
-    def __init__(self, app_id):
-        self.app_id = app_id
-        self.pinned_destinations = set()
-
-    def pins(self):
-        return False
-
-
 def warm(corpus, root, **kwargs):
     """A study served from ``root`` without writing, and its counters."""
     recorder = obs.Recorder()
@@ -97,12 +86,23 @@ class TestWarmRunReadsFacts:
         assert counters.get("store.stages.decoded", 0) == 0
 
     def test_detector_flip_still_derives_keys_and_decodes_captures(
-        self, corpus, filled, calls
+        self, corpus, filled, calls, monkeypatch
     ):
+        looked_up = Counter()
+        lookup_stage = ResultStore.lookup_stage
+
+        def counting(store, fingerprint, *args, **kwargs):
+            looked_up[fingerprint] += 1
+            return lookup_stage(store, fingerprint, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "lookup_stage", counting)
         _, counters = warm(corpus, filled[0], detector="no-tls13")
         assert calls["stage_keys"] > 0
         assert calls["FlowRecord"] > 0
         assert counters["store.stages.decoded"] > 0
+        # Each stage entry served is decoded once, and nothing else is.
+        assert max(looked_up.values()) == 1
+        assert counters["store.stages.decoded"] == counters["store.stages.hit"]
 
     def test_tables_8_and_9_equal_the_computing_run(self, corpus, filled):
         cold = filled[1]
@@ -122,77 +122,3 @@ class TestWarmRunReadsFacts:
             assert comparison == cold.pii[platform] == served.pii[platform]
         assert served.table8().render() == cold.table8().render()
         assert served.table9().render() == cold.table9().render()
-
-
-class TestDeferredCaptures:
-    def test_served_captures_decode_on_first_read(self, corpus, filled):
-        cold = filled[1]
-        served, _ = warm(corpus, filled[0])
-        pairs = [
-            (mine, theirs)
-            for key, results in cold.dynamic_results.items()
-            for theirs, mine in zip(results, served.dynamic_results[key])
-        ]
-        assert all("flows" not in vars(mine.mitm_capture) for mine, _ in pairs)
-        recorder = obs.Recorder().install()
-        try:
-            for mine, theirs in pairs:
-                assert mine.direct_capture.flows == theirs.direct_capture.flows
-                assert mine.mitm_capture.flows == theirs.mitm_capture.flows
-                assert mine.direct_facts == theirs.direct_facts
-                assert mine.mitm_facts == theirs.mitm_facts
-        finally:
-            recorder.uninstall()
-        # Both captures of a result come from one decode of its segment.
-        assert recorder.metrics()["counters"]["store.stages.decoded"] == len(pairs)
-
-    def test_results_pickle_holds_no_capture(self, corpus, filled):
-        """A served result's captures are references into the stage
-        pickle: decoding the results decodes no flow."""
-        store = ResultStore(filled[0], corpus, write=False)
-        key = ("ios", "popular")
-        indices = tuple(range(len(corpus.dataset(*key))))
-        served = store.lookup_unit(("dynamic", *key, indices, 0.0))
-        assert served
-        for result in served:
-            for capture in (result.direct_capture, result.mitm_capture):
-                assert set(vars(capture)) == {"_load"}
-
-    def served_unit(self, corpus, root):
-        key = ("ios", "popular")
-        indices = tuple(range(len(corpus.dataset(*key))))
-        return ResultStore(root, corpus, write=False).lookup_unit(
-            ("dynamic", *key, indices, 0.0)
-        )
-
-    def test_capture_decodes_after_a_later_write_replaced_the_pack(
-        self, corpus, filled, tmp_path
-    ):
-        root = tmp_path / "store"
-        shutil.copytree(filled[0], root)
-        served = self.served_unit(corpus, root)
-        # Another config's results merge into the same pack file.
-        writer = ResultStore(root, corpus)
-        indices = tuple(range(len(served)))
-        others = [FakeResult(result.app_id) for result in served]
-        writer.publish_unit(("dynamic", "ios", "popular", indices, 7.0), others)
-        assert writer.stats.published == len(served)
-        assert all("flows" not in vars(result.mitm_capture) for result in served)
-        cold = filled[1].dynamic_results[("ios", "popular")]
-        for mine, theirs in zip(served, cold):
-            assert mine.mitm_capture.flows == theirs.mitm_capture.flows
-
-    def test_damaged_pack_is_discarded_when_a_capture_is_read(
-        self, corpus, filled, tmp_path
-    ):
-        root = tmp_path / "store"
-        shutil.copytree(filled[0], root)
-        served = self.served_unit(corpus, root)
-        pack = ResultStore(root, corpus).pack_path("dynamic", "ios", "popular")
-        blob = bytearray(pack.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        pack.write_bytes(bytes(blob))
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            with pytest.raises(LookupError):
-                served[0].direct_capture.flows
-        assert not pack.exists()

@@ -205,10 +205,9 @@ class TestDecodeOnlyWhatIsServed:
         blob = store.pack_path("static", "android", "popular").read_bytes()
         header = pickle.loads(blob)
         meta, payload = header[3], blob[len(blob) - header[-1] :]
-        for start, end in meta["segments"].values():
-            unpickler = RecordingUnpickler(io.BytesIO(payload[start:end]))
-            unpickler.load()
-            unpickler.load()
+        for entry in meta["entries"].values():
+            start, end = entry["span"]
+            RecordingUnpickler(io.BytesIO(payload[start:end])).load()
         assert "DecompiledApp" in RecordingUnpickler.names
 
     def test_detector_flip_serves_captures_from_the_store(self, corpus, filled):

@@ -7,7 +7,7 @@ a warm run never builds one and prints the cold output; a damaged corpus
 file is warned about, regenerated and rewritten; ``--no-store-write``
 keeps nothing; and every corpus config has a file of its own.
 
-Decoding a stored result rebuilds the sharing a computing run has: each
+Decoding a stored capture rebuilds the sharing a computing run has: each
 TLS record is the interned instance a computing run holds for its value,
 and each ciphersuite is its registry constant.  Values pickled before
 these reducers existed still decode.
@@ -27,7 +27,8 @@ import pytest
 
 from repro.cli import main
 from repro.core.analysis import Study
-from repro.core.exec import CorpusStore, StoreWriteError
+from repro.core.dynamic.pipeline import DYNAMIC_GRAPH, DynamicPipeline
+from repro.core.exec import CorpusStore, ResultStore, StoreWriteError
 from repro.core.exec import resultstore
 from repro.core.exec.resultstore import corpus_fingerprint
 from repro.corpus import CorpusConfig, CorpusGenerator
@@ -206,28 +207,47 @@ def state_dict_reduce(obj):
     return copyreg.__newobj__, (type(obj),), dict(vars(obj))
 
 
-def values_of(results, kind):
-    """Every instance of ``kind`` reachable from the dynamic results."""
+def values_of(captures, kind):
+    """Every instance of ``kind`` reachable from the flows of ``captures``."""
     found = []
-    for apps in results.dynamic_results.values():
-        for result in apps:
-            for capture in (result.direct_capture, result.mitm_capture):
-                for flow in capture.flows:
-                    candidates = list(flow.trace.records) + list(
-                        flow.offered_suites
-                    )
-                    candidates.append(flow.cipher)
-                    found.extend(c for c in candidates if type(c) is kind)
+    for capture in captures:
+        for flow in capture.flows:
+            candidates = list(flow.trace.records) + list(flow.offered_suites)
+            candidates.append(flow.cipher)
+            found.extend(c for c in candidates if type(c) is kind)
     return found
+
+
+def stored_captures(corpus, root):
+    """The direct and MITM capture of every app, decoded from the packs of
+    a filled store."""
+    store = ResultStore(root, corpus, write=False)
+    params = {"wait": 0.0, "interact": False}
+    for (platform, dataset), apps in sorted(corpus.datasets.items()):
+        for packaged in apps:
+            app_id = packaged.app.app_id
+            keys = store.stage_keys(DYNAMIC_GRAPH, platform, dataset, app_id, params, None)
+            for stage in ("run_direct", "run_mitm"):
+                yield store.lookup_stage(keys[stage], "dynamic", stage, platform, dataset)
 
 
 class TestSharedValues:
     @pytest.fixture(scope="class")
     def runs(self, generated, tmp_path_factory):
+        """The captures a computing run makes, and the same captures
+        decoded from the store a study filled."""
         root = tmp_path_factory.mktemp("shared")
-        cold = Study(generated).run(store=root)
-        warm = Study(generated).run(store=root, store_write=False)
-        return cold, warm
+        Study(generated).run(store=root)
+        pipeline = DynamicPipeline(generated)
+        computed = [
+            capture
+            for _key, apps in sorted(generated.datasets.items())
+            for packaged in apps
+            for capture in pipeline.captures(packaged)
+        ]
+        stored = list(stored_captures(generated, root))
+        assert len(stored) == len(computed)
+        return computed, stored
 
     def test_records_are_the_computing_runs_instances(self, runs):
         cold, warm = runs
@@ -246,12 +266,7 @@ class TestSharedValues:
         """Stores written before these classes had reducers hold their
         state dicts; those still decode, to equal values."""
         _, warm = runs
-        flows = [
-            flow
-            for apps in warm.dynamic_results.values()
-            for result in apps
-            for flow in result.mitm_capture.flows
-        ]
+        flows = [flow for capture in warm for flow in capture.flows]
         legacy = io.BytesIO()
         pickler = pickle.Pickler(legacy)
         pickler.dispatch_table = dict(copyreg.dispatch_table)

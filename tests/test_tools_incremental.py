@@ -210,7 +210,7 @@ def write_pack(root, name, stages):
         for position, stage in enumerate(stages)
     }
     entries[f"{name}-app"] = {"entry_kind": "app", "app_id": "a", "stage": "dynamic"}
-    header = ("repro-result-pack", 4, name, {"entries": entries, "segments": {}}, "", 0)
+    header = ("repro-result-pack", 5, name, {"entries": entries}, "", 0)
     (root / "packs").mkdir(parents=True, exist_ok=True)
     (root / "packs" / f"{name}.pkl").write_bytes(pickle.dumps(header))
 

@@ -83,25 +83,3 @@ class TestMean:
 
     def test_values(self):
         assert stats.mean([1, 2, 3]) == 2.0
-
-
-class TestStrictVariants:
-    """The *_or_none variants distinguish "no data" from a measured 0."""
-
-    def test_proportion_or_none_normal(self):
-        assert stats.proportion_or_none(1, 4) == 0.25
-
-    def test_proportion_or_none_true_zero(self):
-        assert stats.proportion_or_none(0, 4) == 0.0
-
-    def test_proportion_or_none_empty(self):
-        assert stats.proportion_or_none(3, 0) is None
-        assert stats.proportion_or_none(0, 0) is None
-
-    def test_proportion_or_none_negative_total(self):
-        assert stats.proportion_or_none(1, -2) is None
-
-    def test_lenient_and_strict_agree_on_data(self):
-        # On non-empty input the lenient and strict ratios agree; only
-        # the empty case differs (0.0 vs None).
-        assert stats.proportion(2, 8) == stats.proportion_or_none(2, 8)

@@ -79,12 +79,12 @@ def test_verdict_partition_trips(study_results):
 
 
 def test_capture_consistency_trips(study_results):
-    def strip_direct_capture(result):
+    def strip_direct_facts(result):
         pinned = sorted(result.pinned_destinations)[0]
         result.direct_facts = tuple(f for f in result.direct_facts if f.sni != pinned)
 
     corrupted = replace_result(
-        study_results, ("ios", "popular"), strip_direct_capture
+        study_results, ("ios", "popular"), strip_direct_facts
     )
     assert "capture-consistency" in violated(corrupted)
 
