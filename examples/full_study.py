@@ -67,11 +67,6 @@ def main() -> None:
         "the same configuration recompute only what changed",
     )
     parser.add_argument(
-        "--no-store-read",
-        action="store_true",
-        help="do not consult --store before computing",
-    )
-    parser.add_argument(
         "--no-store-write",
         action="store_true",
         help="do not publish results to --store",
@@ -108,9 +103,7 @@ def main() -> None:
         config = config.scaled(args.scale)
     corpus_store = None
     if args.store:
-        corpus_store = CorpusStore(
-            args.store, read=not args.no_store_read, write=not args.no_store_write
-        )
+        corpus_store = CorpusStore(args.store, write=not args.no_store_write)
     corpus = CorpusGenerator(config).generate(corpus_store)
     emit(
         f"corpus: {corpus.total_unique_apps()} unique apps "
@@ -134,7 +127,6 @@ def main() -> None:
             args.store,
             corpus,
             sleep_s=study.sleep_s,
-            read=not args.no_store_read,
             write=not args.no_store_write,
         )
     results = study.run(recorder=recorder, store=store)

@@ -117,7 +117,7 @@ class PinningSpec:
     scope: PinScope = PinScope.ROOT
     form: PinForm = PinForm.SPKI_SHA256
     source: str = "first-party"  # "first-party" or an SDK name
-    code_path: str = ""  # package path prefix holding the material
+    code_path: str = ""  # package path prefix that holds the material
     dormant: bool = False
     obfuscated: bool = False
     # The Stone et al. (ACSAC'17 "Spinner") misbehaviour: the pin check

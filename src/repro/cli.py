@@ -102,11 +102,7 @@ def _cmd_study(args) -> int:
                 return 2
     corpus_store = None
     if args.store:
-        corpus_store = CorpusStore(
-            args.store,
-            read=not args.no_store_read,
-            write=not args.no_store_write,
-        )
+        corpus_store = CorpusStore(args.store, write=not args.no_store_write)
     corpus = _build_corpus(args, corpus_store)
     recorder = None
     if args.trace_out or args.metrics_out:
@@ -128,7 +124,6 @@ def _cmd_study(args) -> int:
             args.store,
             corpus,
             sleep_s=study.sleep_s,
-            read=not args.no_store_read,
             write=not args.no_store_write,
         )
     audit_enabled = args.audit or args.audit_out is not None
@@ -234,11 +229,6 @@ def _study_arguments(study) -> None:
         "published here as units complete and re-used by later runs with "
         "the same configuration, which then recompute only what changed "
         "(re-running an interrupted study against it resumes the study)",
-    )
-    study.add_argument(
-        "--no-store-read",
-        action="store_true",
-        help="do not consult --store before computing (repopulate only)",
     )
     study.add_argument(
         "--no-store-write",

@@ -400,7 +400,6 @@ class Study:
         self,
         recorder: Optional["obs_mod.Recorder"] = None,
         store=None,
-        store_read: bool = True,
         store_write: bool = True,
         audit: Union[bool, str] = False,
     ) -> StudyResults:
@@ -430,8 +429,6 @@ class Study:
                 identical results; any configuration change (seed,
                 scale, capture window, code version) changes the
                 fingerprints and invalidates cleanly.
-            store_read: consult the store before computing (ignored
-                without ``store``; ``False`` forces a repopulating run).
             store_write: publish computed results (ignored without
                 ``store``).
             audit: run the ground-truth audit over the finished results
@@ -456,7 +453,6 @@ class Study:
                 store,
                 self.corpus,
                 sleep_s=self.sleep_s,
-                read=store_read,
                 write=store_write,
             )
         self.engine.store = store

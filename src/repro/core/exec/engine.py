@@ -162,14 +162,17 @@ def _run_unit(state: dict, unit: WorkUnit, cache=None) -> list:
 
     ``cache`` is an optional result store.  With one, the pipelines'
     stage graphs serve warm stages from it, and the stages they compute
-    are held until the whole unit is published: its results and stages
-    in one write of its dataset's pack.
+    wait until the whole unit is published: its results and stages in
+    one write of its dataset's pack.  A unit that fails part-way still
+    writes the stages it finished.
     """
     if cache is None:
         return _compute_unit(state, unit)
-    with cache.holding():
+    try:
         results = _compute_unit(state, unit, cache)
         cache.publish_unit(unit, results)
+    finally:
+        cache.flush()
     return results
 
 

@@ -2,13 +2,14 @@
 
 A :class:`ResultStore` keeps per-app pipeline results on disk, each
 filed under a **fingerprint** of everything it is a function of: the key
-schema version and :data:`CODE_SALT`, the corpus fingerprint (seed plus
-dataset sizes), the capture window, the stage, the app's platform,
-dataset and id, and its per-app stage config (for graph kinds, the final
-stage's chain key).  Unit boundaries, retries and telemetry are
-absent, so a warm run hits however the cold run was scheduled; it
-recomputes only fingerprint misses and stays bit-for-bit identical to a
-cold run.  DESIGN.md §10 has the full contract.
+schema version and code salt (:mod:`repro.core.pipeline.graph`), the
+corpus fingerprint (seed plus dataset sizes), the capture window, the
+stage, the app's platform, dataset and id, and its per-app stage config
+(for graph kinds, the final stage's chain key).  Unit boundaries,
+retries and telemetry are absent, so a warm run hits however the cold
+run was scheduled; it recomputes only fingerprint misses and stays
+bit-for-bit identical to a cold run.  DESIGN.md §10 has the full
+contract.
 
 Layout::
 
@@ -19,24 +20,26 @@ Layout::
 
 A **pack** holds every stored artifact of one dataset's apps for one
 kind, for every config.  Its file is a pickled header ``(magic, version,
-pack name, meta, payload_sha256, payload_size)`` followed by the
-payload: one pickle per entry, an app's result or one of its stage
-artifacts.  A result is plain data (verdicts, exclusions, facts rows);
-the captures are stage artifacts only.  ``meta`` is plain data — per
+pack name, meta bytes, sha256, payload_size)`` followed by the payload:
+one pickle per entry, an app's result or one of its stage artifacts.  A
+result is plain data (verdicts, exclusions, facts rows); the captures
+are stage artifacts only.  ``meta`` is pickled plain data — per
 fingerprint, the app, what the entry is (an app result also with its
-config digest) and the ``(start, end)`` span of its pickle — so
-``tools/diff_runs.py`` never unpickles a payload.
+config digest) and the ``(start, end)`` span of its pickle — and the
+digest covers its bytes with the payload's, so a lookup trusts no
+unverified header.  ``tools/diff_runs.py`` never unpickles a payload.
 
 A handle keeps one pack current and reads its header once per visit; a
 miss decodes nothing and a lookup decodes only its entry's pickle (an
 app result is found by app id and config digest, without deriving stage
-keys).  A write appends the pending additions' pickles to a fresh read
+keys).  Additions wait in the current pack until
+:meth:`ResultStore.publish_unit`, :meth:`ResultStore.flush` or a move to
+another pack writes them: a write appends their pickles to a fresh read
 of the file's payload, decoding nothing, and replaces the file
-atomically (``mkstemp`` plus ``os.replace``); under
-:meth:`ResultStore.holding` a unit's stages wait for
-:meth:`ResultStore.publish_unit`, which writes the pack once.
-Concurrent writers can lose an update, which reads as a miss, never as
-a wrong value.  A failed write raises :class:`StoreWriteError`.
+atomically (``mkstemp`` plus ``os.replace``).  Concurrent writers can
+lose an update, and a pack replaced since the handle read it serves
+nothing more: both read as a miss, never as a wrong value.  A failed
+write raises :class:`StoreWriteError`.
 
 A truncated, tampered or misnamed pack (or corpus file) is warned about,
 counted, deleted and recomputed.  Programming errors while unpickling
@@ -56,7 +59,6 @@ import os
 import pickle
 import tempfile
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional, Union
@@ -71,20 +73,20 @@ _CHUNK = 1 << 16
 #: On-disk format version.  v2: one slot file per app; v3: one pack file
 #: per dataset; v4: results carry per-flow facts and refer to their
 #: captures in the stage pickle; v5: one pickle per entry, results hold
-#: no captures.  A file of another version is never read (pack and corpus
+#: no captures; v6: the header's metadata is pickled bytes the digest
+#: covers.  A file of another version is never read (pack and corpus
 #: file names hash it).
-_VERSION = 5
-#: The schema version every fingerprint hashes.  Independent of the file
-#: format: repacking stored entries does not change what they are.
-_KEY_VERSION = 2
+_VERSION = 6
 
-#: Code/schema version salt.  Bump on any change to pipeline semantics or
-#: result dataclass schemas: old entries stop hitting instead of feeding
-#: stale results into a new checkout.  v2: stage-graph fingerprints —
-#: app-level keys are now the final stage's chain key, so every config
-#: knob (not just sleep/wait/pins) enters the address.  v3: results hold
-#: no captures.
-CODE_SALT = "pin-study-results-v3"
+
+def _salt() -> str:
+    """:data:`~repro.core.pipeline.graph.CODE_SALT`, imported on use:
+    the graph module imports :mod:`repro.core.exec.faults`, which imports
+    this one."""
+    from repro.core.pipeline.graph import CODE_SALT
+
+    return CODE_SALT
+
 
 #: What unpickling/validating a *damaged* pack can raise.  Truncated or
 #: bit-rotted pickle streams surface as :class:`pickle.UnpicklingError`,
@@ -159,25 +161,26 @@ def _identity(fh) -> tuple:
 def _read_envelope(path: Path, magic: str, name: str, keep_payload: bool = True):
     """The verified envelope file at ``path``, or None when it is absent.
 
-    The file is a pickled header ``(magic, version, name, meta,
-    payload_sha256, payload_size)`` followed by the payload.  A bad
-    magic, version, name or digest raises ``ValueError``, a short payload
-    ``EOFError``; damaged header bytes raise one of
-    :data:`_CORRUPTION_ERRORS`.  Without ``keep_payload`` the payload is
-    hashed in chunks and dropped.
+    The file is a pickled header ``(magic, version, name, meta bytes,
+    sha256, payload_size)`` followed by the payload; the digest covers
+    the meta bytes and the payload, and ``meta`` is unpickled only once
+    it is verified.  A bad magic, version, name or digest raises
+    ``ValueError``, a short payload ``EOFError``; damaged header bytes
+    raise one of :data:`_CORRUPTION_ERRORS`.  Without ``keep_payload``
+    the payload is hashed in chunks and dropped.
     """
     try:
         fh = open(path, "rb")
     except OSError:
         return None
     with fh:
-        file_magic, version, file_name, meta, digest, size = pickle.load(fh)
+        file_magic, version, file_name, meta_bytes, digest, size = pickle.load(fh)
         if file_magic != magic or version != _VERSION:
             raise ValueError(f"not a {magic} file")
         if file_name != name:
             raise ValueError("envelope name does not match its path")
         offset = fh.tell()
-        hasher = hashlib.sha256()
+        hasher = hashlib.sha256(meta_bytes)
         payload = fh.read(size) if keep_payload else None
         if payload is not None:
             hasher.update(payload)
@@ -193,8 +196,8 @@ def _read_envelope(path: Path, magic: str, name: str, keep_payload: bool = True)
         if received != size:
             raise EOFError("payload is truncated")
         if hasher.hexdigest() != digest:
-            raise ValueError("payload digest mismatch")
-        return _Envelope(meta, digest, offset, _identity(fh), payload)
+            raise ValueError("digest mismatch")
+        return _Envelope(pickle.loads(meta_bytes), digest, offset, _identity(fh), payload)
 
 
 def _write_envelope(path: Path, magic: str, name: str, meta: dict, encode) -> _Envelope:
@@ -208,8 +211,11 @@ def _write_envelope(path: Path, magic: str, name: str, meta: dict, encode) -> _E
     """
     try:
         payload = encode()
-        digest = hashlib.sha256(payload).hexdigest()
-        header = (magic, _VERSION, name, meta, digest, len(payload))
+        meta_bytes = pickle.dumps(meta)
+        hasher = hashlib.sha256(meta_bytes)
+        hasher.update(payload)
+        digest = hasher.hexdigest()
+        header = (magic, _VERSION, name, meta_bytes, digest, len(payload))
         try:
             fd, tmp = _mkstemp(path)
         except FileNotFoundError:
@@ -258,7 +264,7 @@ def _ensure_manifest(root: Path) -> None:
     try:
         if not (root / "store.json").exists():
             root.mkdir(parents=True, exist_ok=True)
-            manifest = {"magic": _MAGIC, "version": _VERSION, "salt": CODE_SALT}
+            manifest = {"magic": _MAGIC, "version": _VERSION, "salt": _salt()}
             with open(root / "store.json", "w") as fh:
                 json.dump(manifest, fh, indent=1, sort_keys=True)
                 fh.write("\n")
@@ -303,9 +309,9 @@ def normalize_extra(stage: str, extra) -> object:
 
 
 def pack_name(corpus_fp: str, kind: str, platform: str, dataset: str) -> str:
-    """The name of the pack holding every stored artifact of one
+    """The name of the pack that keeps every stored artifact of one
     dataset's apps for one kind."""
-    identity = repr((_VERSION, CODE_SALT, "pack", corpus_fp, kind, platform, dataset))
+    identity = repr((_VERSION, _salt(), "pack", corpus_fp, kind, platform, dataset))
     return hashlib.sha256(identity.encode("utf-8")).hexdigest()
 
 
@@ -396,9 +402,8 @@ class _Pack:
     in the payload), ``digest``, ``offset`` (of the payload in the file)
     and ``identity`` mirror the file as last read or written; the payload
     stays on disk.  ``index`` maps (app id, config digest) to the
-    fingerprint of each stored app result.  ``pending`` and ``written``
-    map fingerprints to ``(metadata, artifact)``: additions not yet
-    written, and the results this handle wrote.
+    fingerprint of each stored app result.  ``pending`` maps
+    fingerprints to ``(metadata, artifact)``: additions not yet written.
     """
 
     key: tuple
@@ -410,7 +415,6 @@ class _Pack:
     offset: int = 0
     identity: Optional[tuple] = None
     pending: dict = field(default_factory=dict)
-    written: dict = field(default_factory=dict)
 
     def adopt(self, envelope: Optional[_Envelope]) -> None:
         """Mirror ``envelope`` (None: no file)."""
@@ -451,8 +455,6 @@ class ResultStore:
             every key, so a store directory may safely hold entries from
             many configurations side by side.
         sleep_s: the dynamic capture window (results depend on it).
-        read: consult the store before computing (``--no-store-read``
-            turns this off to force a repopulating run).
         write: publish computed results (``--no-store-write`` turns this
             off for a read-only consumer).
 
@@ -468,14 +470,12 @@ class ResultStore:
         root: Union[str, Path],
         corpus,
         sleep_s: float = 30.0,
-        read: bool = True,
         write: bool = True,
     ):
         self.root = Path(root)
         self.corpus = corpus
         self.corpus_fp = corpus_fingerprint(corpus)
         self.sleep_s = float(sleep_s)
-        self.read = bool(read)
         self.write = bool(write)
         self.stats = StoreStats()
         # Pipeline objects per kind, bound by the engine so stage keys
@@ -492,14 +492,13 @@ class ResultStore:
         # when a binding changes.
         self._digests: dict = {}
         self._pack: Optional[_Pack] = None
-        self._held = False
         self._manifest_written = False
         self.freeze_decoded = False
 
     # -- layout ------------------------------------------------------------
 
     def pack_path(self, kind: str, platform: str, dataset: str) -> Path:
-        """The file holding every stored artifact of one dataset's apps
+        """The file that keeps every stored artifact of one dataset's apps
         for one kind."""
         return self._pack_file(pack_name(self.corpus_fp, kind, platform, dataset))
 
@@ -594,7 +593,7 @@ class ResultStore:
 
     def _open(self, kind: str, platform: str, dataset: str) -> _Pack:
         """Make one dataset's pack current, reading its file once per
-        visit (not with reads disabled; writes still merge with it).
+        visit.
 
         Moving to another pack first writes this one's pending additions.
         """
@@ -606,8 +605,7 @@ class ResultStore:
             self._write(current)
         name = pack_name(self.corpus_fp, *key)
         pack = _Pack(key, name, self._pack_file(name))
-        if self.read:
-            self._read(pack)
+        self._read(pack)
         self._pack = pack
         return pack
 
@@ -631,28 +629,22 @@ class ResultStore:
         """The value of entry ``key``, unpickled with collection paused, or
         ``miss``.
 
-        A pack file replaced since the handle read it is read again first.
-        Only errors damaged bytes can produce invalidate the pack; anything
-        else (an ``AttributeError`` from a renamed result class, an
-        ``ImportError`` from a moved module) is a programming error,
-        usually a missing :data:`CODE_SALT` bump, and propagates instead
-        of silently recomputing the store.
+        A pack file replaced since the handle read it serves nothing: the
+        entry misses.  Only errors damaged bytes can produce invalidate
+        the pack; anything else (an ``AttributeError`` from a renamed
+        result class, an ``ImportError`` from a moved module) is a
+        programming error, usually a missing :data:`CODE_SALT` bump, and
+        propagates instead of silently recomputing the store.
         """
         data = pack.pickled(key)
-        if data is None and key in pack.entries:
-            self._read(pack)
-            data = pack.pickled(key)
         if data is None:
             return miss
-        stage = pack.entries[key]["entry_kind"] == "stage"
         try:
             value = _loads_paused(data)
         except _CORRUPTION_ERRORS as exc:
             self._invalidate(pack.path, exc)
             pack.adopt(None)
             return miss
-        if stage:
-            obs.count("store.stages.decoded")
         if self.freeze_decoded:
             gc.freeze()
         return value
@@ -670,18 +662,13 @@ class ResultStore:
         """Append the pack's pending additions to a fresh read of its
         file, and replace the file.
 
-        Keys another handle stored are kept, and so are the results this
-        handle wrote before where a concurrent writer's replace dropped
-        them.  Pending keys already on disk are dropped (same content
-        address, same value); a pack with nothing new is not rewritten.
-        The stored entries' bytes are copied undecoded, and each addition
-        is pickled on its own after them.  Failures raise
-        :class:`StoreWriteError`.
+        Keys another handle stored are kept.  Pending keys already on
+        disk are dropped (same content address, same value); a pack with
+        nothing new is not rewritten.  The stored entries' bytes are
+        copied undecoded, and each addition is pickled on its own after
+        them.  Failures raise :class:`StoreWriteError`.
         """
         pending, pack.pending = pack.pending, {}
-        published = set(pending)
-        for key, addition in pack.written.items():
-            pending.setdefault(key, addition)
         payload = self._read(pack, keep_payload=True) or b""
         added = {key: item for key, item in pending.items() if key not in pack.entries}
         if not added:
@@ -700,56 +687,25 @@ class ResultStore:
         meta = dict(
             zip(("kind", "platform", "dataset"), pack.key),
             corpus=self.corpus_fp,
-            salt=CODE_SALT,
+            salt=_salt(),
             entries=entries,
         )
         if not self._manifest_written:
             _ensure_manifest(self.root)
             self._manifest_written = True
         pack.adopt(_write_envelope(pack.path, _PACK_MAGIC, pack.name, meta, encode))
-        for key, (meta, value) in added.items():
-            app = meta["entry_kind"] == "app"
-            if app:
-                pack.written[key] = (meta, value)
-            if key not in published:
-                continue
-            if app:
+        for entry, _value in added.values():
+            if entry["entry_kind"] == "app":
                 self.stats.published += 1
                 obs.count("store.apps.published")
             else:
                 self.stats.stage_published += 1
                 obs.count("store.stages.published")
 
-    def _flush(self) -> None:
+    def flush(self) -> None:
         """Write the current pack's pending additions, if any."""
         if self._pack is not None and self._pack.pending:
             self._write(self._pack)
-
-    @contextmanager
-    def holding(self):
-        """Hold computed stages until their unit's results are published.
-
-        Inside, :meth:`finish_app` leaves the stages a stage graph
-        computed pending, and the caller's :meth:`publish_unit` writes
-        them together with the unit's results: one write per unit.
-        Whatever is still pending on exit (the apps of a unit that failed
-        part-way) is written then.
-        """
-        self._held = True
-        try:
-            yield
-        finally:
-            self._held = False
-            self._flush()
-
-    def finish_app(self) -> None:
-        """A stage graph finished its app: write its pack.
-
-        Held (see :meth:`holding`), the write waits for the unit's
-        results.
-        """
-        if not self._held:
-            self._flush()
 
     # -- per-app access ----------------------------------------------------
 
@@ -762,8 +718,6 @@ class ResultStore:
         reads as a miss, so the caller recomputes instead of trusting a
         damaged payload.
         """
-        if not self.read:
-            return None
         pack = self._open(stage, platform, dataset)
         fingerprint = pack.index.get((app_id, self._config(stage, extra)))
         result = None if fingerprint is None else self._decode(pack, fingerprint)
@@ -783,7 +737,7 @@ class ResultStore:
         app_id: str,
         extra,
         result,
-    ) -> _Pack:
+    ) -> None:
         """File one app's result in its pack, pending the write.
 
         Its stage keys are then dropped from the memo: nothing of this
@@ -807,7 +761,6 @@ class ResultStore:
                 },
                 result,
             )
-        return pack
 
     def publish_app(
         self,
@@ -825,9 +778,8 @@ class ResultStore:
         """
         if not self.write:
             return
-        pack = self._add_app(stage, platform, dataset, app_id, extra, result)
-        if pack.pending:
-            self._write(pack)
+        self._add_app(stage, platform, dataset, app_id, extra, result)
+        self.flush()
 
     # -- per-stage access (the stage graphs' interface) --------------------
 
@@ -846,8 +798,6 @@ class ResultStore:
         corruption invalidates the pack and reads as a miss, same as
         the app-level contract.
         """
-        if not self.read:
-            return miss
         pack = self._open(kind, platform, dataset)
         value = self._decode(pack, fingerprint, miss)
         self._count_stage(kind, stage, hit=value is not miss)
@@ -875,9 +825,9 @@ class ResultStore:
     ) -> None:
         """Add one stage artifact to its dataset's pack, pending the write.
 
-        The pack is written by :meth:`finish_app` or, for a unit whose
-        results are being published, by :meth:`publish_unit`.  A stage
-        already filed, stored or pending, is kept as filed.
+        The pack is written with the unit's results by
+        :meth:`publish_unit`, or by :meth:`flush`.  A stage already
+        filed, stored or pending, is kept as filed.
         """
         if not self.write:
             return
@@ -908,8 +858,6 @@ class ResultStore:
         and is recomputed whole (and republished, so the next warm run
         hits).
         """
-        if not self.read:
-            return None
         kind, platform, dataset, _indices, _extra = unit
         results = []
         for app_id, app_extra in self._unit_apps(unit):
@@ -939,15 +887,11 @@ class ResultStore:
         kind, platform, dataset, indices, _extra = unit
         if len(results) != len(indices):
             return
-        pack = None
         for (app_id, app_extra), result in zip(
             self._unit_apps(unit), results
         ):
-            pack = self._add_app(
-                kind, platform, dataset, app_id, app_extra, result
-            )
-        if pack is not None and pack.pending:
-            self._write(pack)
+            self._add_app(kind, platform, dataset, app_id, app_extra, result)
+        self.flush()
 
 
 def _settings(config) -> tuple:
@@ -961,7 +905,7 @@ def corpus_file_name(config) -> str:
     Every field of the :class:`~repro.corpus.generator.CorpusConfig`
     enters it, with the store version and :data:`CODE_SALT`.
     """
-    identity = repr((_VERSION, CODE_SALT, "corpus", _settings(config)))
+    identity = repr((_VERSION, _salt(), "corpus", _settings(config)))
     return hashlib.sha256(identity.encode("utf-8")).hexdigest()
 
 
@@ -979,16 +923,14 @@ class CorpusStore:
 
     Args:
         root: store directory (created on first save).
-        read: read kept corpora (``--no-store-read`` regenerates).
         write: keep generated corpora (``--no-store-write`` does not).
 
     Attributes:
         loaded: whether the last corpus asked for came from the store.
     """
 
-    def __init__(self, root: Union[str, Path], read: bool = True, write: bool = True):
+    def __init__(self, root: Union[str, Path], write: bool = True):
         self.root = Path(root)
-        self.read = bool(read)
         self.write = bool(write)
         self.loaded = False
 
@@ -998,8 +940,6 @@ class CorpusStore:
     def load(self, config):
         """The kept corpus of ``config``, or None to generate it."""
         self.loaded = False
-        if not self.read:
-            return None
         path = self.path(config)
         try:
             envelope = _read_envelope(path, _CORPUS_MAGIC, path.stem)

@@ -49,6 +49,19 @@ SEED_ARTIFACTS = ("packaged", "app_id", "platform")
 #: Sentinel distinguishing "stage cache miss" from any stored value.
 _MISS = object()
 
+#: The schema version every fingerprint hashes.  Independent of the
+#: result store's file format: repacking stored entries does not change
+#: what they are.
+_KEY_VERSION = 2
+
+#: Code/schema version salt every fingerprint hashes.  Bump on any change
+#: to pipeline semantics or result dataclass schemas: old entries stop
+#: hitting instead of feeding stale results into a new checkout.  v2:
+#: stage-graph fingerprints — app-level keys are now the final stage's
+#: chain key, so every config knob (not just sleep/wait/pins) enters the
+#: address.  v3: results hold no captures.
+CODE_SALT = "pin-study-results-v3"
+
 
 @dataclass(frozen=True)
 class Artifact:
@@ -225,8 +238,6 @@ class StageGraph:
         app's stored result by (app id, digest) without deriving the
         chain; it is the same for every app under one config.
         """
-        from repro.core.exec.resultstore import _KEY_VERSION, CODE_SALT
-
         configs = self._configs(params or {}, knobs, overrides)
         identity = repr(
             (
@@ -262,8 +273,6 @@ class StageGraph:
         config names from; without one, ``overrides`` then
         :attr:`defaults` resolve them (the unbound-store path).
         """
-        from repro.core.exec.resultstore import _KEY_VERSION, CODE_SALT
-
         configs = self._configs(params or {}, knobs, overrides)
         keys: Dict[str, str] = {}
         for stage, config in zip(self.stages, configs):
@@ -307,8 +316,9 @@ class StageGraph:
         recomputation of only the invalidated suffix of the graph.  The
         stage keys come from the cache, which computes them once per app
         and config.  The dataset's pack is read once, on the first
-        lookup, and written when the graph finishes or fails (or, under
-        the engine, together with the whole unit's results).
+        lookup; the stages computed stay pending in it until the caller
+        writes them (:meth:`~repro.core.exec.resultstore.ResultStore.flush`;
+        the engine writes them with the unit's results).
         """
         params = dict(params or {})
         app = packaged.app
@@ -329,45 +339,40 @@ class StageGraph:
                 keys = cache.stage_keys(
                     self, app.platform, dataset, app.app_id, params, ctx
                 )
-            try:
-                for stage in self.stages:
-                    maybe_inject(
-                        fault_predicate, f"{self.kind}.{stage.name}", app.app_id
+            for stage in self.stages:
+                maybe_inject(
+                    fault_predicate, f"{self.kind}.{stage.name}", app.app_id
+                )
+                value = _MISS
+                if keys is not None and stage.persist:
+                    value = cache.lookup_stage(
+                        keys[stage.name],
+                        self.kind,
+                        stage.name,
+                        app.platform,
+                        dataset,
+                        miss=_MISS,
                     )
-                    value = _MISS
+                if value is _MISS:
+                    if stage.span:
+                        with obs.span(
+                            f"{self.kind}.{stage.name}", cat=self.kind
+                        ):
+                            value = stage.fn(ctx, artifacts)
+                    else:
+                        value = stage.fn(ctx, artifacts)
+                    obs.count(f"pipeline.{self.kind}.{stage.name}.computed")
                     if keys is not None and stage.persist:
-                        value = cache.lookup_stage(
+                        cache.publish_stage(
                             keys[stage.name],
                             self.kind,
                             stage.name,
                             app.platform,
                             dataset,
-                            miss=_MISS,
+                            app.app_id,
+                            value,
                         )
-                    if value is _MISS:
-                        if stage.span:
-                            with obs.span(
-                                f"{self.kind}.{stage.name}", cat=self.kind
-                            ):
-                                value = stage.fn(ctx, artifacts)
-                        else:
-                            value = stage.fn(ctx, artifacts)
-                        obs.count(f"pipeline.{self.kind}.{stage.name}.computed")
-                        if keys is not None and stage.persist:
-                            cache.publish_stage(
-                                keys[stage.name],
-                                self.kind,
-                                stage.name,
-                                app.platform,
-                                dataset,
-                                app.app_id,
-                                value,
-                            )
-                    artifacts[stage.name] = value
-            finally:
-                # Stages computed before a failing one stay stored.
-                if keys is not None:
-                    cache.finish_app()
+                artifacts[stage.name] = value
             return artifacts[self.final]
 
 

@@ -80,13 +80,6 @@ class TestWarmRuns:
         assert counters.get("store.units.hit", 0) > 0
         assert counters.get("store.units.miss", 0) == 0
 
-    def test_no_store_read_recomputes_everything(self, corpus, store_dir, cold):
-        cold_results, _ = cold
-        store = ResultStore(store_dir, corpus, read=False)
-        results = Study(corpus).run(store=store)
-        assert_same_results(cold_results, results)
-        assert store.stats.unit_hits == 0
-
 
 class TestInvalidation:
     def test_scale_perturbation_invalidates(self, store_dir, cold):

@@ -167,7 +167,7 @@ def test_stored_artifacts_are_acyclic(filled):
         for path in packs:
             blob = path.read_bytes()
             header = pickle.loads(blob)
-            meta, payload = header[3], blob[len(blob) - header[-1] :]
+            meta, payload = pickle.loads(header[3]), blob[len(blob) - header[-1] :]
             for entry in meta["entries"].values():
                 start, end = entry["span"]
                 value = pickle.loads(payload[start:end])

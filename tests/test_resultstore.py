@@ -15,13 +15,13 @@ import pytest
 from repro.core import obs
 from repro.core.exec import resultstore
 from repro.core.exec.resultstore import (
-    CODE_SALT,
     ResultStore,
     corpus_fingerprint,
     normalize_extra,
     summarize_result,
 )
 from repro.core.pipeline import graph_for
+from repro.core.pipeline.graph import CODE_SALT
 from repro.corpus import CorpusConfig, CorpusGenerator
 
 
@@ -127,7 +127,7 @@ class TestFingerprints:
     def test_salt_enters_fingerprint(self, monkeypatch):
         args = ("c", 30.0, "dynamic", "android", "popular", "x", 0.0)
         key, digest = app_key(*args), config_digest("dynamic", 0.0)
-        monkeypatch.setattr(resultstore, "CODE_SALT", CODE_SALT + "-bumped")
+        monkeypatch.setattr("repro.core.pipeline.graph.CODE_SALT", CODE_SALT + "-bumped")
         assert app_key(*args) != key
         assert config_digest("dynamic", 0.0) != digest
 
@@ -170,19 +170,6 @@ class TestRoundTrip:
                 "static", "ios", "common", "app-2", None, FakeResult("app-2")
             )
         assert store.stats.published == 1
-
-    def test_read_flag_disables_lookup(self, corpus, tmp_path):
-        writer = ResultStore(tmp_path / "s", corpus)
-        writer.publish_app(
-            "static", "ios", "common", "app-3", None, FakeResult("app-3")
-        )
-        no_read = ResultStore(tmp_path / "s", corpus, read=False)
-        assert (
-            no_read.lookup_app("static", "ios", "common", "app-3", None)
-            is None
-        )
-        # A disabled read is not a miss: nothing was consulted.
-        assert no_read.stats.app_misses == 0
 
     def test_write_flag_disables_publish(self, corpus, tmp_path):
         store = ResultStore(tmp_path / "s", corpus, write=False)

@@ -33,6 +33,7 @@ class TestStaticStageCache:
         pipeline = StaticPipeline(small_corpus.registry.ctlog)
         packaged = _app(small_corpus)
         cold = pipeline.analyze_app(packaged, cache=store, dataset="popular")
+        store.flush()
         assert store.stats.stage_misses == 3
         assert store.stats.stage_published == 3
         warm = pipeline.analyze_app(packaged, cache=store, dataset="popular")
@@ -45,6 +46,7 @@ class TestStaticStageCache:
         baseline = StaticPipeline(small_corpus.registry.ctlog)
         packaged = _app(small_corpus)
         baseline.analyze_app(packaged, cache=store, dataset="popular")
+        store.flush()
 
         flipped = StaticPipeline(
             small_corpus.registry.ctlog, include_native=False
@@ -75,6 +77,7 @@ class TestDynamicStageCache:
         packaged = _app(small_corpus)
         baseline = DynamicPipeline(small_corpus)
         cold = baseline.run_app(packaged, cache=store, dataset="popular")
+        store.flush()
         hits_before = store.stats.stage_hits
 
         flipped = DynamicPipeline(small_corpus, detector="naive")
@@ -99,6 +102,7 @@ class TestDynamicStageCache:
         packaged = _app(small_corpus, platform="ios", dataset="common")
         pipeline = DynamicPipeline(small_corpus)
         pipeline.run_app(packaged, cache=store, dataset="common")
+        store.flush()
         misses_before = store.stats.stage_misses
         hits_before = store.stats.stage_hits
         pipeline.run_app(
@@ -128,6 +132,7 @@ class TestCircumventStageCache:
         baseline.circumvent_app_pins(
             packaged, result.pinned_destinations, cache=store, dataset="popular"
         )
+        store.flush()
         misses_before = store.stats.stage_misses
 
         # Same hook set again: the capture is served from the store.
@@ -158,6 +163,7 @@ class TestCircumventStageCache:
         full = pipeline.circumvent_app_pins(
             packaged, result.pinned_destinations, cache=store, dataset="popular"
         )
+        store.flush()
         subset = {sorted(result.pinned_destinations)[0]}
         hits_before = store.stats.stage_hits
         narrowed = pipeline.circumvent_app_pins(
@@ -179,6 +185,7 @@ class TestStoreStats:
         assert "stage" not in store.stats.describe()
         pipeline = StaticPipeline(small_corpus.registry.ctlog)
         pipeline.analyze_app(_app(small_corpus), cache=store, dataset="popular")
+        store.flush()
         description = store.stats.describe()
         assert "3 stage hit(s) / 3 miss(es)" not in description
         assert "stage entr(ies) published" in description

@@ -3,10 +3,10 @@
 A pack holds every stored artifact of one dataset's apps for one kind,
 for every config (DESIGN.md §10).  The contract under test: a write
 never drops another config's keys — the Common-iOS re-run, a
-``--detector`` flip, ``--no-store-read`` and a second handle all add to
-the pack — a lost update between concurrent writers reads as a miss and
-recomputes to the cold output, and a corrupt pack costs exactly that
-dataset's entries of its kind, all of them.
+``--detector`` flip and a second handle all add to the pack — a lost
+update between concurrent writers reads as a miss and recomputes to the
+cold output, and a corrupt pack, its header included, costs exactly
+that dataset's entries of its kind, all of them.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import threading
 import pytest
 
 from repro.core.analysis import Study
-from repro.core.exec import ResultStore, StoreWriteError
-from repro.core.exec.faults import InjectedFault
+from repro.core.exec import ExecutionEngine, ExecutionPlan, ResultStore, StoreWriteError
 from repro.core.static.pipeline import StaticPipeline
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.reporting.render import render_study_stdout
@@ -126,15 +125,6 @@ class TestSlotMerge:
             assert run(corpus, store, detector=detector) == expected
             assert store.stats.unit_misses == 0
             assert store.stats.unit_hits > 0
-
-    def test_no_store_read_keeps_existing_keys(
-        self, corpus, filled, cold, flipped_cold
-    ):
-        repopulate = ResultStore(filled, corpus, read=False)
-        assert run(corpus, repopulate, detector=FLIP) == flipped_cold
-        warm = ResultStore(filled, corpus, write=False)
-        assert run(corpus, warm) == cold
-        assert warm.stats.unit_misses == 0
 
     def test_second_handle_merges_into_existing_slot(self, corpus, tmp_path):
         app_id = corpus.dataset("ios", "common")[0].app.app_id
@@ -293,7 +283,6 @@ class TestConcurrentHandles:
         assert errors == []
         reader = ResultStore(tmp_path / "s", corpus)
         for app_id in apps:
-            served = 0
             for wait in [0.0, *waits]:
                 result = reader.lookup_app(
                     "dynamic", "ios", "popular", app_id, wait
@@ -301,8 +290,6 @@ class TestConcurrentHandles:
                 if result is not None:
                     expected = {f"w{wait}"} if wait else set()
                     assert result.pinned_destinations == expected
-                    served += 1
-            assert served >= 2  # the last writer's two keys survive
         assert not list((tmp_path / "s").rglob("*.tmp"))
 
 
@@ -339,6 +326,37 @@ class TestSlotCorruption:
         assert run(corpus, healed) == cold
         assert healed.stats.unit_misses == 0
 
+    def test_edited_header_is_corrupt_not_served(self, corpus, filled, cold):
+        """Swapping two apps' ids in a pack's header, a same-length edit
+        of its metadata, is caught by the digest: the pack is
+        invalidated and recomputed, and neither app is served the
+        other's result."""
+        ids = [packaged.app.app_id for packaged in corpus.dataset("ios", "random")]
+        first = ids[0]
+        second = next(app_id for app_id in ids[1:] if len(app_id) == len(first))
+        victim = ResultStore(filled, corpus).pack_path("dynamic", "ios", "random")
+        blob = victim.read_bytes()
+        header = blob[: len(blob) - pickle.loads(blob)[-1]]
+        placeholder = b"\0" * len(first)
+        edited = (
+            header.replace(first.encode(), placeholder)
+            .replace(second.encode(), first.encode())
+            .replace(placeholder, second.encode())
+        )
+        assert edited != header
+        victim.write_bytes(edited + blob[len(header) :])
+
+        probe = ResultStore(filled, corpus, write=False)
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            assert probe.lookup_app("dynamic", "ios", "random", second, 0.0) is None
+        assert probe.stats.invalidated == 1
+        assert not victim.exists()
+
+        store = ResultStore(filled, corpus)
+        assert run(corpus, store) == cold
+        assert store.stats.unit_misses > 0
+        assert store.stats.published > 0
+
 
 def no_disk_space(*args, **kwargs):
     raise OSError(errno.ENOSPC, "No space left on device")
@@ -366,22 +384,23 @@ class TestStoreWriteFailures:
         assert len(calls) == 1
 
     def test_stages_of_a_failed_app_stay_stored(self, corpus, tmp_path):
-        """Outside the engine, the stages an app finished before a later
-        stage raised are written when the graph fails."""
-        packaged = corpus.dataset("android", "popular")[0]
-        ctlog = corpus.registry.ctlog
-        failing = StaticPipeline(
-            ctlog, fault_predicate=lambda phase, _: phase == "static.ct_lookup"
+        """A unit whose app fails at its last stage still writes the
+        stages that app finished."""
+        apps = corpus.dataset("android", "popular")
+        failing = apps[1].app.app_id
+        engine = ExecutionEngine(
+            corpus,
+            plan=ExecutionPlan(max_retries=0),
+            fault_predicate=lambda phase, app_id: (
+                phase == "static.ct_lookup" and app_id == failing
+            ),
+            store=ResultStore(tmp_path / "s", corpus),
         )
-        with pytest.raises(InjectedFault):
-            failing.analyze_app(
-                packaged,
-                cache=ResultStore(tmp_path / "s", corpus),
-                dataset="popular",
-            )
+        outcome = engine.map_dataset("static", ("android", "popular"), range(3))
+        assert [failure.app_id for failure in outcome.failures] == [failing]
         store = ResultStore(tmp_path / "s", corpus)
-        StaticPipeline(ctlog).analyze_app(
-            packaged, cache=store, dataset="popular"
+        StaticPipeline(corpus.registry.ctlog).analyze_app(
+            apps[1], cache=store, dataset="popular"
         )
         assert store.stats.stage_hits == 2  # decompile, scan
         assert store.stats.stage_misses == 1

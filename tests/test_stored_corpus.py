@@ -114,12 +114,6 @@ class TestStoredCorpus:
         assert "; corpus generated\n" in captured.err
         assert not (root / "corpus").exists()
 
-    def test_no_store_read_regenerates(self, tmp_path):
-        CorpusGenerator(CONFIG).generate(CorpusStore(tmp_path))
-        store = CorpusStore(tmp_path, read=False)
-        CorpusGenerator(CONFIG).generate(store)
-        assert not store.loaded
-
     def test_each_config_has_its_own_file(self, tmp_path):
         other = CorpusConfig(seed=SEED).scaled(0.03)
         reseeded = CorpusConfig(seed=SEED + 1).scaled(SCALE)

@@ -130,6 +130,19 @@ class TestDiffRuns:
         assert diff_runs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
         capsys.readouterr()
 
+    def test_format_5_store_compares(self, corpus, tmp_path, capsys):
+        """A store written before the header's metadata was pickled
+        (format 5: the dict itself) compares with one written after."""
+        populate(ResultStore(tmp_path / "a", corpus), corpus)
+        populate(ResultStore(tmp_path / "b", corpus), corpus)
+        for path in (tmp_path / "b" / "packs").glob("*.pkl"):
+            blob = path.read_bytes()
+            magic, _version, name, meta, digest, size = pickle.loads(blob)
+            header = (magic, 5, name, pickle.loads(meta), digest, size)
+            path.write_bytes(pickle.dumps(header) + blob[len(blob) - size :])
+        assert diff_runs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+        assert "identical: 5 entr(ies)" in capsys.readouterr().out
+
     def test_not_a_store_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             diff_runs.main([str(tmp_path), str(tmp_path)])
@@ -204,13 +217,14 @@ class TestCheckStoreHits:
 
 def write_pack(root, name, stages):
     """A pack file whose header lists one stage entry per ``stages`` item
-    (a ``kind.stage`` name); the checker reads headers only."""
+    (a ``kind.stage`` name); the checker reads headers only, and the
+    header's metadata is pickled bytes (store format 6)."""
     entries = {
         f"{name}-{position}": {"entry_kind": "stage", "app_id": "a", "stage": stage}
         for position, stage in enumerate(stages)
     }
     entries[f"{name}-app"] = {"entry_kind": "app", "app_id": "a", "stage": "dynamic"}
-    header = ("repro-result-pack", 5, name, {"entries": entries}, "", 0)
+    header = ("repro-result-pack", 6, name, pickle.dumps({"entries": entries}), "", 0)
     (root / "packs").mkdir(parents=True, exist_ok=True)
     (root / "packs" / f"{name}.pkl").write_bytes(pickle.dumps(header))
 
@@ -256,10 +270,12 @@ class TestStageWrites:
 
 
 class TestStageDecodes:
+    """``--stage-hits``: each stage hit decodes one stored stage entry."""
+
     def decodes(self, tmp_path, count, expect):
-        counters = {"store.stages.decoded": count} if count is not None else {}
+        counters = {"store.stages.hit": count} if count is not None else {}
         (tmp_path / "m.json").write_text(json.dumps({"counters": counters}))
-        return check_store_hits.main([str(tmp_path / "m.json"), "--stage-decodes", expect])
+        return check_store_hits.main([str(tmp_path / "m.json"), "--stage-hits", expect])
 
     def test_none(self, tmp_path):
         assert self.decodes(tmp_path, None, "none") == 0
@@ -268,6 +284,16 @@ class TestStageDecodes:
     def test_some(self, tmp_path):
         assert self.decodes(tmp_path, 3, "some") == 0
         assert self.decodes(tmp_path, 0, "some") == 1
+
+    def test_read_beside_stage_cold(self, tmp_path):
+        counters = {
+            "store.stages.hit": 3,
+            "store.stage.dynamic.detect.miss": 1,
+            "store.stage.dynamic.run_direct.hit": 3,
+        }
+        (tmp_path / "m.json").write_text(json.dumps({"counters": counters}))
+        argv = [str(tmp_path / "m.json"), "--stage-cold", "dynamic.detect"]
+        assert check_store_hits.main([*argv, "--stage-hits", "some"]) == 0
 
 
 def write_bench(path, static_mean, dynamic_mean):

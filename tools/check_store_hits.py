@@ -24,13 +24,13 @@ stage it computed and recomputed none it held: for every persisted
 stage, its ``pipeline.KIND.STAGE.computed`` count must equal the stage
 entries the run added to the store's packs — the pack headers now
 against ``BEFORE``, the counts ``--snapshot`` printed from the headers
-before the run.  ``--stage-decodes none|some`` asserts the run
-unpickled no stage pickle (``store.stages.decoded`` is 0: a warm run
-reads no capture) or at least one.
+before the run.  ``--stage-hits none|some`` asserts the run served no
+stored stage (``store.stages.hit`` is 0: a warm run reads no capture)
+or at least one; each stage hit decodes exactly its own entry.
 
-Stdlib-only: pack headers are plain data, read without importing
-``repro``.  Exit status: 0 when the invariant holds, 1 when it does
-not, 2 on malformed input.
+Stdlib-only: a pack header's metadata is pickled plain data, read
+without importing ``repro``.  Exit status: 0 when the invariant holds,
+1 when it does not, 2 on malformed input.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def stage_entries(root) -> dict:
     counts: dict = {}
     for path in sorted(Path(root, "packs").glob("*.pkl")):
         with open(path, "rb") as fh:
-            meta = pickle.load(fh)[3]
+            meta = pickle.loads(pickle.load(fh)[3])
         for entry in meta["entries"].values():
             if entry.get("entry_kind") == "stage":
                 counts[entry["stage"]] = counts.get(entry["stage"], 0) + 1
@@ -121,9 +121,9 @@ def main(argv=None):
         "wrote BEFORE",
     )
     parser.add_argument(
-        "--stage-decodes",
+        "--stage-hits",
         choices=("none", "some"),
-        help="fail unless the run unpickled no stage pickle (none) or at least one (some)",
+        help="fail unless the run served no stored stage (none) or at least one (some)",
     )
     args = parser.parse_args(argv)
     if args.snapshot is not None:
@@ -141,11 +141,11 @@ def main(argv=None):
         and not args.expect_no_hits
         and not args.stage_cold
         and args.since is None
-        and args.stage_decodes is None
+        and args.stage_hits is None
     ):
         parser.error(
             "give METRICS and --min-hit-rate, --expect-no-hits, --stage-cold, "
-            "--store/--since and/or --stage-decodes (or --snapshot STORE)"
+            "--store/--since and/or --stage-hits (or --snapshot STORE)"
         )
 
     try:
@@ -154,7 +154,7 @@ def main(argv=None):
         hits = float(counters.get("store.units.hit", 0))
         misses = float(counters.get("store.units.miss", 0))
         stages = _stage_tallies(counters)
-        decoded = float(counters.get("store.stages.decoded", 0))
+        served = float(counters.get("store.stages.hit", 0))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: unreadable metrics file: {exc}", file=sys.stderr)
         return 2
@@ -226,11 +226,11 @@ def main(argv=None):
         if failures:
             return 1
 
-    if args.stage_decodes is not None:
-        print(f"stage pickles decoded: {decoded:g}")
-        if (args.stage_decodes == "none") != (decoded == 0):
+    if args.stage_hits is not None:
+        print(f"stage hits: {served:g}")
+        if (args.stage_hits == "none") != (served == 0):
             print(
-                f"FAIL: expected {args.stage_decodes} stage pickle decodes, got {decoded:g}",
+                f"FAIL: expected {args.stage_hits} stage hits, got {served:g}",
                 file=sys.stderr,
             )
             return 1

@@ -27,7 +27,9 @@ is pinned.
 Stdlib-only by design: each dataset's pack is a self-describing
 envelope whose metadata lists every stored key with its app and
 plain-data context and summaries, so this tool never imports the
-``repro`` package or unpickles result payloads.
+``repro`` package or unpickles result payloads.  It reads the pickled
+metadata of format 6 and the plain dict of earlier formats, so stores
+written by different checkouts compare.
 
 Exit status: 0 when the stores are identical, 1 when they differ, 2 on
 usage or store-format errors.
@@ -65,6 +67,10 @@ def load_store(root):
             magic, _version, _name, meta, _digest, _payload = envelope
             if magic != _PACK_MAGIC:
                 raise ValueError("bad pack magic")
+            if isinstance(meta, bytes):
+                # Format 6 pickles the metadata into the header; earlier
+                # formats stored the dict itself.
+                meta = pickle.loads(meta)
             dataset = (meta["platform"], meta["dataset"])
             stored = meta["entries"].items()
         except Exception as exc:

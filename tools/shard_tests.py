@@ -56,7 +56,7 @@ def main(argv=None):
     parser.add_argument(
         "--test-dir",
         default="tests",
-        help="directory holding test_*.py files (default: tests)",
+        help="directory of the test_*.py files (default: tests)",
     )
     args = parser.parse_args(argv)
 
