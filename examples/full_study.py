@@ -67,11 +67,6 @@ def main() -> None:
         "the same configuration recompute only what changed",
     )
     parser.add_argument(
-        "--no-store-write",
-        action="store_true",
-        help="do not publish results to --store",
-    )
-    parser.add_argument(
         "--trace-out",
         type=str,
         default="",
@@ -103,7 +98,7 @@ def main() -> None:
         config = config.scaled(args.scale)
     corpus_store = None
     if args.store:
-        corpus_store = CorpusStore(args.store, write=not args.no_store_write)
+        corpus_store = CorpusStore(args.store)
     corpus = CorpusGenerator(config).generate(corpus_store)
     emit(
         f"corpus: {corpus.total_unique_apps()} unique apps "
@@ -123,12 +118,7 @@ def main() -> None:
     study = Study(corpus, plan=plan, fault_predicate=faults)
     store = None
     if args.store:
-        store = ResultStore(
-            args.store,
-            corpus,
-            sleep_s=study.sleep_s,
-            write=not args.no_store_write,
-        )
+        store = ResultStore(args.store, corpus)
     results = study.run(recorder=recorder, store=store)
     emit(f"study: complete ({stopwatch.elapsed():.0f}s)")
     if store is not None:

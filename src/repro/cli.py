@@ -120,12 +120,7 @@ def _cmd_study(args) -> int:
     )
     store = None
     if args.store:
-        store = ResultStore(
-            args.store,
-            corpus,
-            sleep_s=study.sleep_s,
-            write=not args.no_store_write,
-        )
+        store = ResultStore(args.store, corpus, write=not args.no_store_write)
     audit_enabled = args.audit or args.audit_out is not None
     results = study.run(
         recorder=recorder,

@@ -400,7 +400,6 @@ class Study:
         self,
         recorder: Optional["obs_mod.Recorder"] = None,
         store=None,
-        store_write: bool = True,
         audit: Union[bool, str] = False,
     ) -> StudyResults:
         """Execute every pipeline stage; deterministic for a given corpus
@@ -429,8 +428,6 @@ class Study:
                 identical results; any configuration change (seed,
                 scale, capture window, code version) changes the
                 fingerprints and invalidates cleanly.
-            store_write: publish computed results (ignored without
-                ``store``).
             audit: run the ground-truth audit over the finished results
                 and attach the report as ``StudyResults.audit``.  Pass
                 ``True`` (or ``"standard"``) for the oracle + invariant
@@ -449,12 +446,7 @@ class Study:
             self.engine.recorder = recorder
             recorder.install()
         if store is not None and not isinstance(store, ResultStore):
-            store = ResultStore(
-                store,
-                self.corpus,
-                sleep_s=self.sleep_s,
-                write=store_write,
-            )
+            store = ResultStore(store, self.corpus)
         self.engine.store = store
         self.engine.freeze_results = gc.get_freeze_count() == 0
         if store is not None:

@@ -116,11 +116,6 @@ CIRCUMVENT_GRAPH = StageGraph(
             span=False,
         ),
     ),
-    defaults={
-        "hook_set": None,
-        "sleep_s": 30.0,
-        "transient_failure_prob": 0.015,
-    },
     params_from_extra=lambda extra: {"pinned": tuple(sorted(extra))},
 )
 

@@ -215,11 +215,6 @@ DYNAMIC_GRAPH = StageGraph(
             span=False,
         ),
     ),
-    defaults={
-        "sleep_s": 30.0,
-        "transient_failure_prob": 0.015,
-        "detector": "full",
-    },
     params_from_extra=lambda extra: {
         "wait": float(extra or 0.0),
         "interact": False,

@@ -21,16 +21,15 @@ testable too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.exec.resultstore import StoreWriteError
+# The stage graph fires injected faults; they are exported here as well.
+from repro.core.pipeline.graph import FaultPredicate, InjectedFault, maybe_inject  # noqa: F401
 from repro.util.rng import derive_seed
 
 #: Pipeline phases a fault predicate may be consulted for.
 PHASES: Tuple[str, ...] = ("static", "dynamic", "circumvent")
-
-#: ``(phase, app_id) -> should this app's unit of work fail?``
-FaultPredicate = Callable[[str, str], bool]
 
 #: Exception types a retry can never cure.  These are programming errors
 #: — a detector dereferencing an attribute that does not exist, a moved
@@ -64,27 +63,6 @@ def is_retryable(exc: BaseException) -> bool:
     run instead of being masked as per-app losses.
     """
     return not isinstance(exc, NON_RETRYABLE_ERRORS)
-
-
-class InjectedFault(RuntimeError):
-    """Raised by a pipeline when its fault predicate fires for an app."""
-
-    def __init__(self, phase: str, app_id: str):
-        super().__init__(f"injected fault: phase={phase} app={app_id}")
-        self.phase = phase
-        self.app_id = app_id
-
-
-def maybe_inject(
-    predicate: Optional[FaultPredicate], phase: str, app_id: str
-) -> None:
-    """Raise :class:`InjectedFault` if ``predicate`` fires for this app.
-
-    Pipelines call this before doing any per-app work, so an injected
-    fault never leaves partially computed state behind.
-    """
-    if predicate is not None and predicate(phase, app_id):
-        raise InjectedFault(phase, app_id)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 A :class:`ResultStore` keeps per-app pipeline results on disk, each
 filed under a **fingerprint** of everything it is a function of: the key
 schema version and code salt (:mod:`repro.core.pipeline.graph`), the
-corpus fingerprint (seed plus dataset sizes), the capture window, the
-stage, the app's platform, dataset and id, and its per-app stage config
-(for graph kinds, the final stage's chain key).  Unit boundaries,
+corpus fingerprint (seed plus dataset sizes), the stage, the app's
+platform, dataset and id, and its stage config: the final stage's chain
+key, which hashes every config knob (the capture window among them) as
+read off the pipelines bound to the handle.  Unit boundaries,
 retries and telemetry are absent, so a warm run hits however the cold
 run was scheduled; it recomputes only fingerprint misses and stays
 bit-for-bit identical to a cold run.  DESIGN.md §10 has the full
@@ -14,7 +15,7 @@ contract.
 Layout::
 
     store/
-      store.json          # informational manifest (version, salt)
+      store.json          # manifest (version, salt); another one sweeps old files
       packs/<pack>.pkl    # one file per (corpus, kind, platform, dataset)
       corpus/<name>.pkl   # one generated corpus per corpus config
 
@@ -64,6 +65,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.core import obs
+from repro.core.pipeline.graph import CODE_SALT
 
 _MAGIC = "repro-result-store"
 _PACK_MAGIC = "repro-result-pack"
@@ -77,15 +79,6 @@ _CHUNK = 1 << 16
 #: covers.  A file of another version is never read (pack and corpus
 #: file names hash it).
 _VERSION = 6
-
-
-def _salt() -> str:
-    """:data:`~repro.core.pipeline.graph.CODE_SALT`, imported on use:
-    the graph module imports :mod:`repro.core.exec.faults`, which imports
-    this one."""
-    from repro.core.pipeline.graph import CODE_SALT
-
-    return CODE_SALT
 
 
 #: What unpickling/validating a *damaged* pack can raise.  Truncated or
@@ -259,15 +252,32 @@ def _mkstemp(path: Path):
 
 
 def _ensure_manifest(root: Path) -> None:
-    """Write ``store.json`` unless it exists.  Failures raise
-    :class:`StoreWriteError`."""
+    """Write ``store.json`` unless it names this format version and salt.
+
+    A manifest that names another version or salt means the store holds
+    files of that other code.  Their names hash the version and salt, so
+    no read of this code ever finds them; they are deleted before the
+    manifest is rewritten.  A manifest that is missing or does not parse
+    (a concurrent handle may be writing it) deletes nothing: every writer
+    writes the manifest before its first file.  Failures raise
+    :class:`StoreWriteError`.
+    """
+    manifest = {"magic": _MAGIC, "version": _VERSION, "salt": CODE_SALT}
+    path = root / "store.json"
     try:
-        if not (root / "store.json").exists():
-            root.mkdir(parents=True, exist_ok=True)
-            manifest = {"magic": _MAGIC, "version": _VERSION, "salt": _salt()}
-            with open(root / "store.json", "w") as fh:
-                json.dump(manifest, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+        try:
+            found = json.loads(path.read_text())
+        except (FileNotFoundError, ValueError):
+            found = None
+        if found == manifest:
+            return
+        if found is not None:
+            for stale in (*root.glob("packs/*.pkl"), *root.glob("corpus/*.pkl")):
+                stale.unlink(missing_ok=True)
+        root.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump(manifest, fh, indent=1, sort_keys=True)
+            fh.write("\n")
     except OSError as exc:
         raise StoreWriteError(f"cannot write result store manifest in {root}: {exc}") from exc
 
@@ -311,7 +321,7 @@ def normalize_extra(stage: str, extra) -> object:
 def pack_name(corpus_fp: str, kind: str, platform: str, dataset: str) -> str:
     """The name of the pack that keeps every stored artifact of one
     dataset's apps for one kind."""
-    identity = repr((_VERSION, _salt(), "pack", corpus_fp, kind, platform, dataset))
+    identity = repr((_VERSION, CODE_SALT, "pack", corpus_fp, kind, platform, dataset))
     return hashlib.sha256(identity.encode("utf-8")).hexdigest()
 
 
@@ -347,8 +357,6 @@ class StoreStats:
 
     unit_hits: int = 0
     unit_misses: int = 0
-    app_hits: int = 0
-    app_misses: int = 0
     stage_hits: int = 0
     stage_misses: int = 0
     stage_published: int = 0
@@ -454,9 +462,14 @@ class ResultStore:
         corpus: the corpus this handle serves; its fingerprint enters
             every key, so a store directory may safely hold entries from
             many configurations side by side.
-        sleep_s: the dynamic capture window (results depend on it).
         write: publish computed results (``--no-store-write`` turns this
             off for a read-only consumer).
+
+    Every address hashes the config knobs of the pipeline bound for its
+    kind (:meth:`bind_pipelines`, or the pipeline a graph run hands
+    over).  Asking for an address of a kind with no bound pipeline is a
+    caller's error and raises ``TypeError``, which the engine never
+    retries.
 
     Attributes:
         freeze_decoded: when true, :func:`gc.freeze` follows each
@@ -465,24 +478,13 @@ class ResultStore:
             when it ends (``Study.run``).
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        corpus,
-        sleep_s: float = 30.0,
-        write: bool = True,
-    ):
+    def __init__(self, root: Union[str, Path], corpus, write: bool = True):
         self.root = Path(root)
         self.corpus = corpus
         self.corpus_fp = corpus_fingerprint(corpus)
-        self.sleep_s = float(sleep_s)
         self.write = bool(write)
         self.stats = StoreStats()
-        # Pipeline objects per kind, bound by the engine so stage keys
-        # resolve config knobs from the live configuration.  Unbound,
-        # knobs resolve to the graphs' declared defaults (with the
-        # handle's sleep window overriding the dynamic default), which
-        # matches a default-configured study.
+        # The pipeline object per kind that config knobs are read from.
         self._knobs: dict = {}
         # (kind, platform, dataset, app id, params) -> stage keys under
         # the bound knobs, for the apps whose result is not filed yet;
@@ -507,24 +509,32 @@ class ResultStore:
 
     # -- stage graphs ------------------------------------------------------
 
-    def bind_pipelines(
-        self, static=None, dynamic=None, circumvent=None
-    ) -> None:
+    def bind_pipelines(self, static=None, dynamic=None, circumvent=None) -> None:
         """Attach the live pipeline objects config knobs resolve from.
 
-        The engine binds its pipelines at run entry; thereafter every
-        fingerprint reflects the actual configuration (``include_native``,
-        detector variant, hook set, …) instead of the graph defaults.
+        The engine binds its pipelines at run entry, so every address
+        reflects the run's configuration (``include_native``, detector
+        variant, hook set, capture window, …).
         """
         for kind, pipeline in (
             ("static", static),
             ("dynamic", dynamic),
             ("circumvent", circumvent),
         ):
-            if pipeline is not None and self._knobs.get(kind) is not pipeline:
-                self._knobs[kind] = pipeline
-                self._keys_memo.clear()
-                self._digests.clear()
+            if pipeline is not None:
+                self._bind(kind, pipeline)
+
+    def _bind(self, kind: str, pipeline) -> None:
+        if self._knobs.get(kind) is not pipeline:
+            self._knobs[kind] = pipeline
+            self._keys_memo.clear()
+            self._digests.clear()
+
+    def _pipeline(self, kind: str):
+        """The pipeline bound for ``kind``, the one source of its knobs."""
+        if self._knobs.get(kind) is None:
+            raise TypeError(f"no {kind} pipeline is bound to the result store (bind_pipelines)")
+        return self._knobs[kind]
 
     @staticmethod
     def _graph(kind: str):
@@ -540,21 +550,15 @@ class ResultStore:
     ) -> dict:
         """The stage keys of one app and config, knobs read from ``knobs``.
 
-        Under the bound pipeline they are computed once and shared by the
-        stage lookups and the result's own address until the result is
-        filed.  Serving a stored result needs none
-        (:meth:`lookup_app` finds it by config digest).
+        ``knobs`` is the pipeline running ``graph`` and becomes the bound
+        pipeline of its kind (in an engine run it is already the bound
+        one).  The keys are computed once and shared by the stage
+        lookups and the result's own address until the result is filed.
+        Serving a stored result needs none (:meth:`lookup_app` finds it
+        by config digest).
         """
-        if knobs is not self._knobs.get(graph.kind):
-            return graph.stage_keys(
-                self.corpus_fp, platform, dataset, app_id, params=params, knobs=knobs
-            )
+        self._bind(graph.kind, knobs)
         return self._stage_keys(graph, platform, dataset, app_id, params)
-
-    def _resolution(self, kind: str) -> tuple:
-        """``(knobs, overrides)`` config knobs of ``kind`` resolve from."""
-        knobs = self._knobs.get(kind)
-        return knobs, None if knobs is not None else {"sleep_s": self.sleep_s}
 
     def _stage_keys(
         self, graph, platform: str, dataset: str, app_id: str, params: dict
@@ -563,17 +567,9 @@ class ResultStore:
         memo = _memo_key(graph, platform, dataset, app_id, params)
         keys = self._keys_memo.get(memo)
         if keys is None:
-            knobs, overrides = self._resolution(graph.kind)
-            keys = graph.stage_keys(
-                self.corpus_fp,
-                platform,
-                dataset,
-                app_id,
-                params=params,
-                knobs=knobs,
-                overrides=overrides,
+            keys = self._keys_memo[memo] = graph.stage_keys(
+                self.corpus_fp, platform, dataset, app_id, params, self._pipeline(graph.kind)
             )
-            self._keys_memo[memo] = keys
         return keys
 
     def _config(self, kind: str, extra) -> str:
@@ -585,8 +581,7 @@ class ResultStore:
         memo = kind, tuple(sorted(params.items()))
         digest = self._digests.get(memo)
         if digest is None:
-            knobs, overrides = self._resolution(kind)
-            digest = self._digests[memo] = graph.config_digest(params, knobs, overrides)
+            digest = self._digests[memo] = graph.config_digest(params, self._pipeline(kind))
         return digest
 
     # -- packs -------------------------------------------------------------
@@ -687,7 +682,7 @@ class ResultStore:
         meta = dict(
             zip(("kind", "platform", "dataset"), pack.key),
             corpus=self.corpus_fp,
-            salt=_salt(),
+            salt=CODE_SALT,
             entries=entries,
         )
         if not self._manifest_written:
@@ -720,14 +715,7 @@ class ResultStore:
         """
         pack = self._open(stage, platform, dataset)
         fingerprint = pack.index.get((app_id, self._config(stage, extra)))
-        result = None if fingerprint is None else self._decode(pack, fingerprint)
-        if result is None:
-            self.stats.app_misses += 1
-            obs.count("store.apps.miss")
-            return None
-        self.stats.app_hits += 1
-        obs.count("store.apps.hit")
-        return result
+        return None if fingerprint is None else self._decode(pack, fingerprint)
 
     def _add_app(
         self,
@@ -755,31 +743,11 @@ class ResultStore:
                     "app_id": app_id,
                     "stage": stage,
                     "config": self._config(stage, extra),
-                    "sleep_s": self.sleep_s,
                     "extra": repr(normalize_extra(stage, extra)),
                     "summary": summarize_result(result),
                 },
                 result,
             )
-
-    def publish_app(
-        self,
-        stage: str,
-        platform: str,
-        dataset: str,
-        app_id: str,
-        extra,
-        result,
-    ) -> None:
-        """File one app's result in its pack and write the pack.
-
-        Pending additions to the same pack go out in the same write.
-        Idempotent: a result already stored is not rewritten.
-        """
-        if not self.write:
-            return
-        self._add_app(stage, platform, dataset, app_id, extra, result)
-        self.flush()
 
     # -- per-stage access (the stage graphs' interface) --------------------
 
@@ -905,7 +873,7 @@ def corpus_file_name(config) -> str:
     Every field of the :class:`~repro.corpus.generator.CorpusConfig`
     enters it, with the store version and :data:`CODE_SALT`.
     """
-    identity = repr((_VERSION, _salt(), "corpus", _settings(config)))
+    identity = repr((_VERSION, CODE_SALT, "corpus", _settings(config)))
     return hashlib.sha256(identity.encode("utf-8")).hexdigest()
 
 

@@ -11,19 +11,23 @@ hand-place:
   ``obs.span(f"{kind}.{stage}")`` and bumps a
   ``pipeline.{kind}.{stage}.computed`` counter; the graph itself owns
   the per-app ``{kind}.app`` span.
-* **Fault injection** — the graph fires the per-app ``maybe_inject``
+* **Fault injection** — the graph fires the per-app :func:`maybe_inject`
   with the legacy phase name (``static`` / ``dynamic`` / ``circumvent``)
   before any work, and a derived per-stage point
   (``{kind}.{stage}``) before each stage.  The default
   :class:`~repro.core.exec.faults.SeededFaults` phase set does not
   include stage-level phases, so per-stage injection is opt-in.
+  :class:`InjectedFault` and :func:`maybe_inject` live here, below the
+  execution layer, which imports this package and never the reverse.
 * **Content addressing** — :meth:`StageGraph.stage_keys` derives one
   fingerprint per stage by hashing the stage's identity, its resolved
   config knobs, and the fingerprints of its input stages (a
   derivation-style chain).  Changing one knob therefore re-keys exactly
   the declaring stage and everything downstream of it; the final stage's
   key doubles as the app-level result fingerprint used by
-  :class:`~repro.core.exec.resultstore.ResultStore`.
+  :class:`~repro.core.exec.resultstore.ResultStore`.  A plain knob is
+  read off the pipeline object running the graph (``ctx``), the one
+  source of its value; an ``@`` knob comes from the per-app parameters.
 
 Determinism: a stage function must be a pure function of its declared
 inputs, the seed artifacts, the per-app parameters, and the declared
@@ -39,7 +43,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core import obs
-from repro.core.exec.faults import maybe_inject
 
 #: Artifact names every graph run seeds before its first stage: the
 #: packaged app plus its identity.  Per-app parameters (the dynamic
@@ -61,6 +64,32 @@ _KEY_VERSION = 2
 #: chain key, so every config knob (not just sleep/wait/pins) enters the
 #: address.  v3: results hold no captures.
 CODE_SALT = "pin-study-results-v3"
+
+
+#: ``(phase, app_id) -> should this app's unit of work fail?``
+#: (:mod:`repro.core.exec.faults` builds them).
+FaultPredicate = Callable[[str, str], bool]
+
+
+class InjectedFault(RuntimeError):
+    """Raised by a pipeline when its fault predicate fires for an app."""
+
+    def __init__(self, phase: str, app_id: str):
+        super().__init__(f"injected fault: phase={phase} app={app_id}")
+        self.phase = phase
+        self.app_id = app_id
+
+
+def maybe_inject(
+    predicate: Optional[FaultPredicate], phase: str, app_id: str
+) -> None:
+    """Raise :class:`InjectedFault` if ``predicate`` fires for this app.
+
+    Pipelines call this before doing any per-app work, so an injected
+    fault never leaves partially computed state behind.
+    """
+    if predicate is not None and predicate(phase, app_id):
+        raise InjectedFault(phase, app_id)
 
 
 @dataclass(frozen=True)
@@ -131,11 +160,10 @@ class StageGraph:
         seeds: the :class:`Artifact` values the caller supplies (beyond
             the implicit :data:`SEED_ARTIFACTS`), documentation-grade.
         stages: the stages in execution order; the last stage's value is
-            the graph's result.
-        defaults: default value per ``ctx`` config knob — what an
-            unbound :class:`~repro.core.exec.resultstore.ResultStore`
-            resolves knobs to when no pipeline is attached.  Must mirror
-            the pipeline constructor's defaults (asserted in tests).
+            the graph's result.  A plain config knob is an attribute of
+            the pipeline object running the graph, which is the one
+            place its value comes from (a misspelt knob raises
+            ``AttributeError`` on first use).
         params_from_extra: maps a work unit's per-app ``extra`` to the
             parameter dict a run of this graph receives (``@`` knobs are
             resolved against it).
@@ -145,14 +173,12 @@ class StageGraph:
         self,
         kind: str,
         stages: Tuple[Stage, ...],
-        defaults: Mapping[str, object],
         seeds: Tuple[Artifact, ...] = (),
         params_from_extra: Optional[Callable[[object], dict]] = None,
     ):
         self.kind = kind
         self.stages = tuple(stages)
         self.seeds = tuple(seeds)
-        self.defaults = dict(defaults)
         self._params_from_extra = params_from_extra or (lambda extra: {})
         self._validate()
         self.final = self.stages[-1].name
@@ -176,12 +202,6 @@ class StageGraph:
                         "an earlier stage (seeds and parameters are "
                         "ambient and must not be declared as inputs)"
                     )
-            for knob in stage.config:
-                if not knob.startswith("@") and knob not in self.defaults:
-                    raise ValueError(
-                        f"{self.kind}.{stage.name}: config knob {knob!r} "
-                        "has no declared default"
-                    )
             seen.add(stage.name)
         if self.stages[-1].persist:
             raise ValueError(
@@ -195,42 +215,21 @@ class StageGraph:
         """The parameter dict for a work unit's per-app ``extra``."""
         return self._params_from_extra(extra)
 
-    def _resolve_knob(
-        self,
-        name: str,
-        params: Mapping[str, object],
-        knobs: Optional[object],
-        overrides: Optional[Mapping[str, object]],
-    ):
-        if name.startswith("@"):
-            return params[name[1:]]
-        if knobs is not None:
-            return getattr(knobs, name)
-        if overrides is not None and name in overrides:
-            return overrides[name]
-        return self.defaults[name]
-
     def _configs(
-        self,
-        params: Mapping[str, object],
-        knobs: Optional[object],
-        overrides: Optional[Mapping[str, object]],
+        self, params: Mapping[str, object], knobs: object
     ) -> Tuple[tuple, ...]:
-        """Each stage's resolved ``(knob, value)`` pairs, in stage order."""
+        """Each stage's resolved ``(knob, value)`` pairs, in stage order:
+        a plain knob is read off ``knobs``, an ``@`` knob from ``params``."""
+
+        def value(name: str):
+            return params[name[1:]] if name.startswith("@") else getattr(knobs, name)
+
         return tuple(
-            tuple(
-                (name, _freeze(self._resolve_knob(name, params, knobs, overrides)))
-                for name in stage.config
-            )
+            tuple((name, _freeze(value(name))) for name in stage.config)
             for stage in self.stages
         )
 
-    def config_digest(
-        self,
-        params: Optional[Mapping[str, object]] = None,
-        knobs: Optional[object] = None,
-        overrides: Optional[Mapping[str, object]] = None,
-    ) -> str:
+    def config_digest(self, params: Mapping[str, object], knobs: object) -> str:
         """A digest of the graph's shape and every stage's resolved config.
 
         With the app identity (and the corpus fingerprint) it decides
@@ -238,7 +237,7 @@ class StageGraph:
         app's stored result by (app id, digest) without deriving the
         chain; it is the same for every app under one config.
         """
-        configs = self._configs(params or {}, knobs, overrides)
+        configs = self._configs(params, knobs)
         identity = repr(
             (
                 _KEY_VERSION,
@@ -259,9 +258,8 @@ class StageGraph:
         platform: str,
         dataset: str,
         app_id: str,
-        params: Optional[Mapping[str, object]] = None,
-        knobs: Optional[object] = None,
-        overrides: Optional[Mapping[str, object]] = None,
+        params: Mapping[str, object],
+        knobs: object,
     ) -> Dict[str, str]:
         """One content-address per stage, chained through the graph.
 
@@ -269,11 +267,10 @@ class StageGraph:
         corpus fingerprint, the app identity, the stage's resolved
         config knobs, and the keys of its input stages — so a knob flip
         re-keys the declaring stage and its transitive downstream, and
-        nothing else.  ``knobs`` is the pipeline object to read plain
-        config names from; without one, ``overrides`` then
-        :attr:`defaults` resolve them (the unbound-store path).
+        nothing else.  ``knobs`` is the pipeline object plain config
+        names are read from; ``params`` holds the ``@`` ones.
         """
-        configs = self._configs(params or {}, knobs, overrides)
+        configs = self._configs(params, knobs)
         keys: Dict[str, str] = {}
         for stage, config in zip(self.stages, configs):
             identity = repr(
@@ -315,10 +312,11 @@ class StageGraph:
         skipped, which is what turns a config flip into a partial
         recomputation of only the invalidated suffix of the graph.  The
         stage keys come from the cache, which computes them once per app
-        and config.  The dataset's pack is read once, on the first
-        lookup; the stages computed stay pending in it until the caller
-        writes them (:meth:`~repro.core.exec.resultstore.ResultStore.flush`;
-        the engine writes them with the unit's results).
+        and config, with ``ctx`` bound as its kind's pipeline.  The
+        dataset's pack is read once, on the first lookup; the stages
+        computed stay pending in it until the caller writes them
+        (:meth:`~repro.core.exec.resultstore.ResultStore.flush`; the
+        engine writes them with the unit's results).
         """
         params = dict(params or {})
         app = packaged.app

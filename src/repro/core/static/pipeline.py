@@ -117,10 +117,6 @@ STATIC_GRAPH = StageGraph(
             span=False,
         ),
     ),
-    defaults={
-        "jailbroken_device_available": True,
-        "include_native": True,
-    },
 )
 
 

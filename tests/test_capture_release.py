@@ -15,9 +15,9 @@ import gc
 import pytest
 
 from repro.core.analysis import Study
-from repro.core.circumvent.pipeline import CIRCUMVENT_GRAPH, CircumventionPipeline
+from repro.core.circumvent.pipeline import CircumventionPipeline
 from repro.core.dynamic.detector import detect_verdicts
-from repro.core.dynamic.pipeline import DYNAMIC_GRAPH, DynamicPipeline
+from repro.core.dynamic.pipeline import DynamicPipeline
 from repro.core.exec import ResultStore
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.netsim.flow import FlowRecord
@@ -79,8 +79,9 @@ def test_captures_equal_the_stored_stage_artifacts(corpus, filled):
     dynamic = DynamicPipeline(corpus)
     circumvent = CircumventionPipeline(dynamic)
 
-    def stored(graph, stage, platform, dataset, app_id, params):
-        keys = store.stage_keys(graph, platform, dataset, app_id, params, None)
+    def stored(pipeline, stage, platform, dataset, app_id, params):
+        graph = pipeline.graph
+        keys = store.stage_keys(graph, platform, dataset, app_id, params, pipeline)
         return store.lookup_stage(keys[stage], graph.kind, stage, platform, dataset)
 
     waits, hooked = set(), 0
@@ -89,17 +90,17 @@ def test_captures_equal_the_stored_stage_artifacts(corpus, filled):
         params = {"wait": wait, "interact": False}
         direct, mitm = dynamic.captures(packaged, wait=wait)
         assert direct.flows == stored(
-            DYNAMIC_GRAPH, "run_direct", platform, dataset, app_id, params
+            dynamic, "run_direct", platform, dataset, app_id, params
         ).flows
         assert mitm.flows == stored(
-            DYNAMIC_GRAPH, "run_mitm", platform, dataset, app_id, params
+            dynamic, "run_mitm", platform, dataset, app_id, params
         ).flows
         waits.add(wait)
         if result.pins():
             params = {"pinned": tuple(sorted(result.pinned_destinations))}
             capture = circumvent.hooked_capture(packaged)
             assert capture.flows == stored(
-                CIRCUMVENT_GRAPH, "hooked_run", platform, dataset, app_id, params
+                circumvent, "hooked_run", platform, dataset, app_id, params
             ).flows
             hooked += 1
     assert waits == {0.0, 120.0}  # the Common-iOS re-run included

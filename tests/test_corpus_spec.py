@@ -13,10 +13,10 @@ import pickle
 
 import pytest
 
-from repro.core.exec import ResultStore
 from repro.core.exec.engine import _build_state, _run_unit
 from repro.core.exec.resultstore import corpus_fingerprint
 from repro.corpus import CorpusConfig, CorpusGenerator, content_fingerprint
+from tests.store_helpers import bound_store
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +90,6 @@ class TestRebuildParity:
         makes warm runs independent of which process built the corpus."""
         unit = ("static", "android", "common", (0, 1), None)
         results = _run_unit(_build_state(corpus, 30.0), unit)
-        ResultStore(tmp_path, corpus).publish_unit(unit, results)
-        warm = ResultStore(tmp_path, rebuilt).lookup_unit(unit)
+        bound_store(tmp_path, corpus).publish_unit(unit, results)
+        warm = bound_store(tmp_path, rebuilt).lookup_unit(unit)
         assert warm == results

@@ -16,6 +16,7 @@ from repro.core.analysis import Study
 from repro.core.exec import ExecutionPlan, ResultStore, SeededFaults
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.reporting.render import render_study_stdout
+from tests.store_helpers import bound_store
 
 SEED = 1337
 SCALE = 0.015
@@ -174,7 +175,7 @@ class TestFaultedRuns:
         failed_dynamic = {
             f.app_id for f in results.failures if f.phase == "dynamic"
         }
-        reader = ResultStore(store.root, corpus)
+        reader = bound_store(store.root, corpus)
         for failure in results.failures:
             if failure.phase != "dynamic":
                 continue

@@ -26,7 +26,7 @@ import pytest
 
 from repro.core import obs
 from repro.core.analysis import Study
-from repro.core.exec import CorpusStore, StoreWriteError
+from repro.core.exec import CorpusStore, ResultStore, StoreWriteError
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.reporting.render import render_study_stdout
 
@@ -125,7 +125,7 @@ def test_warm_run_young_collections_are_bounded(corpus, filled):
     decoded.  Freezing only when a unit lands, this run made ~80 gen0
     collections; freezing per decode it makes ~10."""
     recorder = obs.Recorder()
-    Study(corpus).run(recorder=recorder, store=filled, store_write=False)
+    Study(corpus).run(recorder=recorder, store=ResultStore(filled, corpus, write=False))
     young = recorder.counter_value("gc.collections.gen0")
     assert young <= 40
 

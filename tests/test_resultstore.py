@@ -13,7 +13,7 @@ import pickle
 import pytest
 
 from repro.core import obs
-from repro.core.exec import resultstore
+from repro.core.exec import is_retryable, resultstore
 from repro.core.exec.resultstore import (
     ResultStore,
     corpus_fingerprint,
@@ -22,7 +22,9 @@ from repro.core.exec.resultstore import (
 )
 from repro.core.pipeline import graph_for
 from repro.core.pipeline.graph import CODE_SALT
+from repro.core.static.pipeline import StaticPipeline
 from repro.corpus import CorpusConfig, CorpusGenerator
+from tests.store_helpers import bound_store, knobs, publish
 
 
 @pytest.fixture(scope="module")
@@ -51,20 +53,18 @@ class FakeResult:
 def app_key(corpus_fp, sleep_s, stage, platform, dataset, app_id, extra):
     """An app result's address: its stage graph's final chain key."""
     graph = graph_for(stage)
-    keys = graph.stage_keys(
-        corpus_fp,
-        platform,
-        dataset,
-        app_id,
-        params=graph.params_from_extra(extra),
-        overrides={"sleep_s": sleep_s},
-    )
+    params = graph.params_from_extra(extra)
+    keys = graph.stage_keys(corpus_fp, platform, dataset, app_id, params, knobs(sleep_s=sleep_s))
     return keys[graph.final]
 
 
 def config_digest(stage, extra, sleep_s=30.0):
     graph = graph_for(stage)
-    return graph.config_digest(graph.params_from_extra(extra), overrides={"sleep_s": sleep_s})
+    return graph.config_digest(graph.params_from_extra(extra), knobs(sleep_s=sleep_s))
+
+
+def app_ids(corpus, platform="ios", dataset="common"):
+    return [packaged.app.app_id for packaged in corpus.dataset(platform, dataset)]
 
 
 class TestFingerprints:
@@ -127,9 +127,13 @@ class TestFingerprints:
     def test_salt_enters_fingerprint(self, monkeypatch):
         args = ("c", 30.0, "dynamic", "android", "popular", "x", 0.0)
         key, digest = app_key(*args), config_digest("dynamic", 0.0)
-        monkeypatch.setattr("repro.core.pipeline.graph.CODE_SALT", CODE_SALT + "-bumped")
+        pack = resultstore.pack_name("c", "dynamic", "android", "popular")
+        # The graph hashes the salt into keys, the store into file names.
+        for module in ("repro.core.pipeline.graph", "repro.core.exec.resultstore"):
+            monkeypatch.setattr(f"{module}.CODE_SALT", CODE_SALT + "-bumped")
         assert app_key(*args) != key
         assert config_digest("dynamic", 0.0) != digest
+        assert resultstore.pack_name("c", "dynamic", "android", "popular") != pack
 
 
 class TestSummaries:
@@ -144,38 +148,31 @@ class TestSummaries:
 
 class TestRoundTrip:
     def test_publish_then_lookup(self, corpus, tmp_path):
-        store = ResultStore(tmp_path / "s", corpus)
-        result = FakeResult("app-1", {"api.example.com"})
-        store.publish_app("dynamic", "android", "popular", "app-1", 0.0, result)
-        loaded = store.lookup_app("dynamic", "android", "popular", "app-1", 0.0)
+        store = bound_store(tmp_path / "s", corpus)
+        app_id = app_ids(corpus, "android", "popular")[0]
+        result = FakeResult(app_id, {"api.example.com"})
+        publish(store, "dynamic", "android", "popular", app_id, 0.0, result)
+        loaded = store.lookup_app("dynamic", "android", "popular", app_id, 0.0)
         assert loaded == result
-        assert store.stats.app_hits == 1
         assert store.stats.published == 1
 
     def test_miss_on_other_config(self, corpus, tmp_path):
-        store = ResultStore(tmp_path / "s", corpus)
-        store.publish_app(
-            "dynamic", "android", "popular", "app-1", 0.0, FakeResult("app-1")
-        )
-        assert (
-            store.lookup_app("dynamic", "android", "popular", "app-1", 120.0)
-            is None
-        )
-        assert store.stats.app_misses == 1
+        store = bound_store(tmp_path / "s", corpus)
+        app_id = app_ids(corpus, "android", "popular")[0]
+        publish(store, "dynamic", "android", "popular", app_id, 0.0, FakeResult(app_id))
+        assert store.lookup_app("dynamic", "android", "popular", app_id, 120.0) is None
 
     def test_publish_is_idempotent(self, corpus, tmp_path):
-        store = ResultStore(tmp_path / "s", corpus)
+        store = bound_store(tmp_path / "s", corpus)
+        app_id = app_ids(corpus)[1]
         for _ in range(3):
-            store.publish_app(
-                "static", "ios", "common", "app-2", None, FakeResult("app-2")
-            )
+            publish(store, "static", "ios", "common", app_id, None, FakeResult(app_id))
         assert store.stats.published == 1
 
     def test_write_flag_disables_publish(self, corpus, tmp_path):
-        store = ResultStore(tmp_path / "s", corpus, write=False)
-        store.publish_app(
-            "static", "ios", "common", "app-4", None, FakeResult("app-4")
-        )
+        store = bound_store(tmp_path / "s", corpus, write=False)
+        app_id = app_ids(corpus)[3]
+        publish(store, "static", "ios", "common", app_id, None, FakeResult(app_id))
         assert store.stats.published == 0
         assert not (tmp_path / "s").exists()
 
@@ -188,22 +185,42 @@ class TestRoundTrip:
             ensure(root)
 
         monkeypatch.setattr(resultstore, "_ensure_manifest", counting)
-        store = ResultStore(tmp_path / "s", corpus)
-        for app_id in ("app-5", "app-6"):
-            store.publish_app(
-                "static", "ios", "common", app_id, None, FakeResult(app_id)
-            )
+        store = bound_store(tmp_path / "s", corpus)
+        for app_id in app_ids(corpus)[4:6]:
+            publish(store, "static", "ios", "common", app_id, None, FakeResult(app_id))
         assert (tmp_path / "s" / "store.json").exists()
         # One check per handle, not one per write.
         assert len(checks) == 1
 
     def test_sleep_change_invalidates(self, corpus, tmp_path):
-        a = ResultStore(tmp_path / "s", corpus, sleep_s=30.0)
-        a.publish_app(
-            "dynamic", "ios", "common", "app-6", 0.0, FakeResult("app-6")
-        )
-        b = ResultStore(tmp_path / "s", corpus, sleep_s=60.0)
-        assert b.lookup_app("dynamic", "ios", "common", "app-6", 0.0) is None
+        app_id = app_ids(corpus)[5]
+        a = bound_store(tmp_path / "s", corpus, sleep_s=30.0)
+        publish(a, "dynamic", "ios", "common", app_id, 0.0, FakeResult(app_id))
+        b = bound_store(tmp_path / "s", corpus, sleep_s=60.0)
+        assert b.lookup_app("dynamic", "ios", "common", app_id, 0.0) is None
+
+
+class TestBinding:
+    """Addresses read their config knobs from the bound pipelines only."""
+
+    def test_unbound_kind_raises_non_retryable(self, corpus, tmp_path):
+        store = ResultStore(tmp_path / "s", corpus)
+        with pytest.raises(TypeError, match="no static pipeline") as info:
+            store.lookup_unit(("static", "android", "popular", (0,), None))
+        assert not is_retryable(info.value)
+
+    def test_graph_run_binds_its_pipeline(self, corpus, tmp_path):
+        """A pipeline run against an unbound handle binds its own knobs:
+        the result it files is addressed under them, which a handle
+        bound to the default pipelines does not find."""
+        store = ResultStore(tmp_path / "s", corpus)
+        pipeline = StaticPipeline(corpus.registry.ctlog, include_native=False)
+        packaged = corpus.dataset("android", "popular")[0]
+        result = pipeline.analyze_app(packaged, cache=store, dataset="popular")
+        unit = ("static", "android", "popular", (0,), None)
+        store.publish_unit(unit, [result])
+        assert store.lookup_unit(unit) is not None
+        assert bound_store(tmp_path / "s", corpus).lookup_unit(unit) is None
 
 
 class TestUnits:
@@ -213,7 +230,7 @@ class TestUnits:
         return ("static", "android", "popular", tuple(range(n)), None)
 
     def test_publish_unit_then_lookup_unit(self, corpus, tmp_path):
-        store = ResultStore(tmp_path / "s", corpus)
+        store = bound_store(tmp_path / "s", corpus)
         unit = self._unit(corpus)
         apps = corpus.dataset("android", "popular")
         results = [FakeResult(apps[i].app.app_id) for i in unit[3]]
@@ -222,28 +239,28 @@ class TestUnits:
         assert store.stats.unit_hits == 1
 
     def test_partial_unit_is_a_miss(self, corpus, tmp_path):
-        store = ResultStore(tmp_path / "s", corpus)
+        store = bound_store(tmp_path / "s", corpus)
         unit = self._unit(corpus)
         apps = corpus.dataset("android", "popular")
         results = [FakeResult(apps[i].app.app_id) for i in unit[3]]
         # Store every app but one: the composed unit must miss whole.
         for index in (0, 2):
-            store.publish_app(
-                "static", "android", "popular", apps[index].app.app_id,
+            publish(
+                store, "static", "android", "popular", apps[index].app.app_id,
                 None, results[index],
             )
         assert store.lookup_unit(unit) is None
         assert store.stats.unit_misses == 1
 
     def test_incomplete_unit_is_not_published(self, corpus, tmp_path):
-        store = ResultStore(tmp_path / "s", corpus)
+        store = bound_store(tmp_path / "s", corpus)
         unit = self._unit(corpus)
         store.publish_unit(unit, [FakeResult("only-one")])
         assert store.stats.published == 0
 
     def test_chunking_does_not_matter(self, corpus, tmp_path):
         """Entries are per app: a differently chunked unit still hits."""
-        store = ResultStore(tmp_path / "s", corpus)
+        store = bound_store(tmp_path / "s", corpus)
         apps = corpus.dataset("android", "popular")
         results = [FakeResult(apps[i].app.app_id) for i in range(3)]
         store.publish_unit(
@@ -258,14 +275,14 @@ class TestCorruption:
 
     def _pack_path(self, store, corpus):
         app_id = corpus.dataset("ios", "common")[0].app.app_id
-        store.publish_app(
-            "static", "ios", "common", app_id, None, FakeResult(app_id)
+        publish(
+            store, "static", "ios", "common", app_id, None, FakeResult(app_id)
         )
         return app_id, store.pack_path("static", "ios", "common")
 
     def _assert_invalidated(self, store, corpus, app_id, path):
         # A fresh handle: the publishing one holds the pack decoded.
-        reader = ResultStore(store.root, corpus)
+        reader = bound_store(store.root, corpus)
         with pytest.warns(RuntimeWarning, match="corrupt"):
             assert (
                 reader.lookup_app("static", "ios", "common", app_id, None)
@@ -275,13 +292,13 @@ class TestCorruption:
         assert not path.exists(), "a bad pack must be deleted"
 
     def test_truncated_entry(self, corpus, tmp_path):
-        store = ResultStore(tmp_path / "s", corpus)
+        store = bound_store(tmp_path / "s", corpus)
         app_id, path = self._pack_path(store, corpus)
         path.write_bytes(path.read_bytes()[:20])
         self._assert_invalidated(store, corpus, app_id, path)
 
     def test_tampered_payload(self, corpus, tmp_path):
-        store = ResultStore(tmp_path / "s", corpus)
+        store = bound_store(tmp_path / "s", corpus)
         app_id, path = self._pack_path(store, corpus)
         blob = bytearray(path.read_bytes())
         blob[-10] ^= 0xFF
@@ -289,7 +306,7 @@ class TestCorruption:
         self._assert_invalidated(store, corpus, app_id, path)
 
     def test_wrong_magic(self, corpus, tmp_path):
-        store = ResultStore(tmp_path / "s", corpus)
+        store = bound_store(tmp_path / "s", corpus)
         app_id, path = self._pack_path(store, corpus)
         path.write_bytes(pickle.dumps(("not-an-entry", 1, "x", {}, "d", b"")))
         self._assert_invalidated(store, corpus, app_id, path)
@@ -297,7 +314,7 @@ class TestCorruption:
     def test_entry_under_wrong_fingerprint(self, corpus, tmp_path):
         """A valid envelope filed under another dataset's pack must not
         be served."""
-        store = ResultStore(tmp_path / "s", corpus)
+        store = bound_store(tmp_path / "s", corpus)
         app_id, path = self._pack_path(store, corpus)
         wrong = store.pack_path("static", "ios", "popular")
         wrong.write_bytes(path.read_bytes())
@@ -309,15 +326,15 @@ class TestCorruption:
 
     def test_recompute_republishes_after_invalidation(self, corpus, tmp_path):
         app_id, path = self._pack_path(
-            ResultStore(tmp_path / "s", corpus), corpus
+            bound_store(tmp_path / "s", corpus), corpus
         )
         path.write_bytes(b"garbage")
-        store = ResultStore(tmp_path / "s", corpus)
+        store = bound_store(tmp_path / "s", corpus)
         with pytest.warns(RuntimeWarning):
             store.lookup_app("static", "ios", "common", app_id, None)
         # The caller recomputes and publishes; the entry is whole again.
-        store.publish_app(
-            "static", "ios", "common", app_id, None, FakeResult(app_id)
+        publish(
+            store, "static", "ios", "common", app_id, None, FakeResult(app_id)
         )
         assert (
             store.lookup_app("static", "ios", "common", app_id, None)
@@ -335,25 +352,25 @@ class TestConcurrentWriters:
         writer's temp file and the first ``os.replace`` raised
         ``FileNotFoundError``."""
         app_id = corpus.dataset("ios", "common")[0].app.app_id
-        first = ResultStore(tmp_path / "s", corpus)
-        second = ResultStore(tmp_path / "s", corpus)
+        first = bound_store(tmp_path / "s", corpus)
+        second = bound_store(tmp_path / "s", corpus)
         real_replace = os.replace
         interleaved = []
 
         def replace(src, dst):
             if not interleaved:
                 interleaved.append(src)
-                second.publish_app(
-                    "static", "ios", "common", app_id, None, FakeResult(app_id)
+                publish(
+                    second, "static", "ios", "common", app_id, None, FakeResult(app_id)
                 )
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace)
-        first.publish_app(
-            "static", "ios", "common", app_id, None, FakeResult(app_id)
+        publish(
+            first, "static", "ios", "common", app_id, None, FakeResult(app_id)
         )
         assert interleaved
-        reader = ResultStore(tmp_path / "s", corpus)
+        reader = bound_store(tmp_path / "s", corpus)
         assert reader.lookup_app(
             "static", "ios", "common", app_id, None
         ) == FakeResult(app_id)
@@ -364,16 +381,16 @@ class TestTelemetry:
     def test_counters_reach_active_recorder(self, corpus, tmp_path):
         recorder = obs.Recorder().install()
         try:
-            store = ResultStore(tmp_path / "s", corpus)
+            store = bound_store(tmp_path / "s", corpus)
             app_id = corpus.dataset("android", "common")[0].app.app_id
-            store.publish_app(
-                "static", "android", "common", app_id, None, FakeResult(app_id)
+            publish(
+                store, "static", "android", "common", app_id, None, FakeResult(app_id)
             )
-            store.lookup_app("static", "android", "common", app_id, None)
-            store.lookup_app("static", "android", "common", "missing", None)
+            store.lookup_unit(("static", "android", "common", (0,), None))
+            store.lookup_unit(("static", "android", "common", (1,), None))
             assert recorder.counter_value("store.apps.published") == 1
-            assert recorder.counter_value("store.apps.hit") == 1
-            assert recorder.counter_value("store.apps.miss") == 1
+            assert recorder.counter_value("store.units.hit") == 1
+            assert recorder.counter_value("store.units.miss") == 1
         finally:
             recorder.uninstall()
 
@@ -388,14 +405,14 @@ class TestProgrammingErrorsPropagate:
     ):
         import sys
 
-        store = ResultStore(tmp_path / "s", corpus)
+        store = bound_store(tmp_path / "s", corpus)
         app_id = corpus.dataset("ios", "common")[0].app.app_id
-        store.publish_app(
-            "static", "ios", "common", app_id, None, FakeResult(app_id)
+        publish(
+            store, "static", "ios", "common", app_id, None, FakeResult(app_id)
         )
         module = sys.modules[FakeResult.__module__]
         monkeypatch.delattr(module, "FakeResult")
-        reader = ResultStore(tmp_path / "s", corpus)
+        reader = bound_store(tmp_path / "s", corpus)
         with pytest.raises(AttributeError):
             reader.lookup_app("static", "ios", "common", app_id, None)
         # Not misfiled as corruption: nothing invalidated, pack intact.

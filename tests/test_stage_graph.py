@@ -9,6 +9,8 @@ recomputed.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import obs
@@ -18,6 +20,7 @@ from repro.core.exec import InjectedFault, SeededFaults
 from repro.core.pipeline import Stage, StageGraph, graph_for, graph_kinds
 from repro.core.pipeline.graph import _REGISTRY
 from repro.core.static.pipeline import STATIC_GRAPH, StaticPipeline
+from tests.store_helpers import knobs
 
 FP = "corpus-fp"
 APP = ("android", "popular", "app-1")
@@ -43,19 +46,18 @@ def registry_guard():
 class TestValidation:
     def test_needs_stages(self):
         with pytest.raises(ValueError, match="needs stages"):
-            StageGraph("t-empty", (), {})
+            StageGraph("t-empty", ())
 
     def test_duplicate_stage_name(self):
         with pytest.raises(ValueError, match="duplicate or reserved"):
             StageGraph(
                 "t-dup",
                 (_stage("a"), _stage("a")),
-                {},
             )
 
     def test_seed_names_are_reserved(self):
         with pytest.raises(ValueError, match="duplicate or reserved"):
-            StageGraph("t-res", (_stage("packaged"),), {})
+            StageGraph("t-res", (_stage("packaged"),))
 
     def test_inputs_must_be_earlier_stages(self):
         with pytest.raises(ValueError, match="not an earlier stage"):
@@ -65,7 +67,6 @@ class TestValidation:
                     _stage("a", inputs=("b",)),
                     _stage("b"),
                 ),
-                {},
             )
 
     def test_seeds_must_not_be_declared_as_inputs(self):
@@ -73,25 +74,24 @@ class TestValidation:
             StageGraph(
                 "t-seedin",
                 (_stage("a", inputs=("packaged",)),),
-                {},
             )
 
-    def test_ctx_knobs_need_a_default(self):
-        with pytest.raises(ValueError, match="no declared default"):
-            StageGraph(
-                "t-knob", (_stage("a", config=("mystery",)),), {}
-            )
-
-    def test_param_knobs_need_no_default(self, registry_guard):
+    def test_knobs_resolve_on_use(self, registry_guard):
+        """Knobs are read off the pipeline object and the parameters when
+        a key is derived; a knob neither holds raises then."""
         graph = StageGraph(
-            "t-param", (_stage("a", config=("@wait",)),), {}
+            "t-knob", (_stage("a", config=("mystery", "@wait")),)
         )
         assert graph.final == "a"
+        keys = graph.stage_keys(FP, *APP, {"wait": 0.0}, SimpleNamespace(mystery=1))
+        assert set(keys) == {"a"}
+        with pytest.raises(AttributeError, match="mystery"):
+            graph.stage_keys(FP, *APP, {"wait": 0.0}, knobs())
 
     def test_final_stage_must_not_persist(self):
         with pytest.raises(ValueError, match="must not persist"):
             StageGraph(
-                "t-final", (_stage("a", persist=True),), {}
+                "t-final", (_stage("a", persist=True),)
             )
 
     def test_builtin_graphs_registered(self):
@@ -106,15 +106,13 @@ class TestStageKeys:
     """The invalidation contract, stated purely over fingerprints."""
 
     def test_keys_are_distinct_per_stage(self):
-        keys = STATIC_GRAPH.stage_keys(FP, *APP)
+        keys = STATIC_GRAPH.stage_keys(FP, *APP, {}, knobs())
         assert set(keys) == {"decompile", "scan", "ct_lookup", "report"}
         assert len(set(keys.values())) == 4
 
     def test_include_native_flip_rekeys_scan_and_downstream(self):
-        base = STATIC_GRAPH.stage_keys(FP, *APP)
-        flipped = STATIC_GRAPH.stage_keys(
-            FP, *APP, overrides={"include_native": False}
-        )
+        base = STATIC_GRAPH.stage_keys(FP, *APP, {}, knobs())
+        flipped = STATIC_GRAPH.stage_keys(FP, *APP, {}, knobs(include_native=False))
         assert flipped["decompile"] == base["decompile"]
         assert flipped["scan"] != base["scan"]
         assert flipped["ct_lookup"] != base["ct_lookup"]
@@ -122,10 +120,8 @@ class TestStageKeys:
 
     def test_detector_flip_rekeys_only_detect_and_result(self):
         params = DYNAMIC_GRAPH.params_from_extra(0.0)
-        base = DYNAMIC_GRAPH.stage_keys(FP, *APP, params=params)
-        flipped = DYNAMIC_GRAPH.stage_keys(
-            FP, *APP, params=params, overrides={"detector": "no-tls13"}
-        )
+        base = DYNAMIC_GRAPH.stage_keys(FP, *APP, params, knobs())
+        flipped = DYNAMIC_GRAPH.stage_keys(FP, *APP, params, knobs(detector="no-tls13"))
         for unchanged in ("run_direct", "run_mitm", "exclusions"):
             assert flipped[unchanged] == base[unchanged]
         assert flipped["detect"] != base["detect"]
@@ -133,18 +129,18 @@ class TestStageKeys:
 
     def test_wait_param_rekeys_every_stage(self):
         base = DYNAMIC_GRAPH.stage_keys(
-            FP, *APP, params=DYNAMIC_GRAPH.params_from_extra(0.0)
+            FP, *APP, DYNAMIC_GRAPH.params_from_extra(0.0), knobs()
         )
         rerun = DYNAMIC_GRAPH.stage_keys(
-            FP, *APP, params=DYNAMIC_GRAPH.params_from_extra(120.0)
+            FP, *APP, DYNAMIC_GRAPH.params_from_extra(120.0), knobs()
         )
         assert all(rerun[name] != base[name] for name in base)
 
     def test_hook_set_flip_rekeys_hooked_run(self):
         params = CIRCUMVENT_GRAPH.params_from_extra({"pinned.example"})
-        base = CIRCUMVENT_GRAPH.stage_keys(FP, *APP, params=params)
+        base = CIRCUMVENT_GRAPH.stage_keys(FP, *APP, params, knobs())
         flipped = CIRCUMVENT_GRAPH.stage_keys(
-            FP, *APP, params=params, overrides={"hook_set": frozenset({"okhttp"})}
+            FP, *APP, params, knobs(hook_set=frozenset({"okhttp"}))
         )
         assert flipped["hook_inject"] != base["hook_inject"]
         assert flipped["hooked_run"] != base["hooked_run"]
@@ -154,10 +150,10 @@ class TestStageKeys:
         # detector flip that changes an app's pinned destinations still
         # reuses its cached capture.
         one = CIRCUMVENT_GRAPH.stage_keys(
-            FP, *APP, params=CIRCUMVENT_GRAPH.params_from_extra({"a.example"})
+            FP, *APP, CIRCUMVENT_GRAPH.params_from_extra({"a.example"}), knobs()
         )
         other = CIRCUMVENT_GRAPH.stage_keys(
-            FP, *APP, params=CIRCUMVENT_GRAPH.params_from_extra({"b.example"})
+            FP, *APP, CIRCUMVENT_GRAPH.params_from_extra({"b.example"}), knobs()
         )
         assert one["hook_inject"] == other["hook_inject"]
         assert one["hooked_run"] == other["hooked_run"]
@@ -165,27 +161,28 @@ class TestStageKeys:
 
     def test_set_knobs_are_order_canonical(self):
         keys = lambda hooks: CIRCUMVENT_GRAPH.stage_keys(
-            FP,
-            *APP,
-            params=CIRCUMVENT_GRAPH.params_from_extra(()),
-            overrides={"hook_set": hooks},
+            FP, *APP, CIRCUMVENT_GRAPH.params_from_extra(()), knobs(hook_set=hooks)
         )
         assert keys(frozenset(("b", "a"))) == keys(frozenset(("a", "b")))
 
-    def test_unbound_defaults_match_pipeline_defaults(self, small_corpus):
-        """The graph defaults an unbound store resolves knobs with must
-        mirror the pipeline constructors' defaults, or unbound and bound
-        handles would disagree on every fingerprint."""
+    def test_pipeline_objects_are_knobs(self, small_corpus):
+        """A graph reads a pipeline's own attributes: default pipelines
+        key as the default knobs do, and a flipped one as flipped knobs."""
         dynamic = DynamicPipeline(small_corpus)
-        pipelines = {
-            "static": StaticPipeline(small_corpus.registry.ctlog),
-            "dynamic": dynamic,
-            "circumvent": CircumventionPipeline(dynamic),
-        }
-        for kind, pipeline in pipelines.items():
-            graph = graph_for(kind)
-            for knob, default in graph.defaults.items():
-                assert getattr(pipeline, knob) == default, f"{kind}.{knob}"
+        pipelines = (
+            (STATIC_GRAPH, StaticPipeline(small_corpus.registry.ctlog), None),
+            (DYNAMIC_GRAPH, dynamic, 0.0),
+            (CIRCUMVENT_GRAPH, CircumventionPipeline(dynamic), ("a.example",)),
+        )
+        for graph, pipeline, extra in pipelines:
+            params = graph.params_from_extra(extra)
+            assert graph.stage_keys(FP, *APP, params, pipeline) == graph.stage_keys(
+                FP, *APP, params, knobs()
+            ), graph.kind
+        flipped = StaticPipeline(small_corpus.registry.ctlog, include_native=False)
+        assert STATIC_GRAPH.stage_keys(FP, *APP, {}, flipped) == STATIC_GRAPH.stage_keys(
+            FP, *APP, {}, knobs(include_native=False)
+        )
 
 
 class TestGraphExecution:

@@ -11,6 +11,7 @@ beside them, and a fill computes each app's stage keys once per config.
 from __future__ import annotations
 
 import io
+import json
 import os
 import pickle
 from collections import Counter
@@ -22,9 +23,10 @@ from repro.cli import main
 from repro.core import obs
 from repro.core.analysis import Study
 from repro.core.exec import ResultStore, resultstore
-from repro.core.pipeline.graph import StageGraph
+from repro.core.pipeline.graph import CODE_SALT, StageGraph
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.reporting.render import render_study_stdout
+from tests.store_helpers import bound_store
 
 SEED = 2022
 SCALE = 0.02
@@ -76,6 +78,31 @@ class FakeResult:
         return bool(self.pinned_destinations)
 
 
+def assert_one_pack_per_dataset_and_kind(root, corpus):
+    """``root`` holds its manifest, one corpus file and one pack per
+    (kind, platform, dataset), and nothing else."""
+    files = sorted(
+        path.relative_to(root).parts
+        for path in root.rglob("*")
+        if path.is_file()
+    )
+    assert ("store.json",) in files
+    packs = [parts for parts in files if parts[0] == "packs"]
+    kept = [parts for parts in files if parts[0] == "corpus"]
+    assert len(kept) == 1
+    assert len(files) == len(packs) + len(kept) + 1
+    assert all(len(parts) == 2 and parts[1].endswith(".pkl") for parts in packs)
+    identities = [pack_identity(root.joinpath(*parts)) for parts in packs]
+    assert len(set(identities)) == len(identities)
+    datasets = set(corpus.datasets)
+    assert {(kind, *key) for kind in ("static", "dynamic") for key in datasets} <= set(
+        identities
+    )
+    assert {(kind, (platform, dataset)) for kind, platform, dataset in identities} <= {
+        (kind, key) for kind in KINDS for key in datasets
+    }
+
+
 class TestLayout:
     def test_cli_fill_leaves_one_pack_per_dataset_and_kind(
         self, corpus, golden, tmp_path, capsys
@@ -84,26 +111,26 @@ class TestLayout:
         args = ["--seed", str(SEED), "--scale", str(SCALE), "study"]
         assert main([*args, "--store", str(root)]) == 0
         assert capsys.readouterr().out == golden
-        files = sorted(
-            path.relative_to(root).parts
-            for path in root.rglob("*")
-            if path.is_file()
-        )
-        assert ("store.json",) in files
-        packs = [parts for parts in files if parts[0] == "packs"]
-        kept = [parts for parts in files if parts[0] == "corpus"]
-        assert len(kept) == 1
-        assert len(files) == len(packs) + len(kept) + 1
-        assert all(len(parts) == 2 and parts[1].endswith(".pkl") for parts in packs)
-        identities = [pack_identity(root.joinpath(*parts)) for parts in packs]
-        assert len(set(identities)) == len(identities)
-        datasets = set(corpus.datasets)
-        assert {(kind, *key) for kind in ("static", "dynamic") for key in datasets} <= set(
-            identities
-        )
-        assert {(kind, (platform, dataset)) for kind, platform, dataset in identities} <= {
-            (kind, key) for kind in KINDS for key in datasets
-        }
+        assert_one_pack_per_dataset_and_kind(root, corpus)
+
+    def test_fill_deletes_the_files_of_another_version(
+        self, corpus, golden, tmp_path, capsys
+    ):
+        """A store last written by another format version keeps files no
+        read of this code finds (their names hash the version): the
+        fill deletes them and rewrites the manifest."""
+        root = tmp_path / "store"
+        for stray in ("packs", "corpus"):
+            (root / stray).mkdir(parents=True)
+            (root / stray / f"{'0' * 64}.pkl").write_bytes(b"written by version 5")
+        old = {"magic": "repro-result-store", "version": 5, "salt": CODE_SALT}
+        (root / "store.json").write_text(json.dumps(old))
+        args = ["--seed", str(SEED), "--scale", str(SCALE), "study"]
+        assert main([*args, "--store", str(root)]) == 0
+        assert capsys.readouterr().out == golden
+        assert_one_pack_per_dataset_and_kind(root, corpus)
+        manifest = json.loads((root / "store.json").read_text())
+        assert manifest["version"] == resultstore._VERSION
 
 
 class TestPackCorruption:
@@ -145,8 +172,8 @@ class TestTwoHandles:
             results = [FakeResult(p.app.app_id, {f"w{wait}"}) for p in apps]
             store.publish_unit(("dynamic", "ios", "popular", indices, wait), results)
 
-        first = ResultStore(root, corpus)
-        second = ResultStore(root, corpus)
+        first = bound_store(root, corpus)
+        second = bound_store(root, corpus)
         publish(first, 1.0)
         assert second.lookup_unit(("dynamic", "ios", "popular", indices, 2.0)) is None
         publish(second, 2.0)
@@ -167,7 +194,7 @@ class TestTwoHandles:
         assert raced
 
         def served(waits):
-            reader = ResultStore(root, corpus, write=False)
+            reader = bound_store(root, corpus, write=False)
             found = set()
             for wait in waits:
                 for packaged in apps:
@@ -226,10 +253,10 @@ class TestFillCosts:
         calls = Counter()
         stage_keys = StageGraph.stage_keys
 
-        def counting(graph, corpus_fp, platform, dataset, app_id, params=None, **kwargs):
-            config = tuple(sorted((params or {}).items()))
+        def counting(graph, corpus_fp, platform, dataset, app_id, params, knobs):
+            config = tuple(sorted(params.items()))
             calls[(graph.kind, platform, dataset, app_id, config)] += 1
-            return stage_keys(graph, corpus_fp, platform, dataset, app_id, params, **kwargs)
+            return stage_keys(graph, corpus_fp, platform, dataset, app_id, params, knobs)
 
         monkeypatch.setattr(StageGraph, "stage_keys", counting)
         store = ResultStore(tmp_path / "s", corpus)

@@ -25,6 +25,7 @@ from repro.core.exec import ExecutionEngine, ExecutionPlan, ResultStore, StoreWr
 from repro.core.static.pipeline import StaticPipeline
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.reporting.render import render_study_stdout
+from tests.store_helpers import bound_store, publish
 
 SEED = 2022
 SCALE = 0.02
@@ -62,7 +63,7 @@ def run(corpus, store, **config):
 
 def rerun_apps(corpus, root):
     """Common-iOS app ids whose pack holds a 120 s re-run result."""
-    reader = ResultStore(root, corpus)
+    reader = bound_store(root, corpus)
     return [
         packaged.app.app_id
         for packaged in corpus.dataset("ios", "common")
@@ -100,7 +101,7 @@ class TestSlotMerge:
     def test_common_ios_slot_holds_both_waits(self, corpus, filled):
         rerun = rerun_apps(corpus, filled)
         assert rerun, "fixture should re-run at least one Common-iOS app"
-        reader = ResultStore(filled, corpus)
+        reader = bound_store(filled, corpus)
         for app_id in rerun:
             for wait in (0.0, 120.0):
                 assert (
@@ -128,18 +129,18 @@ class TestSlotMerge:
 
     def test_second_handle_merges_into_existing_slot(self, corpus, tmp_path):
         app_id = corpus.dataset("ios", "common")[0].app.app_id
-        first = ResultStore(tmp_path / "s", corpus)
-        second = ResultStore(tmp_path / "s", corpus)
+        first = bound_store(tmp_path / "s", corpus)
+        second = bound_store(tmp_path / "s", corpus)
         # The second handle reads the pack before the first writes it:
         # its write must still keep the first handle's key.
         assert second.lookup_app("dynamic", "ios", "common", app_id, 0.0) is None
-        first.publish_app(
-            "dynamic", "ios", "common", app_id, 0.0, FakeResult(app_id)
+        publish(
+            first, "dynamic", "ios", "common", app_id, 0.0, FakeResult(app_id)
         )
-        second.publish_app(
-            "dynamic", "ios", "common", app_id, 120.0, FakeResult(app_id, {"a"})
+        publish(
+            second, "dynamic", "ios", "common", app_id, 120.0, FakeResult(app_id, {"a"})
         )
-        reader = ResultStore(tmp_path / "s", corpus)
+        reader = bound_store(tmp_path / "s", corpus)
         for wait in (0.0, 120.0):
             assert (
                 reader.lookup_app("dynamic", "ios", "common", app_id, wait)
@@ -151,19 +152,18 @@ class TestSlotMerge:
         """A handle that read a pack before another handle rewrote it
         merges with the rewritten file, not with its own stale copy."""
         app_id = corpus.dataset("ios", "common")[0].app.app_id
-        seed = ResultStore(tmp_path / "s", corpus)
-        seed.publish_app(
-            "dynamic", "ios", "common", app_id, 0.0, FakeResult(app_id)
+        seed = bound_store(tmp_path / "s", corpus)
+        publish(
+            seed, "dynamic", "ios", "common", app_id, 0.0, FakeResult(app_id)
         )
-        stale = ResultStore(tmp_path / "s", corpus)
+        stale = bound_store(tmp_path / "s", corpus)
         assert stale.lookup_app("dynamic", "ios", "common", app_id, 0.0)
-        ResultStore(tmp_path / "s", corpus).publish_app(
-            "dynamic", "ios", "common", app_id, 60.0, FakeResult(app_id)
+        other = bound_store(tmp_path / "s", corpus)
+        publish(other, "dynamic", "ios", "common", app_id, 60.0, FakeResult(app_id))
+        publish(
+            stale, "dynamic", "ios", "common", app_id, 120.0, FakeResult(app_id)
         )
-        stale.publish_app(
-            "dynamic", "ios", "common", app_id, 120.0, FakeResult(app_id)
-        )
-        reader = ResultStore(tmp_path / "s", corpus)
+        reader = bound_store(tmp_path / "s", corpus)
         for wait in (0.0, 60.0, 120.0):
             assert reader.lookup_app("dynamic", "ios", "common", app_id, wait)
 
@@ -183,7 +183,7 @@ class TestSlotMerge:
         monkeypatch.setattr(pickle, "load", counting_load)
         monkeypatch.setattr(pickle, "Unpickler", CountingUnpickler)
         monkeypatch.setattr(CountingUnpickler, "loads", [])
-        store = ResultStore(filled, corpus)
+        store = bound_store(filled, corpus)
         assert store.lookup_app("dynamic", "ios", "common", app_id, 7.0) is None
         assert len(loads) == 1  # the envelope's header
         assert CountingUnpickler.loads == []
@@ -199,25 +199,25 @@ class TestLostUpdates:
         """A writer that finishes inside another's write can lose its key:
         the key then misses, and the survivor's key is served."""
         app_id = corpus.dataset("ios", "common")[0].app.app_id
-        first = ResultStore(tmp_path / "s", corpus)
-        second = ResultStore(tmp_path / "s", corpus)
+        first = bound_store(tmp_path / "s", corpus)
+        second = bound_store(tmp_path / "s", corpus)
         real_replace = os.replace
         interleaved = []
 
         def replace(src, dst):
             if not interleaved:
                 interleaved.append(dst)
-                second.publish_app(
-                    "dynamic", "ios", "common", app_id, 120.0, FakeResult(app_id)
+                publish(
+                    second, "dynamic", "ios", "common", app_id, 120.0, FakeResult(app_id)
                 )
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace)
-        first.publish_app(
-            "dynamic", "ios", "common", app_id, 0.0, FakeResult(app_id)
+        publish(
+            first, "dynamic", "ios", "common", app_id, 0.0, FakeResult(app_id)
         )
         assert interleaved
-        reader = ResultStore(tmp_path / "s", corpus)
+        reader = bound_store(tmp_path / "s", corpus)
         assert reader.lookup_app("dynamic", "ios", "common", app_id, 120.0) is None
         served = reader.lookup_app("dynamic", "ios", "common", app_id, 0.0)
         assert served.app_id == app_id and not served.pins()
@@ -258,13 +258,13 @@ class TestConcurrentHandles:
 
         def writer(wait):
             try:
-                store = ResultStore(tmp_path / "s", corpus)
+                store = bound_store(tmp_path / "s", corpus)
                 for app_id in apps:
                     for config, pinned in ((0.0, ()), (wait, {f"w{wait}"})):
                         result = FakeResult(app_id, pinned)
                         result.padding = padding
-                        store.publish_app(
-                            "dynamic", "ios", "popular", app_id, config, result
+                        publish(
+                            store, "dynamic", "ios", "popular", app_id, config, result
                         )
             except Exception as exc:  # asserted empty below
                 errors.append(exc)
@@ -281,7 +281,7 @@ class TestConcurrentHandles:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        reader = ResultStore(tmp_path / "s", corpus)
+        reader = bound_store(tmp_path / "s", corpus)
         for app_id in apps:
             for wait in [0.0, *waits]:
                 result = reader.lookup_app(
@@ -303,7 +303,7 @@ class TestSlotCorruption:
         blob = victim.read_bytes()
         victim.write_bytes(blob[: len(blob) // 2])
 
-        probe = ResultStore(filled, corpus, write=False)
+        probe = bound_store(filled, corpus, write=False)
         with pytest.warns(RuntimeWarning, match="corrupt"):
             assert (
                 probe.lookup_app("dynamic", "ios", "common", app_id, 0.0)
@@ -346,7 +346,7 @@ class TestSlotCorruption:
         assert edited != header
         victim.write_bytes(edited + blob[len(header) :])
 
-        probe = ResultStore(filled, corpus, write=False)
+        probe = bound_store(filled, corpus, write=False)
         with pytest.warns(RuntimeWarning, match="corrupt"):
             assert probe.lookup_app("dynamic", "ios", "random", second, 0.0) is None
         assert probe.stats.invalidated == 1

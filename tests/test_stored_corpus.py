@@ -216,11 +216,12 @@ def stored_captures(corpus, root):
     """The direct and MITM capture of every app, decoded from the packs of
     a filled store."""
     store = ResultStore(root, corpus, write=False)
+    pipeline = DynamicPipeline(corpus)
     params = {"wait": 0.0, "interact": False}
     for (platform, dataset), apps in sorted(corpus.datasets.items()):
         for packaged in apps:
             app_id = packaged.app.app_id
-            keys = store.stage_keys(DYNAMIC_GRAPH, platform, dataset, app_id, params, None)
+            keys = store.stage_keys(DYNAMIC_GRAPH, platform, dataset, app_id, params, pipeline)
             for stage in ("run_direct", "run_mitm"):
                 yield store.lookup_stage(keys[stage], "dynamic", stage, platform, dataset)
 

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.exec.resultstore import ResultStore
 from repro.corpus import CorpusConfig, CorpusGenerator
+from tests.store_helpers import bound_store, publish
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -64,7 +64,8 @@ def populate(store, corpus, flip_app=None, skip_app=None):
         pinned = {"api.example.com"} if position % 2 else set()
         if position == flip_app:
             pinned = {"api.changed.example"}
-        store.publish_app(
+        publish(
+            store,
             "dynamic",
             "android",
             "popular",
@@ -77,16 +78,16 @@ def populate(store, corpus, flip_app=None, skip_app=None):
 
 class TestDiffRuns:
     def test_identical_stores(self, corpus, tmp_path, capsys):
-        a = ResultStore(tmp_path / "a", corpus)
-        b = ResultStore(tmp_path / "b", corpus)
+        a = bound_store(tmp_path / "a", corpus)
+        b = bound_store(tmp_path / "b", corpus)
         populate(a, corpus)
         populate(b, corpus)
         assert diff_runs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
         assert "identical" in capsys.readouterr().out
 
     def test_one_perturbed_app_named_exactly(self, corpus, tmp_path, capsys):
-        a = ResultStore(tmp_path / "a", corpus)
-        b = ResultStore(tmp_path / "b", corpus)
+        a = bound_store(tmp_path / "a", corpus)
+        b = bound_store(tmp_path / "b", corpus)
         app_ids = populate(a, corpus)
         populate(b, corpus, flip_app=0)
         exit_code = diff_runs.main(
@@ -102,8 +103,8 @@ class TestDiffRuns:
         assert report["only_in_a"] == report["only_in_b"] == []
 
     def test_missing_app_reported_one_sided(self, corpus, tmp_path, capsys):
-        a = ResultStore(tmp_path / "a", corpus)
-        b = ResultStore(tmp_path / "b", corpus)
+        a = bound_store(tmp_path / "a", corpus)
+        b = bound_store(tmp_path / "b", corpus)
         app_ids = populate(a, corpus)
         populate(b, corpus, skip_app=2)
         dropped = app_ids[2]
@@ -113,12 +114,13 @@ class TestDiffRuns:
 
     def test_rerun_wait_wins_the_verdict(self, corpus, tmp_path, capsys):
         """An app with initial + re-run entries is judged by the re-run."""
-        a = ResultStore(tmp_path / "a", corpus)
-        b = ResultStore(tmp_path / "b", corpus)
+        a = bound_store(tmp_path / "a", corpus)
+        b = bound_store(tmp_path / "b", corpus)
         app_id = populate(a, corpus)[0]
         populate(b, corpus)
         for store in (a, b):
-            store.publish_app(
+            publish(
+                store,
                 "dynamic",
                 "android",
                 "popular",
@@ -133,8 +135,8 @@ class TestDiffRuns:
     def test_format_5_store_compares(self, corpus, tmp_path, capsys):
         """A store written before the header's metadata was pickled
         (format 5: the dict itself) compares with one written after."""
-        populate(ResultStore(tmp_path / "a", corpus), corpus)
-        populate(ResultStore(tmp_path / "b", corpus), corpus)
+        populate(bound_store(tmp_path / "a", corpus), corpus)
+        populate(bound_store(tmp_path / "b", corpus), corpus)
         for path in (tmp_path / "b" / "packs").glob("*.pkl"):
             blob = path.read_bytes()
             magic, _version, name, meta, digest, size = pickle.loads(blob)
