@@ -14,7 +14,7 @@ from repro.util.simtime import STUDY_START
 
 
 def test_static_scan_per_app(corpus, benchmark):
-    pipeline = StaticPipeline(corpus.registry.ctlog)
+    pipeline = StaticPipeline(corpus.registry)
     apps = corpus.dataset("android", "popular")
     cycle = itertools.cycle(apps)
 

@@ -84,7 +84,7 @@ def main() -> None:
     packaged = build_app(corpus)
 
     print("== Static analysis ==")
-    static = StaticPipeline(corpus.registry.ctlog)
+    static = StaticPipeline(corpus.registry)
     report = static.analyze_app(packaged)
     print(f"embedded material found: {report.embedded_material}")
     print(f"pin strings found      : {sorted(report.all_pin_strings())}")

@@ -358,7 +358,7 @@ class Study:
             detector=detector,
         )
         self.static_pipeline = StaticPipeline(
-            corpus.registry.ctlog, fault_predicate=fault_predicate
+            corpus.registry, fault_predicate=fault_predicate
         )
         self.circumvention_pipeline = CircumventionPipeline(
             self.dynamic_pipeline, fault_predicate=fault_predicate

@@ -95,8 +95,13 @@ class DynamicAppResult:
         }
 
     def pins(self) -> bool:
-        """Table 3's per-app predicate: at least one pinned destination."""
-        return bool(self.pinned_destinations)
+        """Table 3's per-app predicate: at least one pinned destination
+        (:attr:`pinned_destinations` is not empty), found without building
+        the set."""
+        for verdict in self.verdicts.values():
+            if verdict.pinned and not verdict.excluded:
+                return True
+        return False
 
 
 def _run_config(ctx, a, mitm: bool) -> RunConfig:

@@ -130,7 +130,7 @@ def _static_pipeline(state: dict):
         from repro.core.static.pipeline import StaticPipeline
 
         state["static"] = StaticPipeline(
-            state["corpus"].registry.ctlog, fault_predicate=state["faults"]
+            state["corpus"].registry, fault_predicate=state["faults"]
         )
     return state["static"]
 
@@ -377,6 +377,10 @@ class ExecutionEngine:
                 self._count("store.units.skipped")
             else:
                 pending.append((position, unit))
+        if pending:
+            # A corpus read from the store's catalogue reads its file
+            # trees and CT log only once a unit must be computed.
+            self.corpus.attach()
         for position, unit in pending:
             unit_results[position] = self._run_with_recovery(unit, failures)
             self._landed()

@@ -17,7 +17,8 @@ Layout::
     store/
       store.json          # manifest (version, salt); another one sweeps old files
       packs/<pack>.pkl    # one file per (corpus, kind, platform, dataset)
-      corpus/<name>.pkl   # one generated corpus per corpus config
+      corpus/<name>.pkl   # one generated corpus per corpus config: its
+                          # catalogue, then its detached part
 
 A **pack** holds every stored artifact of one dataset's apps for one
 kind, for every config.  Its file is a pickled header ``(magic, version,
@@ -52,6 +53,7 @@ paused (:func:`_paused`) and, in a run that owns the freeze
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import io
@@ -76,9 +78,10 @@ _CHUNK = 1 << 16
 #: per dataset; v4: results carry per-flow facts and refer to their
 #: captures in the stage pickle; v5: one pickle per entry, results hold
 #: no captures; v6: the header's metadata is pickled bytes the digest
-#: covers.  A file of another version is never read (pack and corpus
-#: file names hash it).
-_VERSION = 6
+#: covers; v7: a corpus file keeps its catalogue and its detached part
+#: apart.  A file of another version is never read (pack and corpus file
+#: names hash it).
+_VERSION = 7
 
 
 #: What unpickling/validating a *damaged* pack can raise.  Truncated or
@@ -114,9 +117,10 @@ def _paused(load, *args):
             gc.enable()
 
 
-def _loads_paused(data: bytes):
-    """``data`` unpickled with cyclic collection paused (:func:`_paused`)."""
-    return _paused(pickle.Unpickler(io.BytesIO(data)).load)
+def _load_paused(source):
+    """The pickle read from the binary file ``source``, unpickled with
+    cyclic collection paused (:func:`_paused`)."""
+    return _paused(pickle.Unpickler(source).load)
 
 
 def _promote_to_oldest() -> None:
@@ -151,13 +155,26 @@ def _identity(fh) -> tuple:
     return stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
+def _hash_chunks(fh, hasher, size: int) -> None:
+    """Feed the next ``size`` bytes of ``fh`` to ``hasher``, a chunk at a
+    time; fewer bytes raise ``EOFError``."""
+    received = 0
+    while received < size:
+        chunk = fh.read(min(_CHUNK, size - received))
+        if not chunk:
+            raise EOFError("payload is truncated")
+        hasher.update(chunk)
+        received += len(chunk)
+
+
 def _read_envelope(path: Path, magic: str, name: str, keep_payload: bool = True):
     """The verified envelope file at ``path``, or None when it is absent.
 
     The file is a pickled header ``(magic, version, name, meta bytes,
-    sha256, payload_size)`` followed by the payload; the digest covers
-    the meta bytes and the payload, and ``meta`` is unpickled only once
-    it is verified.  A bad magic, version, name or digest raises
+    sha256, payload_size)`` followed by the payload (a corpus file's
+    detached part trails it, outside the digest); the digest covers the
+    meta bytes and the payload, and ``meta`` is unpickled only once it is
+    verified.  A bad magic, version, name or digest raises
     ``ValueError``, a short payload ``EOFError``; damaged header bytes
     raise one of :data:`_CORRUPTION_ERRORS`.  Without ``keep_payload``
     the payload is hashed in chunks and dropped.
@@ -175,27 +192,21 @@ def _read_envelope(path: Path, magic: str, name: str, keep_payload: bool = True)
         offset = fh.tell()
         hasher = hashlib.sha256(meta_bytes)
         payload = fh.read(size) if keep_payload else None
-        if payload is not None:
-            hasher.update(payload)
-            received = len(payload)
-        else:
-            received = 0
-            while received < size:
-                chunk = fh.read(min(_CHUNK, size - received))
-                if not chunk:
-                    break
-                hasher.update(chunk)
-                received += len(chunk)
-        if received != size:
+        if payload is None:
+            _hash_chunks(fh, hasher, size)
+        elif len(payload) != size:
             raise EOFError("payload is truncated")
+        else:
+            hasher.update(payload)
         if hasher.hexdigest() != digest:
             raise ValueError("digest mismatch")
         return _Envelope(pickle.loads(meta_bytes), digest, offset, _identity(fh), payload)
 
 
 def _write_envelope(path: Path, magic: str, name: str, meta: dict, encode) -> _Envelope:
-    """Atomically replace ``path`` with an envelope of ``encode()``, the
-    payload bytes (it runs first, so ``meta`` may describe them).
+    """Atomically replace ``path`` with an envelope of ``encode()``: the
+    payload bytes and the bytes that trail them outside the digest (it
+    runs first, so ``meta`` may describe them).
 
     The temp file from :func:`tempfile.mkstemp` is moved over ``path``
     with ``os.replace``, so a killed writer never leaves a half-written
@@ -203,7 +214,7 @@ def _write_envelope(path: Path, magic: str, name: str, meta: dict, encode) -> _E
     :class:`StoreWriteError`.  Returns the envelope as written.
     """
     try:
-        payload = encode()
+        payload, trailer = encode()
         meta_bytes = pickle.dumps(meta)
         hasher = hashlib.sha256(meta_bytes)
         hasher.update(payload)
@@ -219,6 +230,7 @@ def _write_envelope(path: Path, magic: str, name: str, meta: dict, encode) -> _E
                 pickle.dump(header, fh)
                 offset = fh.tell()
                 fh.write(payload)
+                fh.write(trailer)
                 fh.flush()
                 identity = _identity(fh)
             os.replace(tmp, path)
@@ -233,17 +245,56 @@ def _write_envelope(path: Path, magic: str, name: str, meta: dict, encode) -> _E
     return _Envelope(meta, digest, offset, identity, payload)
 
 
+def _open_at(path: Path, identity: Optional[tuple], start: int):
+    """The file at ``path`` open for reading at ``start``, or None if it
+    is absent or no longer the file ``identity`` names."""
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return None
+    if _identity(fh) != identity:
+        fh.close()
+        return None
+    fh.seek(start)
+    return fh
+
+
 def _read_at(path: Path, identity: Optional[tuple], start: int, size: int) -> Optional[bytes]:
     """``size`` bytes at ``start`` of the file at ``path``, or None if it
     is absent or no longer the file ``identity`` names."""
+    fh = _open_at(path, identity, start)
+    if fh is None:
+        return None
     try:
-        with open(path, "rb") as fh:
-            if _identity(fh) != identity:
-                return None
-            fh.seek(start)
+        with fh:
             return fh.read(size)
     except OSError:
         return None
+
+
+def _load_at(path: Path, identity: Optional[tuple], start: int, check=None):
+    """The pickle at ``start`` of the file at ``path``, unpickled from the
+    file with collection paused and then promoted
+    (:func:`_promote_to_oldest`); None if the file is absent or no longer
+    the file ``identity`` names.
+
+    With ``check``, ``(size, sha256)``, the ``size`` bytes at ``start``
+    are hashed in chunks first, and a mismatch raises ``ValueError``.
+    """
+    fh = _open_at(path, identity, start)
+    if fh is None:
+        return None
+    with fh:
+        if check is not None:
+            size, digest = check
+            hasher = hashlib.sha256()
+            _hash_chunks(fh, hasher, size)
+            if hasher.hexdigest() != digest:
+                raise ValueError("digest mismatch")
+            fh.seek(start)
+        value = _load_paused(fh)
+    _promote_to_oldest()
+    return value
 
 
 def _mkstemp(path: Path):
@@ -635,7 +686,7 @@ class ResultStore:
         if data is None:
             return miss
         try:
-            value = _loads_paused(data)
+            value = _load_paused(io.BytesIO(data))
         except _CORRUPTION_ERRORS as exc:
             self._invalidate(pack.path, exc)
             pack.adopt(None)
@@ -677,7 +728,7 @@ class ResultStore:
                 start = buffer.tell()
                 pickle.dump(value, buffer)
                 entries[key] = {**meta, "span": (start, buffer.tell())}
-            return buffer.getvalue()
+            return buffer.getvalue(), b""
 
         meta = dict(
             zip(("kind", "platform", "dataset"), pack.key),
@@ -884,10 +935,17 @@ class CorpusStore:
     over, and reading it back costs a fraction of generating it.
     :meth:`~repro.corpus.generator.CorpusGenerator.generate` asks
     :meth:`load` first and hands a corpus it built to :meth:`save`,
-    before any study runs on it.  A corpus file is an envelope like a
-    pack's and follows the same corruption contract: a damaged file is
-    warned about, deleted and regenerated; ``AttributeError`` and
-    ``ImportError`` propagate.
+    before any study runs on it.
+
+    A corpus file is an envelope like a pack's.  Its payload is the
+    corpus's catalogue (:meth:`~repro.corpus.datasets.AppCorpus.catalogue`),
+    and its detached part (the file trees and the CT log) trails it; the
+    verified metadata records the part's span and sha256.  :meth:`load`
+    reads the catalogue only, and the part is read when the corpus is
+    attached (:meth:`~repro.corpus.datasets.AppCorpus.attach`), which a
+    fully warm run never does.  Both follow the pack's corruption
+    contract: a damaged file is warned about, deleted and regenerated;
+    ``AttributeError`` and ``ImportError`` propagate.
 
     Args:
         root: store directory (created on first save).
@@ -906,34 +964,83 @@ class CorpusStore:
         return self.root / "corpus" / f"{corpus_file_name(config)}.pkl"
 
     def load(self, config):
-        """The kept corpus of ``config``, or None to generate it."""
+        """The kept corpus of ``config`` as its catalogue, or None to
+        generate it.
+
+        The catalogue is hashed in chunks, then unpickled from the file
+        itself, so its bytes are never held.
+        """
         self.loaded = False
         path = self.path(config)
         try:
-            envelope = _read_envelope(path, _CORPUS_MAGIC, path.stem)
+            envelope = _read_envelope(path, _CORPUS_MAGIC, path.stem, keep_payload=False)
             if envelope is None:
                 return None
-            corpus = _loads_paused(envelope.payload)
-            _promote_to_oldest()
+            if envelope.identity[1] != envelope.offset + envelope.meta["detached"][1]:
+                raise EOFError("the detached part is truncated")
+            corpus = _load_at(path, envelope.identity, envelope.offset)
         except _CORRUPTION_ERRORS as exc:
-            _discard(
-                path,
-                f"stored corpus {path} is corrupt ({exc}); it was "
-                "discarded and the corpus will be regenerated",
-            )
+            self._corrupt(path, exc)
             return None
+        if corpus is None:
+            return None
+        corpus.load_detached = functools.partial(self._load_detached, config, envelope)
         self.loaded = True
         return corpus
 
+    def _load_detached(self, config, envelope: _Envelope):
+        """The detached part of the file ``envelope`` was read from,
+        verified against its sha256.
+
+        A damaged part is warned about and its file deleted; a file
+        replaced since is not read.  Either way the corpus is regenerated
+        from ``config``, kept again, and the part is taken from it.
+        """
+        path = self.path(config)
+        start, end = envelope.meta["detached"]
+        try:
+            parts = _load_at(
+                path,
+                envelope.identity,
+                envelope.offset + start,
+                (end - start, envelope.meta["detached_sha256"]),
+            )
+        except _CORRUPTION_ERRORS as exc:
+            self._corrupt(path, exc)
+            parts = None
+        if parts is not None:
+            return parts
+        from repro.corpus.generator import CorpusGenerator
+
+        corpus = CorpusGenerator(config).generate()
+        self.loaded = False
+        self.save(config, corpus)
+        return corpus.detached_parts()
+
+    @staticmethod
+    def _corrupt(path: Path, reason: Exception) -> None:
+        _discard(
+            path,
+            f"stored corpus {path} is corrupt ({reason}); it was "
+            "discarded and the corpus will be regenerated",
+        )
+
     def save(self, config, corpus) -> None:
-        """Keep a freshly generated corpus of ``config``."""
+        """Keep a freshly generated corpus of ``config``: its catalogue,
+        then its detached part."""
         if self.write:
             path = self.path(config)
             meta = dict(_settings(config))
+
+            def encode():
+                catalogue = pickle.dumps(corpus.catalogue())
+                detached = pickle.dumps(corpus.detached_parts())
+                meta["detached"] = (len(catalogue), len(catalogue) + len(detached))
+                meta["detached_sha256"] = hashlib.sha256(detached).hexdigest()
+                return catalogue, detached
+
             _ensure_manifest(self.root)
-            _write_envelope(
-                path, _CORPUS_MAGIC, path.stem, meta, lambda: pickle.dumps(corpus)
-            )
+            _write_envelope(path, _CORPUS_MAGIC, path.stem, meta, encode)
 
     def describe(self) -> str:
         if self.loaded:

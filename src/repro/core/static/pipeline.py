@@ -27,6 +27,7 @@ from repro.core.static.report import StaticAppReport
 from repro.core.static.search import scan_tree
 from repro.errors import AnalysisError
 from repro.pki.ctlog import CTLog
+from repro.servers.registry import EndpointRegistry
 
 #: Tool sentinel for the simulated apktool decompilation path.  Android
 #: apps need no decryption, but report rows must never carry an empty
@@ -124,7 +125,7 @@ class StaticPipeline:
     """Static analysis over a corpus.
 
     Args:
-        ctlog: the CT index for hash resolution.
+        registry: the endpoint registry whose CT log resolves hashes.
         jailbroken_device_available: gates iOS decryption.
         include_native: run the native-strings pass (ablation knob).
         fault_predicate: injectable per-app failure hook (see
@@ -136,15 +137,22 @@ class StaticPipeline:
 
     def __init__(
         self,
-        ctlog: CTLog,
+        registry: EndpointRegistry,
         jailbroken_device_available: bool = True,
         include_native: bool = True,
         fault_predicate=None,
     ):
-        self.ctlog = ctlog
+        self.registry = registry
         self.jailbroken_device_available = jailbroken_device_available
         self.include_native = include_native
         self.fault_predicate = fault_predicate
+
+    @property
+    def ctlog(self) -> CTLog:
+        """The registry's CT log, read at each lookup: a corpus read back
+        from the result store attaches it after its pipelines are built
+        (:meth:`~repro.corpus.datasets.AppCorpus.attach`)."""
+        return self.registry.ctlog
 
     def analyze_app(self, packaged, cache=None, dataset=None) -> StaticAppReport:
         """Analyze one packaged app (Android or iOS).

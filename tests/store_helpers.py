@@ -40,7 +40,7 @@ def bound_store(root, corpus, sleep_s: float = 30.0, **kwargs) -> ResultStore:
     store = ResultStore(root, corpus, **kwargs)
     dynamic = DynamicPipeline(corpus, sleep_s=sleep_s)
     store.bind_pipelines(
-        static=StaticPipeline(corpus.registry.ctlog),
+        static=StaticPipeline(corpus.registry),
         dynamic=dynamic,
         circumvent=CircumventionPipeline(dynamic),
     )

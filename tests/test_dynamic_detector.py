@@ -258,6 +258,7 @@ class TestResultExclusionSymmetry:
         )
         assert result.pinned_destinations == {"pin.com"}
         assert result.not_pinned_destinations == {"plain.com"}
+        assert result.pins()
 
     def test_only_excluded_pins_means_app_does_not_pin(self):
         from repro.core.dynamic.detector import DestinationVerdict

@@ -65,7 +65,7 @@ class TestWithoutJailbreak:
 
         corpus, _ = locked_world
         pipeline = StaticPipeline(
-            corpus.registry.ctlog, jailbroken_device_available=False
+            corpus.registry, jailbroken_device_available=False
         )
         with pytest.raises(DeviceError):
             pipeline.analyze_app(corpus.dataset("ios", "popular")[1])

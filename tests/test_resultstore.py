@@ -214,7 +214,7 @@ class TestBinding:
         the result it files is addressed under them, which a handle
         bound to the default pipelines does not find."""
         store = ResultStore(tmp_path / "s", corpus)
-        pipeline = StaticPipeline(corpus.registry.ctlog, include_native=False)
+        pipeline = StaticPipeline(corpus.registry, include_native=False)
         packaged = corpus.dataset("android", "popular")[0]
         result = pipeline.analyze_app(packaged, cache=store, dataset="popular")
         unit = ("static", "android", "popular", (0,), None)

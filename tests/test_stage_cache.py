@@ -30,7 +30,7 @@ def _app(small_corpus, platform="android", dataset="popular", index=0):
 
 class TestStaticStageCache:
     def test_cold_run_publishes_then_warm_run_hits(self, small_corpus, store):
-        pipeline = StaticPipeline(small_corpus.registry.ctlog)
+        pipeline = StaticPipeline(small_corpus.registry)
         packaged = _app(small_corpus)
         cold = pipeline.analyze_app(packaged, cache=store, dataset="popular")
         store.flush()
@@ -43,13 +43,13 @@ class TestStaticStageCache:
     def test_include_native_flip_recomputes_only_downstream(
         self, small_corpus, store
     ):
-        baseline = StaticPipeline(small_corpus.registry.ctlog)
+        baseline = StaticPipeline(small_corpus.registry)
         packaged = _app(small_corpus)
         baseline.analyze_app(packaged, cache=store, dataset="popular")
         store.flush()
 
         flipped = StaticPipeline(
-            small_corpus.registry.ctlog, include_native=False
+            small_corpus.registry, include_native=False
         )
         recorder = obs.Recorder().install()
         try:
@@ -67,7 +67,7 @@ class TestStaticStageCache:
         assert recorder.counter_value("store.stage.static.scan.miss") == 1
 
         cold = StaticPipeline(
-            small_corpus.registry.ctlog, include_native=False
+            small_corpus.registry, include_native=False
         ).analyze_app(packaged)
         assert partial == cold
 
@@ -183,7 +183,7 @@ class TestCircumventStageCache:
 class TestStoreStats:
     def test_describe_reports_stage_tallies(self, small_corpus, store):
         assert "stage" not in store.stats.describe()
-        pipeline = StaticPipeline(small_corpus.registry.ctlog)
+        pipeline = StaticPipeline(small_corpus.registry)
         pipeline.analyze_app(_app(small_corpus), cache=store, dataset="popular")
         store.flush()
         description = store.stats.describe()

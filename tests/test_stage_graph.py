@@ -170,7 +170,7 @@ class TestStageKeys:
         key as the default knobs do, and a flipped one as flipped knobs."""
         dynamic = DynamicPipeline(small_corpus)
         pipelines = (
-            (STATIC_GRAPH, StaticPipeline(small_corpus.registry.ctlog), None),
+            (STATIC_GRAPH, StaticPipeline(small_corpus.registry), None),
             (DYNAMIC_GRAPH, dynamic, 0.0),
             (CIRCUMVENT_GRAPH, CircumventionPipeline(dynamic), ("a.example",)),
         )
@@ -179,7 +179,7 @@ class TestStageKeys:
             assert graph.stage_keys(FP, *APP, params, pipeline) == graph.stage_keys(
                 FP, *APP, params, knobs()
             ), graph.kind
-        flipped = StaticPipeline(small_corpus.registry.ctlog, include_native=False)
+        flipped = StaticPipeline(small_corpus.registry, include_native=False)
         assert STATIC_GRAPH.stage_keys(FP, *APP, {}, flipped) == STATIC_GRAPH.stage_keys(
             FP, *APP, {}, knobs(include_native=False)
         )
@@ -190,7 +190,7 @@ class TestGraphExecution:
         """Stage-level injection points exist for every stage and carry
         the derived ``kind.stage`` phase name."""
         pipeline = StaticPipeline(
-            small_corpus.registry.ctlog,
+            small_corpus.registry,
             fault_predicate=SeededFaults(rate=1.0, phases=("static.scan",)),
         )
         with pytest.raises(InjectedFault) as excinfo:
@@ -199,7 +199,7 @@ class TestGraphExecution:
 
     def test_app_level_fault_point_fires_first(self, small_corpus):
         pipeline = StaticPipeline(
-            small_corpus.registry.ctlog,
+            small_corpus.registry,
             fault_predicate=SeededFaults(rate=1.0),
         )
         with pytest.raises(InjectedFault) as excinfo:
@@ -209,7 +209,7 @@ class TestGraphExecution:
     def test_graph_derived_telemetry(self, small_corpus):
         recorder = obs.Recorder().install()
         try:
-            pipeline = StaticPipeline(small_corpus.registry.ctlog)
+            pipeline = StaticPipeline(small_corpus.registry)
             pipeline.analyze_app(small_corpus.dataset("android", "popular")[0])
         finally:
             recorder.uninstall()

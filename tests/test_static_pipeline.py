@@ -8,7 +8,7 @@ from repro.core.static.pipeline import StaticPipeline
 
 @pytest.fixture(scope="module")
 def pipeline(small_corpus):
-    return StaticPipeline(small_corpus.registry.ctlog)
+    return StaticPipeline(small_corpus.registry)
 
 
 class TestStaticPipeline:
@@ -65,9 +65,9 @@ class TestStaticPipeline:
         assert resolved_any
 
     def test_native_ablation_finds_less(self, small_corpus):
-        full = StaticPipeline(small_corpus.registry.ctlog, include_native=True)
+        full = StaticPipeline(small_corpus.registry, include_native=True)
         no_native = StaticPipeline(
-            small_corpus.registry.ctlog, include_native=False
+            small_corpus.registry, include_native=False
         )
         apps = small_corpus.all_apps("android")
         found_full = sum(

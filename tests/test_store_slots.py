@@ -399,7 +399,7 @@ class TestStoreWriteFailures:
         outcome = engine.map_dataset("static", ("android", "popular"), range(3))
         assert [failure.app_id for failure in outcome.failures] == [failing]
         store = ResultStore(tmp_path / "s", corpus)
-        StaticPipeline(corpus.registry.ctlog).analyze_app(
+        StaticPipeline(corpus.registry).analyze_app(
             apps[1], cache=store, dataset="popular"
         )
         assert store.stats.stage_hits == 2  # decompile, scan

@@ -2,9 +2,12 @@
 
 ``repro study --store DIR`` keeps the generated corpus in ``DIR/corpus/``
 and reads it back on later runs instead of regenerating it (DESIGN.md
-§10).  The contract under test: a loaded corpus is the generated world;
-a warm run never builds one and prints the cold output; a damaged corpus
-file is warned about, regenerated and rewritten; ``--no-store-write``
+§10).  The contract under test: a loaded corpus, once attached, is the
+generated world; a warm run never builds one, reads no file tree and no
+CT log, and prints the cold output; a run that computes a unit attaches
+the file trees and the CT log first; a damaged corpus file is warned
+about, regenerated and rewritten, whether its catalogue is damaged (found
+at load) or its detached part (found at attach); ``--no-store-write``
 keeps nothing; and every corpus config has a file of its own.
 
 Decoding a stored capture rebuilds the sharing a computing run has: each
@@ -30,23 +33,38 @@ from repro.core.analysis import Study
 from repro.core.dynamic.pipeline import DYNAMIC_GRAPH, DynamicPipeline
 from repro.core.exec import CorpusStore, ResultStore, StoreWriteError
 from repro.core.exec import resultstore
+from repro.core.exec.faults import is_retryable
 from repro.core.exec.resultstore import corpus_fingerprint
-from repro.corpus import CorpusConfig, CorpusGenerator
+from repro.core.static.pipeline import StaticPipeline
+from repro.corpus import AppCorpus, CorpusConfig, CorpusGenerator
 from repro.corpus.spec import content_fingerprint
 from repro.netsim.flow import FlowRecord, Payload
+from repro.reporting.render import render_study_stdout
 from repro.tls.ciphers import ALL_SUITES, CipherSuite
 from repro.tls.connection import ConnectionTrace
 from repro.tls.records import TLSRecord, interned
 from repro.util.simtime import Timestamp
+from tests.test_store_packs import RecordingUnpickler
 
 SEED = 2022
 SCALE = 0.02
 CONFIG = CorpusConfig(seed=SEED).scaled(SCALE)
 GOLDEN = Path(__file__).parent / "data" / "study_scale002_golden.txt"
+FLIP = "no-tls13"
+#: The classes of a corpus's detached part, which a warm run never decodes.
+DETACHED_CLASSES = {"FileTree", "FileNode", "CTLog"}
 
 
 def study(root, *flags):
     return main(["--scale", str(SCALE), "study", "--store", str(root), *flags])
+
+
+def trees(corpus):
+    """Every app's files, per dataset."""
+    return {
+        key: [list(tree.walk()) for tree in apps]
+        for key, apps in corpus.detached_parts()[1].items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +99,43 @@ def kept(root, config=CONFIG):
     return CorpusStore(root).path(config)
 
 
+def sections(path):
+    """The ``(start, end)`` file offsets of a corpus file's catalogue and
+    of its detached part."""
+    with open(path, "rb") as fh:
+        header = pickle.load(fh)
+        offset = fh.tell()
+    start, end = pickle.loads(header[3])["detached"]
+    return (offset, offset + start), (offset + start, offset + end)
+
+
+@pytest.fixture()
+def attaches(monkeypatch):
+    """The corpora :meth:`AppCorpus.attach` read a detached part into."""
+    attached = []
+    attach = AppCorpus.attach
+
+    def recording(corpus):
+        if corpus.load_detached is not None:
+            attached.append(corpus)
+        attach(corpus)
+
+    monkeypatch.setattr(AppCorpus, "attach", recording)
+    return attached
+
+
+@pytest.fixture(scope="module")
+def flipped_cold(generated):
+    """The store-less output of a detector flip."""
+    return render_study_stdout(Study(generated, detector=FLIP).run())
+
+
+def drop_static_pack(root, generated):
+    """Delete the static pack of a dataset with pins, so a run over
+    ``root`` computes a unit that reads the file trees and the CT log."""
+    ResultStore(root, generated).pack_path("static", "android", "common").unlink()
+
+
 def read_only_study(root, capsys):
     capsys.readouterr()
     assert study(root, "--no-store-write") == 0
@@ -96,16 +151,71 @@ class TestStoredCorpus:
         assert not store.loaded and kept(tmp_path).exists()
         loaded = CorpusGenerator(CONFIG).generate(store)
         assert store.loaded
+        loaded.attach()
         assert (
             content_fingerprint(loaded),
             corpus_fingerprint(loaded),
         ) == fingerprints
+        assert trees(loaded) == trees(CorpusGenerator(CONFIG).generate())
+
+    def test_catalogue_leaves_the_corpus_whole(self, generated):
+        before = trees(generated)
+        catalogue = generated.catalogue()
+        assert catalogue.registry.ctlog is None
+        assert all(
+            tree is None for apps in catalogue.detached_parts()[1].values() for tree in apps
+        )
+        assert generated.registry.ctlog is not None
+        assert trees(generated) == before
 
     def test_warm_cli_run_loads_the_corpus(self, filled, capsys, no_build):
         assert kept(filled).exists()
         out = read_only_study(filled, capsys)
         assert out.out == GOLDEN.read_text()
         assert "corpus loaded from store" in out.err
+
+    def test_warm_cli_run_reads_no_tree_and_no_ct_log(
+        self, filled, capsys, monkeypatch, attaches
+    ):
+        monkeypatch.setattr(pickle, "Unpickler", RecordingUnpickler)
+        monkeypatch.setattr(RecordingUnpickler, "names", [])
+        out = read_only_study(filled, capsys)
+        assert out.out == GOLDEN.read_text()
+        assert "corpus loaded from store" in out.err
+        assert "AppCorpus" in RecordingUnpickler.names
+        assert not DETACHED_CLASSES & set(RecordingUnpickler.names)
+        assert attaches == []
+
+    def test_detector_flip_attaches(self, filled, tmp_path, capsys, attaches, flipped_cold):
+        root = tmp_path / "store"
+        shutil.copytree(filled, root)
+        capsys.readouterr()
+        assert study(root, "--detector", FLIP) == 0
+        captured = capsys.readouterr()
+        assert captured.out == flipped_cold
+        assert "corpus loaded from store" in captured.err
+        assert len(attaches) == 1
+
+    def test_missing_static_pack_attaches(
+        self, filled, tmp_path, capsys, attaches, generated
+    ):
+        root = tmp_path / "store"
+        shutil.copytree(filled, root)
+        drop_static_pack(root, generated)
+        capsys.readouterr()
+        assert study(root) == 0
+        captured = capsys.readouterr()
+        assert captured.out == GOLDEN.read_text()
+        assert "corpus loaded from store" in captured.err
+        assert len(attaches) == 1
+
+    def test_unattached_corpus_fails_static_analysis_for_good(self, filled):
+        corpus = CorpusStore(filled).load(CONFIG)
+        pipeline = StaticPipeline(corpus.registry)
+        for platform in ("android", "ios"):
+            with pytest.raises(Exception) as failure:
+                pipeline.analyze_app(corpus.dataset(platform, "popular")[0])
+            assert not is_retryable(failure.value)
 
     def test_cold_cli_run_says_it_generated(self, tmp_path, capsys):
         root = tmp_path / "store"
@@ -127,8 +237,19 @@ class TestStoredCorpus:
 
 
 def flip_byte(path):
+    """Flip the middle byte of a corpus file's catalogue."""
+    (start, end), _ = sections(path)
     data = bytearray(path.read_bytes())
-    data[len(data) // 2] ^= 0xFF
+    data[(start + end) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def flip_detached_byte(path):
+    """Flip the case of one letter of a file path in a corpus file's
+    detached part: the part still unpickles, to a wrong file tree."""
+    _, (start, end) = sections(path)
+    data = bytearray(path.read_bytes())
+    data[data.index(b"smali/", start, end)] ^= 0x20
     path.write_bytes(bytes(data))
 
 
@@ -155,6 +276,33 @@ class TestCorruption:
         store = CorpusStore(root)
         rewritten = CorpusGenerator(CONFIG).generate(store)
         assert store.loaded
+        rewritten.attach()
+        assert (
+            content_fingerprint(rewritten),
+            corpus_fingerprint(rewritten),
+        ) == fingerprints
+
+    def test_damaged_detached_part_is_found_at_attach(
+        self, filled, tmp_path, capsys, fingerprints, generated
+    ):
+        root = tmp_path / "store"
+        shutil.copytree(filled, root)
+        flip_detached_byte(kept(root))
+        warm = read_only_study(root, capsys)
+        assert warm.out == GOLDEN.read_text()
+        assert "corpus loaded from store" in warm.err
+        assert kept(root).exists()
+
+        drop_static_pack(root, generated)
+        with pytest.warns(RuntimeWarning, match="stored corpus .* is corrupt"):
+            assert study(root) == 0
+        captured = capsys.readouterr()
+        assert captured.out == GOLDEN.read_text()
+        assert "corpus generated and stored" in captured.err
+        store = CorpusStore(root)
+        rewritten = CorpusGenerator(CONFIG).generate(store)
+        assert store.loaded
+        rewritten.attach()
         assert (
             content_fingerprint(rewritten),
             corpus_fingerprint(rewritten),
@@ -181,7 +329,7 @@ class TestCorruption:
         def renamed_class(data):
             raise AttributeError("module has no attribute 'AppCorpus'")
 
-        monkeypatch.setattr(resultstore, "_loads_paused", renamed_class)
+        monkeypatch.setattr(resultstore, "_load_paused", renamed_class)
         with pytest.raises(AttributeError):
             CorpusGenerator(CONFIG).generate(CorpusStore(tmp_path))
         assert kept(tmp_path).exists()

@@ -135,7 +135,7 @@ def test_broken_hash_regex_fails_spki_oracle(small_corpus, monkeypatch):
     audit exists to catch, end to end through a real pipeline run."""
     from repro.core.static import search as search_mod
 
-    baseline = StaticPipeline(small_corpus.registry.ctlog).analyze_dataset(
+    baseline = StaticPipeline(small_corpus.registry).analyze_dataset(
         small_corpus.dataset("android", "popular")
     )
     assert score_spki_search(small_corpus, baseline).false_negatives == 0
@@ -143,7 +143,7 @@ def test_broken_hash_regex_fails_spki_oracle(small_corpus, monkeypatch):
     monkeypatch.setattr(
         search_mod, "HASH_PATTERN", re.compile(r"(?!x)x")
     )
-    broken = StaticPipeline(small_corpus.registry.ctlog).analyze_dataset(
+    broken = StaticPipeline(small_corpus.registry).analyze_dataset(
         small_corpus.dataset("android", "popular")
     )
     score = score_spki_search(small_corpus, broken)
