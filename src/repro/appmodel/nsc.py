@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import AppModelError
-from repro.tls.policy import NSCDomainRule
-from repro.util.simtime import Timestamp
 
 
 @dataclass
@@ -42,19 +40,6 @@ class NSCDomainConfig:
     override_pins: bool = False
     cleartext_permitted: Optional[bool] = None
 
-    def to_rule(self) -> NSCDomainRule:
-        """Convert to the runtime-enforcement rule."""
-        expiration: Optional[Timestamp] = None
-        if self.pin_set_expiration:
-            expiration = _parse_date(self.pin_set_expiration)
-        return NSCDomainRule(
-            domain=self.domain,
-            include_subdomains=self.include_subdomains,
-            pins=frozenset(p.as_pin_string() for p in self.pins),
-            pin_set_expiration=expiration,
-            override_pins=self.override_pins,
-        )
-
 
 @dataclass
 class NSCConfig:
@@ -66,9 +51,6 @@ class NSCConfig:
     def has_pins(self) -> bool:
         """Does any domain-config carry a pin-set?  (What prior work counts.)"""
         return any(dc.pins for dc in self.domain_configs)
-
-    def rules(self) -> List[NSCDomainRule]:
-        return [dc.to_rule() for dc in self.domain_configs]
 
     # -- XML ------------------------------------------------------------------
 
@@ -153,16 +135,3 @@ class NSCConfig:
                         dc.override_pins = True
             config.domain_configs.append(dc)
         return config
-
-
-def _parse_date(text: str) -> Timestamp:
-    """Parse an NSC expiration date (``YYYY-MM-DD``) to a timestamp."""
-    import datetime
-
-    try:
-        dt = datetime.datetime.strptime(text, "%Y-%m-%d").replace(
-            tzinfo=datetime.timezone.utc
-        )
-    except ValueError as exc:
-        raise AppModelError(f"bad NSC expiration date: {text!r}") from exc
-    return Timestamp(int(dt.timestamp()))

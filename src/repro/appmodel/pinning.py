@@ -137,10 +137,6 @@ class PinningSpec:
             # NSC pin-sets carry digests, not raw certificates.
             self.form = PinForm.SPKI_SHA256
 
-    @property
-    def is_third_party(self) -> bool:
-        return self.source != "first-party"
-
     def pick_certificate(self, chain: CertificateChain) -> Certificate:
         """The chain certificate this spec's scope points at.
 

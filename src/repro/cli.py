@@ -16,6 +16,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -66,6 +67,17 @@ def _rate(value: str) -> float:
     number = float(value)
     if not 0.0 <= number <= 1.0:
         raise argparse.ArgumentTypeError("must be in [0, 1]")
+    return number
+
+
+def _scale(value: str) -> float:
+    # A non-number keeps the message argparse gives for ``type=float``.
+    try:
+        number = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
+    if not (math.isfinite(number) and number > 0):
+        raise argparse.ArgumentTypeError("must be a finite number > 0")
     return number
 
 
@@ -335,7 +347,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=2022)
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_scale,
         default=0.1,
         help="corpus scale relative to the paper's (1.0 = 5,150 apps)",
     )

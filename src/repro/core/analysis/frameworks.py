@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.static.attribution import AttributionResult
 from repro.core.static.pipeline import StaticPipeline
 from repro.core.static.report import StaticAppReport
 from repro.reporting.tables import Table
@@ -25,9 +24,3 @@ def frameworks_table(
         for name, count in attribution.top(top_n):
             table.add_row(platform, name, count)
     return table
-
-
-def attribution_for(
-    reports: Iterable[StaticAppReport],
-) -> AttributionResult:
-    return StaticPipeline.attribute(list(reports))

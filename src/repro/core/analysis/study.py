@@ -288,39 +288,6 @@ class StudyResults:
             self.circumvention.get(platform, [])
         )
 
-    # -- extensions ---------------------------------------------------------------
-
-    def spinner_report(self, platform: str):
-        """Stone-et-al-style hostname-verification probe results."""
-        from repro.core.analysis.spinner import spinner_scan
-
-        store = (
-            self.corpus.stores.android_aosp
-            if platform == "android"
-            else self.corpus.stores.ios
-        )
-        return spinner_scan(
-            self.corpus, platform, self.all_dynamic(platform), store
-        )
-
-    def nsc_misconfig_report(self):
-        """Possemato-et-al-style NSC overridePins findings (Android)."""
-        from repro.core.analysis.misconfig import find_nsc_misconfigurations
-
-        return find_nsc_misconfigurations(
-            list(self.static_by_app("android").values()),
-            self.all_dynamic("android"),
-        )
-
-    def detection_scores(self):
-        """Per-dataset detector precision/recall against ground truth."""
-        from repro.core.analysis.scoring import score_destinations
-
-        return {
-            key: score_destinations(self.corpus, results)
-            for key, results in sorted(self.dynamic_results.items())
-        }
-
 
 class Study:
     """Run the full paper measurement over one corpus.

@@ -46,8 +46,3 @@ def is_hookable(library: str, platform: str) -> bool:
     """Can Frida disable validation for this library on this platform?"""
     hook = _BY_LIBRARY.get(library)
     return hook is not None and hook.platform == platform
-
-
-def hook_for(library: str) -> HookScript:
-    """Catalog lookup (KeyError for unhookable libraries)."""
-    return _BY_LIBRARY[library]

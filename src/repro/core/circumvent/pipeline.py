@@ -200,19 +200,6 @@ class CircumventionPipeline:
         artifacts["hook_inject"] = _hook_inject(self, artifacts)
         return _hooked_run(self, artifacts)
 
-    def circumvent_dataset(
-        self, packaged_apps: List, results: List[DynamicAppResult]
-    ) -> List[CircumventionResult]:
-        out: List[CircumventionResult] = []
-        by_id = {p.app.app_id: p for p in packaged_apps}
-        for result in results:
-            if not result.pins():
-                continue
-            circ = self.circumvent_app(by_id[result.app_id], result)
-            if circ is not None:
-                out.append(circ)
-        return out
-
     @staticmethod
     def destination_bypass_rate(results: List[CircumventionResult]) -> float:
         """Unique pinned destinations circumvented / all unique pinned."""

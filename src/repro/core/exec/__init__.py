@@ -18,7 +18,6 @@ from repro.core.exec.faults import (
     NON_RETRYABLE_ERRORS,
     InjectedFault,
     SeededFaults,
-    TransientFaults,
     UnitFailure,
     is_retryable,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "SeededFaults",
     "StoreStats",
     "StoreWriteError",
-    "TransientFaults",
     "UnitFailure",
     "is_retryable",
 ]

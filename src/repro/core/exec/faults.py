@@ -13,15 +13,13 @@ consulted before any work on an app (phases: ``static``, ``dynamic``,
 ``circumvent``).  When it fires, the pipeline raises
 :class:`InjectedFault`, which travels through the engine exactly like a
 genuine crash.  :class:`SeededFaults` provides the deterministic predicate
-the tests and the CI fault-injection job use; :class:`TransientFaults`
-makes a predicate stop firing after N attempts so retry recovery is
-testable too.
+the tests and the CI fault-injection job use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.core.exec.resultstore import StoreWriteError
 # The stage graph fires injected faults; they are exported here as well.
@@ -87,26 +85,6 @@ class SeededFaults:
             return False
         draw = derive_seed(self.seed, "fault", phase, app_id) % 1_000_000
         return draw < int(self.rate * 1_000_000)
-
-
-class TransientFaults:
-    """Make an inner predicate fire only for its first ``attempts`` calls.
-
-    Models transient failures that a retry cures: the attempt counter is
-    per-instance, so a retry of the same app sees the fault gone.
-    """
-
-    def __init__(self, inner: FaultPredicate, attempts: int = 1):
-        self.inner = inner
-        self.attempts = attempts
-        self._calls: Dict[Tuple[str, str], int] = {}
-
-    def __call__(self, phase: str, app_id: str) -> bool:
-        if not self.inner(phase, app_id):
-            return False
-        seen = self._calls.get((phase, app_id), 0)
-        self._calls[(phase, app_id)] = seen + 1
-        return seen < self.attempts
 
 
 @dataclass(frozen=True)

@@ -587,15 +587,6 @@ class ResultStore:
             raise TypeError(f"no {kind} pipeline is bound to the result store (bind_pipelines)")
         return self._knobs[kind]
 
-    @staticmethod
-    def _graph(kind: str):
-        from repro.core.pipeline import graph_for
-
-        graph = graph_for(kind)
-        if graph is None:
-            raise ValueError(f"no stage graph for result kind {kind!r}")
-        return graph
-
     def stage_keys(
         self, graph, platform: str, dataset: str, app_id: str, params, knobs
     ) -> dict:
@@ -627,7 +618,7 @@ class ResultStore:
         """What, besides the app, an app entry's address is a function of:
         the graph's config digest under the bound knobs, computed once per
         kind and parameters."""
-        graph = self._graph(kind)
+        graph = self._pipeline(kind).graph
         params = graph.params_from_extra(extra)
         memo = kind, tuple(sorted(params.items()))
         digest = self._digests.get(memo)
@@ -782,7 +773,7 @@ class ResultStore:
         Its stage keys are then dropped from the memo: nothing of this
         handle asks for them again.
         """
-        graph = self._graph(stage)
+        graph = self._pipeline(stage).graph
         params = graph.params_from_extra(extra)
         fingerprint = self._stage_keys(graph, platform, dataset, app_id, params)[graph.final]
         self._keys_memo.pop(_memo_key(graph, platform, dataset, app_id, params), None)

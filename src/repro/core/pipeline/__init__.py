@@ -14,8 +14,6 @@ from repro.core.pipeline.graph import (
     Artifact,
     Stage,
     StageGraph,
-    graph_for,
-    graph_kinds,
 )
 
 __all__ = [
@@ -23,6 +21,4 @@ __all__ = [
     "SEED_ARTIFACTS",
     "Stage",
     "StageGraph",
-    "graph_for",
-    "graph_kinds",
 ]

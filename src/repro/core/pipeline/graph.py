@@ -141,9 +141,6 @@ class Stage:
     span: bool = True
 
 
-_REGISTRY: Dict[str, "StageGraph"] = {}
-
-
 def _freeze(value):
     """Canonicalize a knob value for the fingerprint identity string."""
     if isinstance(value, (set, frozenset)):
@@ -152,11 +149,12 @@ def _freeze(value):
 
 
 class StageGraph:
-    """A validated, registered pipeline graph.
+    """A validated pipeline graph.
 
     Args:
         kind: the work-unit kind this graph executes (``static`` /
-            ``dynamic`` / ``circumvent``); registers the graph under it.
+            ``dynamic`` / ``circumvent``); its pipeline class holds it as
+            ``graph``.
         seeds: the :class:`Artifact` values the caller supplies (beyond
             the implicit :data:`SEED_ARTIFACTS`), documentation-grade.
         stages: the stages in execution order; the last stage's value is
@@ -182,7 +180,6 @@ class StageGraph:
         self._params_from_extra = params_from_extra or (lambda extra: {})
         self._validate()
         self.final = self.stages[-1].name
-        _REGISTRY[kind] = self
 
     def _validate(self) -> None:
         if not self.stages:
@@ -372,27 +369,3 @@ class StageGraph:
                         )
                 artifacts[stage.name] = value
             return artifacts[self.final]
-
-
-def graph_kinds() -> Tuple[str, ...]:
-    """Registered graph kinds (loads the built-in pipelines)."""
-    _load_builtin_graphs()
-    return tuple(sorted(_REGISTRY))
-
-
-def graph_for(kind: str) -> Optional[StageGraph]:
-    """The registered graph for one work-unit kind, or None.
-
-    Lazily imports the built-in pipeline modules so callers that only
-    hold a kind string (the result store, the cost model) see their
-    graphs without importing the pipelines at module load.
-    """
-    if kind not in _REGISTRY:
-        _load_builtin_graphs()
-    return _REGISTRY.get(kind)
-
-
-def _load_builtin_graphs() -> None:
-    import repro.core.circumvent.pipeline  # noqa: F401
-    import repro.core.dynamic.pipeline  # noqa: F401
-    import repro.core.static.pipeline  # noqa: F401

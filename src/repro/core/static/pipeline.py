@@ -14,7 +14,7 @@ from the declaration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.appmodel.android import AndroidApp
 from repro.appmodel.filetree import FileTree
@@ -162,9 +162,6 @@ class StaticPipeline:
         stages recompute.
         """
         return STATIC_GRAPH.run(self, packaged, cache=cache, dataset=dataset)
-
-    def analyze_dataset(self, packaged_apps: Iterable) -> List[StaticAppReport]:
-        return [self.analyze_app(p) for p in packaged_apps]
 
     @staticmethod
     def attribute(reports: Iterable[StaticAppReport]) -> AttributionResult:

@@ -36,16 +36,8 @@ class StaticAppReport:
     def nsc_pins(self) -> bool:
         return self.nsc.has_pins
 
-    @property
-    def potentially_pinning(self) -> bool:
-        """Any static evidence at all."""
-        return self.embedded_material or self.nsc_pins
-
     def all_pin_strings(self) -> Set[str]:
         return self.scan.unique_pins() | set(self.nsc.pins)
 
     def finding_paths(self) -> Set[str]:
         return self.scan.finding_paths()
-
-    def embedded_certificate_count(self) -> int:
-        return len(self.scan.certificates)

@@ -33,9 +33,6 @@ PackagedApp = Union[AndroidApp, IOSApp]
 #: (platform, dataset) pairs in the study.
 DatasetKey = Tuple[str, str]
 
-DATASET_NAMES = ("common", "popular", "random")
-PLATFORMS = ("android", "ios")
-
 
 #: What a catalogue leaves out: the CT log, and per dataset the file tree
 #: of each app, in dataset order.

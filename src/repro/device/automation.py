@@ -274,8 +274,3 @@ class AutomationHarness:
                 capture, packaged_app, usage, policy, config, launch_time, rng
             )
         return capture
-
-    def handshake_count(self, packaged_app, sleep_s: float) -> int:
-        """TLS handshakes a window of ``sleep_s`` observes (the Section
-        4.2.1 calibration metric), without running the full capture."""
-        return packaged_app.app.behavior.expected_handshakes(sleep_s)

@@ -40,18 +40,6 @@ class TLSError(ReproError):
     """Base class for TLS-layer failures."""
 
 
-class HandshakeError(TLSError):
-    """A simulated TLS handshake failed.
-
-    Attributes:
-        alert: the :class:`repro.tls.alerts.AlertDescription` sent, if any.
-    """
-
-    def __init__(self, message: str, alert=None):
-        super().__init__(message)
-        self.alert = alert
-
-
 class AppModelError(ReproError):
     """An app package is malformed or an operation on it is invalid."""
 

@@ -23,9 +23,6 @@ class TrafficCapture:
     def add(self, flow: FlowRecord) -> None:
         self.flows.append(flow)
 
-    def extend(self, flows: Iterable[FlowRecord]) -> None:
-        self.flows.extend(flows)
-
     def __len__(self) -> int:
         return len(self.flows)
 
@@ -34,27 +31,9 @@ class TrafficCapture:
 
     # -- filters -------------------------------------------------------------
 
-    def for_app(self, app_id: str) -> "TrafficCapture":
-        return TrafficCapture(f for f in self.flows if f.app_id == app_id)
-
     def for_destination(self, sni: str) -> "TrafficCapture":
         sni = sni.lower()
         return TrafficCapture(f for f in self.flows if f.sni.lower() == sni)
-
-    def without_os_traffic(self) -> "TrafficCapture":
-        """Drop OS-initiated flows.
-
-        Note: the real study could *not* do this directly (OS and app flows
-        share a fingerprint); it is available here for ablations that
-        quantify how much the associated-domains exclusion loses.
-        """
-        return TrafficCapture(f for f in self.flows if not f.os_initiated)
-
-    def excluding_destinations(self, hostnames: Iterable[str]) -> "TrafficCapture":
-        excluded: Set[str] = {h.lower() for h in hostnames}
-        return TrafficCapture(
-            f for f in self.flows if f.sni.lower() not in excluded
-        )
 
     def destinations(self) -> Set[str]:
         """Distinct SNI values (99 % of study flows had a non-empty SNI)."""
@@ -66,6 +45,3 @@ class TrafficCapture:
             if flow.sni:
                 grouped.setdefault(flow.sni.lower(), []).append(flow)
         return grouped
-
-    def app_ids(self) -> Set[str]:
-        return {f.app_id for f in self.flows if f.app_id}

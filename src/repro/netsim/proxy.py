@@ -68,6 +68,3 @@ class MITMProxy:
         chain = CertificateChain.of(leaf, self.authority.certificate)
         self._forged[hostname] = chain
         return chain
-
-    def forged_count(self) -> int:
-        return len(self._forged)

@@ -9,7 +9,7 @@ provides both views.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Tuple
 
 from repro.errors import CertificateError
 from repro.pki.certificate import Certificate
@@ -49,10 +49,6 @@ class CertificateChain:
         """The last certificate served (a root if the server included it)."""
         return self.certificates[-1]
 
-    def root_first(self) -> List[Certificate]:
-        """The paper's ordering: root (or closest-to-root) first."""
-        return list(reversed(self.certificates))
-
     def __len__(self) -> int:
         return len(self.certificates)
 
@@ -76,25 +72,10 @@ class CertificateChain:
                 return False
         return True
 
-    def find_by_common_name(self, common_name: str) -> Optional[Certificate]:
-        """First certificate in wire order whose subject CN matches."""
-        for cert in self.certificates:
-            if cert.subject.common_name == common_name:
-                return cert
-        return None
-
     def contains_spki(self, pin: str) -> bool:
         """True if any certificate's key matches the given pin string."""
         algorithm = pin.split("/", 1)[0]
         return any(cert.spki_pin(algorithm=algorithm) == pin for cert in self)
-
-    def spki_pins(self, algorithm: str = "sha256") -> List[str]:
-        """Pin strings for every certificate in the chain, leaf first."""
-        return [cert.spki_pin(algorithm=algorithm) for cert in self]
-
-    def to_pem_bundle(self) -> str:
-        """Concatenated PEM blocks, leaf first."""
-        return "\n".join(cert.to_pem() for cert in self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         names = " <- ".join(c.subject.common_name for c in self.certificates)

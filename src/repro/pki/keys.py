@@ -82,17 +82,3 @@ def spki_pin(key: KeyPair, algorithm: str = "sha256") -> str:
         raise EncodingError(f"unsupported pin algorithm: {algorithm!r}")
     digest = key.spki_sha256() if algorithm == "sha256" else key.spki_sha1()
     return f"{algorithm}/{b64encode(digest)}"
-
-
-def parse_pin(pin: str) -> tuple:
-    """Split a pin string into ``(algorithm, base64_digest)``.
-
-    Raises:
-        EncodingError: if the string is not ``shaN/<base64>``.
-    """
-    if "/" not in pin:
-        raise EncodingError(f"not a pin string: {pin!r}")
-    algorithm, _, digest = pin.partition("/")
-    if algorithm not in ("sha1", "sha256") or not digest:
-        raise EncodingError(f"not a pin string: {pin!r}")
-    return algorithm, digest

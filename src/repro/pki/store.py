@@ -113,11 +113,3 @@ class StoreCatalog:
             ios=ios,
             android_oem=android_oem,
         )
-
-    def store_for_platform(self, platform: str) -> RootStore:
-        """System store for ``"android"`` or ``"ios"``."""
-        if platform == "android":
-            return self.android_aosp
-        if platform == "ios":
-            return self.ios
-        raise ValueError(f"unknown platform: {platform!r}")

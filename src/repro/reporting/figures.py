@@ -1,41 +1,13 @@
 """ASCII figure rendering.
 
 The paper's figures are bar charts and heat maps; benchmarks print their
-underlying data as tables, and these helpers add quick terminal visuals
-for the examples.
+underlying data as tables, and :func:`stacked_bar` adds a quick terminal
+visual for the examples.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
-
-
-def bar_chart(
-    rows: Sequence[Tuple[str, float]],
-    title: str = "",
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart.
-
-    Args:
-        rows: (label, value) pairs; values must be non-negative.
-        title: heading line.
-        width: bar width of the maximum value.
-        unit: suffix printed after each value.
-    """
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-        lines.append("-" * len(title))
-    if not rows:
-        return "\n".join(lines + ["(no data)"])
-    peak = max(value for _, value in rows) or 1.0
-    label_width = max(len(label) for label, _ in rows)
-    for label, value in rows:
-        bar = "#" * max(0, round(width * value / peak))
-        lines.append(f"{label.ljust(label_width)}  {bar} {value:g}{unit}")
-    return "\n".join(lines)
 
 
 def stacked_bar(
@@ -56,13 +28,3 @@ def stacked_bar(
         parts.append(glyph * cells)
         legend.append(f"{glyph}={name}({value:g})")
     return f"{label}  {''.join(parts)}  {' '.join(legend)}"
-
-
-def heatmap_row(label: str, values: Sequence[float], width: int = 6) -> str:
-    """One heat-map row with 0–1 values rendered as shaded cells."""
-    shades = " ░▒▓█"
-    cells = []
-    for value in values:
-        value = min(max(value, 0.0), 1.0)
-        cells.append(shades[round(value * (len(shades) - 1))] * width)
-    return f"{label}  |{'|'.join(cells)}|"

@@ -2,8 +2,7 @@
 
 One :class:`ServerEndpoint` per hostname: the served chain, the protocol
 versions and ciphersuites the server accepts, and an owner label for party
-attribution.  Endpoints can rotate their leaf certificate (with or without
-key reuse) to exercise the Section 5.3.3 renewal behaviours.
+attribution.
 """
 
 from __future__ import annotations
@@ -11,12 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.pki.authority import PKIHierarchy
 from repro.pki.chain import CertificateChain
 from repro.pki.keys import KeyPair
 from repro.tls.ciphers import CipherSuite, MODERN_SUITES
 from repro.tls.records import TLSVersion
-from repro.util.rng import DeterministicRng
 
 
 @dataclass
@@ -29,7 +26,7 @@ class ServerEndpoint:
         owner: organisation operating the endpoint (party attribution).
         supported_versions: accepted protocol versions.
         supported_suites: acceptable suites in server preference order.
-        leaf_key: current leaf key (kept so renewals can reuse it).
+        leaf_key: the key pair of the served leaf.
         pki_kind: ground truth — ``"default"``, ``"custom"`` or
             ``"self-signed"``.
     """
@@ -44,28 +41,3 @@ class ServerEndpoint:
     supported_suites: Sequence[CipherSuite] = MODERN_SUITES
     leaf_key: Optional[KeyPair] = None
     pki_kind: str = "default"
-
-    def serves_tls13(self) -> bool:
-        return TLSVersion.TLS13 in self.supported_versions
-
-    def renew_leaf(
-        self,
-        hierarchy: PKIHierarchy,
-        rng: DeterministicRng,
-        *,
-        reuse_key: bool = True,
-    ) -> CertificateChain:
-        """Rotate the leaf certificate, optionally reusing the key.
-
-        With ``reuse_key=True`` (the common operational practice the paper
-        infers in Section 5.3.3), SPKI pins keep working across the renewal;
-        whole-certificate pins break.
-        """
-        issued = hierarchy.issue_leaf_chain(
-            self.hostname,
-            rng,
-            key=self.leaf_key if reuse_key else None,
-        )
-        self.chain = issued.chain
-        self.leaf_key = issued.leaf_key
-        return self.chain

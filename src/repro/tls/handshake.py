@@ -52,9 +52,6 @@ class ClientProfile:
     )
     offered_suites: Sequence[CipherSuite] = MODERN_SUITES
 
-    def max_version(self) -> TLSVersion:
-        return max(self.offered_versions, key=_VERSION_ORDER.index)
-
 
 @dataclass
 class HandshakeOutcome:

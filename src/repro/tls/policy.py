@@ -267,13 +267,5 @@ class CompositePolicy(ValidationPolicy):
     def is_pinning(self) -> bool:
         return any(policy.is_pinning() for policy in self.overrides.values())
 
-    def pins_hostname(self, hostname: str) -> bool:
-        """Ground truth: is this specific hostname covered by a pin?"""
-        policy = self.policy_for(hostname)
-        if isinstance(policy, NSCPinPolicy):
-            rule = policy.rule_for(hostname)
-            return rule is not None and bool(rule.pins) and not rule.override_pins
-        return policy.is_pinning()
-
     def evaluate(self, chain, hostname, at_time):
         self.policy_for(hostname).evaluate(chain, hostname, at_time)

@@ -4,34 +4,18 @@ Everything stochastic in the library flows through :class:`DeterministicRng`
 so a single seed reproduces an entire study run bit-for-bit.
 """
 
-from repro.util.encoding import (
-    b64encode_nopad,
-    hexdigest,
-    looks_like_base64,
-    pem_unwrap,
-    pem_wrap,
-    sha256_hex,
-)
+from repro.util.encoding import pem_unwrap, pem_wrap
 from repro.util.rng import DeterministicRng, derive_seed
 from repro.util.simtime import SimClock, Timestamp
-from repro.util.stats import (
-    chi_square_independence,
-    jaccard_index,
-    proportion,
-)
+from repro.util.stats import chi_square_independence, jaccard_index
 
 __all__ = [
     "DeterministicRng",
     "derive_seed",
     "SimClock",
     "Timestamp",
-    "b64encode_nopad",
-    "hexdigest",
-    "looks_like_base64",
     "pem_unwrap",
     "pem_wrap",
-    "sha256_hex",
     "chi_square_independence",
     "jaccard_index",
-    "proportion",
 ]

@@ -1,7 +1,7 @@
 """Encoding helpers shared by the PKI layer and the static analyzer.
 
 These mirror the encodings the paper's static analysis searches for:
-base64 SPKI digests (``sha256/...`` pins), hex digests, and PEM-armoured
+base64 SPKI digests (``sha256/...`` pins) and PEM-armoured
 certificate blobs delimited by ``-----BEGIN CERTIFICATE-----``.
 """
 
@@ -9,40 +9,12 @@ from __future__ import annotations
 
 import base64
 import binascii
-import hashlib
-import re
 from typing import List
 
 from repro.errors import EncodingError
 
 PEM_BEGIN = "-----BEGIN {label}-----"
 PEM_END = "-----END {label}-----"
-
-_BASE64_RE = re.compile(r"^[A-Za-z0-9+/]+={0,2}$")
-
-
-def sha256_hex(data: bytes) -> str:
-    """Hex SHA-256 digest of ``data``."""
-    return hashlib.sha256(data).hexdigest()
-
-
-def sha1_hex(data: bytes) -> str:
-    """Hex SHA-1 digest of ``data``."""
-    return hashlib.sha1(data).hexdigest()
-
-
-def hexdigest(data: bytes, algorithm: str = "sha256") -> str:
-    """Hex digest of ``data`` with the named algorithm (sha1 or sha256)."""
-    if algorithm == "sha256":
-        return sha256_hex(data)
-    if algorithm == "sha1":
-        return sha1_hex(data)
-    raise EncodingError(f"unsupported digest algorithm: {algorithm!r}")
-
-
-def b64encode_nopad(data: bytes) -> str:
-    """Standard base64 without trailing padding (as in HPKP pin headers)."""
-    return base64.b64encode(data).decode("ascii").rstrip("=")
 
 
 def b64encode(data: bytes) -> str:
@@ -60,13 +32,6 @@ def b64decode(text: str) -> bytes:
         return base64.b64decode(padded, validate=True)
     except binascii.Error as exc:
         raise EncodingError(f"invalid base64 payload: {text[:32]!r}...") from exc
-
-
-def looks_like_base64(text: str) -> bool:
-    """Heuristic used by the hash-grep: is this a plausible base64 token?"""
-    if not text:
-        return False
-    return bool(_BASE64_RE.match(text))
 
 
 def pem_wrap(der: bytes, label: str = "CERTIFICATE", width: int = 64) -> str:
@@ -108,12 +73,3 @@ def pem_unwrap(text: str, label: str = "CERTIFICATE") -> List[bytes]:
         blocks.append(b64decode("".join(body.split())))
         cursor = stop + len(end)
     return blocks
-
-
-def contains_pem_delimiter(text: str) -> bool:
-    """True if the text contains a certificate PEM begin marker.
-
-    This is exactly the string the paper greps for in app code
-    (Section 4.1.2).
-    """
-    return "-----BEGIN CERTIFICATE-----" in text

@@ -98,9 +98,6 @@ class DeterministicRng:
     def uniform(self, low: float, high: float) -> float:
         return self._random.uniform(low, high)
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._random.gauss(mu, sigma)
-
     def expovariate(self, lambd: float) -> float:
         return self._random.expovariate(lambd)
 
@@ -152,20 +149,6 @@ class DeterministicRng:
             out.append(pool.pop(idx))
             pool_weights.pop(idx)
         return out
-
-    def poisson(self, lam: float) -> int:
-        """Draw from a Poisson distribution (Knuth's method; lam < ~700)."""
-        if lam <= 0:
-            return 0
-        import math
-
-        threshold = math.exp(-lam)
-        count = 0
-        product = self._random.random()
-        while product > threshold:
-            count += 1
-            product *= self._random.random()
-        return count
 
     def zipf_rank(self, n: int, exponent: float = 1.0) -> int:
         """Draw a 1-based rank in [1, n] with Zipf-like probability."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 SECONDS_PER_DAY = 86_400
 SECONDS_PER_YEAR = 365 * SECONDS_PER_DAY
@@ -36,16 +35,6 @@ class Timestamp:
 
     def days_until(self, other: "Timestamp") -> float:
         return (other.unix - self.unix) / SECONDS_PER_DAY
-
-    def isoformat(self) -> str:
-        """Render as an ISO-8601 UTC string (no external deps)."""
-        import datetime
-
-        dt = datetime.datetime.fromtimestamp(self.unix, tz=datetime.timezone.utc)
-        return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
-
-    def __str__(self) -> str:  # pragma: no cover - display only
-        return self.isoformat()
 
     def __reduce__(self):
         return _shared_timestamp, (self.unix,)
@@ -85,10 +74,3 @@ class SimClock:
             raise ValueError("simulated time cannot move backwards")
         self._now = self._now.plus_seconds(seconds)
         return self._now
-
-    def ticks(self, interval: float, count: int) -> Iterator[Timestamp]:
-        """Yield ``count`` timestamps spaced ``interval`` seconds apart,
-        advancing the clock as it goes."""
-        for _ in range(count):
-            yield self._now
-            self.advance(interval)

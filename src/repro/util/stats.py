@@ -25,22 +25,6 @@ def jaccard_index(a: Set[T], b: Set[T]) -> float:
     return len(a & b) / len(union)
 
 
-def proportion(count: int, total: int) -> float:
-    """Lenient ratio; 0.0 when the denominator is zero.
-
-    Use only where a zero denominator genuinely *means* zero (e.g. "no
-    apps, so no pinning apps").  Nothing rendered may use it: collapsing
-    "no data" into ``0.0`` made empty denominators print as ``0.00%`` in
-    paper tables, which reads as a measured zero.  A table cell renders
-    no data as ``None`` (:func:`repro.reporting.tables.percent`) or
-    checks its denominator itself (``PrevalenceCell.render``)."""
-    if total <= 0:
-        return 0.0
-    return count / total
-
-
-
-
 @dataclass(frozen=True)
 class ChiSquareResult:
     """Outcome of a chi-square test of independence on a 2x2 table."""

@@ -51,6 +51,13 @@ def make_app(world, platform="android", mechanism=PinMechanism.OKHTTP, **kwargs)
     return MobileApp(**defaults)
 
 
+def other_leaf(world):
+    """A system-trusted chain for the pinned host under a leaf key the
+    app's pin does not name."""
+    hierarchy, _, _ = world
+    return hierarchy.issue_leaf_chain("api.pinme.com", DeterministicRng(93)).chain
+
+
 class TestMobileApp:
     def test_platform_validation(self, world):
         with pytest.raises(AppModelError):
@@ -85,14 +92,14 @@ class TestMobileApp:
         _, catalog, issued = world
         app = make_app(world)
         policy = app.runtime_policy(catalog.android_aosp)
-        assert policy.pins_hostname("api.pinme.com")
+        assert not policy.accepts(other_leaf(world), "api.pinme.com", STUDY_START)
         assert policy.accepts(issued.chain, "api.pinme.com", STUDY_START)
 
     def test_runtime_policy_nsc(self, world):
         _, catalog, issued = world
         app = make_app(world, mechanism=PinMechanism.NSC)
         policy = app.runtime_policy(catalog.android_aosp)
-        assert policy.pins_hostname("api.pinme.com")
+        assert not policy.accepts(other_leaf(world), "api.pinme.com", STUDY_START)
 
     def test_runtime_policy_raw_certificate(self, world):
         hierarchy, catalog, issued = world

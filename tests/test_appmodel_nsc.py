@@ -5,7 +5,6 @@ import pytest
 from repro.appmodel.manifest import AndroidManifest
 from repro.appmodel.nsc import NSCConfig, NSCDomainConfig, NSCPin
 from repro.errors import AppModelError
-from repro.util.simtime import STUDY_START
 
 
 def sample_config() -> NSCConfig:
@@ -59,30 +58,6 @@ class TestNSCRoundtrip:
         )
         parsed = NSCConfig.from_xml(config.to_xml())
         assert parsed.domain_configs[0].override_pins
-
-    def test_to_rule(self):
-        rule = sample_config().domain_configs[0].to_rule()
-        assert rule.domain == "api.bank.com"
-        assert "sha256/QUJDREVGR0hJSktMTU5PUFFSU1RVVg==" in rule.pins
-        assert rule.pin_set_expiration is not None
-        assert rule.active_at(STUDY_START)
-
-    def test_expired_rule_inactive(self):
-        dc = NSCDomainConfig(
-            domain="x.com",
-            pins=[NSCPin("SHA-256", "QUJD")],
-            pin_set_expiration="2020-01-01",
-        )
-        assert not dc.to_rule().active_at(STUDY_START)
-
-    def test_bad_expiration_date(self):
-        dc = NSCDomainConfig(
-            domain="x.com",
-            pins=[NSCPin("SHA-256", "QUJD")],
-            pin_set_expiration="not-a-date",
-        )
-        with pytest.raises(AppModelError):
-            dc.to_rule()
 
     def test_malformed_xml(self):
         with pytest.raises(AppModelError):

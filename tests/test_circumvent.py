@@ -95,9 +95,12 @@ def circumvention(small_corpus):
         ("android", "common"),
         ("ios", "common"),
     ]:
-        apps = small_corpus.dataset(*key)
-        dyn = [dynamic.run_app(p) for p in apps]
-        results[key] = pipeline.circumvent_dataset(apps, dyn)
+        results[key] = []
+        for packaged in small_corpus.dataset(*key):
+            result = dynamic.run_app(packaged)
+            circ = pipeline.circumvent_app(packaged, result) if result.pins() else None
+            if circ is not None:
+                results[key].append(circ)
     return results
 
 

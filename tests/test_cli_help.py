@@ -43,6 +43,10 @@ CASES = (
         ["bogus"],
         ["--seed"],
         ["--scale", "x", "corpus"],
+        ["--scale", "0", "corpus"],
+        ["--scale", "-1", "corpus"],
+        ["--scale", "nan", "corpus"],
+        ["--scale", "inf", "corpus"],
         ["--workers", "0", "study"],
         ["--workers", "two", "study"],
         ["--chunk-size", "-1", "study"],

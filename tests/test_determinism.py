@@ -75,19 +75,32 @@ class TestHarnessDeterminism:
 
 
 class TestStudyExtensionsAPI:
+    """The extension analyses run over a finished study's results."""
+
     def test_spinner_report_api(self, study_results):
-        report = study_results.spinner_report("ios")
+        from repro.core.analysis.spinner import spinner_scan
+
+        corpus = study_results.corpus
+        report = spinner_scan(
+            corpus, "ios", study_results.all_dynamic("ios"), corpus.stores.ios
+        )
         assert report.platform == "ios"
         assert report.probed >= 0
 
     def test_misconfig_report_api(self, study_results):
-        report = study_results.nsc_misconfig_report()
+        from repro.core.analysis.misconfig import find_nsc_misconfigurations
+
+        report = find_nsc_misconfigurations(
+            list(study_results.static_by_app("android").values()),
+            study_results.all_dynamic("android"),
+        )
         assert report.apps_with_nsc_pins >= 0
 
     def test_detection_scores_api(self, study_results):
-        scores = study_results.detection_scores()
-        assert set(scores) == set(study_results.dynamic_results)
-        for score in scores.values():
+        from repro.core.analysis.scoring import score_destinations
+
+        for results in study_results.dynamic_results.values():
+            score = score_destinations(study_results.corpus, results)
             assert score.precision == 1.0
             assert score.recall == 1.0
 

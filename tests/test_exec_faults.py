@@ -17,7 +17,6 @@ from repro.core.exec import (
     ExecutionPlan,
     InjectedFault,
     SeededFaults,
-    TransientFaults,
 )
 from repro.core.exec.engine import split_unit
 from repro.corpus import CorpusConfig, CorpusGenerator
@@ -46,6 +45,14 @@ class CountingFaults:
         key = (phase, app_id)
         self.calls[key] = self.calls.get(key, 0) + 1
         return self.inner is not None and self.inner(phase, app_id)
+
+
+class TransientFaults(CountingFaults):
+    """Fails the apps of an inner predicate on their first consultation
+    only: a transient failure that a retry cures."""
+
+    def __call__(self, phase: str, app_id: str) -> bool:
+        return super().__call__(phase, app_id) and self.calls[(phase, app_id)] == 1
 
 
 @pytest.fixture(scope="module")
@@ -144,9 +151,7 @@ class TestRetries:
     def test_transient_fault_recovers_via_retry(self, tiny_corpus):
         ids = _app_ids(tiny_corpus, KEY)
         bad = ids[0]
-        faults = TransientFaults(
-            FailApps((bad,), phases=("static",)), attempts=1
-        )
+        faults = TransientFaults(FailApps((bad,), phases=("static",)))
         engine = ExecutionEngine(
             tiny_corpus,
             ExecutionPlan(max_retries=1),

@@ -1,9 +1,12 @@
-"""Layering: the stage-graph package stands below the execution layer.
+"""Layering: the stage-graph package stands below the layers that use it.
 
 ``repro.core.exec`` (engine, result store, fault injection) builds on
-``repro.core.pipeline``.  An import the other way, even one deferred into
-a function, would close an import cycle between the two packages.  The
-check reads the source, so function-level imports count too.
+``repro.core.pipeline``, and so do the three pipeline packages
+(``repro.core.static``, ``repro.core.dynamic``, ``repro.core.circumvent``),
+each of which declares its stage graph on it.  An import the other way,
+even one deferred into a function, would close an import cycle between
+the packages.  The check reads the source, so function-level imports
+count too.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PIPELINE = SRC / "repro" / "core" / "pipeline"
-FORBIDDEN = "repro.core.exec"
+EXEC = ("repro.core.exec",)
+PIPELINES = ("repro.core.static", "repro.core.dynamic", "repro.core.circumvent")
 
 
 def imported_modules(source: str, package: str):
@@ -33,11 +37,12 @@ def imported_modules(source: str, package: str):
             yield from (f"{base}.{alias.name}" for alias in node.names)
 
 
-def exec_imports(source: str, package: str = "repro.core.pipeline"):
+def imports_of(source: str, forbidden, package: str = "repro.core.pipeline"):
+    """The names ``source`` imports from any of the ``forbidden`` packages."""
     return [
         name
         for name in imported_modules(source, package)
-        if name == FORBIDDEN or name.startswith(FORBIDDEN + ".")
+        if any(name == top or name.startswith(top + ".") for top in forbidden)
     ]
 
 
@@ -45,7 +50,14 @@ def exec_imports(source: str, package: str = "repro.core.pipeline"):
     "path", sorted(PIPELINE.glob("*.py")), ids=lambda path: path.name
 )
 def test_pipeline_modules_do_not_import_exec(path):
-    assert exec_imports(path.read_text(encoding="utf-8")) == []
+    assert imports_of(path.read_text(encoding="utf-8"), EXEC) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PIPELINE.glob("*.py")), ids=lambda path: path.name
+)
+def test_pipeline_modules_do_not_import_the_pipelines(path):
+    assert imports_of(path.read_text(encoding="utf-8"), PIPELINES) == []
 
 
 @pytest.mark.parametrize(
@@ -56,7 +68,12 @@ def test_pipeline_modules_do_not_import_exec(path):
         "from repro.core import exec",
         "from ..exec import faults",
         "def run():\n    from repro.core.exec.resultstore import CODE_SALT",
+        "import repro.core.static.pipeline",
+        "from repro.core.dynamic.pipeline import DYNAMIC_GRAPH",
+        "from repro.core import circumvent",
+        "from ..static import pipeline",
+        "def load():\n    import repro.core.circumvent.pipeline",
     ],
 )
 def test_every_form_of_the_import_is_caught(statement):
-    assert exec_imports(statement)
+    assert imports_of(statement, EXEC + PIPELINES)

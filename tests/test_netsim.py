@@ -222,16 +222,8 @@ class TestTrafficCapture:
                 self._flow("a.com", "app1", os_initiated=True),
             ]
         )
-        assert len(capture.for_app("app1")) == 2
         assert len(capture.for_destination("A.COM")) == 2
-        assert len(capture.without_os_traffic()) == 2
         assert capture.destinations() == {"a.com", "b.com"}
-        assert capture.app_ids() == {"app1", "app2"}
-
-    def test_excluding_destinations(self):
-        capture = TrafficCapture([self._flow("a.com"), self._flow("b.com")])
-        remaining = capture.excluding_destinations(["A.com"])
-        assert remaining.destinations() == {"b.com"}
 
     def test_by_destination(self):
         capture = TrafficCapture([self._flow("a.com"), self._flow("a.com")])

@@ -31,11 +31,6 @@ class TestChainStructure:
         assert len(issued.chain.intermediates) == 1
         assert issued.chain.intermediates[0].is_ca
 
-    def test_root_first_reverses(self, issued):
-        root_first = issued.chain.root_first()
-        assert root_first[0] is issued.chain.terminal
-        assert root_first[-1] is issued.chain.leaf
-
     def test_links_consistent(self, issued):
         assert issued.chain.links_consistent()
 
@@ -49,11 +44,6 @@ class TestChainStructure:
 
 
 class TestChainQueries:
-    def test_find_by_common_name(self, issued):
-        found = issued.chain.find_by_common_name("www.chain-test.com")
-        assert found is issued.chain.leaf
-        assert issued.chain.find_by_common_name("nonexistent") is None
-
     def test_contains_spki(self, issued):
         leaf_pin = issued.chain.leaf.spki_pin()
         root_pin = issued.chain.terminal.spki_pin()
@@ -68,15 +58,6 @@ class TestChainQueries:
             "x.com", DeterministicRng(98)
         )
         assert not issued.chain.contains_spki(other.chain.leaf.spki_pin())
-
-    def test_spki_pins_order(self, issued):
-        pins = issued.chain.spki_pins()
-        assert pins[0] == issued.chain.leaf.spki_pin()
-        assert len(pins) == 3
-
-    def test_pem_bundle_has_all_blocks(self, issued):
-        bundle = issued.chain.to_pem_bundle()
-        assert bundle.count("-----BEGIN CERTIFICATE-----") == 3
 
 
 class TestSelfSigned:

@@ -85,12 +85,6 @@ class TestStoreCatalog:
         oem = {c.fingerprint_sha256() for c in catalog.android_oem}
         assert aosp < oem
 
-    def test_store_for_platform(self, catalog):
-        assert catalog.store_for_platform("android") is catalog.android_aosp
-        assert catalog.store_for_platform("ios") is catalog.ios
-        with pytest.raises(ValueError):
-            catalog.store_for_platform("windows")
-
 
 class TestCTLog:
     def test_logs_and_finds_by_pin(self, hierarchy):
@@ -168,7 +162,7 @@ class TestCTLog:
 class TestPEMLoading:
     def test_loads_bundle(self, hierarchy):
         issued = hierarchy.issue_leaf_chain("pem.example.com", DeterministicRng(8))
-        certs = load_pem_certificates(issued.chain.to_pem_bundle())
+        certs = load_pem_certificates("\n".join(cert.to_pem() for cert in issued.chain))
         assert len(certs) == 2
         assert certs[0].common_name == "pem.example.com"
 

@@ -100,5 +100,3 @@ class TestCompositeProperties:
         }
         policy = CompositePolicy(default=_BASE, overrides=overrides)
         assert policy.is_pinning()
-        for i in override_set:
-            assert policy.pins_hostname(_CHAINS[i].leaf.common_name)

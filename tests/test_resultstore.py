@@ -20,7 +20,8 @@ from repro.core.exec.resultstore import (
     normalize_extra,
     summarize_result,
 )
-from repro.core.pipeline import graph_for
+from repro.core.circumvent.pipeline import CircumventionPipeline
+from repro.core.dynamic.pipeline import DynamicPipeline
 from repro.core.pipeline.graph import CODE_SALT
 from repro.core.static.pipeline import StaticPipeline
 from repro.corpus import CorpusConfig, CorpusGenerator
@@ -50,16 +51,24 @@ class FakeResult:
         )
 
 
+#: Each result kind's stage graph, as its pipeline class holds it.
+GRAPHS = {
+    "static": StaticPipeline.graph,
+    "dynamic": DynamicPipeline.graph,
+    "circumvent": CircumventionPipeline.graph,
+}
+
+
 def app_key(corpus_fp, sleep_s, stage, platform, dataset, app_id, extra):
     """An app result's address: its stage graph's final chain key."""
-    graph = graph_for(stage)
+    graph = GRAPHS[stage]
     params = graph.params_from_extra(extra)
     keys = graph.stage_keys(corpus_fp, platform, dataset, app_id, params, knobs(sleep_s=sleep_s))
     return keys[graph.final]
 
 
 def config_digest(stage, extra, sleep_s=30.0):
-    graph = graph_for(stage)
+    graph = GRAPHS[stage]
     return graph.config_digest(graph.params_from_extra(extra), knobs(sleep_s=sleep_s))
 
 

@@ -8,7 +8,7 @@ from repro.core.analysis.scoring import (
     score_apps,
     score_destinations,
 )
-from repro.reporting.figures import bar_chart, heatmap_row, stacked_bar
+from repro.reporting.figures import stacked_bar
 
 
 class TestDetectionScore:
@@ -51,28 +51,12 @@ class TestScoringAgainstStudy:
 
 
 class TestFigureRendering:
-    def test_bar_chart(self):
-        text = bar_chart([("a", 10.0), ("bb", 5.0)], title="T", unit="%")
-        assert "T" in text
-        assert text.count("#") > 0
-        a_line = next(l for l in text.splitlines() if l.startswith("a "))
-        bb_line = next(l for l in text.splitlines() if l.startswith("bb"))
-        assert a_line.count("#") > bb_line.count("#")
-
-    def test_bar_chart_empty(self):
-        assert "(no data)" in bar_chart([], title="x")
-
     def test_stacked_bar(self):
         text = stacked_bar("app", [("pinned", 2), ("unpinned", 6)], width=40)
         assert "pinned(2)" in text
 
     def test_stacked_bar_empty(self):
         assert "(empty)" in stacked_bar("app", [("a", 0)])
-
-    def test_heatmap_row_clamps(self):
-        text = heatmap_row("r", [0.0, 0.5, 1.0, 2.0])
-        assert text.startswith("r ")
-        assert "█" in text
 
 
 class TestCLI:

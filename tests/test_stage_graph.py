@@ -17,8 +17,7 @@ from repro.core import obs
 from repro.core.circumvent.pipeline import CIRCUMVENT_GRAPH, CircumventionPipeline
 from repro.core.dynamic.pipeline import DYNAMIC_GRAPH, DynamicPipeline
 from repro.core.exec import InjectedFault, SeededFaults
-from repro.core.pipeline import Stage, StageGraph, graph_for, graph_kinds
-from repro.core.pipeline.graph import _REGISTRY
+from repro.core.pipeline import Stage, StageGraph
 from repro.core.static.pipeline import STATIC_GRAPH, StaticPipeline
 from tests.store_helpers import knobs
 
@@ -32,15 +31,6 @@ def _noop(ctx, a):
 
 def _stage(name, **kw):
     return Stage(name=name, fn=_noop, **kw)
-
-
-@pytest.fixture()
-def registry_guard():
-    """Remove any graph a test registers under a throwaway kind."""
-    before = set(_REGISTRY)
-    yield
-    for kind in set(_REGISTRY) - before:
-        del _REGISTRY[kind]
 
 
 class TestValidation:
@@ -76,7 +66,7 @@ class TestValidation:
                 (_stage("a", inputs=("packaged",)),),
             )
 
-    def test_knobs_resolve_on_use(self, registry_guard):
+    def test_knobs_resolve_on_use(self):
         """Knobs are read off the pipeline object and the parameters when
         a key is derived; a knob neither holds raises then."""
         graph = StageGraph(
@@ -93,13 +83,6 @@ class TestValidation:
             StageGraph(
                 "t-final", (_stage("a", persist=True),)
             )
-
-    def test_builtin_graphs_registered(self):
-        assert {"static", "dynamic", "circumvent"} <= set(graph_kinds())
-        assert graph_for("static") is STATIC_GRAPH
-        assert graph_for("dynamic") is DYNAMIC_GRAPH
-        assert graph_for("circumvent") is CIRCUMVENT_GRAPH
-        assert graph_for("no-such-kind") is None
 
 
 class TestStageKeys:

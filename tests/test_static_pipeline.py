@@ -18,7 +18,7 @@ class TestStaticPipeline:
         self, small_corpus, pipeline, platform, dataset
     ):
         apps = small_corpus.dataset(platform, dataset)
-        reports = pipeline.analyze_dataset(apps)
+        reports = [pipeline.analyze_app(packaged) for packaged in apps]
         for packaged, report in zip(apps, reports):
             assert report.embedded_material == packaged.app.embeds_pin_material(), (
                 packaged.app.app_id
@@ -28,7 +28,7 @@ class TestStaticPipeline:
         from repro.appmodel.pinning import PinMechanism
 
         apps = small_corpus.dataset("android", "common")
-        reports = pipeline.analyze_dataset(apps)
+        reports = [pipeline.analyze_app(packaged) for packaged in apps]
         for packaged, report in zip(apps, reports):
             gt = any(
                 s.mechanism is PinMechanism.NSC

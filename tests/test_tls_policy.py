@@ -241,15 +241,6 @@ class TestCompositePolicy:
         assert policy.policy_for("pin.example.com") is narrow
         assert policy.policy_for("x.example.com") is broad
 
-    def test_pins_hostname_ground_truth(self, world):
-        _, catalog, issued, _ = world
-        base = SystemValidationPolicy(catalog.android_aosp)
-        pin = SpkiPinPolicy([issued.chain.leaf.spki_pin()], base=base)
-        policy = CompositePolicy(default=base, overrides={"pin.example.com": pin})
-        assert policy.pins_hostname("pin.example.com")
-        assert not policy.pins_hostname("unpinned.com")
-        assert policy.is_pinning()
-
     def test_no_overrides(self, world):
         _, catalog, _, _ = world
         policy = CompositePolicy(default=SystemValidationPolicy(catalog.ios))

@@ -6,33 +6,10 @@ from repro.errors import EncodingError
 from repro.util import encoding
 
 
-class TestDigests:
-    def test_sha256_hex_known_value(self):
-        assert encoding.sha256_hex(b"") == (
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        )
-
-    def test_sha1_hex_known_value(self):
-        assert encoding.sha1_hex(b"") == (
-            "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-        )
-
-    def test_hexdigest_dispatch(self):
-        assert encoding.hexdigest(b"x", "sha256") == encoding.sha256_hex(b"x")
-        assert encoding.hexdigest(b"x", "sha1") == encoding.sha1_hex(b"x")
-
-    def test_hexdigest_unknown_algorithm(self):
-        with pytest.raises(EncodingError):
-            encoding.hexdigest(b"x", "md5")
-
-
 class TestBase64:
     def test_roundtrip(self):
         data = bytes(range(64))
         assert encoding.b64decode(encoding.b64encode(data)) == data
-
-    def test_nopad_strips_padding(self):
-        assert not encoding.b64encode_nopad(b"ab").endswith("=")
 
     def test_decode_tolerates_missing_padding(self):
         data = b"abcde"
@@ -43,12 +20,6 @@ class TestBase64:
     def test_decode_rejects_garbage(self):
         with pytest.raises(EncodingError):
             encoding.b64decode("!!not base64!!")
-
-    def test_looks_like_base64(self):
-        assert encoding.looks_like_base64("QUJD")
-        assert encoding.looks_like_base64("QUJD==")
-        assert not encoding.looks_like_base64("")
-        assert not encoding.looks_like_base64("has space")
 
 
 class TestPEM:
@@ -76,12 +47,6 @@ class TestPEM:
         pem = encoding.pem_wrap(b"x" * 200, width=64)
         body_lines = pem.splitlines()[1:-1]
         assert all(len(line) <= 64 for line in body_lines)
-
-    def test_contains_pem_delimiter(self):
-        assert encoding.contains_pem_delimiter(
-            "prefix -----BEGIN CERTIFICATE----- suffix"
-        )
-        assert not encoding.contains_pem_delimiter("nothing here")
 
 
 class TestB64DecodeExceptionContract:

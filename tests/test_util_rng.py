@@ -94,15 +94,6 @@ class TestDeterministicRng:
         rng = DeterministicRng(2)
         assert len(rng.weighted_sample([1, 2], [1, 1], 5)) == 2
 
-    def test_poisson_zero_lambda(self):
-        assert DeterministicRng(1).poisson(0) == 0
-
-    def test_poisson_mean(self):
-        rng = DeterministicRng(4)
-        draws = [rng.poisson(4.0) for _ in range(5000)]
-        mean = sum(draws) / len(draws)
-        assert 3.7 < mean < 4.3
-
     def test_zipf_rank_bounds(self):
         rng = DeterministicRng(6)
         for _ in range(200):

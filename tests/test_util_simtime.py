@@ -28,9 +28,6 @@ class TestTimestamp:
     def test_days_until(self):
         assert Timestamp(0).days_until(Timestamp(SECONDS_PER_DAY)) == 1.0
 
-    def test_isoformat_is_utc(self):
-        assert STUDY_START.isoformat() == "2021-05-01T00:00:00Z"
-
     def test_hashable_and_frozen(self):
         t = Timestamp(5)
         assert hash(t) == hash(Timestamp(5))
@@ -50,9 +47,3 @@ class TestSimClock:
     def test_advance_rejects_negative(self):
         with pytest.raises(ValueError):
             SimClock().advance(-1)
-
-    def test_ticks(self):
-        clock = SimClock()
-        stamps = list(clock.ticks(10, 3))
-        assert [s.unix - STUDY_START.unix for s in stamps] == [0, 10, 20]
-        assert clock.now.unix == STUDY_START.unix + 30

@@ -23,14 +23,6 @@ class TestJaccard:
         assert stats.jaccard_index({1}, set()) == 0.0
 
 
-class TestProportion:
-    def test_normal(self):
-        assert stats.proportion(1, 4) == 0.25
-
-    def test_zero_denominator(self):
-        assert stats.proportion(3, 0) == 0.0
-
-
 class TestChiSquare:
     def test_independent_table_not_significant(self):
         result = stats.chi_square_independence([[50, 50], [50, 50]])

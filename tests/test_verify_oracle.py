@@ -135,17 +135,14 @@ def test_broken_hash_regex_fails_spki_oracle(small_corpus, monkeypatch):
     audit exists to catch, end to end through a real pipeline run."""
     from repro.core.static import search as search_mod
 
-    baseline = StaticPipeline(small_corpus.registry).analyze_dataset(
-        small_corpus.dataset("android", "popular")
-    )
+    apps = small_corpus.dataset("android", "popular")
+    baseline = [StaticPipeline(small_corpus.registry).analyze_app(p) for p in apps]
     assert score_spki_search(small_corpus, baseline).false_negatives == 0
 
     monkeypatch.setattr(
         search_mod, "HASH_PATTERN", re.compile(r"(?!x)x")
     )
-    broken = StaticPipeline(small_corpus.registry).analyze_dataset(
-        small_corpus.dataset("android", "popular")
-    )
+    broken = [StaticPipeline(small_corpus.registry).analyze_app(p) for p in apps]
     score = score_spki_search(small_corpus, broken)
     assert score.false_negatives > 0
     band = DEFAULT_BANDS["spki-search"]
