@@ -14,6 +14,7 @@ Run:
 import argparse
 import pathlib
 
+from repro.cli import _scale
 from repro.core.dynamic import DynamicPipeline, detect_pinned_destinations
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.netsim.export import dump_capture, load_capture
@@ -22,7 +23,7 @@ from repro.netsim.export import dump_capture, load_capture
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=str, default="captures")
-    parser.add_argument("--scale", type=float, default=0.03)
+    parser.add_argument("--scale", type=_scale, default=0.03)
     args = parser.parse_args()
 
     outdir = pathlib.Path(args.outdir)

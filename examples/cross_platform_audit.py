@@ -13,6 +13,7 @@ Run:
 
 import argparse
 
+from repro.cli import _scale
 from repro.core.analysis import Study
 from repro.core.analysis.consistency import summarize_pairs
 from repro.corpus import CorpusConfig, CorpusGenerator
@@ -20,7 +21,7 @@ from repro.corpus import CorpusConfig, CorpusGenerator
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=0.15)
+    parser.add_argument("--scale", type=_scale, default=0.15)
     parser.add_argument("--seed", type=int, default=2022)
     args = parser.parse_args()
 

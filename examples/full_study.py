@@ -25,6 +25,7 @@ import argparse
 import os
 import sys
 
+from repro.cli import _scale
 from repro.core import obs
 from repro.core.analysis import Study
 from repro.core.exec import CorpusStore, ExecutionPlan, ResultStore, SeededFaults
@@ -43,7 +44,7 @@ from repro.corpus import CorpusConfig, CorpusGenerator
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--scale", type=_scale, default=1.0)
     parser.add_argument("--seed", type=int, default=2022)
     parser.add_argument(
         "--max-retries",

@@ -15,13 +15,14 @@ Run:
 import argparse
 import time
 
+from repro.cli import _scale
 from repro.core.analysis import Study
 from repro.corpus import CorpusConfig, CorpusGenerator
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=0.1)
+    parser.add_argument("--scale", type=_scale, default=0.1)
     parser.add_argument("--seed", type=int, default=2022)
     args = parser.parse_args()
 

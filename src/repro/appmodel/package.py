@@ -41,13 +41,6 @@ def obfuscate_token(token: str) -> str:
     return "enc:" + token[::-1].encode("utf-8").hex()
 
 
-def deobfuscate_token(blob: str) -> str:
-    """Invert :func:`obfuscate_token` (what a dynamic unpacker would do)."""
-    if not blob.startswith("enc:"):
-        raise ValueError("not an obfuscated token")
-    return bytes.fromhex(blob[4:]).decode("utf-8")[::-1]
-
-
 def pin_declaration_lines(spec: PinningSpec, style: str) -> List[str]:
     """Source-code lines declaring a spec's pins.
 

@@ -183,9 +183,6 @@ class PinningSpec:
         self.resolved[domain] = resolved
         return resolved
 
-    def is_resolved(self) -> bool:
-        return set(self.resolved) == set(self.domains)
-
     def active_at_runtime(self) -> bool:
         return not self.dormant and not self.nsc_override_pins
 

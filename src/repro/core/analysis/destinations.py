@@ -140,10 +140,6 @@ class DestinationSummary:
     apps_pinning_all_first_party: int = 0
     apps_with_third_party_pins: int = 0
 
-    @property
-    def third_party_majority(self) -> bool:
-        return self.pinned_destinations_third > self.pinned_destinations_first
-
 
 def summarize_destinations(
     profiles: List[AppDestinationProfile],

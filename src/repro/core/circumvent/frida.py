@@ -31,10 +31,6 @@ class InstrumentationOutcome:
     bypassed_domains: Set[str] = field(default_factory=set)
     resistant_domains: Set[str] = field(default_factory=set)
 
-    def bypass_rate(self) -> float:
-        total = len(self.bypassed_domains) + len(self.resistant_domains)
-        return len(self.bypassed_domains) / total if total else 0.0
-
 
 class FridaSession:
     """One attach-and-hook session against one app process.

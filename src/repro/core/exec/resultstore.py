@@ -22,40 +22,43 @@ Layout::
 
 A **pack** holds every stored artifact of one dataset's apps for one
 kind, for every config.  Its file is a pickled header ``(magic, version,
-pack name, meta bytes, sha256, payload_size)`` followed by the payload:
+pack name, meta bytes, digest, payload_size)`` followed by the payload:
 one pickle per entry, an app's result or one of its stage artifacts.  A
 result is plain data (verdicts, exclusions, facts rows); the captures
 are stage artifacts only.  ``meta`` is pickled plain data — per
 fingerprint, the app, what the entry is (an app result also with its
-config digest) and the ``(start, end)`` span of its pickle — and the
-digest covers its bytes with the payload's, so a lookup trusts no
-unverified header.  ``tools/diff_runs.py`` never unpickles a payload.
+config digest), the ``(start, end)`` span of its pickle and the
+pickle's BLAKE2b-256 digest — and the header's BLAKE2b-256 digest covers
+its bytes, so a lookup trusts no unverified header and unpickles no
+unverified byte.  ``tools/diff_runs.py`` never unpickles a payload.
 
-A handle keeps one pack current and reads its header once per visit; a
-miss decodes nothing and a lookup decodes only its entry's pickle (an
-app result is found by app id and config digest, without deriving stage
-keys).  Additions wait in the current pack until
-:meth:`ResultStore.publish_unit`, :meth:`ResultStore.flush` or a move to
-another pack writes them: a write appends their pickles to a fresh read
-of the file's payload, decoding nothing, and replaces the file
-atomically (``mkstemp`` plus ``os.replace``).  Concurrent writers can
-lose an update, and a pack replaced since the handle read it serves
-nothing more: both read as a miss, never as a wrong value.  A failed
-write raises :class:`StoreWriteError`.
+A handle keeps one pack current and reads its header once per visit,
+checking the file's size against it; a miss decodes nothing and a lookup
+hashes and decodes only its entry's pickle (an app result is found by
+app id and config digest, without deriving stage keys).  Additions wait
+in the current pack until :meth:`ResultStore.publish_unit`,
+:meth:`ResultStore.flush` or a move to another pack writes them: a write
+appends their pickles to a fresh read of the file's payload, decoding
+and hashing nothing stored, and replaces the file atomically
+(``mkstemp`` plus ``os.replace``).  Concurrent writers can lose an
+update, and a pack replaced since the handle read it serves nothing
+more: both read as a miss, never as a wrong value.  A failed write
+raises :class:`StoreWriteError`.
 
 A truncated, tampered or misnamed pack (or corpus file) is warned about,
-counted, deleted and recomputed.  Programming errors while unpickling
-(``AttributeError``, ``ImportError``: a missed :data:`CODE_SALT` bump)
-propagate instead.  Payloads are unpickled with the cyclic collector
-paused (:func:`_paused`) and, in a run that owns the freeze
-(:attr:`ResultStore.freeze_decoded`), frozen as soon as decoded.
+counted, deleted and recomputed: a truncated file or a damaged header
+when the pack is visited, a damaged entry when a lookup decodes it.
+Programming errors while unpickling (``AttributeError``, ``ImportError``:
+a missed :data:`CODE_SALT` bump) propagate instead.  Payloads are
+unpickled with the cyclic collector paused (:func:`_paused`) and, in a
+run that owns the freeze (:attr:`ResultStore.freeze_decoded`), frozen as
+soon as decoded.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
-import hashlib
 import io
 import json
 import os
@@ -68,20 +71,23 @@ from typing import List, Optional, Union
 
 from repro.core import obs
 from repro.core.pipeline.graph import CODE_SALT
+from repro.util.digest import blake2b, sha256
 
 _MAGIC = "repro-result-store"
 _PACK_MAGIC = "repro-result-pack"
 _CORPUS_MAGIC = "repro-result-corpus"
-#: Bytes hashed at a time when a pack's payload is verified unread.
+#: Bytes hashed at a time when a corpus section is verified unread.
 _CHUNK = 1 << 16
 #: On-disk format version.  v2: one slot file per app; v3: one pack file
 #: per dataset; v4: results carry per-flow facts and refer to their
 #: captures in the stage pickle; v5: one pickle per entry, results hold
 #: no captures; v6: the header's metadata is pickled bytes the digest
 #: covers; v7: a corpus file keeps its catalogue and its detached part
-#: apart.  A file of another version is never read (pack and corpus file
-#: names hash it).
-_VERSION = 7
+#: apart; v8: the header's digest covers the metadata alone, which holds
+#: a BLAKE2b digest of each pack entry and corpus section, checked where
+#: it is decoded.  A file of another version is never read (pack and
+#: corpus file names hash it).
+_VERSION = 8
 
 
 #: What unpickling/validating a *damaged* pack can raise.  Truncated or
@@ -137,13 +143,18 @@ def _promote_to_oldest() -> None:
         gc.unfreeze()
 
 
+def _blake(data: bytes = b""):
+    """A BLAKE2b-256 hash of ``data``: the store's envelope, entry and
+    section digest."""
+    return blake2b(data, digest_size=32)
+
+
 @dataclass
 class _Envelope:
     """A verified envelope file: its header, where its payload starts,
     its :func:`_identity`, and its payload if the reader kept it."""
 
     meta: dict
-    digest: str
     offset: int
     identity: tuple
     payload: Optional[bytes]
@@ -167,17 +178,17 @@ def _hash_chunks(fh, hasher, size: int) -> None:
         received += len(chunk)
 
 
-def _read_envelope(path: Path, magic: str, name: str, keep_payload: bool = True):
+def _read_envelope(path: Path, magic: str, name: str, keep_payload: bool = False):
     """The verified envelope file at ``path``, or None when it is absent.
 
     The file is a pickled header ``(magic, version, name, meta bytes,
-    sha256, payload_size)`` followed by the payload (a corpus file's
-    detached part trails it, outside the digest); the digest covers the
-    meta bytes and the payload, and ``meta`` is unpickled only once it is
-    verified.  A bad magic, version, name or digest raises
-    ``ValueError``, a short payload ``EOFError``; damaged header bytes
-    raise one of :data:`_CORRUPTION_ERRORS`.  Without ``keep_payload``
-    the payload is hashed in chunks and dropped.
+    digest, payload_size)`` followed by the payload; the digest covers
+    the meta bytes, and ``meta``, which records the payload's own digests,
+    is unpickled only once it is verified.  A bad magic, version, name or
+    digest, or a file whose size is not the header's, raises
+    ``ValueError``; damaged header bytes raise one of
+    :data:`_CORRUPTION_ERRORS`.  The payload is read unverified, and only
+    with ``keep_payload``.
     """
     try:
         fh = open(path, "rb")
@@ -189,23 +200,18 @@ def _read_envelope(path: Path, magic: str, name: str, keep_payload: bool = True)
             raise ValueError(f"not a {magic} file")
         if file_name != name:
             raise ValueError("envelope name does not match its path")
-        offset = fh.tell()
-        hasher = hashlib.sha256(meta_bytes)
-        payload = fh.read(size) if keep_payload else None
-        if payload is None:
-            _hash_chunks(fh, hasher, size)
-        elif len(payload) != size:
-            raise EOFError("payload is truncated")
-        else:
-            hasher.update(payload)
-        if hasher.hexdigest() != digest:
+        if _blake(meta_bytes).digest() != digest:
             raise ValueError("digest mismatch")
-        return _Envelope(pickle.loads(meta_bytes), digest, offset, _identity(fh), payload)
+        offset, identity = fh.tell(), _identity(fh)
+        if identity[1] != offset + size:
+            raise ValueError(f"payload is {identity[1] - offset} bytes, not {size}")
+        payload = fh.read(size) if keep_payload else None
+        return _Envelope(pickle.loads(meta_bytes), offset, identity, payload)
 
 
 def _write_envelope(path: Path, magic: str, name: str, meta: dict, encode) -> _Envelope:
-    """Atomically replace ``path`` with an envelope of ``encode()``: the
-    payload bytes and the bytes that trail them outside the digest (it
+    """Atomically replace ``path`` with an envelope of ``encode()``, the
+    payload as a list of byte strings written one after the other (it
     runs first, so ``meta`` may describe them).
 
     The temp file from :func:`tempfile.mkstemp` is moved over ``path``
@@ -214,12 +220,10 @@ def _write_envelope(path: Path, magic: str, name: str, meta: dict, encode) -> _E
     :class:`StoreWriteError`.  Returns the envelope as written.
     """
     try:
-        payload, trailer = encode()
+        sections = encode()
         meta_bytes = pickle.dumps(meta)
-        hasher = hashlib.sha256(meta_bytes)
-        hasher.update(payload)
-        digest = hasher.hexdigest()
-        header = (magic, _VERSION, name, meta_bytes, digest, len(payload))
+        size = sum(map(len, sections))
+        header = (magic, _VERSION, name, meta_bytes, _blake(meta_bytes).digest(), size)
         try:
             fd, tmp = _mkstemp(path)
         except FileNotFoundError:
@@ -229,8 +233,8 @@ def _write_envelope(path: Path, magic: str, name: str, meta: dict, encode) -> _E
             with os.fdopen(fd, "wb") as fh:
                 pickle.dump(header, fh)
                 offset = fh.tell()
-                fh.write(payload)
-                fh.write(trailer)
+                for section in sections:
+                    fh.write(section)
                 fh.flush()
                 identity = _identity(fh)
             os.replace(tmp, path)
@@ -242,7 +246,7 @@ def _write_envelope(path: Path, magic: str, name: str, meta: dict, encode) -> _E
             raise
     except Exception as exc:
         raise StoreWriteError(f"cannot write result store file {path}: {exc}") from exc
-    return _Envelope(meta, digest, offset, identity, payload)
+    return _Envelope(meta, offset, identity, None)
 
 
 def _open_at(path: Path, identity: Optional[tuple], start: int):
@@ -272,26 +276,24 @@ def _read_at(path: Path, identity: Optional[tuple], start: int, size: int) -> Op
         return None
 
 
-def _load_at(path: Path, identity: Optional[tuple], start: int, check=None):
-    """The pickle at ``start`` of the file at ``path``, unpickled from the
-    file with collection paused and then promoted
-    (:func:`_promote_to_oldest`); None if the file is absent or no longer
-    the file ``identity`` names.
+def _load_at(path: Path, identity: Optional[tuple], start: int, size: int, digest: bytes):
+    """The pickle in the ``size`` bytes at ``start`` of the file at
+    ``path``, unpickled from the file with collection paused and then
+    promoted (:func:`_promote_to_oldest`); None if the file is absent or
+    no longer the file ``identity`` names.
 
-    With ``check``, ``(size, sha256)``, the ``size`` bytes at ``start``
-    are hashed in chunks first, and a mismatch raises ``ValueError``.
+    The bytes are hashed in chunks first, and a mismatch with ``digest``
+    raises ``ValueError``.
     """
     fh = _open_at(path, identity, start)
     if fh is None:
         return None
     with fh:
-        if check is not None:
-            size, digest = check
-            hasher = hashlib.sha256()
-            _hash_chunks(fh, hasher, size)
-            if hasher.hexdigest() != digest:
-                raise ValueError("digest mismatch")
-            fh.seek(start)
+        hasher = _blake()
+        _hash_chunks(fh, hasher, size)
+        if hasher.digest() != digest:
+            raise ValueError("digest mismatch")
+        fh.seek(start)
         value = _load_paused(fh)
     _promote_to_oldest()
     return value
@@ -353,7 +355,7 @@ def corpus_fingerprint(corpus) -> str:
         (key, len(apps)) for key, apps in sorted(corpus.datasets.items())
     )
     identity = repr((int(corpus.seed), shape))
-    return hashlib.sha256(identity.encode("utf-8")).hexdigest()
+    return sha256(identity.encode("utf-8")).hexdigest()
 
 
 def normalize_extra(stage: str, extra) -> object:
@@ -373,7 +375,7 @@ def pack_name(corpus_fp: str, kind: str, platform: str, dataset: str) -> str:
     """The name of the pack that keeps every stored artifact of one
     dataset's apps for one kind."""
     identity = repr((_VERSION, CODE_SALT, "pack", corpus_fp, kind, platform, dataset))
-    return hashlib.sha256(identity.encode("utf-8")).hexdigest()
+    return sha256(identity.encode("utf-8")).hexdigest()
 
 
 def summarize_result(result) -> dict:
@@ -458,11 +460,12 @@ class _Pack:
     """One dataset's pack of one kind, as a handle knows it.
 
     ``entries`` (fingerprint -> metadata, with the ``span`` of its pickle
-    in the payload), ``digest``, ``offset`` (of the payload in the file)
-    and ``identity`` mirror the file as last read or written; the payload
-    stays on disk.  ``index`` maps (app id, config digest) to the
-    fingerprint of each stored app result.  ``pending`` maps
-    fingerprints to ``(metadata, artifact)``: additions not yet written.
+    in the payload and the pickle's ``digest``), ``offset`` (of the
+    payload in the file) and ``identity`` mirror the file as last read or
+    written; the payload stays on disk.  ``index`` maps (app id, config
+    digest) to the fingerprint of each stored app result.  ``pending``
+    maps fingerprints to ``(metadata, artifact)``: additions not yet
+    written.
     """
 
     key: tuple
@@ -470,7 +473,6 @@ class _Pack:
     path: Path
     entries: dict = field(default_factory=dict)
     index: dict = field(default_factory=dict)
-    digest: Optional[str] = None
     offset: int = 0
     identity: Optional[tuple] = None
     pending: dict = field(default_factory=dict)
@@ -479,7 +481,7 @@ class _Pack:
         """Mirror ``envelope`` (None: no file)."""
         if envelope is None:
             self.entries, self.index = {}, {}
-            self.digest, self.offset, self.identity = None, 0, None
+            self.offset, self.identity = 0, None
         else:
             self.entries = dict(envelope.meta["entries"])
             self.index = {
@@ -487,17 +489,22 @@ class _Pack:
                 for key, meta in self.entries.items()
                 if meta["entry_kind"] == "app"
             }
-            self.digest, self.offset = envelope.digest, envelope.offset
-            self.identity = envelope.identity
+            self.offset, self.identity = envelope.offset, envelope.identity
 
     def pickled(self, key: str) -> Optional[bytes]:
-        """The pickle of entry ``key`` in the file this mirrors, or None
-        if it has no such entry or was replaced since."""
+        """The verified pickle of entry ``key`` in the file this mirrors,
+        or None if it has no such entry or was replaced since.
+
+        Bytes that do not match the entry's digest raise ``ValueError``.
+        """
         meta = self.entries.get(key)
         if meta is None:
             return None
         start, end = meta["span"]
-        return _read_at(self.path, self.identity, self.offset + start, end - start)
+        data = _read_at(self.path, self.identity, self.offset + start, end - start)
+        if data is not None and _blake(data).digest() != meta["digest"]:
+            raise ValueError(f"entry {key} does not match its digest")
+        return data
 
 
 def _memo_key(graph, platform: str, dataset: str, app_id: str, params: dict) -> tuple:
@@ -666,17 +673,18 @@ class ResultStore:
         """The value of entry ``key``, unpickled with collection paused, or
         ``miss``.
 
-        A pack file replaced since the handle read it serves nothing: the
-        entry misses.  Only errors damaged bytes can produce invalidate
-        the pack; anything else (an ``AttributeError`` from a renamed
+        The entry's bytes are verified before they are unpickled.  A pack
+        file replaced since the handle read it serves nothing: the entry
+        misses.  Only errors damaged bytes can produce invalidate the
+        pack; anything else (an ``AttributeError`` from a renamed
         result class, an ``ImportError`` from a moved module) is a
         programming error, usually a missing :data:`CODE_SALT` bump, and
         propagates instead of silently recomputing the store.
         """
-        data = pack.pickled(key)
-        if data is None:
-            return miss
         try:
+            data = pack.pickled(key)
+            if data is None:
+                return miss
             value = _load_paused(io.BytesIO(data))
         except _CORRUPTION_ERRORS as exc:
             self._invalidate(pack.path, exc)
@@ -703,7 +711,7 @@ class ResultStore:
         disk are dropped (same content address, same value); a pack with
         nothing new is not rewritten.  The stored entries' bytes are
         copied undecoded, and each addition is pickled on its own after
-        them.  Failures raise :class:`StoreWriteError`.
+        them, with its digest.  Failures raise :class:`StoreWriteError`.
         """
         pending, pack.pending = pack.pending, {}
         payload = self._read(pack, keep_payload=True) or b""
@@ -712,14 +720,18 @@ class ResultStore:
             return
         entries = dict(pack.entries)
 
-        def encode() -> bytes:
-            buffer = io.BytesIO()
-            buffer.write(payload)
+        def encode() -> list:
+            sections, end = [payload], len(payload)
             for key, (meta, value) in added.items():
-                start = buffer.tell()
-                pickle.dump(value, buffer)
-                entries[key] = {**meta, "span": (start, buffer.tell())}
-            return buffer.getvalue(), b""
+                data = pickle.dumps(value)
+                sections.append(data)
+                entries[key] = {
+                    **meta,
+                    "span": (end, end + len(data)),
+                    "digest": _blake(data).digest(),
+                }
+                end += len(data)
+            return sections
 
         meta = dict(
             zip(("kind", "platform", "dataset"), pack.key),
@@ -916,7 +928,7 @@ def corpus_file_name(config) -> str:
     enters it, with the store version and :data:`CODE_SALT`.
     """
     identity = repr((_VERSION, CODE_SALT, "corpus", _settings(config)))
-    return hashlib.sha256(identity.encode("utf-8")).hexdigest()
+    return sha256(identity.encode("utf-8")).hexdigest()
 
 
 class CorpusStore:
@@ -929,14 +941,15 @@ class CorpusStore:
     before any study runs on it.
 
     A corpus file is an envelope like a pack's.  Its payload is the
-    corpus's catalogue (:meth:`~repro.corpus.datasets.AppCorpus.catalogue`),
-    and its detached part (the file trees and the CT log) trails it; the
-    verified metadata records the part's span and sha256.  :meth:`load`
-    reads the catalogue only, and the part is read when the corpus is
-    attached (:meth:`~repro.corpus.datasets.AppCorpus.attach`), which a
-    fully warm run never does.  Both follow the pack's corruption
-    contract: a damaged file is warned about, deleted and regenerated;
-    ``AttributeError`` and ``ImportError`` propagate.
+    corpus's catalogue (:meth:`~repro.corpus.datasets.AppCorpus.catalogue`)
+    followed by its detached part (the file trees and the CT log); the
+    verified metadata records the part's span and each section's BLAKE2b
+    digest.  :meth:`load` reads the catalogue only, and the part is read
+    when the corpus is attached
+    (:meth:`~repro.corpus.datasets.AppCorpus.attach`), which a fully warm
+    run never does.  Both follow the pack's corruption contract: a damaged
+    file is warned about, deleted and regenerated; ``AttributeError`` and
+    ``ImportError`` propagate.
 
     Args:
         root: store directory (created on first save).
@@ -964,12 +977,17 @@ class CorpusStore:
         self.loaded = False
         path = self.path(config)
         try:
-            envelope = _read_envelope(path, _CORPUS_MAGIC, path.stem, keep_payload=False)
+            envelope = _read_envelope(path, _CORPUS_MAGIC, path.stem)
             if envelope is None:
                 return None
-            if envelope.identity[1] != envelope.offset + envelope.meta["detached"][1]:
-                raise EOFError("the detached part is truncated")
-            corpus = _load_at(path, envelope.identity, envelope.offset)
+            meta = envelope.meta
+            corpus = _load_at(
+                path,
+                envelope.identity,
+                envelope.offset,
+                meta["detached"][0],
+                meta["catalogue_digest"],
+            )
         except _CORRUPTION_ERRORS as exc:
             self._corrupt(path, exc)
             return None
@@ -981,7 +999,7 @@ class CorpusStore:
 
     def _load_detached(self, config, envelope: _Envelope):
         """The detached part of the file ``envelope`` was read from,
-        verified against its sha256.
+        verified against its digest.
 
         A damaged part is warned about and its file deleted; a file
         replaced since is not read.  Either way the corpus is regenerated
@@ -994,7 +1012,8 @@ class CorpusStore:
                 path,
                 envelope.identity,
                 envelope.offset + start,
-                (end - start, envelope.meta["detached_sha256"]),
+                end - start,
+                envelope.meta["detached_digest"],
             )
         except _CORRUPTION_ERRORS as exc:
             self._corrupt(path, exc)
@@ -1027,8 +1046,9 @@ class CorpusStore:
                 catalogue = pickle.dumps(corpus.catalogue())
                 detached = pickle.dumps(corpus.detached_parts())
                 meta["detached"] = (len(catalogue), len(catalogue) + len(detached))
-                meta["detached_sha256"] = hashlib.sha256(detached).hexdigest()
-                return catalogue, detached
+                meta["catalogue_digest"] = _blake(catalogue).digest()
+                meta["detached_digest"] = _blake(detached).digest()
+                return [catalogue, detached]
 
             _ensure_manifest(self.root)
             _write_envelope(path, _CORPUS_MAGIC, path.stem, meta, encode)

@@ -76,10 +76,6 @@ class Recorder:
         with self._lock:
             self._spans.append(span)
 
-    def span_stack(self) -> List[str]:
-        """Names of the calling thread's currently open spans."""
-        return list(getattr(self._tls, "stack", ()))
-
     # -- recording ---------------------------------------------------------
 
     def span(self, name: str, cat: str = "", **args) -> SpanTimer:

@@ -38,11 +38,11 @@ equivalent to a cold run.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core import obs
+from repro.util.digest import sha256
 
 #: Artifact names every graph run seeds before its first stage: the
 #: packaged app plus its identity.  Per-app parameters (the dynamic
@@ -247,7 +247,7 @@ class StageGraph:
                 ),
             )
         )
-        return hashlib.sha256(identity.encode("utf-8")).hexdigest()
+        return sha256(identity.encode("utf-8")).hexdigest()
 
     def stage_keys(
         self,
@@ -285,7 +285,7 @@ class StageGraph:
                     tuple(keys[name] for name in stage.inputs),
                 )
             )
-            keys[stage.name] = hashlib.sha256(
+            keys[stage.name] = sha256(
                 identity.encode("utf-8")
             ).hexdigest()
         return keys

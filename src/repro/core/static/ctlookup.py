@@ -22,11 +22,6 @@ class CTResolution:
     resolved: Dict[str, List[Certificate]] = field(default_factory=dict)
     unresolved: List[str] = field(default_factory=list)
 
-    @property
-    def resolution_rate(self) -> float:
-        total = len(self.resolved) + len(self.unresolved)
-        return len(self.resolved) / total if total else 0.0
-
     def certificates(self) -> List[Certificate]:
         out: List[Certificate] = []
         seen = set()

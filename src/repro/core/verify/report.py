@@ -15,13 +15,13 @@ the serial baseline self-checking).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.verify.invariants import RuleResult, run_invariants
 from repro.core.verify.oracle import OracleScore, ToleranceBand, run_oracle
 from repro.reporting.tables import Table
+from repro.util.digest import sha256
 
 AUDIT_LEVELS = ("standard", "deep")
 
@@ -203,7 +203,7 @@ def study_digest(results) -> str:
         renderings.append(f"{platform}:{results.circumvention_rate(platform):.6f}")
     renderings.extend(results.error_ledger())
     payload = "\n\x1e\n".join(renderings).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    return sha256(payload).hexdigest()
 
 
 def _determinism_check(results) -> DeterminismCheck:

@@ -10,10 +10,10 @@ from the store) are not merely the same shape but the same world.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Tuple
 
 from repro.corpus.datasets import AppCorpus
+from repro.util.digest import sha256
 
 #: ``((platform, dataset), size)`` pairs, sorted by key — the shape half
 #: of the corpus identity.
@@ -95,7 +95,7 @@ def content_fingerprint(corpus: AppCorpus) -> str:
     randomization.  Two corpora with equal content fingerprints run to
     bit-for-bit identical study results.
     """
-    digest = hashlib.sha256()
+    digest = sha256()
     digest.update(repr((int(corpus.seed), dataset_shape(corpus))).encode())
     for key, apps in sorted(corpus.datasets.items()):
         digest.update(repr(key).encode())

@@ -36,10 +36,6 @@ class EncodingError(PKIError):
     """PEM/DER-style payload could not be decoded."""
 
 
-class TLSError(ReproError):
-    """Base class for TLS-layer failures."""
-
-
 class AppModelError(ReproError):
     """An app package is malformed or an operation on it is invalid."""
 

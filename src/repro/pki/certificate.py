@@ -10,12 +10,12 @@ packages.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import CertificateError
 from repro.pki.keys import KeyPair
+from repro.util.digest import sha256
 from repro.util.encoding import pem_wrap
 from repro.util.simtime import Timestamp
 
@@ -171,17 +171,13 @@ class Certificate:
 
     def fingerprint_sha256(self) -> str:
         """Hex SHA-256 fingerprint of the full encoding."""
-        return hashlib.sha256(self.to_der()).hexdigest()
+        return sha256(self.to_der()).hexdigest()
 
     def spki_pin(self, algorithm: str = "sha256") -> str:
         """HPKP-style pin string for this certificate's public key."""
         return self.key.pin(algorithm=algorithm)
 
     # -- checks ------------------------------------------------------------
-
-    def valid_at(self, when: Timestamp) -> bool:
-        """True if ``when`` falls inside the validity window."""
-        return self.not_before.unix <= when.unix <= self.not_after.unix
 
     def is_expired(self, when: Timestamp) -> bool:
         return when.unix > self.not_after.unix
@@ -261,4 +257,4 @@ class ParsedCertificate:
         return self.subject
 
     def spki_sha256(self) -> bytes:
-        return hashlib.sha256(self.spki_bytes).digest()
+        return sha256(self.spki_bytes).digest()

@@ -9,10 +9,10 @@ the paper's static analysis greps for with
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from repro.errors import EncodingError
+from repro.util.digest import sha1, sha256
 from repro.util.encoding import b64encode
 from repro.util.rng import DeterministicRng
 
@@ -44,11 +44,11 @@ class KeyPair:
 
     def spki_sha256(self) -> bytes:
         """Raw SHA-256 digest of the SPKI bytes."""
-        return hashlib.sha256(self.public_bytes).digest()
+        return sha256(self.public_bytes).digest()
 
     def spki_sha1(self) -> bytes:
         """Raw SHA-1 digest of the SPKI bytes."""
-        return hashlib.sha1(self.public_bytes).digest()
+        return sha1(self.public_bytes).digest()
 
     def pin(self, algorithm: str = "sha256") -> str:
         """Render the HPKP-style pin string for this key."""
@@ -61,7 +61,7 @@ class KeyPair:
         see the package docstring for why this is sufficient for the
         reproduction.
         """
-        return hashlib.sha256(b"SIG" + self.public_bytes + payload).digest()
+        return sha256(b"SIG" + self.public_bytes + payload).digest()
 
     def verify(self, payload: bytes, signature: bytes) -> bool:
         """Check a simulated signature allegedly made by this key."""

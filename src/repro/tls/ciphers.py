@@ -9,7 +9,7 @@ something to find.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,3 @@ def is_weak_suite(suite) -> bool:
 def advertises_weak(suites: Sequence[CipherSuite]) -> bool:
     """True if any advertised suite is weak (Table 8's per-connection test)."""
     return any(is_weak_suite(s) for s in suites)
-
-
-def suites_for_version(version: str) -> List[CipherSuite]:
-    """Suites negotiable at the given protocol version."""
-    if version == "1.3":
-        return list(TLS13_SUITES)
-    return [s for s in ALL_SUITES if s.min_version != "1.3"]

@@ -9,12 +9,12 @@ platform share a client stack and therefore a fingerprint.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Sequence, Tuple
 
 from repro.core import obs
 from repro.tls.ciphers import CipherSuite
 from repro.tls.records import TLSVersion
+from repro.util.digest import md5
 
 #: Fingerprints by (version names, suite names), process-wide.
 _JA3: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], str] = {}
@@ -35,5 +35,5 @@ def ja3_fingerprint(
     obs.cache_event("ja3", hit=fingerprint is not None)
     if fingerprint is None:
         material = ",".join(key[0]) + "|" + ",".join(key[1])
-        fingerprint = _JA3[key] = hashlib.md5(material.encode("ascii")).hexdigest()
+        fingerprint = _JA3[key] = md5(material.encode("ascii")).hexdigest()
     return fingerprint

@@ -78,10 +78,6 @@ class HandshakeOutcome:
     server_alert: Optional[Alert] = None
     failure_reason: str = ""
 
-    @property
-    def rejected_certificate(self) -> bool:
-        return self.client_alert is not None and self.client_alert.is_certificate_related()
-
 
 def negotiate_version(
     client_versions: Sequence[TLSVersion], server_versions: Sequence[TLSVersion]

@@ -137,11 +137,6 @@ def _shared_record(
     return factory(length)
 
 
-def client_records(records: Sequence[TLSRecord]) -> List[TLSRecord]:
-    """Filter a trace down to client-sent records."""
-    return [r for r in records if r.direction is Direction.CLIENT_TO_SERVER]
-
-
 def encrypted_application_data(
     records: Sequence[TLSRecord], direction: Direction = Direction.CLIENT_TO_SERVER
 ) -> List[TLSRecord]:

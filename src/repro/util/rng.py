@@ -12,9 +12,10 @@ rules keep that true:
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Iterable, List, Optional, Sequence, TypeVar
+
+from repro.util.digest import sha256
 
 T = TypeVar("T")
 
@@ -42,7 +43,7 @@ def derive_seed(parent_seed: int, *labels: object) -> int:
         material = "\x1f".join([repr(parent_seed), *map(str, labels)])
     else:
         material = f"{parent_seed!r}\x1f"
-    digest = hashlib.sha256(material.encode()).digest()
+    digest = sha256(material.encode()).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
 
 

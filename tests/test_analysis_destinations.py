@@ -65,7 +65,7 @@ class TestSummaries:
         assert summary.pinning_apps == 3
         assert summary.pinned_destinations_first == 1
         assert summary.pinned_destinations_third == 4
-        assert summary.third_party_majority
+        assert summary.pinned_destinations_third > summary.pinned_destinations_first
         assert summary.apps_pinning_all_domains == 1
         assert summary.apps_with_first_party_pins == 1
         assert summary.apps_with_third_party_pins == 2

@@ -63,7 +63,6 @@ class TestFridaSession:
         assert isinstance(
             outcome.patched_policy.policy_for("pinned.com"), TrustAllPolicy
         )
-        assert outcome.bypass_rate() == 1.0
 
     def test_custom_tls_resists(self, small_corpus):
         from repro.device.android import AndroidDevice
@@ -72,7 +71,6 @@ class TestFridaSession:
         session = FridaSession(device)
         outcome = session.instrument(self._pin_policy(small_corpus, "custom_tls"))
         assert outcome.resistant_domains == {"pinned.com"}
-        assert outcome.bypass_rate() == 0.0
 
     def test_default_policy_also_neutralised(self, small_corpus):
         from repro.device.android import AndroidDevice

@@ -85,7 +85,7 @@ class TestCalibration:
     def test_specs_resolved(self, small_corpus):
         for packaged in small_corpus.all_apps():
             for spec in packaged.app.pinning_specs:
-                assert spec.is_resolved()
+                assert set(spec.resolved) == set(spec.domains)
 
     def test_pinned_usages_start_early(self, small_corpus):
         for packaged in small_corpus.all_apps():

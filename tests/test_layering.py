@@ -5,8 +5,9 @@
 (``repro.core.static``, ``repro.core.dynamic``, ``repro.core.circumvent``),
 each of which declares its stage graph on it.  An import the other way,
 even one deferred into a function, would close an import cycle between
-the packages.  The check reads the source, so function-level imports
-count too.
+the packages.  No module of ``repro`` imports :mod:`hashlib`, which loads
+OpenSSL (``repro.util.digest`` has the built-in digests instead).  The
+checks read the source, so function-level imports count too.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PIPELINE = SRC / "repro" / "core" / "pipeline"
 EXEC = ("repro.core.exec",)
 PIPELINES = ("repro.core.static", "repro.core.dynamic", "repro.core.circumvent")
+OPENSSL = ("hashlib", "_hashlib")
+#: ``repro.util.digest`` falls back to hashlib only on an interpreter
+#: built without a digest module.
+FALLBACK = SRC / "repro" / "util" / "digest.py"
 
 
 def imported_modules(source: str, package: str):
@@ -58,6 +63,35 @@ def test_pipeline_modules_do_not_import_exec(path):
 )
 def test_pipeline_modules_do_not_import_the_pipelines(path):
     assert imports_of(path.read_text(encoding="utf-8"), PIPELINES) == []
+
+
+def package_of(path: Path) -> str:
+    """The package a module of ``src/`` belongs to."""
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts if path.name == "__init__.py" else parts[:-1])
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(path for path in SRC.rglob("*.py") if path != FALLBACK),
+    ids=lambda path: str(path.relative_to(SRC)),
+)
+def test_no_module_imports_hashlib(path):
+    source = path.read_text(encoding="utf-8")
+    assert imports_of(source, OPENSSL, package_of(path)) == []
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import hashlib",
+        "from hashlib import sha256",
+        "import _hashlib",
+        "def digest(data):\n    import hashlib\n    return hashlib.md5(data)",
+    ],
+)
+def test_every_form_of_a_hashlib_import_is_caught(statement):
+    assert imports_of(statement, OPENSSL, "repro.util")
 
 
 @pytest.mark.parametrize(

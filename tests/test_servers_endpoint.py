@@ -14,7 +14,6 @@ from repro.errors import (
     PackageEncryptedError,
     PKIError,
     ReproError,
-    TLSError,
 )
 from repro.pki.authority import PKIHierarchy
 from repro.servers.parties import PartyDirectory, registrable_domain
@@ -115,7 +114,6 @@ class TestErrorHierarchy:
             CertificateError,
             ChainValidationError,
             EncodingError,
-            TLSError,
             AppModelError,
             PackageEncryptedError,
             DeviceError,

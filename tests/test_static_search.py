@@ -283,12 +283,11 @@ class TestCTLookup:
         resolution = resolve_pins(findings, log)
         assert len(resolution.resolved) == 1
         assert len(resolution.unresolved) == 1
-        assert resolution.resolution_rate == 0.5
         assert resolution.certificates()
 
     def test_empty_input(self):
         resolution = resolve_pins([], CTLog())
-        assert resolution.resolution_rate == 0.0
+        assert not resolution.resolved and not resolution.unresolved
 
 
 class TestDecompileDecrypt:

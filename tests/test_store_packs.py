@@ -2,7 +2,9 @@
 
 A fill leaves one pack per (kind, platform, dataset) and nothing else
 besides the stored corpus and ``store.json``.  A corrupt pack costs that
-dataset's entries of its kind and nothing more.  Two handles writing
+dataset's entries of its kind and nothing more: a truncated one is found
+when it is visited, a damaged entry when a lookup decodes it, and never
+served.  Two handles writing
 different configs into one pack never serve a wrong value.  A warm run
 decodes only the app results it serves, never the stage artifacts
 beside them, and a fill computes each app's stage keys once per config.
@@ -14,6 +16,7 @@ import io
 import json
 import os
 import pickle
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -57,6 +60,28 @@ def pack_identity(path):
     """``(kind, platform, dataset)`` from a pack's envelope metadata."""
     meta = pickle.loads(pickle.loads(path.read_bytes())[3])
     return meta["kind"], meta["platform"], meta["dataset"]
+
+
+def flip_entry(path, stage):
+    """Flip the case of the first letter of an entry's app id inside the
+    entry's pickle, in the pack at ``path``: the bytes still unpickle, to
+    a wrong value.  The entry is the first whose ``stage`` metadata is
+    ``stage`` (an app result's kind, or a stage artifact's
+    ``kind.stage``); returns its fingerprint."""
+    blob = bytearray(path.read_bytes())
+    header = pickle.loads(blob)
+    offset = len(blob) - header[-1]
+    for fingerprint, entry in pickle.loads(header[3])["entries"].items():
+        if entry["stage"] == stage:
+            start, end = entry["span"]
+            blob[blob.index(entry["app_id"].encode(), offset + start, offset + end)] ^= 0x20
+            path.write_bytes(bytes(blob))
+            return fingerprint
+    raise AssertionError(f"no {stage} entry in {path}")
+
+
+def corrupt_warnings(caught):
+    return [w for w in caught if "corrupt" in str(w.message)]
 
 
 class RecordingUnpickler(pickle.Unpickler):
@@ -138,9 +163,7 @@ class TestPackCorruption:
         self, corpus, filled, golden
     ):
         victim = ResultStore(filled, corpus).pack_path("static", "android", "popular")
-        blob = bytearray(victim.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        victim.write_bytes(bytes(blob))
+        flip_entry(victim, "static")
 
         store = ResultStore(filled, corpus)
         with pytest.warns(RuntimeWarning, match="corrupt"):
@@ -155,6 +178,67 @@ class TestPackCorruption:
         healed = ResultStore(filled, corpus, write=False)
         assert render_study_stdout(Study(corpus).run(store=healed)) == golden
         assert healed.stats.unit_misses == 0
+
+    def test_damaged_stage_entry_is_found_by_the_run_that_decodes_it(
+        self, corpus, filled, golden
+    ):
+        """A warm run decodes no capture, so a damaged ``run_direct`` entry
+        costs it nothing; the detector flip that decodes it invalidates
+        the pack and recomputes its dataset."""
+        victim = ResultStore(filled, corpus).pack_path("dynamic", "android", "popular")
+        flip_entry(victim, "dynamic.run_direct")
+
+        warm = ResultStore(filled, corpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert render_study_stdout(Study(corpus).run(store=warm)) == golden
+        assert not corrupt_warnings(caught)
+        assert (warm.stats.invalidated, warm.stats.unit_misses) == (0, 0)
+        assert victim.exists()
+
+        flipped_cold = render_study_stdout(Study(corpus, detector=FLIP).run())
+        flipped = ResultStore(filled, corpus)
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            results = Study(corpus, detector=FLIP).run(store=flipped)
+        assert render_study_stdout(results) == flipped_cold
+        assert flipped.stats.invalidated == 1
+
+    def test_lookup_stage_of_a_damaged_entry_discards_its_pack(
+        self, corpus, filled, golden
+    ):
+        victim = ResultStore(filled, corpus).pack_path("static", "android", "popular")
+        fingerprint = flip_entry(victim, "static.decompile")
+        store = ResultStore(filled, corpus)
+        miss = object()
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            value = store.lookup_stage(
+                fingerprint, "static", "decompile", "android", "popular", miss
+            )
+        assert value is miss
+        assert store.stats.invalidated == 1
+        assert not victim.exists()
+
+        healed = ResultStore(filled, corpus)
+        assert render_study_stdout(Study(corpus).run(store=healed)) == golden
+        assert healed.stats.unit_misses == 1
+        assert healed.stats.published == len(corpus.dataset("android", "popular"))
+
+    def test_truncated_pack_is_found_without_reading_its_payload(
+        self, corpus, filled, monkeypatch
+    ):
+        victim = ResultStore(filled, corpus).pack_path("static", "android", "popular")
+        victim.write_bytes(victim.read_bytes()[:-1])
+
+        def read_at(*args):
+            raise AssertionError("a payload byte was read")
+
+        monkeypatch.setattr(resultstore, "_read_at", read_at)
+        store = bound_store(filled, corpus)
+        app_id = corpus.dataset("android", "popular")[0].app.app_id
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            assert store.lookup_app("static", "android", "popular", app_id, None) is None
+        assert store.stats.invalidated == 1
+        assert not victim.exists()
 
 
 class TestTwoHandles:

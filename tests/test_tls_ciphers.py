@@ -8,13 +8,10 @@ from repro.tls.alerts import (
     alert_for_reason,
 )
 from repro.tls.ciphers import (
-    ALL_SUITES,
     MODERN_SUITES,
-    TLS13_SUITES,
     WEAK_SUITES,
     advertises_weak,
     is_weak_suite,
-    suites_for_version,
 )
 from repro.tls.fingerprint import ja3_fingerprint
 from repro.tls.records import (
@@ -22,7 +19,6 @@ from repro.tls.records import (
     Direction,
     TLSRecord,
     TLSVersion,
-    client_records,
     encrypted_application_data,
 )
 
@@ -46,15 +42,6 @@ class TestCipherSuites:
     def test_advertises_weak(self):
         assert advertises_weak(list(MODERN_SUITES) + [WEAK_SUITES[0]])
         assert not advertises_weak(MODERN_SUITES)
-
-    def test_suites_for_tls13(self):
-        suites = suites_for_version("1.3")
-        assert suites == list(TLS13_SUITES)
-
-    def test_suites_for_tls12_exclude_tls13(self):
-        suites = suites_for_version("1.2")
-        assert all(s.min_version != "1.3" for s in suites)
-        assert len(suites) == len(ALL_SUITES) - len(TLS13_SUITES)
 
 
 class TestAlerts:
@@ -91,13 +78,6 @@ class TestRecords:
     def test_version_flags(self):
         assert TLSVersion.TLS13.is_tls13
         assert not TLSVersion.TLS12.is_tls13
-
-    def test_direction_filter(self):
-        records = [
-            TLSRecord(ContentType.HANDSHAKE, Direction.CLIENT_TO_SERVER, 100),
-            TLSRecord(ContentType.HANDSHAKE, Direction.SERVER_TO_CLIENT, 100),
-        ]
-        assert len(client_records(records)) == 1
 
     def test_encrypted_application_data_filter(self):
         records = [

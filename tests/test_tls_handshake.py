@@ -108,7 +108,7 @@ class TestHandshake:
         outcome = perform_handshake(client, endpoint, STUDY_START)
         assert not outcome.success
         assert outcome.failure_reason == "pin_mismatch"
-        assert outcome.rejected_certificate
+        assert outcome.client_alert.is_certificate_related()
 
     def test_presented_chain_override(self, world):
         catalog, endpoint = world

@@ -3,6 +3,8 @@
 A study served from the result store builds no corpus and runs no device,
 flow simulator or TLS handshake, and the stored data decodes none of their
 classes, so the modules holding them must stay unimported (DESIGN.md §10).
+No run of any kind loads OpenSSL: every digest comes from CPython's
+built-in hash modules (``repro.util.digest``, DESIGN.md §7).
 ``python -m repro`` also freezes the heap once ``main`` returns, so that
 interpreter shutdown skips its full collections (DESIGN.md §7); the exit
 status and every byte of output must still come through.
@@ -11,6 +13,7 @@ status and every byte of output must still come through.
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +48,8 @@ NOT_WARM = (
 )
 #: Modules a cold run does load, which shows the check sees deferred imports.
 COLD_ONLY = ("repro.corpus.factory", "repro.netsim.simulate")
+#: What loads OpenSSL's libcrypto: no run imports either.
+OPENSSL = {"hashlib", "_hashlib"}
 
 
 def repro(*args, cwd, importtime=False) -> subprocess.CompletedProcess:
@@ -88,6 +93,26 @@ def test_warm_run_imports_none_of_them(cold):
     assert "repro.core.exec.resultstore" in imported(done)
     assert sorted(imported(done) & set(NOT_WARM)) == []
     assert done.stdout == GOLDEN.read_bytes()
+
+
+def test_no_study_loads_openssl(cold, tmp_path):
+    """A store-less run, the fill, a warm run and a detector flip that
+    decodes stored captures."""
+    root, fill = cold
+    shutil.copytree(root / "store", tmp_path / "store")
+    runs = {
+        "fill": fill,
+        "store-less": repro("study", cwd=tmp_path, importtime=True),
+        "warm": repro("study", "--store", "store", cwd=tmp_path, importtime=True),
+        "flip": repro(
+            "study", "--store", "store", "--detector", "no-tls13", cwd=tmp_path, importtime=True
+        ),
+    }
+    for name, done in runs.items():
+        assert done.returncode == 0, (name, done.stderr.decode()[-2000:])
+        assert "repro.util.digest" in imported(done), name
+        assert sorted(imported(done) & OPENSSL) == [], name
+    assert "stage hit(s)" in runs["flip"].stderr.decode()
 
 
 class TestExit:
